@@ -11,34 +11,36 @@ import argparse
 import pathlib
 import sys
 
-from gammagen.cli import SweepConfig, render_reports_csv, render_reports_json
+from gammagen.cli import (SweepConfig, parse_grid_spec, render_reports_csv,
+                          render_reports_json)
+from gammagen.core_special import DEFAULT_TOL
 from gammagen.gen_gamma import KParam, PParam, QParam
 from gammagen.inequality_engine import (
+    DEFAULT_TOL_REPORT,
     GenParams,
-    check_sandwich_k,
-    check_sandwich_p,
-    check_sandwich_q,
+    check_sandwich,
     family_callables,
     scan_monotone,
+    scan_passes,
 )
 
-SANDWICH_GRID = tuple(0.05 * i for i in range(1, 20))
+# The grid is built from its spec, so `gammagen verify --grid SPEC` reproduces
+# every report.
+SANDWICH_GRID_SPEC = "0.05:0.95:0.05"
+SANDWICH_GRID = parse_grid_spec(SANDWICH_GRID_SPEC)
 SCAN_GRID = tuple(0.01 + 0.01 * i for i in range(500))
 
 BATTERY = [
-    ("p", GenParams(1.0, 1.0, 1.5, 1.0), 5),
-    ("p", GenParams(2.0, 0.5, 1.0, 0.7), 50),
-    ("p", GenParams(0.4, 1.8, 2.2, 1.3), 1),
-    ("q", GenParams(1.0, 1.0, 1.5, 1.0), 0.5),
-    ("q", GenParams(1.2, 0.7, 1.0, 0.9), 0.9),
-    ("q", GenParams(0.5, 2.0, 3.0, 1.0), 0.1),
-    ("k", GenParams(1.0, 1.0, 1.5, 1.0), 1.0),
-    ("k", GenParams(2.0, 1.0, 1.5, 0.5), 3.0),
-    ("k", GenParams(3.0, 0.3, 0.8, 1.1), 8.0),
+    ("p", GenParams(1.0, 1.0, 1.5, 1.0), PParam(5)),
+    ("p", GenParams(2.0, 0.5, 1.0, 0.7), PParam(50)),
+    ("p", GenParams(0.4, 1.8, 2.2, 1.3), PParam(1)),
+    ("q", GenParams(1.0, 1.0, 1.5, 1.0), QParam(0.5)),
+    ("q", GenParams(1.2, 0.7, 1.0, 0.9), QParam(0.9)),
+    ("q", GenParams(0.5, 2.0, 3.0, 1.0), QParam(0.1)),
+    ("k", GenParams(1.0, 1.0, 1.5, 1.0), KParam(1.0)),
+    ("k", GenParams(2.0, 1.0, 1.5, 0.5), KParam(3.0)),
+    ("k", GenParams(3.0, 0.3, 0.8, 1.1), KParam(8.0)),
 ]
-
-CHECKERS = {"p": check_sandwich_p, "q": check_sandwich_q, "k": check_sandwich_k}
-PARAM_TYPES = {"p": PParam, "q": QParam, "k": KParam}
 
 
 def main(argv=None) -> int:
@@ -53,11 +55,11 @@ def main(argv=None) -> int:
     all_ok = True
     print(f"{'sweep':<28} {'sandwich':>12} {'min margin':>12} {'scan fwd':>12}")
     for i, (family, gp, param) in enumerate(BATTERY):
-        rows = CHECKERS[family](gp, param, SANDWICH_GRID)
+        rows = check_sandwich(family, gp, param, SANDWICH_GRID, DEFAULT_TOL_REPORT)
         config = SweepConfig(
-            family=family, gen_params=gp, family_param=PARAM_TYPES[family](param),
-            grid=SANDWICH_GRID, grid_spec="0.05:0.95:0.05", seed=0,
-            tol=1e-12, tol_report=1e-9,
+            family=family, gen_params=gp, family_param=param,
+            grid=SANDWICH_GRID, grid_spec=SANDWICH_GRID_SPEC, seed=0,
+            tol=DEFAULT_TOL, tol_report=DEFAULT_TOL_REPORT,
             output_path=None, format=args.format)
         name = f"sweep{i:02d}_{family}"
         path = outdir / f"{name}.{args.format}"
@@ -71,7 +73,7 @@ def main(argv=None) -> int:
         n_pass = sum(r.passed for r in rows)
         margin = min(min(r.lower_margin for r in rows),
                      min(r.upper_margin for r in rows))
-        ok = n_pass == len(rows) and scan.min_forward_diff >= -1e-9
+        ok = n_pass == len(rows) and scan_passes(scan, DEFAULT_TOL_REPORT)
         all_ok = all_ok and ok
         print(f"{name:<28} {n_pass:>9}/{len(rows)} {margin:>12.3e} "
               f"{scan.min_forward_diff:>12.3e}")

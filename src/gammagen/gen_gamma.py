@@ -97,9 +97,10 @@ def _check_p(p) -> int:
     return p
 
 
-def _check_q(q) -> None:
+def _check_q(q) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie strictly in (0, 1) (got {q})")
+    return q
 
 
 def _check_k(k) -> None:
@@ -270,36 +271,17 @@ def gamma_k(t: float, k: float) -> float:
 
 
 def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
-    """psi_k(t) = (ln k - gamma_E)/k - 1/t + sum_{n>=1} t/(n k (n k + t)).
+    """psi_k(t) = (ln k + psi(t/k))/k, the logarithmic derivative of the
+    identity Gamma_k(t) = k^(t/k - 1) Gamma(t/k).
 
-    Summed directly over its own terms, with an Euler-Maclaurin closure in
-    the scaled variable u = t/k; the remainder bound t/(42 k^2 a^7) is the
-    analogue of the psi-series bound and is reported in ``err_bound``.
+    psi(t/k) comes from ``core_special.psi_series`` at tolerance tol*k, so
+    the reported err_bound (its bound divided by k) meets ``ctrl.tol``;
+    terms_used and converged are the series' own.
     """
     if ctrl is None:
         ctrl = default_series_control()
     _check_t(t)
     _check_k(k)
-
-    u = t / k
-    a_needed = math.exp(
-        (math.log(t) - math.log(k) - math.log(42.0 * ctrl.tol * k)) / 7.0)
-    n_terms = max(8, math.ceil(min(a_needed, 1e18)))
-    n_terms = min(n_terms, ctrl.max_terms)
-
-    partial = math.fsum(t / ((n * k) * (n * k + t)) for n in range(1, n_terms + 1))
-
-    a = n_terms + 1.0
-    ia = 1.0 / a
-    ib = 1.0 / (a + u)
-    tail = (
-        math.log1p(u / a)
-        + 0.5 * (ia - ib)
-        + (ia * ia - ib * ib) / 12.0
-        + (ib**4 - ia**4) / 120.0
-        + (ia**6 - ib**6) / 252.0
-    ) / k
-    bound = (ia**6 - ib**6) / (252.0 * k)
-
-    value = (math.log(k) - core_special.EULER_GAMMA) / k - 1.0 / t + partial + tail
-    return EvalResult(value, bound, n_terms, bound <= ctrl.tol)
+    r = core_special.psi_series(t / k, SeriesControl(ctrl.max_terms, ctrl.tol * k))
+    return EvalResult((math.log(k) + r.value) / k, r.err_bound / k,
+                      r.terms_used, r.converged)

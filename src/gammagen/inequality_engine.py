@@ -4,8 +4,11 @@ For each Gamma deformation there is a combined psi expression that is
 positive on its hypothesis domain, an auxiliary function of t built from
 it whose log-derivative factors through that expression (hence the
 function is increasing), and a two-sided bound obtained by evaluating the
-auxiliary function at t = 0 and t = 1.  This module exposes all three
-layers as checkable predicates that produce quantitative margins.
+auxiliary function at t = 0 and t = 1.  One ``Family`` record per
+deformation describes what differs between them; the lemma, the auxiliary
+function and the sandwich check are written once on top of it.  This
+module exposes all three layers as checkable predicates that produce
+quantitative margins.
 
 Verdict slack (``tol_report``, default 1e-9) is deliberately three orders
 of magnitude looser than the series evaluation tolerance (1e-12), so that
@@ -15,7 +18,7 @@ pass/fail decisions are robust to accumulated evaluation error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 from . import core_special
@@ -40,7 +43,6 @@ from .gen_gamma import (
     psi_k,
     psi_p,
     psi_q,
-    _check_k,
     _check_p,
     _check_q,
 )
@@ -50,6 +52,8 @@ __all__ = [
     "GenParams",
     "InequalityReport",
     "MonotoneScan",
+    "Family",
+    "FAMILIES",
     "lemma_expr_p",
     "lemma_expr_q",
     "lemma_expr_k",
@@ -65,6 +69,7 @@ __all__ = [
     "log_deriv_omega",
     "log_deriv_phi",
     "log_deriv_theta",
+    "check_sandwich",
     "check_sandwich_p",
     "check_sandwich_q",
     "check_sandwich_k",
@@ -72,6 +77,7 @@ __all__ = [
     "classical_bounds_q",
     "classical_bounds_k",
     "scan_monotone",
+    "scan_passes",
     "family_callables",
 ]
 
@@ -132,7 +138,7 @@ class MonotoneScan:
 
 
 # ---------------------------------------------------------------------------
-# Combined psi expressions (the positivity lemmas)
+# The family description, and the lemma and auxiliary function written once
 # ---------------------------------------------------------------------------
 
 def _converged_value(result, what: str) -> float:
@@ -142,10 +148,130 @@ def _converged_value(result, what: str) -> float:
     return result.value
 
 
+def _k_hypotheses(a: float, b: float, k: float) -> float:
+    if not a >= b:
+        raise DomainError(f"a >= b required for family k (got a={a}, b={b})")
+    if not k >= 1:
+        raise DomainError(f"k >= 1 required for family k (got {k})")
+    return k
+
+
+@dataclass(frozen=True)
+class Family:
+    """One deformation, as the lemma, aux and sandwich code needs it.
+
+    The prefactor is ell(t) = beta t (a gamma_E + c), plus (a - b) ln s when
+    ``s_power`` is set, so that d/dt ln aux(t) = beta * lemma(s) with
+
+        lemma(s) = a gamma_E + c [+ (a - b)/s] + a psi(s) - b psi_X(s).
+
+    The callables look evaluators up by module-global name when called, so
+    a wrapper installed on this module (a profiler's, say) sees every call.
+    """
+
+    name: str              # "p", "q" or "k"; also the parameter's name
+    param_type: type       # PParam, QParam or KParam
+    hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
+    log_gamma: Callable    # (s, x, ctrl) -> ln Gamma_X(s)
+    psi: Callable          # (s, x, ctrl) -> psi_X(s)
+    lemma_const: Callable  # (b, x) -> c
+    s_power: bool          # aux(t) carries the factor s^(a-b)
+    s_floor: float         # the lemma holds for s > s_floor
+    strict: bool           # the sandwich bounds are strict
+
+
+FAMILIES = {fam.name: fam for fam in (
+    Family("p", PParam, lambda a, b, p: _check_p(p),
+           log_gamma=lambda s, p, ctrl: log_gamma_p(s, p),
+           psi=lambda s, p, ctrl: psi_p(s, p),
+           lemma_const=lambda b, p: b * math.log(p),
+           s_power=False, s_floor=1.0, strict=True),
+    Family("q", QParam, lambda a, b, q: _check_q(q),
+           log_gamma=lambda s, q, ctrl: _converged_value(log_gamma_q(s, q, ctrl),
+                                                         "log_gamma_q"),
+           psi=lambda s, q, ctrl: _converged_value(psi_q(s, q, ctrl), "psi_q"),
+           lemma_const=lambda b, q: -b * math.log1p(-q),
+           s_power=False, s_floor=1.0, strict=True),
+    Family("k", KParam, _k_hypotheses,
+           log_gamma=lambda s, k, ctrl: log_gamma_k(s, k),
+           psi=lambda s, k, ctrl: _converged_value(psi_k(s, k, ctrl), "psi_k"),
+           lemma_const=lambda b, k: b / k * (math.log(k) - core_special.EULER_GAMMA),
+           s_power=True, s_floor=0.0, strict=False),
+)}
+
+
+def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
+    """The family's description and its checked parameter; ``param`` may be
+    a raw number or a PParam/QParam/KParam record."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise DomainError(f"family must be one of p, q, k (got {family!r})")
+    if isinstance(param, (PParam, QParam, KParam)):
+        param = astuple(param)[0]  # each record holds one field
+    return fam, fam.hypotheses(a, b, param)
+
+
+# The generic code below takes a resolved (family, parameter) pair first.
+
+def _lemma(fam: Family, x, a: float, b: float, s: float,
+           ctrl: SeriesControl | None) -> float:
+    value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
+    if fam.s_power:
+        value += (a - b) / s
+    return value + a * psi(s) - b * fam.psi(s, x, ctrl)
+
+
+def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float,
+                     ctrl: SeriesControl | None) -> float:
+    if not s > fam.s_floor:
+        raise DomainError(f"t must be > {fam.s_floor:g} for the "
+                          f"{fam.name}-family positivity (got {s})")
+    return _lemma(fam, x, a, b, s, ctrl)
+
+
+def _lemma_checked(family: str, a: float, b: float, s: float, x,
+                   ctrl: SeriesControl | None = None) -> float:
+    if not a > 0:
+        raise DomainError(f"a must be > 0 (got {a})")
+    if not b > 0:
+        raise DomainError(f"b must be > 0 (got {b})")
+    return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s, ctrl)
+
+
+def _log_parts(fam: Family, x, t: float, gp: GenParams,
+               ctrl: SeriesControl | None) -> tuple[float, float]:
+    """ln aux(t) as (ell(t), ln Gamma(s)^a / Gamma_X(s)^b)."""
+    if not t >= 0:
+        raise DomainError(f"t must be >= 0 (got {t})")
+    s = gp.alpha + gp.beta * t
+    ell = gp.beta * t * (gp.a * core_special.EULER_GAMMA + fam.lemma_const(gp.b, x))
+    if fam.s_power:
+        ell += (gp.a - gp.b) * math.log(s)
+    return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x, ctrl)
+
+
+def _log_aux(fam: Family, x, t: float, gp: GenParams,
+             ctrl: SeriesControl | None = None) -> float:
+    ell, log_ratio = _log_parts(fam, x, t, gp, ctrl)
+    return ell + log_ratio
+
+
+# Log-derivatives, exactly as the factored forms beta * lemma_expr(...).
+# Positivity of the lemma expression on the hypothesis domain is what makes
+# the auxiliary functions increasing.
+
+def _log_deriv(fam: Family, x, t: float, gp: GenParams,
+               ctrl: SeriesControl | None = None) -> float:
+    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t, ctrl)
+
+
+# ---------------------------------------------------------------------------
+# Combined psi expressions (the positivity lemmas)
+# ---------------------------------------------------------------------------
+
 def lemma_expr_p_unchecked(a: float, b: float, t: float, p: int) -> float:
     """a*gamma_E + b ln p + a psi(t) - b psi_p(t), with no hypothesis checks."""
-    return (a * core_special.EULER_GAMMA + b * math.log(p)
-            + a * psi(t) - b * psi_p(t, p))
+    return _lemma(FAMILIES["p"], p, a, b, t, None)
 
 
 def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
@@ -154,70 +280,36 @@ def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
     Raises DomainError outside the hypothesis domain (use the unchecked
     variant for exploration; it never feeds verdicts).
     """
-    if not a > 0:
-        raise DomainError(f"a must be > 0 (got {a})")
-    if not b > 0:
-        raise DomainError(f"b must be > 0 (got {b})")
-    if not t > 1:
-        raise DomainError(f"t must be > 1 for the p-family positivity (got {t})")
-    _check_p(p)
-    return lemma_expr_p_unchecked(a, b, t, p)
+    return _lemma_checked("p", a, b, t, p)
 
 
 def lemma_expr_q_unchecked(a: float, b: float, t: float, q: float,
                            ctrl: SeriesControl | None = None) -> float:
     """a*gamma_E - b ln(1-q) + a psi(t) - b psi_q(t), no hypothesis checks."""
-    return (a * core_special.EULER_GAMMA - b * math.log1p(-q)
-            + a * psi(t) - b * _converged_value(psi_q(t, q, ctrl), "psi_q"))
+    return _lemma(FAMILIES["q"], q, a, b, t, ctrl)
 
 
 def lemma_expr_q(a: float, b: float, t: float, q: float,
                  ctrl: SeriesControl | None = None) -> float:
     """The q-family combined expression; strictly positive for t > 1."""
-    if not a > 0:
-        raise DomainError(f"a must be > 0 (got {a})")
-    if not b > 0:
-        raise DomainError(f"b must be > 0 (got {b})")
-    if not t > 1:
-        raise DomainError(f"t must be > 1 for the q-family positivity (got {t})")
-    _check_q(q)
-    return lemma_expr_q_unchecked(a, b, t, q, ctrl)
+    return _lemma_checked("q", a, b, t, q, ctrl)
 
 
 def lemma_expr_k_unchecked(a: float, b: float, t: float, k: float,
                            ctrl: SeriesControl | None = None) -> float:
     """The k-family combined expression, with no hypothesis checks."""
-    g = core_special.EULER_GAMMA
-    return ((k * a * g - b * g) / k + (b / k) * math.log(k) + (a - b) / t
-            + a * psi(t) - b * _converged_value(psi_k(t, k, ctrl), "psi_k"))
+    return _lemma(FAMILIES["k"], k, a, b, t, ctrl)
 
 
 def lemma_expr_k(a: float, b: float, t: float, k: float,
                  ctrl: SeriesControl | None = None) -> float:
     """The k-family combined expression; nonnegative for a >= b > 0, k >= 1, t > 0."""
-    if not b > 0:
-        raise DomainError(f"b must be > 0 (got {b})")
-    if not a >= b:
-        raise DomainError(f"a >= b required for family k (got a={a}, b={b})")
-    if not k >= 1:
-        raise DomainError(f"k >= 1 required for family k (got {k})")
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
-    return lemma_expr_k_unchecked(a, b, t, k, ctrl)
+    return _lemma_checked("k", a, b, t, k, ctrl)
 
 
 # ---------------------------------------------------------------------------
 # Auxiliary monotone functions (log-space evaluation)
 # ---------------------------------------------------------------------------
-
-def _eval_point(t: float, gp: GenParams) -> float:
-    if not t >= 0:
-        raise DomainError(f"t must be >= 0 (got {t})")
-    s = gp.alpha + gp.beta * t
-    if not s > 0:
-        raise DomainError(f"alpha + beta*t must be > 0 (got {s})")
-    return s
-
 
 def log_omega(t: float, gp: GenParams, p: int) -> float:
     """ln of the p-family auxiliary function
@@ -228,11 +320,7 @@ def log_omega(t: float, gp: GenParams, p: int) -> float:
     Increasing in t wherever alpha + beta t > 1; evaluation itself only
     needs alpha + beta t > 0.
     """
-    s = _eval_point(t, gp)
-    _check_p(p)
-    return (gp.b * gp.beta * t * math.log(p)
-            + gp.a * gp.beta * core_special.EULER_GAMMA * t
-            + gp.a * log_gamma(s) - gp.b * log_gamma_p(s, p))
+    return _log_aux(*_resolve("p", gp.a, gp.b, p), t, gp)
 
 
 def omega(t: float, gp: GenParams, p: int) -> float:
@@ -246,12 +334,7 @@ def log_phi(t: float, gp: GenParams, q: float,
         phi(t) = (1-q)^(-b beta t) e^(a beta gamma_E t)
                  Gamma(alpha+beta t)^a / Gamma_q(alpha+beta t)^b.
     """
-    s = _eval_point(t, gp)
-    _check_q(q)
-    lgq = _converged_value(log_gamma_q(s, q, ctrl), "log_gamma_q")
-    return (-gp.b * gp.beta * t * math.log1p(-q)
-            + gp.a * gp.beta * core_special.EULER_GAMMA * t
-            + gp.a * log_gamma(s) - gp.b * lgq)
+    return _log_aux(*_resolve("q", gp.a, gp.b, q), t, gp, ctrl)
 
 
 def phi(t: float, gp: GenParams, q: float,
@@ -267,38 +350,25 @@ def log_theta(t: float, gp: GenParams, k: float) -> float:
 
     Requires a >= b and k >= 1 (its monotonicity hypotheses).
     """
-    if not gp.a >= gp.b:
-        raise DomainError(f"a >= b required for family k (got a={gp.a}, b={gp.b})")
-    if not k >= 1:
-        raise DomainError(f"k >= 1 required for family k (got {k})")
-    s = _eval_point(t, gp)
-    g = core_special.EULER_GAMMA
-    return ((gp.a - gp.b) * math.log(s)
-            + (gp.b * gp.beta * t / k) * math.log(k)
-            + t * gp.beta * g * (k * gp.a - gp.b) / k
-            + gp.a * log_gamma(s) - gp.b * log_gamma_k(s, k))
+    return _log_aux(*_resolve("k", gp.a, gp.b, k), t, gp)
 
 
 def theta(t: float, gp: GenParams, k: float) -> float:
     return math.exp(log_theta(t, gp, k))
 
 
-# Log-derivatives, exactly as the factored forms beta * lemma_expr(...).
-# Positivity of the lemma expression on the hypothesis domain is what makes
-# the auxiliary functions increasing.
-
 def log_deriv_omega(t: float, gp: GenParams, p: int) -> float:
-    return gp.beta * lemma_expr_p(gp.a, gp.b, gp.alpha + gp.beta * t, p)
+    return _log_deriv(*_resolve("p", gp.a, gp.b, p), t, gp)
 
 
 def log_deriv_phi(t: float, gp: GenParams, q: float,
                   ctrl: SeriesControl | None = None) -> float:
-    return gp.beta * lemma_expr_q(gp.a, gp.b, gp.alpha + gp.beta * t, q, ctrl)
+    return _log_deriv(*_resolve("q", gp.a, gp.b, q), t, gp, ctrl)
 
 
 def log_deriv_theta(t: float, gp: GenParams, k: float,
                     ctrl: SeriesControl | None = None) -> float:
-    return gp.beta * lemma_expr_k(gp.a, gp.b, gp.alpha + gp.beta * t, k, ctrl)
+    return _log_deriv(*_resolve("k", gp.a, gp.b, k), t, gp, ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +395,42 @@ def _check_unit_grid(grid) -> None:
                 f"sandwich grids must lie strictly in (0, 1) (got t={t})")
 
 
-def _check_alpha_floor(gp: GenParams) -> str:
-    # The increasingness hypothesis alpha + beta*t > 1 must hold down to the
-    # t = 0 endpoint, where the lower bound is evaluated; with beta > 0 that
-    # means alpha >= 1.  The exact boundary alpha = 1 is admitted but flagged.
-    if gp.alpha < 1.0:
+def _check_alpha_floor(gp: GenParams, floor: float) -> str:
+    # The increasingness hypothesis alpha + beta*t > floor must hold down to
+    # the t = 0 endpoint, where the lower bound is evaluated; with beta > 0
+    # that means alpha >= floor.  The exact boundary is admitted but flagged.
+    if gp.alpha < floor:
         raise DomainError(
-            "alpha >= 1 required so alpha + beta*t > 1 holds down to the "
-            f"t = 0 endpoint (got alpha={gp.alpha})")
-    if gp.alpha == 1.0:
-        return ("alpha + beta*t > 1 holds for t > 0 only; the t = 0 endpoint "
-                "sits on the hypothesis boundary")
+            f"alpha >= {floor:g} required so alpha + beta*t > {floor:g} holds "
+            f"down to the t = 0 endpoint (got alpha={gp.alpha})")
+    if gp.alpha == floor:
+        return (f"alpha + beta*t > {floor:g} holds for t > 0 only; the t = 0 "
+                "endpoint sits on the hypothesis boundary")
     return ""
+
+
+def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
+                   tol_report: float = DEFAULT_TOL_REPORT,
+                   ctrl: SeriesControl | None = None) -> list[InequalityReport]:
+    """Check aux(0) <= aux(t) <= aux(1) at every grid point t in (0, 1), as
+
+        ln aux(0) - ell(t)  <=  ln Gamma(s)^a / Gamma_X(s)^b  <=  ln aux(1) - ell(t)
+
+    with s = alpha + beta t; strict bounds for p and q, non-strict for k.
+    ``param`` may be a raw number or a PParam/QParam/KParam instance.
+    Returns one report per grid point, in grid order.
+    """
+    fam, x = _resolve(family, gp.a, gp.b, param)
+    note = _check_alpha_floor(gp, fam.s_floor)
+    _check_unit_grid(grid)
+    log_at0 = _log_aux(fam, x, 0.0, gp, ctrl)
+    log_at1 = _log_aux(fam, x, 1.0, gp, ctrl)
+    out = []
+    for t in grid:
+        ell, log_middle = _log_parts(fam, x, t, gp, ctrl)
+        out.append(_verdict(t, log_at0 - ell, log_middle, log_at1 - ell,
+                            fam.strict, tol_report, note))
+    return out
 
 
 def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float],
@@ -349,51 +443,14 @@ def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float],
 
     (strict bounds).  Returns one report per grid point, in grid order.
     """
-    _check_p(p)
-    note = _check_alpha_floor(gp)
-    _check_unit_grid(grid)
-    g = core_special.EULER_GAMMA
-    lnp = math.log(p)
-    log_at0 = gp.a * log_gamma(gp.alpha) - gp.b * log_gamma_p(gp.alpha, p)
-    log_at1 = (gp.a * log_gamma(gp.alpha + gp.beta)
-               - gp.b * log_gamma_p(gp.alpha + gp.beta, p))
-    out = []
-    for t in grid:
-        s = gp.alpha + gp.beta * t
-        log_lower = -gp.b * gp.beta * t * lnp - gp.a * gp.beta * g * t + log_at0
-        log_middle = gp.a * log_gamma(s) - gp.b * log_gamma_p(s, p)
-        log_upper = (gp.b * gp.beta * (1.0 - t) * lnp
-                     + gp.a * gp.beta * g * (1.0 - t) + log_at1)
-        out.append(_verdict(t, log_lower, log_middle, log_upper,
-                            True, tol_report, note))
-    return out
+    return check_sandwich("p", gp, p, grid, tol_report)
 
 
 def check_sandwich_q(gp: GenParams, q: float, grid: Sequence[float],
                      tol_report: float = DEFAULT_TOL_REPORT,
                      ctrl: SeriesControl | None = None) -> list[InequalityReport]:
     """q-family analogue of ``check_sandwich_p`` (strict bounds)."""
-    _check_q(q)
-    note = _check_alpha_floor(gp)
-    _check_unit_grid(grid)
-    g = core_special.EULER_GAMMA
-    ln1mq = math.log1p(-q)
-    log_at0 = (gp.a * log_gamma(gp.alpha)
-               - gp.b * _converged_value(log_gamma_q(gp.alpha, q, ctrl), "log_gamma_q"))
-    log_at1 = (gp.a * log_gamma(gp.alpha + gp.beta)
-               - gp.b * _converged_value(log_gamma_q(gp.alpha + gp.beta, q, ctrl),
-                                         "log_gamma_q"))
-    out = []
-    for t in grid:
-        s = gp.alpha + gp.beta * t
-        log_lower = gp.b * gp.beta * t * ln1mq - gp.a * gp.beta * g * t + log_at0
-        log_middle = (gp.a * log_gamma(s)
-                      - gp.b * _converged_value(log_gamma_q(s, q, ctrl), "log_gamma_q"))
-        log_upper = (gp.b * gp.beta * (t - 1.0) * ln1mq
-                     + gp.a * gp.beta * g * (1.0 - t) + log_at1)
-        out.append(_verdict(t, log_lower, log_middle, log_upper,
-                            True, tol_report, note))
-    return out
+    return check_sandwich("q", gp, q, grid, tol_report, ctrl)
 
 
 def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
@@ -407,31 +464,7 @@ def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
 
     with C = beta gamma_E (k a - b)/k.  Requires a >= b > 0 and k >= 1.
     """
-    if not gp.a >= gp.b:
-        raise DomainError(f"a >= b required for family k (got a={gp.a}, b={gp.b})")
-    if not k >= 1:
-        raise DomainError(f"k >= 1 required for family k (got {k})")
-    _check_unit_grid(grid)
-    g = core_special.EULER_GAMMA
-    lnk = math.log(k)
-    c = gp.beta * g * (k * gp.a - gp.b) / k
-    dab = gp.a - gp.b
-    log_at0 = (dab * math.log(gp.alpha) + gp.a * log_gamma(gp.alpha)
-               - gp.b * log_gamma_k(gp.alpha, k))
-    log_at1 = (dab * math.log(gp.alpha + gp.beta)
-               + gp.a * log_gamma(gp.alpha + gp.beta)
-               - gp.b * log_gamma_k(gp.alpha + gp.beta, k))
-    out = []
-    for t in grid:
-        s = gp.alpha + gp.beta * t
-        lns = math.log(s)
-        log_lower = (log_at0 - t * c - (gp.b * gp.beta * t / k) * lnk - dab * lns)
-        log_middle = gp.a * log_gamma(s) - gp.b * log_gamma_k(s, k)
-        log_upper = (log_at1 + (1.0 - t) * c
-                     - (gp.b * gp.beta * (t - 1.0) / k) * lnk - dab * lns)
-        out.append(_verdict(t, log_lower, log_middle, log_upper,
-                            False, tol_report, ""))
-    return out
+    return check_sandwich("k", gp, k, grid, tol_report)
 
 
 # ---------------------------------------------------------------------------
@@ -498,25 +531,20 @@ def scan_monotone(fn: Callable[[float], float],
     return MonotoneScan(grid, values, min_fwd, deriv_min)
 
 
+def scan_passes(scan: MonotoneScan, tol_report: float = DEFAULT_TOL_REPORT) -> bool:
+    """The scan verdict: neither a forward difference nor a log-derivative
+    falls below -tol_report."""
+    return (scan.min_forward_diff >= -tol_report
+            and scan.derivative_min >= -tol_report)
+
+
 def family_callables(family: str, gp: GenParams, param,
                      ctrl: SeriesControl | None = None):
-    """(fn, log_deriv) closures for one family, with parameters bound.
+    """(fn, log_deriv) closures for one family, with parameters bound:
+    the auxiliary function and its log-derivative.
 
     ``param`` may be a raw number or a PParam/QParam/KParam instance.
     """
-    if isinstance(param, (PParam, QParam, KParam)):
-        param = getattr(param, {"PParam": "p", "QParam": "q", "KParam": "k"}[
-            type(param).__name__])
-    if family == "p":
-        p = _check_p(param)
-        return (lambda t: omega(t, gp, p),
-                lambda t: log_deriv_omega(t, gp, p))
-    if family == "q":
-        _check_q(param)
-        return (lambda t: phi(t, gp, param, ctrl),
-                lambda t: log_deriv_phi(t, gp, param, ctrl))
-    if family == "k":
-        _check_k(param)
-        return (lambda t: theta(t, gp, param),
-                lambda t: log_deriv_theta(t, gp, param, ctrl))
-    raise DomainError(f"family must be one of p, q, k (got {family!r})")
+    fam, x = _resolve(family, gp.a, gp.b, param)
+    return (lambda t: math.exp(_log_aux(fam, x, t, gp, ctrl)),
+            lambda t: _log_deriv(fam, x, t, gp, ctrl))

@@ -18,9 +18,7 @@ from .core_special import gamma, psi
 from .gen_gamma import gamma_k, gamma_p, gamma_q, psi_k, psi_p, psi_q
 from .inequality_engine import (
     GenParams,
-    check_sandwich_k,
-    check_sandwich_p,
-    check_sandwich_q,
+    check_sandwich,
     classical_bounds_k,
     classical_bounds_p,
     classical_bounds_q,
@@ -106,44 +104,25 @@ def _close(x, y, tol=1e-12):
 def _reduction_suites(rng, n: int) -> list[SuiteResult]:
     """At a = b = beta = 1 the generalized bounds must coincide termwise
     with the directly assembled single-parameter bounds."""
-    gp = GenParams(1.0, 1.0, 1.0, 1.0)  # alpha replaced per case
     out = []
 
-    res_p = SuiteResult("reduction-p")
-    for _ in range(n):
-        alpha = float(rng.uniform(1.0, 3.0))
-        p = int(rng.integers(1, 50))
-        t = float(rng.uniform(0.05, 0.95))
-        rep = check_sandwich_p(GenParams(1.0, 1.0, alpha, 1.0), p, [t])[0]
-        lo, mid, up = classical_bounds_p(alpha, p, t)
-        res_p.record(f"(alpha={alpha:.4g},p={p},t={t:.4g})",
-                     _close(rep.lower, lo) and _close(rep.middle, mid)
-                     and _close(rep.upper, up))
-    out.append(res_p)
+    def suite(family, sample_alpha, sample_param, classical):
+        res = SuiteResult(f"reduction-{family}")
+        for _ in range(n):
+            alpha, x, t = sample_alpha(), sample_param(), float(rng.uniform(0.05, 0.95))
+            rep = check_sandwich(family, GenParams(1.0, 1.0, alpha, 1.0), x, [t])[0]
+            lo, mid, up = classical(alpha, x, t)
+            res.record(f"(alpha={alpha:.4g},{family}={x:.4g},t={t:.4g})",
+                       _close(rep.lower, lo) and _close(rep.middle, mid)
+                       and _close(rep.upper, up))
+        out.append(res)
 
-    res_q = SuiteResult("reduction-q")
-    for _ in range(n):
-        alpha = float(rng.uniform(1.0, 3.0))
-        q = float(rng.uniform(0.05, 0.95))
-        t = float(rng.uniform(0.05, 0.95))
-        rep = check_sandwich_q(GenParams(1.0, 1.0, alpha, 1.0), q, [t])[0]
-        lo, mid, up = classical_bounds_q(alpha, q, t)
-        res_q.record(f"(alpha={alpha:.4g},q={q:.4g},t={t:.4g})",
-                     _close(rep.lower, lo) and _close(rep.middle, mid)
-                     and _close(rep.upper, up))
-    out.append(res_q)
-
-    res_k = SuiteResult("reduction-k")
-    for _ in range(n):
-        alpha = float(rng.uniform(0.2, 3.0))
-        k = float(rng.uniform(1.0, 8.0))
-        t = float(rng.uniform(0.05, 0.95))
-        rep = check_sandwich_k(GenParams(1.0, 1.0, alpha, 1.0), k, [t])[0]
-        lo, mid, up = classical_bounds_k(alpha, k, t)
-        res_k.record(f"(alpha={alpha:.4g},k={k:.4g},t={t:.4g})",
-                     _close(rep.lower, lo) and _close(rep.middle, mid)
-                     and _close(rep.upper, up))
-    out.append(res_k)
+    suite("p", lambda: float(rng.uniform(1.0, 3.0)), lambda: int(rng.integers(1, 50)),
+          classical_bounds_p)
+    suite("q", lambda: float(rng.uniform(1.0, 3.0)), lambda: float(rng.uniform(0.05, 0.95)),
+          classical_bounds_q)
+    suite("k", lambda: float(rng.uniform(0.2, 3.0)), lambda: float(rng.uniform(1.0, 8.0)),
+          classical_bounds_k)
     return out
 
 

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
-from gammagen.cli import CSV_COLUMNS, main, parse_grid_spec
-from gammagen.core_special import DomainError
+from gammagen import (GenParams, SeriesControl, gamma, gamma_k, gamma_p, gamma_q,
+                      omega, phi, psi_k, psi_p, psi_q, psi_series, theta)
+from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
+from gammagen.core_special import DomainError, EvalResult
 
 
 def run_cli(*args, env_extra=None):
@@ -68,6 +70,47 @@ def test_eval_omega_uses_gen_params():
     assert r.returncode == 0
     value = float(r.stdout.splitlines()[0])
     assert value == pytest.approx(10.686434507941188, rel=1e-12)
+
+
+GP_FLAGS = ["--a", "1.3", "--b", "0.7", "--alpha", "1.5", "--beta", "0.8"]
+GP = GenParams(1.3, 0.7, 1.5, 0.8)
+TOL_FLAGS = ["--tol", "1e-14"]
+TIGHT = SeriesControl(tol=1e-14)
+
+# fn -> (flags after the function name, the library call it must match)
+EVAL_CASES = {
+    "gamma": (["--t", "2.5"], lambda: gamma(2.5)),
+    "psi": (["--t", "2.5", *TOL_FLAGS], lambda: psi_series(2.5, TIGHT)),
+    "gamma_p": (["--t", "2.5", "--p", "7"], lambda: gamma_p(2.5, 7)),
+    "psi_p": (["--t", "2.5", "--p", "7"], lambda: psi_p(2.5, 7)),
+    "gamma_q": (["--t", "2.5", "--q", "0.35"], lambda: gamma_q(2.5, 0.35)),
+    "psi_q": (["--t", "2.5", "--q", "0.35", *TOL_FLAGS],
+              lambda: psi_q(2.5, 0.35, TIGHT)),
+    "gamma_k": (["--t", "2.5", "--k", "3"], lambda: gamma_k(2.5, 3.0)),
+    "psi_k": (["--t", "2.5", "--k", "3", *TOL_FLAGS], lambda: psi_k(2.5, 3.0, TIGHT)),
+    "omega": (["--t", "0.4", "--p", "7", *GP_FLAGS], lambda: omega(0.4, GP, 7)),
+    "phi": (["--t", "0.4", "--q", "0.35", *GP_FLAGS], lambda: phi(0.4, GP, 0.35)),
+    "theta": (["--t", "0.4", "--k", "3", *GP_FLAGS], lambda: theta(0.4, GP, 3.0)),
+}
+
+
+def test_eval_cases_cover_every_function():
+    assert set(EVAL_CASES) == set(EVAL_FUNCTIONS)
+
+
+@pytest.mark.parametrize("fn", EVAL_FUNCTIONS)
+def test_eval_prints_the_library_value(fn, capsys):
+    flags, call = EVAL_CASES[fn]
+    assert main(["eval", fn, *flags]) == 0
+    expected = call()
+    lines = capsys.readouterr().out.splitlines()
+    value = expected.value if isinstance(expected, EvalResult) else expected
+    assert float(lines[0]) == value
+    if isinstance(expected, EvalResult):
+        assert lines[1] == (f"err_bound {expected.err_bound!r} "
+                            f"terms_used {expected.terms_used}")
+    else:
+        assert len(lines) == 1
 
 
 def test_unknown_function_rejected():
@@ -251,11 +294,11 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
     from gammagen import cli
     from gammagen.inequality_engine import InequalityReport
 
-    def fake_checker(gp, p, grid, tol_report):
+    def fake_checker(family, gp, param, grid, tol_report, ctrl):
         return [InequalityReport(t, 2.0, 1.0, 3.0, -1.0, 2.0, True, False,
                                  tol_report) for t in grid]
 
-    monkeypatch.setattr(cli, "check_sandwich_p", fake_checker)
+    monkeypatch.setattr(cli, "check_sandwich", fake_checker)
     out = tmp_path / "fail.csv"
     code = cli.main(["verify", "--family", "p", "--alpha", "1.5", "--p", "3",
                      "--grid", "0.25,0.75", "--out", str(out)])

@@ -1,0 +1,48 @@
+"""The package's public names stay importable, each from the package and from
+its module, and every public function stays a function object of its own
+(a wrapper installed on one name, a profiler's say, must not reach another)."""
+
+import inspect
+
+import pytest
+
+import gammagen
+from gammagen import core_special, gen_gamma, inequality_engine
+
+CORE_SPECIAL = [
+    "EULER_GAMMA", "DEFAULT_MAX_TERMS", "DEFAULT_TOL", "MAX_TERMS_ENV_VAR",
+    "DomainError", "ToleranceNotMet", "SeriesControl", "EvalResult",
+    "default_series_control", "gamma", "log_gamma", "psi_series", "psi",
+]
+GEN_GAMMA = [
+    "PParam", "QParam", "KParam", "FamilyParam",
+    "gamma_p", "log_gamma_p", "psi_p", "gamma_q", "log_gamma_q", "psi_q",
+    "gamma_k", "log_gamma_k", "psi_k",
+]
+INEQUALITY_ENGINE = [
+    "DEFAULT_TOL_REPORT", "GenParams", "InequalityReport", "MonotoneScan",
+    "lemma_expr_p", "lemma_expr_q", "lemma_expr_k",
+    "lemma_expr_p_unchecked", "lemma_expr_q_unchecked", "lemma_expr_k_unchecked",
+    "omega", "phi", "theta", "log_omega", "log_phi", "log_theta",
+    "log_deriv_omega", "log_deriv_phi", "log_deriv_theta",
+    "check_sandwich_p", "check_sandwich_q", "check_sandwich_k",
+    "classical_bounds_p", "classical_bounds_q", "classical_bounds_k",
+    "scan_monotone", "family_callables",
+]
+PUBLIC = ([(core_special, n) for n in CORE_SPECIAL]
+          + [(gen_gamma, n) for n in GEN_GAMMA]
+          + [(inequality_engine, n) for n in INEQUALITY_ENGINE])
+
+
+@pytest.mark.parametrize("module,name", PUBLIC,
+                         ids=[f"{m.__name__}.{n}" for m, n in PUBLIC])
+def test_public_name_importable(module, name):
+    assert name in module.__all__
+    assert getattr(gammagen, name) is getattr(module, name)
+
+
+def test_public_functions_are_distinct():
+    functions = [getattr(m, n) for m, n in PUBLIC
+                 if inspect.isfunction(getattr(m, n))]
+    assert len(functions) == 5 + 9 + 23
+    assert len({id(f) for f in functions}) == len(functions)
