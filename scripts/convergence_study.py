@@ -21,14 +21,14 @@ def main(argv=None) -> int:
     for t in args.t:
         g = gamma(t)
         print(f"\nt = {t}   Gamma(t) = {g:.15g}")
-        print(f"  {'p':>8} {'Gamma_p(t)':>20} {'|gap|':>12}")
-        for p in (10, 100, 1000, 10000):
+        print(f"  {'p':>10} {'Gamma_p(t)':>20} {'|gap|':>12}")
+        for p in (10, 100, 1000, 10**4, 10**6, 10**9):
             v = gamma_p(t, p)
-            print(f"  {p:>8} {v:>20.15g} {abs(v - g):>12.3e}")
-        print(f"  {'q':>8} {'Gamma_q(t)':>20} {'|gap|':>12} {'terms':>8}")
+            print(f"  {p:>10} {v:>20.15g} {abs(v - g):>12.3e}")
+        print(f"  {'q':>10} {'Gamma_q(t)':>20} {'|gap|':>12} {'terms':>8}")
         for q in (0.5, 0.9, 0.99, 0.999):
             r = gamma_q(t, q)
-            print(f"  {q:>8} {r.value:>20.15g} {abs(r.value - g):>12.3e} "
+            print(f"  {q:>10} {r.value:>20.15g} {abs(r.value - g):>12.3e} "
                   f"{r.terms_used:>8}")
         print(f"  k-reduction: |Gamma_k(t,1) - Gamma(t)| = "
               f"{abs(gamma_k(t, 1.0) - g):.3e}, "

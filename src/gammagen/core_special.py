@@ -90,12 +90,19 @@ class EvalResult:
             raise ValueError(f"err_bound must be >= 0 (got {self.err_bound})")
 
 
+_DEFAULT_CONTROL = SeriesControl()
+
+
 def default_series_control() -> SeriesControl:
-    """Default evaluation control; GAMMA_GEN_MAX_TERMS overrides the budget."""
+    """Default evaluation control; GAMMA_GEN_MAX_TERMS overrides the budget.
+
+    The variable is read at every call; when it is unset, one shared
+    (frozen) SeriesControl is returned.
+    """
     raw = os.environ.get(MAX_TERMS_ENV_VAR)
     if raw is not None:
         return SeriesControl(max_terms=int(raw))
-    return SeriesControl()
+    return _DEFAULT_CONTROL
 
 
 def _require_positive(name: str, value) -> None:

@@ -6,10 +6,21 @@ Definitions implemented here:
     Gamma_q(t) = (1-q)^(1-t) prod_{n>=0} (1-q^(n+1))/(1-q^(t+n)),  0 < q < 1,
     Gamma_k(t) = integral_0^inf exp(-x^k/k) x^(t-1) dx,    k > 0,
 
-together with their logarithmic derivatives psi_p, psi_q, psi_k.  Products
-and quotients over many factors are evaluated in log-space; Gamma_k uses
-the closed identity Gamma_k(t) = k^(t/k - 1) Gamma(t/k) (the defining
-integral survives in the oracle module as an independent cross-check).
+together with their logarithmic derivatives psi_p, psi_q, psi_k.
+
+The p-family costs the same at every p.  By the identities
+
+    Gamma_p(t) = p! p^t Gamma(t) / Gamma(t+p+1),
+    psi_p(t)   = ln p - psi(t+p+1) + psi(t),
+
+the first min(p+1, 10) factors (or terms) are summed directly and the rest
+is closed by the Stirling series of ln Gamma and the asymptotic series of
+psi, evaluated only at arguments >= 10, where their truncation error is
+below the unit roundoff.  The ln p terms cancel analytically, so no two
+quantities of size p ln p are subtracted.  The q-family sums its products
+in log-space; Gamma_k uses the closed identity
+Gamma_k(t) = k^(t/k - 1) Gamma(t/k).  The oracle module keeps the raw
+products and the defining integral as independent cross-checks.
 
 Domain boundaries are strict: q = 0, q = 1, t = 0, k = 0 are rejected,
 never clamped.
@@ -108,29 +119,68 @@ def _check_k(k) -> None:
         raise DomainError(f"k must be > 0 (got {k})")
 
 
-_CHUNK = 1 << 18
-
-
-def _chunked_sum(total: int, piece) -> float:
-    """Sum piece(lo, hi) over [0, total) in fixed-size chunks."""
-    out = 0.0
-    for lo in range(0, total, _CHUNK):
-        out += piece(lo, min(lo + _CHUNK, total))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # p-family
 # ---------------------------------------------------------------------------
 
+#: Terms of the p-family summed directly; the asymptotic closure starts here.
+_P_DIRECT = 10
+
+# Bernoulli numbers B_2 .. B_14.  At x >= _P_DIRECT the first omitted terms,
+# |B_16|/(16*15 x^15) <= 3.0e-17 and |B_16|/(16 x^16) <= 4.5e-17, are below
+# the unit roundoff 2^-53 = 1.1e-16.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
+_PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+
+
+def _even_power_series(coeffs, x: float) -> float:
+    """sum_k coeffs[k-1] / x^(2k), by Horner's rule in 1/x^2."""
+    z = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = (acc + c) * z
+    return acc
+
+
+def _stirling_tail(x: float) -> float:
+    """S(x) = sum_k B_2k / (2k (2k-1) x^(2k-1)), so that
+    ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x) + R, |R| <= 3.0e-17
+    for x >= _P_DIRECT."""
+    return x * _even_power_series(_STIRLING, x)
+
+
+def _psi_tail(x: float) -> float:
+    """T(x) = sum_k B_2k / (2k x^(2k)), so that
+    psi(x) = ln x - 1/(2x) - T(x) + R, |R| <= 4.5e-17 for x >= _P_DIRECT."""
+    return _even_power_series(_PSI_ASYMPTOTIC, x)
+
+
 def log_gamma_p(t: float, p: int) -> float:
-    """ln Gamma_p(t) = ln p! + t ln p - sum_{j=0}^{p} ln(t + j)."""
+    """ln Gamma_p(t) = ln p! + t ln p - sum_{j=0}^{p} ln(t + j), at a cost
+    independent of p.
+
+    The first m = min(p+1, 10) logarithms are summed directly.  For larger
+    p the identity Gamma_p(t) = p! p^t Gamma(t)/Gamma(t+p+1) closes the
+    rest: ln Gamma_p(t) = B + ln Gamma(t+m) - sum_{j<m} ln(t+j), where
+    B = ln p! + t ln p - ln Gamma(t+p+1) is the Stirling difference
+
+        (p+1/2) log1p(1/p) - (p+t+1/2) log1p((t+1)/p) + t + S(p+1) - S(p+t+1).
+
+    S is the Stirling series truncated after B_14; for real x > 0 its
+    remainder is bounded by the first omitted term, which is below
+    3.0e-17 at x >= 10, so the closure is exact to rounding.
+    """
     _check_t(t)
     p = _check_p(p)
-    denom = _chunked_sum(
-        p + 1, lambda lo, hi: float(np.sum(np.log(t + np.arange(lo, hi, dtype=np.float64))))
-    )
-    return math.lgamma(p + 1) + t * math.log(p) - denom
+    m = min(p + 1, _P_DIRECT)
+    direct = math.fsum(math.log(t + j) for j in range(m))
+    if m == p + 1:
+        return math.lgamma(p + 1) + t * math.log(p) - direct
+    bracket = ((p + 0.5) * math.log1p(1.0 / p)
+               - (p + t + 0.5) * math.log1p((t + 1.0) / p) + t
+               + _stirling_tail(p + 1.0) - _stirling_tail(p + t + 1.0))
+    return bracket + math.lgamma(t + m) - direct
 
 
 def gamma_p(t: float, p: int) -> float:
@@ -143,18 +193,45 @@ def gamma_p(t: float, p: int) -> float:
 
 
 def psi_p(t: float, p: int) -> float:
-    """psi_p(t) = ln p - sum_{n=0}^{p} 1/(n + t); an exact finite sum."""
+    """psi_p(t) = ln p - sum_{n=0}^{p} 1/(n + t), at a cost independent of p.
+
+    The first m = min(p+1, 10) terms are summed directly.  For larger p the
+    identity psi_p(t) = ln p - psi(t+p+1) + psi(t) closes the rest as
+    ln p - psi(x2) + psi(x1) with x1 = t+m, x2 = t+p+1, evaluated as
+
+        -log1p((t+1)/p) + 1/(2 x2) + T(x2) + ln x1 - 1/(2 x1) - T(x1).
+
+    T is the asymptotic series of psi truncated after B_14; for real x > 0
+    its remainder is bounded by the first omitted term, which is below
+    4.5e-17 at x >= 10, so the closure is exact to rounding.
+    """
     _check_t(t)
     p = _check_p(p)
-    s = _chunked_sum(
-        p + 1, lambda lo, hi: float(np.sum(1.0 / (t + np.arange(lo, hi, dtype=np.float64))))
-    )
-    return math.log(p) - s
+    m = min(p + 1, _P_DIRECT)
+    direct = math.fsum(1.0 / (t + n) for n in range(m))
+    if m == p + 1:
+        return math.log(p) - direct
+    x1 = t + m
+    x2 = t + p + 1.0
+    closure = (-math.log1p((t + 1.0) / p) + 0.5 / x2 + _psi_tail(x2)
+               + math.log(x1) - 0.5 / x1 - _psi_tail(x1))
+    return closure - direct
 
 
 # ---------------------------------------------------------------------------
 # q-family
 # ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 18
+
+
+def _chunked_sum(total: int, piece) -> float:
+    """Sum piece(lo, hi) over [0, total) in fixed-size chunks."""
+    out = 0.0
+    for lo in range(0, total, _CHUNK):
+        out += piece(lo, min(lo + _CHUNK, total))
+    return out
+
 
 def _q_product_plan(t: float, q: float, ctrl: SeriesControl):
     """Number of product terms needed so the geometric log-tail is <= tol.
@@ -235,8 +312,9 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     n_terms = min(n_terms, ctrl.max_terms)
 
     def piece(lo, hi):
-        x = np.exp((t + np.arange(lo, hi, dtype=np.float64)) * lnq)
-        return float(np.sum(x / (1.0 - x)))
+        # q^(t+n)/(1 - q^(t+n)), without forming 1 - q^(t+n) by subtraction
+        n = np.arange(lo, hi, dtype=np.float64)
+        return float(np.sum(1.0 / np.expm1((t + n) * abs_lnq)))
 
     s = _chunked_sum(n_terms, piece)
 

@@ -39,6 +39,7 @@ EULER_GAMMA_HP = "0.57721566490153286060651209008240243104215933593992"
 _SERIES_DPS = 35
 _QUAD_DPS = 30
 _SERIES_TAIL = "1e-25"
+_DPS_MARGIN = 10
 
 
 class ConvergenceError(RuntimeError):
@@ -59,10 +60,14 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _digits_from_error(value, err) -> int:
-    scale = max(abs(value), mpf(1))
+    """Digits certified by the error estimate err, never more than
+    _DPS_MARGIN below the working precision: a quadrature's own estimate
+    can claim more than the arithmetic carries."""
+    cap = mp.dps - _DPS_MARGIN
     if err <= 0:
-        return    _SERIES_DPS - 5
-    return max(1, int(-mp.log10(err / scale)) - 1)
+        return cap
+    scale = max(abs(value), mpf(1))
+    return max(1, min(cap, int(-mp.log10(err / scale)) - 1))
 
 
 # Bernoulli-number corrections B2..B10 for the Euler-Maclaurin closure of

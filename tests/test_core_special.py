@@ -140,3 +140,9 @@ def test_default_series_control_env_override(monkeypatch):
     assert default_series_control().max_terms == 123
     monkeypatch.delenv(core_special.MAX_TERMS_ENV_VAR)
     assert default_series_control().max_terms == core_special.DEFAULT_MAX_TERMS
+
+
+def test_default_series_control_is_shared_when_unset(monkeypatch):
+    monkeypatch.delenv(core_special.MAX_TERMS_ENV_VAR, raising=False)
+    assert default_series_control() is default_series_control()
+    assert default_series_control() == core_special.SeriesControl()

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
+from gammagen import gen_gamma
 from gammagen.core_special import DomainError, SeriesControl
 from gammagen.gen_gamma import (
     KParam,
@@ -48,6 +50,39 @@ def test_psi_p_values():
     assert abs(psi_p(2.0, 5) - 0.016580769576957517) < 1e-12
 
 
+def _log_gamma_p_identity(t, p):
+    """ln p! + t ln p - ln Gamma(t+p+1) + ln Gamma(t), at 50 digits."""
+    with mp.workdps(50):
+        t_ = mpf(t)
+        return float(mp.loggamma(p + 1) + t_ * mp.log(p)
+                     - mp.loggamma(t_ + p + 1) + mp.loggamma(t_))
+
+
+def _psi_p_identity(t, p):
+    """ln p - psi(t+p+1) + psi(t), at 50 digits."""
+    with mp.workdps(50):
+        t_ = mpf(t)
+        return float(mp.log(p) - mp.digamma(t_ + p + 1) + mp.digamma(t_))
+
+
+@pytest.mark.parametrize("p", [1, 2, *range(gen_gamma._P_DIRECT - 2, gen_gamma._P_DIRECT + 3),
+                               100, 10**4, 10**6, 10**7, 10**9, 10**12])
+def test_p_family_matches_identities(p):
+    # p + 1 <= _P_DIRECT sums every term; above it the Stirling closure takes
+    # over.  At p = 10**12 a sum over every term could not finish.
+    for t in (0.01, 0.5, 1.0, 2.5, 9.7, 33.3, 60.0):
+        assert abs(log_gamma_p(t, p) - _log_gamma_p_identity(t, p)) <= 1e-12
+        assert abs(psi_p(t, p) - _psi_p_identity(t, p)) <= 1e-13
+
+
+def test_gamma_p_functional_equation_at_large_p():
+    p = 10**7
+    for t in (0.3, 1.0, 2.5, 17.2, 45.0):
+        lhs = gamma_p(t + 1.0, p)
+        rhs = p * t / (t + p + 1.0) * gamma_p(t, p)
+        assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize("bad_p", [0, -1])
 def test_p_rejected(bad_p):
     for fn in (lambda: gamma_p(1.0, bad_p), lambda: psi_p(1.0, bad_p)):
@@ -76,6 +111,14 @@ def test_gamma_q_at_small_integers():
 def test_psi_q_reference_value():
     r = psi_q(1.0, 0.5, TIGHT)
     assert abs(r.value - (-0.4205290343560458)) < 1e-12
+
+
+def test_psi_q_accurate_near_q_one():
+    # Forming 1 - q^(t+n) by subtraction costs ~u/(1-q), 1.7e-12 here.
+    # Reference: 64 direct terms plus mpmath's Euler-Maclaurin tail at 30
+    # digits (0.2214947905614601589...).
+    r = psi_q(1.7164250253197137, 0.9999896607489486)
+    assert abs(r.value - 0.22149479056146016) <= 1e-14
 
 
 def test_psi_q_increasing_in_t():

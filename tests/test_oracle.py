@@ -82,6 +82,21 @@ def test_certified_digits_floor():
         assert hp.certified_digits >= 15
 
 
+@pytest.mark.parametrize("t", [2.3, 16.05, 27.26] + [0.5 + 1.25 * i for i in range(24)])
+def test_gamma_hp_meets_its_certified_digits(t):
+    hp = oracle.gamma_hp(t)
+    with mp.workdps(50):
+        ref = mp.gamma(mpf(t))
+        assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
+
+
+def test_p_family_cross_validates_at_large_p():
+    p = 10**5
+    for t in (0.5, 2.5, 11.7):
+        assert oracle.cross_validate(psi_p(t, p), oracle.psi_p_hp(t, p), 1e-12)
+        assert oracle.cross_validate(gamma_p(t, p), oracle.gamma_p_hp(t, p), 1e-12)
+
+
 @pytest.mark.parametrize("fn", [
     oracle.psi_hp, oracle.gamma_hp,
     lambda t: oracle.psi_p_hp(t, 3), lambda t: oracle.psi_q_hp(t, 0.5),

@@ -1,5 +1,5 @@
-"""scripts/run_verification_sweeps.py, run in-process into a temporary
-directory."""
+"""The scripts under scripts/, run in-process (the sweeps into a temporary
+directory)."""
 
 import importlib.util
 import json
@@ -9,11 +9,11 @@ import pytest
 
 from gammagen.cli import parse_grid_spec
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_verification_sweeps.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("run_verification_sweeps", SCRIPT)
+def _load_script(name="run_verification_sweeps"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,3 +33,14 @@ def test_sweeps_script_writes_nine_passing_reports(tmp_path, capsys, fmt):
             # `gammagen verify --grid <grid_spec>` must reproduce the report
             assert tuple(config["grid"]) == parse_grid_spec(config["grid_spec"])
             assert obj["summary"]["all_pass"] is True
+
+
+def test_convergence_study_gap_shrinks_along_p(capsys):
+    assert _load_script("convergence_study").main(["--t", "2.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["p"])
+    rows = [line.split() for line in lines[start + 1:]]
+    rows = rows[:next(i for i, row in enumerate(rows) if row[0] == "q")]
+    assert [int(row[0]) for row in rows] == [10, 100, 1000, 10**4, 10**6, 10**9]
+    gaps = [float(row[2]) for row in rows]
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
