@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate how the deformed Gamma functions approach the classical one:
-Gamma_p as p grows, Gamma_q as q -> 1-, and the k-family reduction at k = 1.
+Gamma_p as p grows, Gamma_q as q -> 1- (with the direct terms each q takes),
+and the k-family reduction at k = 1.
 
 Usage:
     python scripts/convergence_study.py [--t 1.5 2.5 4.0]
@@ -25,10 +26,10 @@ def main(argv=None) -> int:
         for p in (10, 100, 1000, 10**4, 10**6, 10**9):
             v = gamma_p(t, p)
             print(f"  {p:>10} {v:>20.15g} {abs(v - g):>12.3e}")
-        print(f"  {'q':>10} {'Gamma_q(t)':>20} {'|gap|':>12} {'terms':>8}")
-        for q in (0.5, 0.9, 0.99, 0.999):
+        print(f"  {'q':>11} {'Gamma_q(t)':>20} {'|gap|':>12} {'terms':>8}")
+        for q in (0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9):
             r = gamma_q(t, q)
-            print(f"  {q:>10} {r.value:>20.15g} {abs(r.value - g):>12.3e} "
+            print(f"  {q:>11} {r.value:>20.15g} {abs(r.value - g):>12.3e} "
                   f"{r.terms_used:>8}")
         print(f"  k-reduction: |Gamma_k(t,1) - Gamma(t)| = "
               f"{abs(gamma_k(t, 1.0) - g):.3e}, "

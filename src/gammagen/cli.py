@@ -14,8 +14,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import selftest as selftest_mod
 from .core_special import (
     DomainError,
@@ -114,6 +112,8 @@ def parse_grid_spec(spec: str) -> tuple:
 
 
 def _fmt17(x: float) -> str:
+    import numpy as np  # only `eval` prints this way; kept out of start-up
+
     return np.format_float_positional(x, precision=17, unique=False,
                                       fractional=False)
 

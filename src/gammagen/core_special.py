@@ -128,6 +128,27 @@ def log_gamma(t: float) -> float:
     return math.lgamma(t)
 
 
+#: Bernoulli numbers B_2, B_4, ..., B_14.
+BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+_EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI, 1))
+
+
+def euler_maclaurin_corrections(odd_derivatives) -> tuple[float, float]:
+    """Bernoulli corrections of the Euler-Maclaurin closure
+
+        sum_{n>=0} f(a+n) = int_a^inf f + f(a)/2 - sum_{k<=K} B_2k/(2k)! f^(2k-1)(a) + R,
+
+    given the odd derivatives f^(1)(a), f^(3)(a), ..., f^(2K-1)(a), K <= 7.
+    Returns the sum of the K corrections and the magnitude of the last one.
+    When f or -f is completely monotone, |R| is at most that magnitude.
+    """
+    total = 0.0
+    for weight, deriv in zip(_EM_WEIGHTS, odd_derivatives):
+        last = weight * deriv
+        total -= last
+    return total, abs(last)
+
+
 # Euler-Maclaurin closure of sum_{n>=a} f(n) with f(x) = 1/x - 1/(x+t):
 #
 #   sum = log1p(t/a) + f(a)/2 - B2/2! f'(a) - B4/4! f'''(a) - B6/6! f^(5)(a) + R
@@ -153,19 +174,19 @@ def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     n_terms = max(_PSI_MIN_TERMS, math.ceil(min(a_needed, 1e18)))
     n_terms = min(n_terms, ctrl.max_terms)
 
-    partial = math.fsum(t / (n * (n + t)) for n in range(1, n_terms + 1))
+    partial = math.fsum([t / (n * (n + t)) for n in range(1, n_terms + 1)])
 
     a = n_terms + 1.0
     ia = 1.0 / a
     ib = 1.0 / (a + t)
-    tail = (
-        math.log1p(t / a)
-        + 0.5 * (ia - ib)
-        + (ia * ia - ib * ib) / 12.0
-        + (ib**4 - ia**4) / 120.0
-        + (ia**6 - ib**6) / 252.0
-    )
-    bound = (ia**6 - ib**6) / 252.0
+    ia2 = ia * ia
+    ib2 = ib * ib
+    ia4 = ia2 * ia2
+    ib4 = ib2 * ib2
+    # f'(a), f'''(a), f^(5)(a)
+    corr, bound = euler_maclaurin_corrections(
+        (ib2 - ia2, 6.0 * (ib4 - ia4), 120.0 * (ib4 * ib2 - ia4 * ia2)))
+    tail = math.log1p(t / a) + 0.5 * (ia - ib) + corr
 
     value = -EULER_GAMMA - 1.0 / t + partial + tail
     return EvalResult(value, bound, n_terms, bound <= ctrl.tol)

@@ -17,8 +17,15 @@ the first min(p+1, 10) factors (or terms) are summed directly and the rest
 is closed by the Stirling series of ln Gamma and the asymptotic series of
 psi, evaluated only at arguments >= 10, where their truncation error is
 below the unit roundoff.  The ln p terms cancel analytically, so no two
-quantities of size p ln p are subtracted.  The q-family sums its products
-in log-space; Gamma_k uses the closed identity
+quantities of size p ln p are subtracted, and p enters only through 1/p.
+
+The q-family also costs the same at every q.  With c = -ln q, psi_q and
+ln Gamma_q sum a short direct block (about ten terms at tol = 1e-12, each
+formed from expm1, never from 1 - q^x by subtraction) and close the rest
+by Euler-Maclaurin, in the manner of Moak's q-Stirling formula.  The
+closure's integrals are -ln(1 - e^(-ca))/c and a difference of two
+dilogarithms, whose zeta(2)/c parts cancel analytically; its err_bound is
+the last retained Bernoulli correction.  Gamma_k uses the closed identity
 Gamma_k(t) = k^(t/k - 1) Gamma(t/k).  The oracle module keeps the raw
 products and the defining integral as independent cross-checks.
 
@@ -28,19 +35,20 @@ never clamped.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from . import core_special
 from .core_special import (
+    BERNOULLI,
     DomainError,
     EvalResult,
     SeriesControl,
     default_series_control,
+    euler_maclaurin_corrections,
 )
 
 __all__ = [
@@ -126,34 +134,38 @@ def _check_k(k) -> None:
 #: Terms of the p-family summed directly; the asymptotic closure starts here.
 _P_DIRECT = 10
 
-# Bernoulli numbers B_2 .. B_14.  At x >= _P_DIRECT the first omitted terms,
+# At x >= _P_DIRECT the first terms omitted after B_14,
 # |B_16|/(16*15 x^15) <= 3.0e-17 and |B_16|/(16 x^16) <= 4.5e-17, are below
 # the unit roundoff 2^-53 = 1.1e-16.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-_STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
-_PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+_STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(BERNOULLI, 1))
+_PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
 
 
-def _even_power_series(coeffs, x: float) -> float:
-    """sum_k coeffs[k-1] / x^(2k), by Horner's rule in 1/x^2."""
-    z = 1.0 / (x * x)
+def _odd_power_series(coeffs, x: float) -> float:
+    """sum_k coeffs[k-1] x^(2k-1), by Horner's rule in x^2."""
+    z = x * x
     acc = 0.0
     for c in reversed(coeffs):
-        acc = (acc + c) * z
-    return acc
+        acc = acc * z + c
+    return acc * x
 
 
-def _stirling_tail(x: float) -> float:
-    """S(x) = sum_k B_2k / (2k (2k-1) x^(2k-1)), so that
+def _stirling_tail(r: float) -> float:
+    """S(x) at r = 1/x: S(x) = sum_k B_2k / (2k (2k-1) x^(2k-1)), so that
     ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x) + R, |R| <= 3.0e-17
     for x >= _P_DIRECT."""
-    return x * _even_power_series(_STIRLING, x)
+    return _odd_power_series(_STIRLING, r)
 
 
-def _psi_tail(x: float) -> float:
-    """T(x) = sum_k B_2k / (2k x^(2k)), so that
+def _psi_tail(r: float) -> float:
+    """T(x) at r = 1/x: T(x) = sum_k B_2k / (2k x^(2k)), so that
     psi(x) = ln x - 1/(2x) - T(x) + R, |R| <= 4.5e-17 for x >= _P_DIRECT."""
-    return _even_power_series(_PSI_ASYMPTOTIC, x)
+    return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
+
+
+def _log1p_ratio(y: float) -> float:
+    """log1p(y)/y, continued by its limit 1 at y = 0."""
+    return math.log1p(y) / y if y else 1.0
 
 
 def log_gamma_p(t: float, p: int) -> float:
@@ -169,7 +181,9 @@ def log_gamma_p(t: float, p: int) -> float:
 
     S is the Stirling series truncated after B_14; for real x > 0 its
     remainder is bounded by the first omitted term, which is below
-    3.0e-17 at x >= 10, so the closure is exact to rounding.
+    3.0e-17 at x >= 10, so the closure is exact to rounding.  p enters
+    only through 1/p, formed by integer true division, so p may exceed the
+    double range.
     """
     _check_t(t)
     p = _check_p(p)
@@ -177,9 +191,12 @@ def log_gamma_p(t: float, p: int) -> float:
     direct = math.fsum(math.log(t + j) for j in range(m))
     if m == p + 1:
         return math.lgamma(p + 1) + t * math.log(p) - direct
-    bracket = ((p + 0.5) * math.log1p(1.0 / p)
-               - (p + t + 0.5) * math.log1p((t + 1.0) / p) + t
-               + _stirling_tail(p + 1.0) - _stirling_tail(p + t + 1.0))
+    x = 1 / p
+    y = (t + 1.0) * x
+    # p log1p(x) = log1p(x)/x and p log1p(y) = (t+1) log1p(y)/y
+    bracket = (_log1p_ratio(x) + 0.5 * math.log1p(x)
+               - (t + 1.0) * _log1p_ratio(y) - (t + 0.5) * math.log1p(y) + t
+               + _stirling_tail(1 / (p + 1)) - _stirling_tail(x / (1.0 + y)))
     return bracket + math.lgamma(t + m) - direct
 
 
@@ -203,7 +220,8 @@ def psi_p(t: float, p: int) -> float:
 
     T is the asymptotic series of psi truncated after B_14; for real x > 0
     its remainder is bounded by the first omitted term, which is below
-    4.5e-17 at x >= 10, so the closure is exact to rounding.
+    4.5e-17 at x >= 10, so the closure is exact to rounding.  As in
+    ``log_gamma_p``, p enters only through 1/p.
     """
     _check_t(t)
     p = _check_p(p)
@@ -211,78 +229,180 @@ def psi_p(t: float, p: int) -> float:
     direct = math.fsum(1.0 / (t + n) for n in range(m))
     if m == p + 1:
         return math.log(p) - direct
+    x = 1 / p
+    y = (t + 1.0) * x
     x1 = t + m
-    x2 = t + p + 1.0
-    closure = (-math.log1p((t + 1.0) / p) + 0.5 / x2 + _psi_tail(x2)
-               + math.log(x1) - 0.5 / x1 - _psi_tail(x1))
+    r2 = x / (1.0 + y)  # 1/x2
+    closure = (-math.log1p(y) + 0.5 * r2 + _psi_tail(r2)
+               + math.log(x1) - 0.5 / x1 - _psi_tail(1.0 / x1))
     return closure - direct
 
 
 # ---------------------------------------------------------------------------
 # q-family
 # ---------------------------------------------------------------------------
+#
+# With c = -ln q and w(z) = 1/(e^z - 1), both functions are sums over n >= 0:
+#
+#   psi_q(t)      = -ln(1-q) - c sum_n f(t+n),                f(y) = w(cy),
+#   ln Gamma_q(t) = (1-t) ln(1-q) + sum_n [g(n+t) - g(n+1)],  g(y) = -ln(1 - e^(-cy)).
+#
+# f, g and hence +-(g(x+t) - g(x+1)) are completely monotone, so after a
+# short direct block each sum is closed by Euler-Maclaurin with remainder at
+# most the last retained correction.  The derivatives are polynomials in w:
+# f^(j)(y) = (-c)^j A_j(w) and g^(j)(y) = (-c)^j A_(j-1)(w), where
+# A_j(w(z)) = Li_{-j}(e^(-z)).  As c -> 0, c^j A_j(w(cy)) -> j!/y^(j+1), so
+# the block length the closure needs does not depend on q.
 
-_CHUNK = 1 << 18
+#: Bernoulli corrections of the q-family closures (B_2 .. B_10).
+_Q_CORRECTIONS = 5
 
 
-def _chunked_sum(total: int, piece) -> float:
-    """Sum piece(lo, hi) over [0, total) in fixed-size chunks."""
-    out = 0.0
-    for lo in range(0, total, _CHUNK):
-        out += piece(lo, min(lo + _CHUNK, total))
+def _negative_polylogs(count):
+    """Coefficients of A_0 .. A_(count-1), lowest power first, where
+    A_j(w) = sum_i coeffs[i] w^(i+1).  A_0(w) = w and, since
+    dw/dz = -(w + w^2), A_(j+1)(w) = (w + w^2) A_j'(w).  Every coefficient
+    is a non-negative integer, so evaluating A_j at w > 0 cancels nothing."""
+    polys = [(1.0,)]
+    for _ in range(count - 1):
+        nxt = [0.0] * (len(polys[-1]) + 1)
+        for i, coeff in enumerate(polys[-1]):
+            nxt[i] += (i + 1) * coeff
+            nxt[i + 1] += (i + 1) * coeff
+        polys.append(tuple(nxt))
+    return tuple(polys)
+
+
+_A = _negative_polylogs(2 * _Q_CORRECTIONS)
+
+
+def _powers(w: float, count: int) -> list:
+    """[w, w^2, ..., w^count]."""
+    return list(itertools.accumulate(itertools.repeat(w, count), operator.mul))
+
+
+def _odd_derivatives(powers, c: float, order: int) -> list:
+    """[-c^(2k-1) A_(2k-1-order)(w) for k = 1 .. _Q_CORRECTIONS], from
+    powers = [w, w^2, ...] (2 _Q_CORRECTIONS - order of them): the odd
+    derivatives of f (order 0) or of g (order 1) at y, w = w(cy).  Each
+    A_j is linear in the powers, so the difference of two power lists gives
+    the difference of the derivatives."""
+    out = []
+    scale = -c
+    for coeffs in _A[1 - order::2]:
+        out.append(scale * sum(map(operator.mul, coeffs, powers)))
+        scale *= c * c
     return out
 
 
-def _q_product_plan(t: float, q: float, ctrl: SeriesControl):
-    """Number of product terms needed so the geometric log-tail is <= tol.
+def _bose(z: float) -> float:
+    """w(z) = 1/(e^z - 1), without overflow for large z."""
+    return math.exp(-z) / -math.expm1(-z)
 
-    Each factor satisfies |ln(1-q^(n+1)) - ln(1-q^(t+n))| <= C q^n with
-    C = |q - q^t| / (1 - q^min(1,t)), so the tail past N terms is below
-    C q^N / (1-q).
+
+def _q_block(lead: float, power: int, x0: float, ctrl: SeriesControl, closure):
+    """Shortest direct block n whose Euler-Maclaurin closure meets ctrl.tol,
+    capped at ctrl.max_terms; returns (n, *closure(n)).
+
+    closure(n) returns (tail, err_bound).  The search starts where
+    lead/(x0 + n)^power, the size of the last correction as c -> 0, falls
+    to ctrl.tol (computed in log space), and almost always ends there.
     """
-    lnq = math.log(q)
-    qt = math.exp(t * lnq)
-    denom = 1.0 - (q if t >= 1.0 else qt)
-    coeff = abs(q - qt) / denom if denom > 0.0 else math.inf
+    estimate = math.exp((math.log(lead) - math.log(ctrl.tol)) / power) - x0
+    n = min(max(1, math.ceil(min(estimate, 1e18))), ctrl.max_terms)
+    tail, bound = closure(n)
+    while bound > ctrl.tol and n < ctrl.max_terms:
+        n += 1
+        tail, bound = closure(n)
+    return n, tail, bound
 
-    if coeff == 0.0:  # t == 1: every factor is exactly 1
-        return 1, coeff
-    rhs = ctrl.tol * (1.0 - q) / coeff
-    if rhs >= 1.0:
-        needed = 1
-    else:
-        needed = max(1, math.ceil(math.log(rhs) / lnq))
-    return min(needed, ctrl.max_terms), coeff
+
+_LN2 = math.log(2.0)
+_ZETA2 = math.pi ** 2 / 6.0
+# R(z) = z^2/4 - sum_k B_2k z^(2k+1) / (2k (2k+1)!), the regular part of
+# Li_2(e^(-z)) = zeta(2) + z ln z - z - R(z) (|z| < 2 pi).
+_R_SERIES = tuple(b / (2 * k * math.factorial(2 * k + 1)) for k, b in enumerate(BERNOULLI, 1))
+# Li_2(x) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!,  u = -ln(1-x).
+_LI2_SERIES = tuple(b / math.factorial(2 * k + 1) for k, b in enumerate(BERNOULLI, 1))
+
+
+def _dilog_regular(z: float) -> float:
+    """R(z) for 0 < z <= ln 2; the first omitted term is below 2.4e-18."""
+    return 0.25 * z * z - z * z * _odd_power_series(_R_SERIES, z)
+
+
+def _dilog_exp(z: float) -> float:
+    """Li_2(e^(-z)) for z > 0.  Above ln 2 the Bernoulli series in
+    u = -ln(1 - e^(-z)) <= ln 2 is used; its first omitted term is below
+    3.9e-17."""
+    if z <= _LN2:
+        return _ZETA2 + z * math.log(z) - z - _dilog_regular(z)
+    u = -math.log1p(-math.exp(-z))
+    return u - 0.25 * u * u + u * u * _odd_power_series(_LI2_SERIES, u)
+
+
+def _log_gamma_q_integral(t: float, q: float, c: float, a: float) -> float:
+    """(1-t) ln(1-q) + int_a^inf [g(x+t) - g(x+1)] dx, where the integral is
+    [Li_2(e^(-c(a+t))) - Li_2(e^(-c(a+1)))]/c.
+
+    Each dilogarithm is close to zeta(2) when c(a+t) and c(a+1) are small,
+    so there the zeta(2)/c terms are cancelled analytically, and so are the
+    ln c terms of z ln z against ln(1-q):
+
+        (1-t) ln((1-q)/c) + (t-1) ln(a+t) + (a+1) log1p((t-1)/(a+1))
+        - (t-1) - [R(c(a+t)) - R(c(a+1))]/c.
+    """
+    z1 = c * (a + t)
+    z2 = c * (a + 1.0)
+    if max(z1, z2) > _LN2:
+        return (1.0 - t) * math.log1p(-q) + (_dilog_exp(z1) - _dilog_exp(z2)) / c
+    s = t - 1.0
+    return (-s * math.log((1.0 - q) / c) + s * math.log(a + t)
+            + (a + 1.0) * math.log1p(s / (a + 1.0)) - s
+            - (_dilog_regular(z1) - _dilog_regular(z2)) / c)
 
 
 def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
-    """ln Gamma_q(t) as a log-sum; err_bound bounds the truncated log-tail."""
+    """ln Gamma_q(t) = (1-t) ln(1-q) + sum_{n>=0} ln((1-q^(n+1))/(1-q^(n+t))),
+    at a cost independent of q.
+
+    A direct block of n terms, each the logarithm of a ratio of two expm1
+    values, is followed by the Euler-Maclaurin closure of the rest
+    (see ``_log_gamma_q_integral`` for its integral).  err_bound is the last
+    retained Bernoulli correction, which bounds the remainder because each
+    summand is, up to sign, completely monotone in n; n is the shortest
+    block for which it is below ctrl.tol.  If ctrl.max_terms caps the block
+    first, ``converged`` is False.
+    """
     if ctrl is None:
         ctrl = default_series_control()
     _check_t(t)
     _check_q(q)
+    c = -math.log(q)
 
-    n_terms, coeff = _q_product_plan(t, q, ctrl)
-    lnq = math.log(q)
+    def closure(n):
+        # derivatives of h(x) = g(x+t) - g(x+1) at x = n
+        count = 2 * _Q_CORRECTIONS - 1
+        powers = map(operator.sub, _powers(_bose(c * (n + t)), count),
+                     _powers(_bose(c * (n + 1.0)), count))
+        return euler_maclaurin_corrections(_odd_derivatives(list(powers), c, 1))
 
-    def piece(lo, hi):
-        n = np.arange(lo, hi, dtype=np.float64)
-        return float(np.sum(np.log1p(-np.exp((n + 1.0) * lnq))
-                            - np.log1p(-np.exp((t + n) * lnq))))
-
-    s = _chunked_sum(n_terms, piece)
-    tail_bound = coeff * math.exp(n_terms * lnq) / (1.0 - q)
-    value = (1.0 - t) * math.log1p(-q) + s
-    return EvalResult(value, tail_bound, n_terms, tail_bound <= ctrl.tol)
+    k2 = 2 * _Q_CORRECTIONS
+    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1))
+    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), ctrl, closure)
+    # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
+    log, expm1 = math.log, math.expm1
+    h = [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(n + 1)]
+    value = _log_gamma_q_integral(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
+    return EvalResult(value, bound, n, bound <= ctrl.tol)
 
 
 def gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """Gamma_q(t) for t > 0, q in (0, 1).
 
     Truncation is controlled on the log scale (see ``log_gamma_q``); the
-    reported err_bound is propagated to the value scale.  For q close to 1
-    the geometric tail shrinks slowly and the budget may run out, in which
-    case ``converged`` is False rather than silently truncating.
+    reported err_bound is propagated to the value scale, and ``converged``
+    is False when ctrl.max_terms capped the direct block.
     """
     r = log_gamma_q(t, q, ctrl)
     value = math.exp(r.value)
@@ -290,38 +410,37 @@ def gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult
 
 
 def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
-    """psi_q(t) = -ln(1-q) + ln q * sum_{n>=0} q^(t+n) / (1 - q^(t+n)).
+    """psi_q(t) = -ln(1-q) + ln q * sum_{n>=0} q^(t+n) / (1 - q^(t+n)),
+    at a cost independent of q.
 
-    The sum is truncated once the geometric tail bound
-    |ln q| q^(t+N+1) / ((1-q)(1-q^(t+N+1))) drops below ``ctrl.tol``.
+    With c = -ln q the summand is f(t+n), f(y) = 1/(e^(cy) - 1), summed
+    directly over a block of n terms; the rest is closed by Euler-Maclaurin
+    with integral -ln(1 - e^(-ca))/c at a = t+n, whose logarithm is combined
+    with -ln(1-q) into one log1p.  err_bound is c times the last retained
+    Bernoulli correction, which bounds the remainder because f is completely
+    monotone; n is the shortest block for which it is below ctrl.tol.  If
+    ctrl.max_terms caps the block first, ``converged`` is False.
     """
     if ctrl is None:
         ctrl = default_series_control()
     _check_t(t)
     _check_q(q)
+    c = -math.log(q)
 
-    lnq = math.log(q)
-    abs_lnq = -lnq
-    # Conservative plan: 1 - q^(t+n+1) >= 1 - q^(t+1) for n >= 0.
-    guard = (1.0 - q) * (1.0 - math.exp((t + 1.0) * lnq))
-    rhs = ctrl.tol * guard / abs_lnq
-    if rhs >= 1.0:
-        n_terms = 1
-    else:
-        n_terms = max(1, math.ceil(math.log(rhs) / lnq - t))
-    n_terms = min(n_terms, ctrl.max_terms)
+    def closure(n):
+        w = _bose(c * (t + n))
+        corr, bound = euler_maclaurin_corrections(
+            _odd_derivatives(_powers(w, 2 * _Q_CORRECTIONS), c, 0))
+        return 0.5 * w + corr, c * bound
 
-    def piece(lo, hi):
-        # q^(t+n)/(1 - q^(t+n)), without forming 1 - q^(t+n) by subtraction
-        n = np.arange(lo, hi, dtype=np.float64)
-        return float(np.sum(1.0 / np.expm1((t + n) * abs_lnq)))
-
-    s = _chunked_sum(n_terms, piece)
-
-    x_next = math.exp((t + n_terms) * lnq)
-    tail_bound = abs_lnq * x_next / ((1.0 - q) * (1.0 - x_next))
-    value = -math.log1p(-q) + lnq * s
-    return EvalResult(value, tail_bound, n_terms, tail_bound <= ctrl.tol)
+    k2 = 2 * _Q_CORRECTIONS
+    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / k2
+    n, tail, bound = _q_block(lead, k2, t, ctrl, closure)
+    direct = math.fsum(_bose(c * (t + j)) for j in range(n))
+    # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
+    # as log1p(-q expm1(-c(a-1))/(1-q)): no cancellation at any q
+    value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * (direct + tail)
+    return EvalResult(value, bound, n, bound <= ctrl.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,18 @@ def test_eval_missing_required_flag_is_domain_error():
 
 
 def test_eval_tolerance_not_met_exit_code():
+    # A budget of 2 is below the 8-term direct block that t = 2 needs.
     r = run_cli("eval", "psi_q", "--t", "2", "--q", "0.9999",
-                env_extra={"GAMMA_GEN_MAX_TERMS": "10"})
+                env_extra={"GAMMA_GEN_MAX_TERMS": "2"})
     assert r.returncode == 3
     assert "tolerance" in r.stderr.lower()
+    assert r.stdout.splitlines()[1].endswith("terms_used 2")
+
+
+def test_eval_gamma_p_beyond_double_range():
+    r = run_cli("eval", "gamma_p", "--t", "2.5", "--p", "1" + "0" * 400)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout.splitlines()[0]) == pytest.approx(gamma(2.5), rel=1e-14)
 
 
 def test_eval_omega_uses_gen_params():
@@ -234,6 +242,14 @@ def test_scan_theta_equality(tmp_path):
     assert r.returncode == 0
     obj = json.loads(out.read_text())
     assert abs(obj["min_forward_diff"]) <= 1e-12
+
+
+def test_scan_q_family_converges_near_q_one():
+    # The q-series once needed more than the 10^7-term budget here (exit 3).
+    r = run_cli("scan", "--family", "q", "--alpha", "1.5", "--q", "0.9999999",
+                "--grid", "0.1:0.2:0.1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1].startswith("PASS")
 
 
 def test_scan_inadmissible_point_exit_2():

@@ -75,6 +75,14 @@ def test_p_family_matches_identities(p):
         assert abs(psi_p(t, p) - _psi_p_identity(t, p)) <= 1e-13
 
 
+@pytest.mark.parametrize("p", [2**1024, 10**400], ids=["2^1024", "10^400"])
+def test_p_family_beyond_double_range(p):
+    # p enters only through 1/p, so p need not fit in a double; at such p
+    # both functions equal their classical limits to rounding.
+    assert abs(log_gamma_p(2.5, p) - math.lgamma(2.5)) <= 2e-15
+    assert abs(psi_p(2.5, p) - psi(2.5)) <= 2e-15
+
+
 def test_gamma_p_functional_equation_at_large_p():
     p = 10**7
     for t in (0.3, 1.0, 2.5, 17.2, 45.0):
@@ -125,19 +133,120 @@ def test_psi_q_increasing_in_t():
     assert psi_q(1.0, 0.5).value < psi_q(2.0, 0.5).value
 
 
-def test_psi_q_terms_grow_as_q_approaches_one():
-    slow = psi_q(2.0, 0.9)
-    fast = psi_q(2.0, 0.1)
-    assert slow.terms_used > fast.terms_used
-    assert slow.converged and fast.converged
+Q_NEAR_ONE = [1.0 - 10.0**-j for j in range(3, 13)]
+# The direct block is sized from the Euler-Maclaurin bound, which does not
+# depend on q; at the default tolerance it is 10 terms.
+Q_BLOCK_MAX = 12
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, *Q_NEAR_ONE])
+def test_q_family_terms_bounded(q):
+    for t in (1e-6, 0.01, 0.3, 1.0, 1.7, 2.5, 9.7, 33.3, 60.0):
+        for r in (psi_q(t, q), log_gamma_q(t, q)):
+            assert r.converged
+            assert 1 <= r.terms_used <= Q_BLOCK_MAX
+
+
+def test_q_family_converges_at_q_one_minus_1e9():
+    q = 1.0 - 1e-9
+    for fn in (psi_q, log_gamma_q, gamma_q):
+        r = fn(2.5, q)
+        assert r.converged and r.err_bound <= 1e-12
 
 
 def test_q_family_budget_exhaustion_flagged():
-    ctrl = SeriesControl(max_terms=50, tol=1e-12)
-    r = psi_q(2.0, 0.999, ctrl)
-    assert not r.converged
-    assert r.terms_used == 50
-    assert r.err_bound > ctrl.tol
+    # A budget of 2 is below the 8- and 9-term blocks that t = 2 needs.
+    ctrl = SeriesControl(max_terms=2, tol=1e-12)
+    for fn in (psi_q, log_gamma_q):
+        r = fn(2.0, 0.999, ctrl)
+        assert not r.converged
+        assert r.terms_used == 2
+        assert r.err_bound > ctrl.tol
+
+
+@pytest.mark.parametrize("t", [0.5, 2.5, 7.3])
+def test_q_family_tends_to_classical_like_one_minus_q(t):
+    # ln Gamma_q(t) - ln Gamma(t) and psi_q(t) - psi(t) are (1-q) times a
+    # nonzero function of t plus O((1-q)^2), so each decade of 1 - q takes
+    # off a factor close to 10.
+    gaps = []
+    for j in range(3, 10):
+        q = 1.0 - 10.0**-j
+        gaps.append((abs(log_gamma_q(t, q).value - math.lgamma(t)),
+                     abs(psi_q(t, q).value - psi(t))))
+    for (lg, ps), (lg1, ps1) in zip(gaps, gaps[1:]):
+        assert 0.08 < lg1 / lg < 0.12
+        assert 0.08 < ps1 / ps < 0.12
+
+
+def _psi_q_mp(t, q):
+    """-ln(1-q) - c sum_n 1/(e^(c(t+n)) - 1), c = -ln q: 64 terms summed at
+    30 digits and the rest by mpmath's Euler-Maclaurin summation (numerical
+    derivatives and quadrature)."""
+    with mp.workdps(30):
+        t, q = mpf(t), mpf(q)
+        c = -mp.log(q)
+
+        def f(n):
+            return 1 / mp.expm1(c * (t + n))
+
+        s = mp.fsum(f(n) for n in range(64)) + mp.sumem(f, [64, mp.inf])
+        return -mp.log1p(-q) - c * s
+
+
+def _log_gamma_q_mp(t, q):
+    """(1-t) ln(1-q) + sum_n ln((1-q^(n+1))/(1-q^(n+t))), summed as in _psi_q_mp."""
+    with mp.workdps(30):
+        t, q = mpf(t), mpf(q)
+        c = -mp.log(q)
+
+        def h(n):
+            return mp.log(mp.expm1(-c * (n + 1)) / mp.expm1(-c * (n + t)))
+
+        s = mp.fsum(h(n) for n in range(64)) + mp.sumem(h, [64, mp.inf])
+        return (1 - t) * mp.log1p(-q) + s
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.99999, 1.0 - 1e-9])
+def test_q_family_matches_mpmath_euler_maclaurin(q):
+    for t in (0.02, 1.7, 23.0):
+        for fn, ref in ((psi_q, _psi_q_mp), (log_gamma_q, _log_gamma_q_mp)):
+            r = fn(t, q)
+            exact = float(ref(t, q))
+            assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
+
+
+def test_log_gamma_q_within_err_bound_near_q_one():
+    # Forming 1 - q^(t+n) by subtraction once put this point 4.5e-12 off,
+    # beyond its err_bound of 1e-12.  Reference: _log_gamma_q_mp at 40
+    # digits, unchanged with 256 direct terms.
+    r = log_gamma_q(1.7164250253197137, 0.9999896607489486)
+    assert abs(r.value - -0.092275211852664199609) <= r.err_bound
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.6, 0.9, 0.97])
+def test_gamma_q_matches_mpmath_qgamma(q):
+    for t in (0.3, 1.7, 4.2, 11.0):
+        r = gamma_q(t, q, TIGHT)
+        with mp.workdps(30):
+            exact = float(mp.qgamma(t, q))
+        assert abs(r.value - exact) <= r.err_bound + 1e-14 * exact
+
+
+@pytest.mark.parametrize("t", [0.4, 2.5, 13.0])
+def test_q_functional_equations_near_q_one(t):
+    # ln Gamma_q(t+1) - ln Gamma_q(t) = ln((1-q^t)/(1-q)) and
+    # psi_q(t+1) - psi_q(t) = -ln q q^t/(1-q^t), at 1 - q = 1e-7
+    q = 1.0 - 1e-7
+    c = -math.log(q)
+    lg, lg1 = log_gamma_q(t, q), log_gamma_q(t + 1.0, q)
+    rounding = 8e-16 * (abs(lg.value) + abs(lg1.value) + 1.0)
+    step = math.log(math.expm1(-c * t) / math.expm1(-c))
+    assert abs(lg1.value - lg.value - step) <= lg.err_bound + lg1.err_bound + rounding
+    ps, ps1 = psi_q(t, q), psi_q(t + 1.0, q)
+    rounding = 8e-16 * (abs(ps.value) + abs(ps1.value) + 1.0)
+    step = c / math.expm1(c * t)
+    assert abs(ps1.value - ps.value - step) <= ps.err_bound + ps1.err_bound + rounding
 
 
 @pytest.mark.parametrize("bad_q", [0.0, 1.0, -0.2, 1.5])

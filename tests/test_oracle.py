@@ -97,6 +97,14 @@ def test_p_family_cross_validates_at_large_p():
         assert oracle.cross_validate(gamma_p(t, p), oracle.gamma_p_hp(t, p), 1e-12)
 
 
+@pytest.mark.parametrize("t, q", [(0.3, 0.99), (2.5, 0.99), (17.9, 0.99), (2.5, 0.999)])
+def test_q_family_cross_validates_near_q_one(t, q):
+    # The raw product and the term-by-term sum take ~35,000 steps at
+    # q = 0.999 (about 4 s), so only one point is checked there.
+    assert oracle.cross_validate(psi_q(t, q).value, oracle.psi_q_hp(t, q), 1e-12)
+    assert oracle.cross_validate(gamma_q(t, q).value, oracle.gamma_q_hp(t, q), 1e-12)
+
+
 @pytest.mark.parametrize("fn", [
     oracle.psi_hp, oracle.gamma_hp,
     lambda t: oracle.psi_p_hp(t, 3), lambda t: oracle.psi_q_hp(t, 0.5),

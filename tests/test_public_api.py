@@ -3,6 +3,8 @@ its module, and every public function stays a function object of its own
 (a wrapper installed on one name, a profiler's say, must not reach another)."""
 
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +48,12 @@ def test_public_functions_are_distinct():
                  if inspect.isfunction(getattr(m, n))]
     assert len(functions) == 5 + 9 + 23
     assert len({id(f) for f in functions}) == len(functions)
+
+
+def test_import_does_not_load_numpy():
+    # numpy is needed only by `eval`'s number format and the selftest's
+    # random stream, which import it themselves.
+    code = "import sys, gammagen, gammagen.cli; print('numpy' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -35,12 +35,21 @@ def test_sweeps_script_writes_nine_passing_reports(tmp_path, capsys, fmt):
             assert obj["summary"]["all_pass"] is True
 
 
-def test_convergence_study_gap_shrinks_along_p(capsys):
+def _table(lines, header, stop):
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == [header])
+    rows = [line.split() for line in lines[start + 1:]]
+    return rows[:next(i for i, row in enumerate(rows) if row[0] == stop)]
+
+
+def test_convergence_study_gap_shrinks_along_p_and_q(capsys):
     assert _load_script("convergence_study").main(["--t", "2.5"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["p"])
-    rows = [line.split() for line in lines[start + 1:]]
-    rows = rows[:next(i for i, row in enumerate(rows) if row[0] == "q")]
+    rows = _table(lines, "p", "q")
     assert [int(row[0]) for row in rows] == [10, 100, 1000, 10**4, 10**6, 10**9]
     gaps = [float(row[2]) for row in rows]
     assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+    rows = _table(lines, "q", "k-reduction:")
+    assert [float(row[0]) for row in rows] == [0.5, 0.9, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9]
+    gaps = [float(row[2]) for row in rows]
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+    assert max(int(row[3]) for row in rows) <= 12
