@@ -1,14 +1,13 @@
 """Classical Gamma and psi (digamma) functions.
 
-The psi evaluator works from the series
+psi(t) is shifted by the recurrence psi(t) = psi(t+n) - sum_{j<n} 1/(t+j)
+until x = t+n >= 10 (at most ten terms at the default tolerance, for every
+t > 0) and then taken from the asymptotic series
 
-    psi(t) = -gamma_E - 1/t + sum_{n>=1} t/(n (n + t)),        t > 0,
+    psi(x) = ln x - 1/(2x) - sum_k B_2k / (2k x^(2k))
 
-summing an initial block of terms directly and closing the remainder with
-an Euler-Maclaurin correction.  The correction's magnitude is bounded
-analytically, so every result carries an a-posteriori error bound.  A bare
-partial sum would need ~t/tol terms to hit the same target, which is why
-the tail is closed analytically instead of truncated.
+through B_14, whose first omitted term bounds the remainder for real x > 0
+and is the reported error bound.  The series also closes gen_gamma's psi_p.
 """
 
 from __future__ import annotations
@@ -100,9 +99,12 @@ def default_series_control() -> SeriesControl:
     (frozen) SeriesControl is returned.
     """
     raw = os.environ.get(MAX_TERMS_ENV_VAR)
-    if raw is not None:
+    if raw is None:
+        return _DEFAULT_CONTROL
+    try:
         return SeriesControl(max_terms=int(raw))
-    return _DEFAULT_CONTROL
+    except ValueError:
+        raise ValueError(f"{MAX_TERMS_ENV_VAR}={raw!r} is not an integer >= 1") from None
 
 
 def _require_positive(name: str, value) -> None:
@@ -130,66 +132,56 @@ def log_gamma(t: float) -> float:
 
 #: Bernoulli numbers B_2, B_4, ..., B_14.
 BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-_EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI, 1))
 
 
-def euler_maclaurin_corrections(odd_derivatives) -> tuple[float, float]:
-    """Bernoulli corrections of the Euler-Maclaurin closure
-
-        sum_{n>=0} f(a+n) = int_a^inf f + f(a)/2 - sum_{k<=K} B_2k/(2k)! f^(2k-1)(a) + R,
-
-    given the odd derivatives f^(1)(a), f^(3)(a), ..., f^(2K-1)(a), K <= 7.
-    Returns the sum of the K corrections and the magnitude of the last one.
-    When f or -f is completely monotone, |R| is at most that magnitude.
-    """
-    total = 0.0
-    for weight, deriv in zip(_EM_WEIGHTS, odd_derivatives):
-        last = weight * deriv
-        total -= last
-    return total, abs(last)
+def _odd_power_series(coeffs, x: float) -> float:
+    """sum_k coeffs[k-1] x^(2k-1), by Horner's rule in x^2."""
+    z = x * x
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc * x
 
 
-# Euler-Maclaurin closure of sum_{n>=a} f(n) with f(x) = 1/x - 1/(x+t):
-#
-#   sum = log1p(t/a) + f(a)/2 - B2/2! f'(a) - B4/4! f'''(a) - B6/6! f^(5)(a) + R
-#
-# f is completely monotone, so |R| <= |B6/6! * f^(5)(a)| = (1/a^6 - 1/(a+t)^6)/252,
-# the magnitude of the last retained correction.  That bound is <= t/(42 a^7).
-_PSI_MIN_TERMS = 8
+#: The asymptotic series of psi and ln Gamma are used only at arguments >= this,
+#: where their first terms omitted after B_14 are below the unit roundoff.
+_ASYMPTOTIC_FROM = 10
+
+_PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
+_PSI_OMITTED = 3617 / 510 / 16  # |B_16|/16: T(x) omits _PSI_OMITTED/x^16 (4.5e-17 at 10)
+
+
+def _psi_tail(r: float) -> float:
+    """T(x) at r = 1/x: T(x) = sum_k B_2k / (2k x^(2k)), so that
+    psi(x) = ln x - 1/(2x) - T(x) + R, where for real x > 0 the remainder R
+    is bounded by the first omitted term, _PSI_OMITTED / x^16."""
+    return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
+
+
+def psi_asymptotic(x: float) -> float:
+    """ln x - 1/(2x) - T(x): psi(x) to rounding for x >= _ASYMPTOTIC_FROM."""
+    r = 1.0 / x
+    return math.log(x) - (0.5 * r + _psi_tail(r))
 
 
 def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
-    """psi(t) from its partial-fraction series, with controlled truncation.
-
-    The block length is chosen so the Euler-Maclaurin remainder bound falls
-    below ``ctrl.tol``; the bound is reported in ``err_bound``.  If
-    ``ctrl.max_terms`` caps the block first, ``converged`` is False.
+    """psi(t) as psi(t+n) - sum_{j<n} 1/(t+j), with psi(x = t+n) from the
+    asymptotic series; n is the shortest shift with x >= 10 whose first
+    omitted term |B_16|/(16 x^16) is below ``ctrl.tol``.  That term is
+    ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` caps the
+    shift first, ``converged`` is False.
     """
     if ctrl is None:
         ctrl = default_series_control()
     _require_positive("t", t)
-
-    # computed in log space so huge t cannot overflow before the 7th root
-    a_needed = math.exp((math.log(t) - math.log(42.0 * ctrl.tol)) / 7.0)
-    n_terms = max(_PSI_MIN_TERMS, math.ceil(min(a_needed, 1e18)))
-    n_terms = min(n_terms, ctrl.max_terms)
-
-    partial = math.fsum([t / (n * (n + t)) for n in range(1, n_terms + 1)])
-
-    a = n_terms + 1.0
-    ia = 1.0 / a
-    ib = 1.0 / (a + t)
-    ia2 = ia * ia
-    ib2 = ib * ib
-    ia4 = ia2 * ia2
-    ib4 = ib2 * ib2
-    # f'(a), f'''(a), f^(5)(a)
-    corr, bound = euler_maclaurin_corrections(
-        (ib2 - ia2, 6.0 * (ib4 - ia4), 120.0 * (ib4 * ib2 - ia4 * ia2)))
-    tail = math.log1p(t / a) + 0.5 * (ia - ib) + corr
-
-    value = -EULER_GAMMA - 1.0 / t + partial + tail
-    return EvalResult(value, bound, n_terms, bound <= ctrl.tol)
+    # computed in log space so a tiny tol cannot overflow; the relative
+    # margin of 1e-9 keeps rounding from leaving the bound just above tol
+    x_needed = math.exp((math.log(_PSI_OMITTED) - math.log(ctrl.tol)) / 16.0 + 1e-9)
+    n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - t, x_needed - t)), ctrl.max_terms)
+    x = t + n
+    bound = _PSI_OMITTED * (1.0 / x) ** 16
+    value = psi_asymptotic(x) - math.fsum([1.0 / (t + j) for j in range(n)])
+    return EvalResult(value, bound, n, bound <= ctrl.tol)
 
 
 def psi(t: float) -> float:

@@ -14,7 +14,7 @@ The p-family costs the same at every p.  By the identities
     psi_p(t)   = ln p - psi(t+p+1) + psi(t),
 
 the first min(p+1, 10) factors (or terms) are summed directly and the rest
-is closed by the Stirling series of ln Gamma and the asymptotic series of
+is closed by the Stirling series of ln Gamma and core_special's asymptotic
 psi, evaluated only at arguments >= 10, where their truncation error is
 below the unit roundoff.  The ln p terms cancel analytically, so no two
 quantities of size p ln p are subtracted, and p enters only through 1/p.
@@ -47,8 +47,11 @@ from .core_special import (
     DomainError,
     EvalResult,
     SeriesControl,
+    _ASYMPTOTIC_FROM,
+    _odd_power_series,
+    _psi_tail,
     default_series_control,
-    euler_maclaurin_corrections,
+    psi_asymptotic,
 )
 
 __all__ = [
@@ -131,36 +134,14 @@ def _check_k(k) -> None:
 # p-family
 # ---------------------------------------------------------------------------
 
-#: Terms of the p-family summed directly; the asymptotic closure starts here.
-_P_DIRECT = 10
-
-# At x >= _P_DIRECT the first terms omitted after B_14,
-# |B_16|/(16*15 x^15) <= 3.0e-17 and |B_16|/(16 x^16) <= 4.5e-17, are below
-# the unit roundoff 2^-53 = 1.1e-16.
 _STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(BERNOULLI, 1))
-_PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
-
-
-def _odd_power_series(coeffs, x: float) -> float:
-    """sum_k coeffs[k-1] x^(2k-1), by Horner's rule in x^2."""
-    z = x * x
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc * x
 
 
 def _stirling_tail(r: float) -> float:
     """S(x) at r = 1/x: S(x) = sum_k B_2k / (2k (2k-1) x^(2k-1)), so that
-    ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x) + R, |R| <= 3.0e-17
-    for x >= _P_DIRECT."""
+    ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x) + R, where |R| is at
+    most the first omitted term |B_16|/(240 x^15) <= 3.0e-17 at x >= 10."""
     return _odd_power_series(_STIRLING, r)
-
-
-def _psi_tail(r: float) -> float:
-    """T(x) at r = 1/x: T(x) = sum_k B_2k / (2k x^(2k)), so that
-    psi(x) = ln x - 1/(2x) - T(x) + R, |R| <= 4.5e-17 for x >= _P_DIRECT."""
-    return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
 
 
 def _log1p_ratio(y: float) -> float:
@@ -187,7 +168,7 @@ def log_gamma_p(t: float, p: int) -> float:
     """
     _check_t(t)
     p = _check_p(p)
-    m = min(p + 1, _P_DIRECT)
+    m = min(p + 1, _ASYMPTOTIC_FROM)
     direct = math.fsum(math.log(t + j) for j in range(m))
     if m == p + 1:
         return math.lgamma(p + 1) + t * math.log(p) - direct
@@ -216,16 +197,15 @@ def psi_p(t: float, p: int) -> float:
     identity psi_p(t) = ln p - psi(t+p+1) + psi(t) closes the rest as
     ln p - psi(x2) + psi(x1) with x1 = t+m, x2 = t+p+1, evaluated as
 
-        -log1p((t+1)/p) + 1/(2 x2) + T(x2) + ln x1 - 1/(2 x1) - T(x1).
+        -log1p((t+1)/p) + 1/(2 x2) + T(x2) + psi_asymptotic(x1).
 
-    T is the asymptotic series of psi truncated after B_14; for real x > 0
-    its remainder is bounded by the first omitted term, which is below
-    4.5e-17 at x >= 10, so the closure is exact to rounding.  As in
-    ``log_gamma_p``, p enters only through 1/p.
+    core_special.psi_asymptotic(x) = ln x - 1/(2x) - T(x), with T the
+    asymptotic series of psi through B_14, is exact to rounding at x >= 10,
+    and so is the closure.  As in ``log_gamma_p``, p enters only through 1/p.
     """
     _check_t(t)
     p = _check_p(p)
-    m = min(p + 1, _P_DIRECT)
+    m = min(p + 1, _ASYMPTOTIC_FROM)
     direct = math.fsum(1.0 / (t + n) for n in range(m))
     if m == p + 1:
         return math.log(p) - direct
@@ -233,8 +213,7 @@ def psi_p(t: float, p: int) -> float:
     y = (t + 1.0) * x
     x1 = t + m
     r2 = x / (1.0 + y)  # 1/x2
-    closure = (-math.log1p(y) + 0.5 * r2 + _psi_tail(r2)
-               + math.log(x1) - 0.5 / x1 - _psi_tail(1.0 / x1))
+    closure = -math.log1p(y) + 0.5 * r2 + _psi_tail(r2) + psi_asymptotic(x1)
     return closure - direct
 
 
@@ -253,6 +232,25 @@ def psi_p(t: float, p: int) -> float:
 # f^(j)(y) = (-c)^j A_j(w) and g^(j)(y) = (-c)^j A_(j-1)(w), where
 # A_j(w(z)) = Li_{-j}(e^(-z)).  As c -> 0, c^j A_j(w(cy)) -> j!/y^(j+1), so
 # the block length the closure needs does not depend on q.
+
+_EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI, 1))
+
+
+def euler_maclaurin_corrections(odd_derivatives) -> tuple[float, float]:
+    """Bernoulli corrections of the Euler-Maclaurin closure
+
+        sum_{n>=0} f(a+n) = int_a^inf f + f(a)/2 - sum_{k<=K} B_2k/(2k)! f^(2k-1)(a) + R,
+
+    given the odd derivatives f^(1)(a), f^(3)(a), ..., f^(2K-1)(a), K <= 7.
+    Returns the sum of the K corrections and the magnitude of the last one.
+    When f or -f is completely monotone, |R| is at most that magnitude.
+    """
+    total = 0.0
+    for weight, deriv in zip(_EM_WEIGHTS, odd_derivatives):
+        last = weight * deriv
+        total -= last
+    return total, abs(last)
+
 
 #: Bernoulli corrections of the q-family closures (B_2 .. B_10).
 _Q_CORRECTIONS = 5
@@ -298,6 +296,11 @@ def _odd_derivatives(powers, c: float, order: int) -> list:
 def _bose(z: float) -> float:
     """w(z) = 1/(e^z - 1), without overflow for large z."""
     return math.exp(-z) / -math.expm1(-z)
+
+
+# Below the smallest normal double c t loses precision and 1/(c t) overflows, so
+# there the j = 0 summands use their limits c w(ct) -> 1/t, ln(1-q^t) -> ln c + ln t.
+_MIN_NORMAL = 2.0 ** -1022
 
 
 def _q_block(lead: float, power: int, x0: float, ctrl: SeriesControl, closure):
@@ -392,7 +395,9 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
     n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), ctrl, closure)
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
     log, expm1 = math.log, math.expm1
-    h = [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(n + 1)]
+    h = [log(expm1(-c) / expm1(-c * t)) if c * t >= _MIN_NORMAL
+         else log(-expm1(-c)) - log(c) - log(t)]
+    h += [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(1, n + 1)]
     value = _log_gamma_q_integral(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
     return EvalResult(value, bound, n, bound <= ctrl.tol)
 
@@ -436,10 +441,11 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     k2 = 2 * _Q_CORRECTIONS
     lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / k2
     n, tail, bound = _q_block(lead, k2, t, ctrl, closure)
-    direct = math.fsum(_bose(c * (t + j)) for j in range(n))
+    first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
+    rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
     # as log1p(-q expm1(-c(a-1))/(1-q)): no cancellation at any q
-    value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * (direct + tail)
+    value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * rest - first
     return EvalResult(value, bound, n, bound <= ctrl.tol)
 
 

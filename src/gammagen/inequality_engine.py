@@ -28,7 +28,7 @@ from .core_special import (
     ToleranceNotMet,
     gamma,
     log_gamma,
-    psi,
+    psi_series,
 )
 from .gen_gamma import (
     KParam,
@@ -218,7 +218,7 @@ def _lemma(fam: Family, x, a: float, b: float, s: float,
     value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
     if fam.s_power:
         value += (a - b) / s
-    return value + a * psi(s) - b * fam.psi(s, x, ctrl)
+    return value + a * _converged_value(psi_series(s, ctrl), "psi") - b * fam.psi(s, x, ctrl)
 
 
 def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float,

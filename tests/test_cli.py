@@ -252,6 +252,23 @@ def test_scan_q_family_converges_near_q_one():
     assert r.stdout.splitlines()[-1].startswith("PASS")
 
 
+def test_scan_p_family_flags_classical_psi_budget(monkeypatch, capsys):
+    # A budget of 2 is below the shift psi(s) needs on s in [2, 3]; the
+    # p-lemma's classical psi once ignored it, so this scan exited 0 while
+    # the same k scan exited 3.
+    monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", "2")
+    assert main(["scan", "--family", "p", "--alpha", "1.5", "--p", "5",
+                 "--grid", "0.5:2:0.5"]) == 3
+    assert "psi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["", "abc"])
+def test_unparsable_max_terms_is_exit_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", raw)
+    assert main(["eval", "psi", "--t", "2.5"]) == 2
+    assert "GAMMA_GEN_MAX_TERMS" in capsys.readouterr().err
+
+
 def test_scan_inadmissible_point_exit_2():
     r = run_cli("scan", "--family", "q", "--alpha", "0.5", "--q", "0.5",
                 "--grid", "0.1:1:0.1")
@@ -271,9 +288,10 @@ def test_selftest_quick_passes_within_budget():
     assert elapsed < 10.0
 
 
-def test_selftest_detects_corrupted_gamma_constant(monkeypatch, capsys):
+def test_selftest_detects_corrupted_psi_coefficients(monkeypatch, capsys):
     from gammagen import core_special, selftest
-    monkeypatch.setattr(core_special, "EULER_GAMMA", 0.578)
+    monkeypatch.setattr(core_special, "_PSI_ASYMPTOTIC",
+                        tuple(1.01 * c for c in core_special._PSI_ASYMPTOTIC))
     lines = []
     code = selftest.run(quick=True, echo=lines.append)
     assert code == 1

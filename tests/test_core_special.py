@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 import numpy as np
 
@@ -76,11 +77,32 @@ def test_psi_series_reports_budget_and_bound():
 
 
 def test_psi_series_tolerance_not_met_is_nonfatal():
+    # A budget of 4 is below the 10-term shift that t = 0.5 needs.
     ctrl = SeriesControl(max_terms=4, tol=1e-15)
-    r = psi_series(50.0, ctrl)
+    r = psi_series(0.5, ctrl)
     assert not r.converged
     assert r.terms_used == 4
     assert r.err_bound > ctrl.tol
+
+
+_T_LOG_SPACED = [10.0 ** (e / 4.0) for e in range(-12, 49)]  # 1e-3 .. 1e12
+
+
+def test_psi_series_terms_bounded():
+    # The recurrence shift reaches x >= 10 in at most ten steps, whatever t.
+    with mp.workdps(30):
+        for t in _T_LOG_SPACED:
+            r = psi_series(t)
+            exact = float(mp.digamma(mpf(t)))
+            assert r.converged and r.terms_used <= 10
+            assert abs(r.value - exact) <= 2e-15 * max(1.0, abs(exact)), t
+
+
+def test_psi_series_meets_a_tolerance_below_the_unit_roundoff():
+    ctrl = SeriesControl(tol=1e-20)
+    for t in _T_LOG_SPACED:
+        r = psi_series(t, ctrl)
+        assert r.converged and r.err_bound <= 1e-20 and r.terms_used <= 20
 
 
 @pytest.mark.parametrize("bad", [0, -3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from gammagen import gen_gamma
+from gammagen import core_special
 from gammagen.core_special import DomainError, SeriesControl
 from gammagen.gen_gamma import (
     KParam,
@@ -65,10 +65,11 @@ def _psi_p_identity(t, p):
         return float(mp.log(p) - mp.digamma(t_ + p + 1) + mp.digamma(t_))
 
 
-@pytest.mark.parametrize("p", [1, 2, *range(gen_gamma._P_DIRECT - 2, gen_gamma._P_DIRECT + 3),
+@pytest.mark.parametrize("p", [1, 2, *range(core_special._ASYMPTOTIC_FROM - 2,
+                                             core_special._ASYMPTOTIC_FROM + 3),
                                100, 10**4, 10**6, 10**7, 10**9, 10**12])
 def test_p_family_matches_identities(p):
-    # p + 1 <= _P_DIRECT sums every term; above it the Stirling closure takes
+    # p + 1 <= _ASYMPTOTIC_FROM sums every term; above it the Stirling closure takes
     # over.  At p = 10**12 a sum over every term could not finish.
     for t in (0.01, 0.5, 1.0, 2.5, 9.7, 33.3, 60.0):
         assert abs(log_gamma_p(t, p) - _log_gamma_p_identity(t, p)) <= 1e-12
@@ -214,6 +215,20 @@ def test_q_family_matches_mpmath_euler_maclaurin(q):
             r = fn(t, q)
             exact = float(ref(t, q))
             assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("fn,t,q", [
+    (psi_q, 1e-300, 1.0 - 1e-12), (log_gamma_q, 1e-300, 1.0 - 1e-12),
+    (log_gamma_q, 5e-324, 0.5),
+    (psi_q, 1e-308, 1.0 - 2.0**-53), (log_gamma_q, 1e-308, 1.0 - 2.0**-53),
+], ids=["psi_q-1e-300", "log_gamma_q-1e-300", "log_gamma_q-5e-324",
+        "psi_q-ct-underflows", "log_gamma_q-ct-underflows"])
+def test_q_family_at_subnormal_ct(fn, t, q):
+    # With c t subnormal, 1/(e^(ct) - 1) once overflowed (psi_q gave -inf,
+    # log_gamma_q +inf), or divided by zero where c t rounds to 0.
+    r = fn(t, q)
+    exact = float((_psi_q_mp if fn is psi_q else _log_gamma_q_mp)(t, q))
+    assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
 
 
 def test_log_gamma_q_within_err_bound_near_q_one():
