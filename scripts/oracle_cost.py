@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Time the eight oracle routines and show the work each call does.
+
+One row per routine and argument set: the arguments are the centres of the
+bands the benchmark's ``oracle_crossval`` workload draws from
+(benchmark/bench_workloads.py).  Each row gives the median wall time of
+five calls (after one untimed call), the terms, factors or quadrature
+nodes the call took, and the digits it certifies.
+
+Usage:
+    python scripts/oracle_cost.py
+"""
+
+import statistics
+import sys
+import time
+
+from gammagen import oracle
+
+CASES = [
+    ("psi_hp", (15.025,)),
+    ("psi_p_hp", (15.025, 900)),
+    ("psi_q_hp", (15.025, 0.6)),
+    ("psi_q_hp", (15.025, 0.905)),
+    ("psi_q_hp", (15.025, 0.9275)),
+    ("psi_q_hp", (15.025, 0.9425)),
+    ("psi_k_hp", (12.525, 5.25)),
+    ("gamma_hp", (2.5,)),
+    ("gamma_hp", (6.0,)),
+    ("gamma_hp", (11.5,)),
+    ("gamma_hp", (22.5,)),
+    ("gamma_p_hp", (12.55, 900)),
+    ("gamma_q_hp", (12.55, 0.6)),
+    ("gamma_q_hp", (12.55, 0.905)),
+    ("gamma_q_hp", (8.0, 0.9665)),
+    ("gamma_k_quad", (3.0, 5.5)),
+    ("gamma_k_quad", (5.5, 5.5)),
+    ("gamma_k_quad", (9.0, 5.5)),
+    ("gamma_k_quad", (13.0, 5.5)),
+]
+REPEATS = 5
+
+
+def main() -> int:
+    print(f"{'routine':<13} {'arguments':<16} {'ms/call':>9} {'terms':>7} {'digits':>6}")
+    total_ms = 0.0
+    for name, args in CASES:
+        routine = getattr(oracle, name)
+        hp = routine(*args)
+        times = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            routine(*args)
+            times.append(time.perf_counter() - start)
+        ms = 1e3 * statistics.median(times)
+        total_ms += ms
+        shown = ", ".join(f"{a:g}" for a in args)
+        print(f"{name:<13} {shown:<16} {ms:>9.3f} {hp.terms_used:>7} {hp.certified_digits:>6}")
+    print(f"total {total_ms:.1f} ms for one call per row")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -164,6 +164,15 @@ def psi_asymptotic(x: float) -> float:
     return math.log(x) - (0.5 * r + _psi_tail(r))
 
 
+def _psi_shift(t: float, log_tol: float, max_terms: int) -> int:
+    """The shortest shift n, at most max_terms, with x = t+n >= 10 whose first
+    omitted term |B_16|/(16 x^16) is below e^log_tol.  Taking the tolerance
+    as a log means that a tiny one can neither overflow nor underflow."""
+    # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
+    x_needed = math.exp((math.log(_PSI_OMITTED) - log_tol) / 16.0 + 1e-9)
+    return min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - t, x_needed - t)), max_terms)
+
+
 def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """psi(t) as psi(t+n) - sum_{j<n} 1/(t+j), with psi(x = t+n) from the
     asymptotic series; n is the shortest shift with x >= 10 whose first
@@ -174,10 +183,7 @@ def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     if ctrl is None:
         ctrl = default_series_control()
     _require_positive("t", t)
-    # computed in log space so a tiny tol cannot overflow; the relative
-    # margin of 1e-9 keeps rounding from leaving the bound just above tol
-    x_needed = math.exp((math.log(_PSI_OMITTED) - math.log(ctrl.tol)) / 16.0 + 1e-9)
-    n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - t, x_needed - t)), ctrl.max_terms)
+    n = _psi_shift(t, math.log(ctrl.tol), ctrl.max_terms)
     x = t + n
     bound = _PSI_OMITTED * (1.0 / x) ** 16
     value = psi_asymptotic(x) - math.fsum([1.0 / (t + j) for j in range(n)])

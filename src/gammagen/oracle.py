@@ -4,13 +4,15 @@ Everything here is deliberately slow and deliberately separate from the
 fast paths: the psi-family series are re-summed in arbitrary precision
 with their own tail closure, the Gamma deformations are evaluated from
 their raw product definitions without log-space tricks, and Gamma and
-Gamma_k come from adaptive quadrature of the defining integrals.  A bug
-shared with the fast evaluators would defeat cross-validation, so no
-evaluation code is shared with ``core_special`` or ``gen_gamma``.
+Gamma_k come from the trapezoid rule on the defining integral, with an
+a-priori error bound.  A bug shared with the fast evaluators would defeat
+cross-validation, so no evaluation code is shared with ``core_special`` or
+``gen_gamma``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,18 +42,21 @@ _SERIES_DPS = 35
 _QUAD_DPS = 30
 _SERIES_TAIL = "1e-25"
 _DPS_MARGIN = 10
+_LIFT_TO = 32
+_QUAD_MAX_NODES = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach its accuracy target in budget."""
+    """The trapezoid rule ran out of nodes before its tails met their target."""
 
 
 @dataclass(frozen=True)
 class HPValue:
-    """Extended-precision value with the number of digits it certifies."""
+    """Extended-precision value, the digits it certifies, the terms it took."""
 
     value: object  # mpmath.mpf
     certified_digits: int
+    terms_used: int = 0
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -60,9 +65,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _digits_from_error(value, err) -> int:
-    """Digits certified by the error estimate err, never more than
-    _DPS_MARGIN below the working precision: a quadrature's own estimate
-    can claim more than the arithmetic carries."""
+    """Digits certified by the error bound err, never more than _DPS_MARGIN
+    below the working precision."""
     cap = mp.dps - _DPS_MARGIN
     if err <= 0:
         return cap
@@ -88,7 +92,7 @@ def _psi_sum_hp(u, target):
     for b2j, two_j in bern:
         deriv = -math.factorial(two_j - 1) * (ia**two_j - ib**two_j)
         tail -= b2j / math.factorial(two_j) * deriv
-    return s + tail
+    return s + tail, n
 
 
 def psi_hp(t) -> HPValue:
@@ -97,8 +101,9 @@ def psi_hp(t) -> HPValue:
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
         target = mpf(_SERIES_TAIL)
-        v = -mpf(EULER_GAMMA_HP) - 1 / t_ + _psi_sum_hp(t_, target)
-        return HPValue(v, _digits_from_error(v, target))
+        s, n = _psi_sum_hp(t_, target)
+        v = -mpf(EULER_GAMMA_HP) - 1 / t_ + s
+        return HPValue(v, _digits_from_error(v, target), n)
 
 
 def psi_p_hp(t, p) -> HPValue:
@@ -107,15 +112,13 @@ def psi_p_hp(t, p) -> HPValue:
     _require(p >= 1, f"p must be >= 1 (got {p})")
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
-        s = mpf(0)
-        for n in range(int(p) + 1):
-            s += 1 / (n + t_)
-        v = mp.log(p) - s
-        return HPValue(v, _SERIES_DPS - 5)
+        v = mp.log(p) - mp.fsum([1 / (t_ + n) for n in range(int(p) + 1)])
+        return HPValue(v, _SERIES_DPS - 5, int(p) + 1)
 
 
 def psi_q_hp(t, q) -> HPValue:
-    """psi_q(t) summed term by term until the geometric tail is < 1e-25."""
+    """psi_q(t) summed term by term until the geometric tail, which grows with
+    x = q^(t+n), is < 1e-25: until x < c/(1+c), c = 1e-25 (1-q)/(-ln q)."""
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
@@ -123,15 +126,17 @@ def psi_q_hp(t, q) -> HPValue:
         q_ = mpf(q)
         target = mpf(_SERIES_TAIL)
         lnq = mp.log(q_)
+        c = target * (1 - q_) / -lnq
+        x_stop = c / (1 + c)
         s = mpf(0)
         x = q_**t_
-        while True:
+        for n in itertools.count(1):
             s += x / (1 - x)
             x *= q_
-            if -lnq * x / ((1 - q_) * (1 - x)) < target:
+            if x < x_stop:
                 break
         v = -mp.log(1 - q_) + lnq * s
-        return HPValue(v, _digits_from_error(v, target))
+        return HPValue(v, _digits_from_error(v, target), n)
 
 
 def psi_k_hp(t, k) -> HPValue:
@@ -142,30 +147,14 @@ def psi_k_hp(t, k) -> HPValue:
         t_ = mpf(t)
         k_ = mpf(k)
         target = mpf(_SERIES_TAIL)
-        u = t_ / k_
-        v = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_ - 1 / t_ \
-            + _psi_sum_hp(u, target * k_) / k_
-        return HPValue(v, _digits_from_error(v, target))
+        s, n = _psi_sum_hp(t_ / k_, target * k_)
+        v = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_ - 1 / t_ + s / k_
+        return HPValue(v, _digits_from_error(v, target), n)
 
 
 def gamma_hp(t) -> HPValue:
-    """Gamma(t) by adaptive quadrature of its defining integral.
-
-    The integral is split at the integrand mode; on the left piece the
-    substitution x = c u^(1/t) removes the x^(t-1) endpoint singularity so
-    the rule converges at full precision for every t > 0.
-    """
-    _require(t > 0, f"t must be > 0 (got {t})")
-    with mp.workdps(_QUAD_DPS):
-        t_ = mpf(t)
-        c = max(mpf(1), t_ - 1)
-        scale = c**t_ / t_
-        left, el = mp.quad(
-            lambda u: mp.exp(-c * u ** (1 / t_)), [0, 1], error=True)
-        right, er = mp.quad(
-            lambda x: mp.exp(-x) * x ** (t_ - 1), [c, mp.inf], error=True)
-        v = scale * left + right
-        return HPValue(v, _digits_from_error(v, scale * el + er))
+    """Gamma(t) as Gamma_k(t) at k = 1, by ``_gamma_k_trapezoid``."""
+    return _gamma_k_trapezoid(t, 1)
 
 
 def gamma_p_hp(t, p) -> HPValue:
@@ -174,65 +163,111 @@ def gamma_p_hp(t, p) -> HPValue:
     _require(p >= 1, f"p must be >= 1 (got {p})")
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
-        denom = mpf(1)
-        for n in range(int(p) + 1):
-            denom *= t_ + n
+        denom = mp.fprod([t_ + n for n in range(int(p) + 1)])
         v = mp.factorial(int(p)) * mpf(p) ** t_ / denom
-        return HPValue(v, _SERIES_DPS - 5)
+        return HPValue(v, _SERIES_DPS - 5, int(p) + 1)
 
 
 def gamma_q_hp(t, q) -> HPValue:
-    """Gamma_q(t) as the raw infinite product, truncated below 1e-25."""
+    """Gamma_q(t) as the raw infinite product, truncated after the first n
+    factors, n >= 1 the least with coeff q^n/(1-q) < 1e-25."""
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
         q_ = mpf(q)
         target = mpf(_SERIES_TAIL)
-        prod = mpf(1)
         num = q_          # q^(n+1)
         den = q_**t_      # q^(t+n)
         coeff = abs(q_ - den) / (1 - (q_ if t_ >= 1 else den))
-        n = 0
-        while True:
-            prod *= (1 - num) / (1 - den)
+        n = max(1, int(mp.ceil(mp.log(target * (1 - q_) / coeff, q_)))) if coeff else 1
+        prod_num = prod_den = mpf(1)
+        for _ in range(n):
+            prod_num *= 1 - num
+            prod_den *= 1 - den
             num *= q_
             den *= q_
-            n += 1
-            if coeff * q_**n / (1 - q_) < target:
-                break
-        v = (1 - q_) ** (1 - t_) * prod
-        return HPValue(v, _digits_from_error(v, abs(v) * target))
+        v = (1 - q_) ** (1 - t_) * prod_num / prod_den
+        return HPValue(v, _digits_from_error(v, abs(v) * target), n)
 
 
 def gamma_k_quad(t, k) -> HPValue:
-    """Gamma_k(t) by adaptive quadrature of exp(-x^k/k) x^(t-1) on (0, inf).
+    """Gamma_k(t) by ``_gamma_k_trapezoid``."""
+    return _gamma_k_trapezoid(t, k)
 
-    Split at the integrand mode x* = (k(t-1))^(1/k) for t > 1 (else at 1),
-    with the same singularity-removing substitution on the left piece.
-    Raises ConvergenceError if refinement exhausts its budget before the
-    1e-15 relative target.
+
+def _gamma_k_trapezoid(t, k) -> HPValue:
+    """Gamma_k(t) = integral_0^inf x^(t-1) exp(-x^k/k) dx by the trapezoid
+    rule, with an a-priori error bound.
+
+    The functional equation Gamma_k(t+k) = t Gamma_k(t) first lifts t until
+    u = t/k >= _LIFT_TO: the node count depends on u alone and falls as u
+    grows, so a few multiplications save nodes.  With x = e^s and
+    s = (ln t)/k + sigma, which puts the integrand's peak at sigma = 0,
+
+        Gamma_k(t) = exp(u (ln t - 1)) integral g(sigma) d sigma,
+        g(sigma) = exp(u (k sigma - (e^(k sigma) - 1))),
+
+    over the real line.  g is analytic in the strip |Im sigma| < pi/(2k),
+    and on the line Im sigma = d the integral of |g| is the real-line
+    integral times cos(kd)^(-u).  So the trapezoid rule with step h errs by
+    at most 2 cos(kd)^(-u) / (e^(2 pi d/h) - 1), relative (Trefethen and
+    Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+    56 (2014), Thm 5.1); d and h are chosen to make that bound 1e-25/2.
+
+    The nodes walk out from the peak, each side with one mp.exp per node:
+    e^(k sigma_j) comes from a geometric recurrence.  On each side the
+    ratio of neighbouring nodes falls outward, so once a node g is below
+    its predecessor g' the rest of that side sums to at most
+    g^2/(g' - g); a side stops when twice that is below 1e-25/8 (g(0) = 1
+    and the sum is at least 1, so the tails are relative).
+    ``certified_digits`` counts the aliasing bound, both tails and a
+    rounding allowance for the recurrences, the exponents and the lift.
+    Raises ConvergenceError if a side needs more than _QUAD_MAX_NODES nodes.
     """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(k > 0, f"k must be > 0 (got {k})")
-    for dps, maxdegree in ((_QUAD_DPS, 6), (_QUAD_DPS + 10, 8)):
-        with mp.workdps(dps):
-            t_ = mpf(t)
-            k_ = mpf(k)
-            c = (k_ * (t_ - 1)) ** (1 / k_) if t_ > 1 else mpf(1)
-            scale = c**t_ / t_
-            left, el = mp.quad(
-                lambda u: mp.exp(-((c * u ** (1 / t_)) ** k_) / k_),
-                [0, 1], error=True, maxdegree=maxdegree)
-            right, er = mp.quad(
-                lambda x: mp.exp(-(x**k_) / k_) * x ** (t_ - 1),
-                [c, mp.inf], error=True, maxdegree=maxdegree)
-            v = scale * left + right
-            err = scale * el + er
-            if err <= abs(v) * mpf("1e-16"):
-                return HPValue(v, _digits_from_error(v, err))
-    raise ConvergenceError(
-        f"gamma_k_quad(t={t}, k={k}) did not reach 1e-15 relative accuracy")
+    # the exponents are of size u = t/k and needed to _QUAD_DPS digits
+    # after the point, so the working precision adds the digits of t/k
+    with mp.workdps(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k)))):
+        t_, k_, target = mpf(t), mpf(k), mpf(_SERIES_TAIL)
+        lift, m = mpf(1), 0
+        while t_ < _LIFT_TO * k_:
+            lift *= t_
+            t_ += k_
+            m += 1
+        u = t_ / k_
+        # the strip angle theta = kd that allows the longest step; it lies
+        # a little below sqrt(2 lam/u), where that is below pi/2
+        lam, uf = math.log(4 / float(target)), min(float(u), 1e300)
+        theta0 = min(1.55, math.sqrt(2 * lam) * math.exp(-float(mp.log(u)) / 2))
+        theta = mpf(max((theta0 * 2 ** (-i / 4) for i in range(12)),
+                        key=lambda a: a / (lam - uf * math.log(math.cos(a)))))
+        sec_u = mp.cos(theta) ** -u
+        kh = 2 * mp.pi * theta / (lam + mp.log(sec_u))  # k times the step h
+        err = 2 * sec_u / mp.expm1(2 * mp.pi * theta / kh)
+        total, nodes = mpf(1), 1
+        work = (m + 1) * (u * (abs(mp.log(t_)) + 1) + 1)
+        for sign in (1, -1):
+            a, w, da, b, g_prev = mpf(0), u, sign * u * kh, mp.exp(sign * kh), mpf(1)
+            for j in range(1, _QUAD_MAX_NODES + 1):
+                a += da            # u k sigma_j
+                w *= b             # u e^(k sigma_j)
+                g = mp.exp(a - w + u)
+                total += g
+                if g < g_prev and 2 * g * g < target / 8 * (g_prev - g):
+                    break
+                g_prev = g
+            else:
+                raise ConvergenceError(f"Gamma_k(t={t}, k={k}) needs more than "
+                                       f"{_QUAD_MAX_NODES} nodes on one side")
+            err += 2 * g * g / (g_prev - g)
+            work += j * (abs(a) + w + 1)
+            nodes += j
+        v = mp.exp(u * (mp.log(t_) - 1)) * kh / k_ * total / lift
+        err += 8 * mp.eps * work
+    with mp.workdps(_QUAD_DPS):
+        return HPValue(v, _digits_from_error(v, v * err), nodes)
 
 
 def cross_validate(fast_value: float, hp: HPValue, rel_tol: float) -> bool:

@@ -45,6 +45,13 @@ def test_eval_psi_reports_err_bound():
     assert "terms_used" in lines[1]
 
 
+def test_eval_psi_k_at_smallest_subnormal_k():
+    # tol*k underflowed to 0 here and was rejected as an invalid tolerance
+    r = run_cli("eval", "psi_k", "--t", "1", "--k", "1e-320")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "-0.5000000000000000"
+
+
 def test_eval_domain_error_names_hypothesis():
     r = run_cli("eval", "gamma_q", "--t", "1", "--q", "1.5")
     assert r.returncode == 2

@@ -396,6 +396,18 @@ def test_log_gamma_k_derivative_is_psi_k():
         assert abs(fd - psi_k(t, k).value) < 1e-6
 
 
+@pytest.mark.parametrize("t, k", [(t, k) for k in (1e-6, 1e-9, 1e-305) for t in (0.5, 1.0, 2.5)]
+                         + [(1.0, 1e-320)])
+def test_psi_k_small_k_matches_mpmath(t, k):
+    # (ln k + psi(t/k))/k at 40 significant digits; the working precision
+    # adds the digits that ln k and psi(t/k) lose to cancellation.
+    r = psi_k(t, k)
+    with mp.workdps(40 + math.ceil(-math.log10(k))):
+        ref = (mp.log(k) + mp.digamma(mpf(t) / k)) / k
+        assert r.converged and r.err_bound <= core_special.DEFAULT_TOL
+        assert abs(r.value - ref) <= r.err_bound + 4 * 2.0**-53 * max(abs(ref), 1)
+
+
 def test_psi_k_series_matches_closed_form():
     # (1/k) psi(t/k) + ln(k)/k is an implementer-derived closed form that
     # must agree with the direct series summation.

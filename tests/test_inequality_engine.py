@@ -281,29 +281,29 @@ def test_sandwich_q_stress_near_one():
 
 
 def test_sandwich_matches_hp_reference():
-    mp.dps = 40
-    gp = GenParams(1.3, 0.7, 1.5, 0.8)
-    for t in (0.1, 0.5, 0.9):
-        rep_p = check_sandwich_p(gp, 7, [t])[0]
-        lo, mi, up = p_bounds(mpf("1.3"), mpf("0.7"), mpf("1.5"), mpf("0.8"),
-                              7, mpf(repr(t)))
-        assert abs(mpf(rep_p.lower) - lo) / lo < 1e-12
-        assert abs(mpf(rep_p.middle) - mi) / mi < 1e-12
-        assert abs(mpf(rep_p.upper) - up) / up < 1e-12
+    with mp.workdps(40):
+        gp = GenParams(1.3, 0.7, 1.5, 0.8)
+        for t in (0.1, 0.5, 0.9):
+            rep_p = check_sandwich_p(gp, 7, [t])[0]
+            lo, mi, up = p_bounds(mpf("1.3"), mpf("0.7"), mpf("1.5"), mpf("0.8"),
+                                  7, mpf(repr(t)))
+            assert abs(mpf(rep_p.lower) - lo) / lo < 1e-12
+            assert abs(mpf(rep_p.middle) - mi) / mi < 1e-12
+            assert abs(mpf(rep_p.upper) - up) / up < 1e-12
 
-        rep_q = check_sandwich_q(gp, 0.35, [t])[0]
-        lo, mi, up = q_bounds(mpf("1.3"), mpf("0.7"), mpf("1.5"), mpf("0.8"),
-                              mpf("0.35"), mpf(repr(t)))
-        assert abs(mpf(rep_q.lower) - lo) / lo < 1e-11
-        assert abs(mpf(rep_q.middle) - mi) / mi < 1e-11
-        assert abs(mpf(rep_q.upper) - up) / up < 1e-11
+            rep_q = check_sandwich_q(gp, 0.35, [t])[0]
+            lo, mi, up = q_bounds(mpf("1.3"), mpf("0.7"), mpf("1.5"), mpf("0.8"),
+                                  mpf("0.35"), mpf(repr(t)))
+            assert abs(mpf(rep_q.lower) - lo) / lo < 1e-11
+            assert abs(mpf(rep_q.middle) - mi) / mi < 1e-11
+            assert abs(mpf(rep_q.upper) - up) / up < 1e-11
 
-        rep_k = check_sandwich_k(GenParams(2.0, 1.0, 1.5, 0.5), 3.0, [t])[0]
-        lo, mi, up = k_bounds(mpf(2), mpf(1), mpf("1.5"), mpf("0.5"),
-                              mpf(3), mpf(repr(t)))
-        assert abs(mpf(rep_k.lower) - lo) / lo < 1e-12
-        assert abs(mpf(rep_k.middle) - mi) / mi < 1e-12
-        assert abs(mpf(rep_k.upper) - up) / up < 1e-12
+            rep_k = check_sandwich_k(GenParams(2.0, 1.0, 1.5, 0.5), 3.0, [t])[0]
+            lo, mi, up = k_bounds(mpf(2), mpf(1), mpf("1.5"), mpf("0.5"),
+                                  mpf(3), mpf(repr(t)))
+            assert abs(mpf(rep_k.lower) - lo) / lo < 1e-12
+            assert abs(mpf(rep_k.middle) - mi) / mi < 1e-12
+            assert abs(mpf(rep_k.upper) - up) / up < 1e-12
 
 
 # ---------------------------------------------------------------------------

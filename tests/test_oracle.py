@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -21,8 +24,8 @@ def test_psi_k_hp_reduces_to_psi_hp():
 
 def test_psi_q_hp_frozen_regression():
     # Frozen after the first certified run of this evaluator.
-    frozen = mpf("0.2726181462038995296324951910518")
     with mp.workdps(40):
+        frozen = mpf("0.2726181462038995296324951910518")
         assert abs(oracle.psi_q_hp(2.0, 0.5).value - frozen) < mpf("1e-23")
 
 
@@ -82,12 +85,65 @@ def test_certified_digits_floor():
         assert hp.certified_digits >= 15
 
 
-@pytest.mark.parametrize("t", [2.3, 16.05, 27.26] + [0.5 + 1.25 * i for i in range(24)])
+# The working precision of the quadrature less the margin the oracle keeps.
+QUAD_DIGITS_CAP = oracle._QUAD_DPS - oracle._DPS_MARGIN
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2, 2.3, 16.05, 27.26, 60.0]
+                         + [0.5 + 1.25 * i for i in range(48)])
 def test_gamma_hp_meets_its_certified_digits(t):
     hp = oracle.gamma_hp(t)
+    assert 15 <= hp.certified_digits <= QUAD_DIGITS_CAP
     with mp.workdps(50):
         ref = mp.gamma(mpf(t))
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
+
+
+@pytest.mark.parametrize("k", [0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0])
+def test_gamma_k_quad_meets_its_certified_digits(t, k):
+    # gamma_hp is the k = 1 case of the same routine, so this identity,
+    # evaluated by mpmath, is the independent check of both.
+    hp = oracle.gamma_k_quad(t, k)
+    assert 15 <= hp.certified_digits <= QUAD_DIGITS_CAP
+    with mp.workdps(50):
+        ref = mpf(k) ** (mpf(t) / k - 1) * mp.gamma(mpf(t) / k)
+        assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
+
+
+def test_trapezoid_node_budget_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_QUAD_MAX_NODES", 5)
+    with pytest.raises(oracle.ConvergenceError):
+        oracle.gamma_k_quad(2.5, 2.0)
+    with pytest.raises(oracle.ConvergenceError):
+        oracle.gamma_hp(2.5)
+
+
+@pytest.mark.parametrize("fn, args, frozen", [
+    (oracle.gamma_q_hp, (7.19, 0.9667), "788.60624423327024809666007548341038"),
+    (oracle.gamma_q_hp, (2.5, 0.999), "1.3290910909710058140437494339155734"),
+    (oracle.psi_q_hp, (3.14, 0.9429), "0.92925280304561877805705026156703053"),
+])
+def test_q_oracle_truncation_frozen(fn, args, frozen):
+    # 35-digit values of the step-by-step products and sums: the stop
+    # index and threshold computed up front must keep the same terms.
+    with mp.workdps(40):
+        ref = mpf(frozen)
+        assert abs(fn(*args).value - ref) <= mpf("1e-25") * max(abs(ref), 1)
+
+
+def test_oracle_imports_nothing_that_evaluates():
+    # The oracle must never share evaluation code with the fast paths: the
+    # only name it takes from the package is the DomainError exception.
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level
+                                                 or "gammagen" in (node.module or "")):
+            taken |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any("gammagen" in alias.name for alias in node.names)
+    assert taken == {("core_special", "DomainError")}
 
 
 def test_p_family_cross_validates_at_large_p():
@@ -99,8 +155,9 @@ def test_p_family_cross_validates_at_large_p():
 
 @pytest.mark.parametrize("t, q", [(0.3, 0.99), (2.5, 0.99), (17.9, 0.99), (2.5, 0.999)])
 def test_q_family_cross_validates_near_q_one(t, q):
-    # The raw product and the term-by-term sum take ~35,000 steps at
-    # q = 0.999 (about 4 s), so only one point is checked there.
+    # The raw product and the term-by-term sum take ~65,000 and ~58,000
+    # steps at q = 0.999 (about 1 s together), so only one point is
+    # checked there.
     assert oracle.cross_validate(psi_q(t, q).value, oracle.psi_q_hp(t, q), 1e-12)
     assert oracle.cross_validate(gamma_q(t, q).value, oracle.gamma_q_hp(t, q), 1e-12)
 

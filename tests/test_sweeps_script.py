@@ -53,3 +53,19 @@ def test_convergence_study_gap_shrinks_along_p_and_q(capsys):
     gaps = [float(row[2]) for row in rows]
     assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
     assert max(int(row[3]) for row in rows) <= 12
+
+
+def test_oracle_cost_times_every_routine(capsys):
+    module = _load_script("oracle_cost")
+    assert module.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["routine", "arguments", "ms/call", "terms", "digits"]
+    assert lines[-1].startswith("total ")
+    rows = [line.split() for line in lines[1:-1]]
+    assert len(rows) == len(module.CASES)
+    assert {row[0] for row in rows} == {
+        "psi_hp", "psi_p_hp", "psi_q_hp", "psi_k_hp",
+        "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad"}
+    for row in rows:
+        ms, terms, digits = float(row[-3]), int(row[-2]), int(row[-1])
+        assert ms > 0 and terms >= 1 and digits >= 15
