@@ -7,7 +7,8 @@ t > 0) and then taken from the asymptotic series
     psi(x) = ln x - 1/(2x) - sum_k B_2k / (2k x^(2k))
 
 through B_14, whose first omitted term bounds the remainder for real x > 0
-and is the reported error bound.  The series also closes gen_gamma's psi_p.
+and is the reported error bound.  The same routine, scaled by k, is
+gen_gamma's psi_k, and the series also closes gen_gamma's psi_p.
 """
 
 from __future__ import annotations
@@ -149,6 +150,7 @@ _ASYMPTOTIC_FROM = 10
 
 _PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
 _PSI_OMITTED = 3617 / 510 / 16  # |B_16|/16: T(x) omits _PSI_OMITTED/x^16 (4.5e-17 at 10)
+_LOG_PSI_OMITTED = math.log(_PSI_OMITTED)
 
 
 def _psi_tail(r: float) -> float:
@@ -158,19 +160,42 @@ def _psi_tail(r: float) -> float:
     return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
 
 
-def psi_asymptotic(x: float) -> float:
-    """ln x - 1/(2x) - T(x): psi(x) to rounding for x >= _ASYMPTOTIC_FROM."""
-    r = 1.0 / x
-    return math.log(x) - (0.5 * r + _psi_tail(r))
+def psi_asymptotic(y: float, k: float = 1.0) -> float:
+    """(ln k + psi(x))/k at x = y/k by the asymptotic series, formed as
+    ln(y)/k - 1/(2y) - T(x)/k so that no term of size ln(1/k)/k cancels when
+    k is small.  At the default k = 1 this is ln x - 1/(2x) - T(x): psi(x)
+    to rounding for x >= _ASYMPTOTIC_FROM."""
+    return math.log(y) / k - (0.5 / y + _psi_tail(k / y) / k)
 
 
-def _psi_shift(t: float, log_tol: float, max_terms: int) -> int:
-    """The shortest shift n, at most max_terms, with x = t+n >= 10 whose first
-    omitted term |B_16|/(16 x^16) is below e^log_tol.  Taking the tolerance
-    as a log means that a tiny one can neither overflow nor underflow."""
+def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
+    """(ln k + psi(u))/k at u = t/k, which is psi_k(t) and at k = 1 psi(t).
+
+    psi(u) is shifted by the recurrence to x = u+n, so that
+
+        (ln k + psi(u))/k = psi_asymptotic(t + nk, k) - sum_{j<n} 1/(t + jk),
+
+    with n the shortest shift, at most ``ctrl.max_terms``, with x >= 10
+    whose first omitted term |B_16|/(16 x^16), divided by k, is below
+    ``ctrl.tol``.  That term is err_bound (the value is otherwise exact to
+    rounding) and n is terms_used; if the cap shortens the shift, converged
+    is False.  Tolerance and k enter the sizing as logs, so a tiny one can
+    neither overflow nor underflow.  At a subnormal k, t/k may overflow to
+    inf, which asks for no shift, and what underflows (1/x and err_bound)
+    lies far below the rounding of the value.  Raises OverflowError when
+    the value exceeds the double range.
+    """
+    u = t / k
     # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
-    x_needed = math.exp((math.log(_PSI_OMITTED) - log_tol) / 16.0 + 1e-9)
-    return min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - t, x_needed - t)), max_terms)
+    x_needed = math.exp((_LOG_PSI_OMITTED - math.log(ctrl.tol) - math.log(k)) / 16.0 + 1e-9)
+    n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u)), ctrl.max_terms)
+    y = t + n * k
+    r = k / y  # 1/x
+    bound = _PSI_OMITTED * r**15 / y
+    value = psi_asymptotic(y, k) - math.fsum([1.0 / (t + j * k) for j in range(n)])
+    if not math.isfinite(value):
+        raise OverflowError(f"(ln k + psi(t/k))/k at t = {t}, k = {k} exceeds the double range")
+    return EvalResult(value, bound, n, bound <= ctrl.tol)
 
 
 def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -178,16 +203,12 @@ def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     asymptotic series; n is the shortest shift with x >= 10 whose first
     omitted term |B_16|/(16 x^16) is below ``ctrl.tol``.  That term is
     ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` caps the
-    shift first, ``converged`` is False.
+    shift first, ``converged`` is False.  This is ``_psi_scaled`` at k = 1.
     """
     if ctrl is None:
         ctrl = default_series_control()
     _require_positive("t", t)
-    n = _psi_shift(t, math.log(ctrl.tol), ctrl.max_terms)
-    x = t + n
-    bound = _PSI_OMITTED * (1.0 / x) ** 16
-    value = psi_asymptotic(x) - math.fsum([1.0 / (t + j) for j in range(n)])
-    return EvalResult(value, bound, n, bound <= ctrl.tol)
+    return _psi_scaled(t, 1.0, ctrl)
 
 
 def psi(t: float) -> float:

@@ -41,17 +41,14 @@ import operator
 from dataclasses import dataclass
 from typing import Union
 
-from . import core_special
 from .core_special import (
     BERNOULLI,
     DomainError,
     EvalResult,
     SeriesControl,
     _ASYMPTOTIC_FROM,
-    _PSI_ASYMPTOTIC,
-    _PSI_OMITTED,
     _odd_power_series,
-    _psi_shift,
+    _psi_scaled,
     _psi_tail,
     default_series_control,
     psi_asymptotic,
@@ -480,28 +477,14 @@ def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """psi_k(t) = (ln k + psi(t/k))/k, the logarithmic derivative of the
     identity Gamma_k(t) = k^(t/k - 1) Gamma(t/k).
 
-    psi(u), u = t/k, is taken as core_special.psi_series takes it: shifted by
-    the recurrence to x = u+n and closed by the asymptotic series.  Then
-    ln k + ln x is formed as ln y with y = kx = t + nk, and every term is
-    divided by k before it is summed:
-
-        psi_k(t) = ln(y)/k - (1/2 + x T(x))/y - sum_{j<n} 1/(t + jk),
-
-    so nothing of size ln(1/k)/k cancels when k is small.  The shift is the
-    one whose first omitted term, divided by k, meets ``ctrl.tol``; that
-    term is err_bound (the value is otherwise exact to rounding), and
-    terms_used and converged are as in psi_series.  At a subnormal k, t/k
-    may overflow to inf, which asks for no shift, and what underflows
-    (1/x and err_bound) lies far below the rounding of the value.
+    The sum is core_special's psi_series at u = t/k with every term divided
+    by k before it is summed, so nothing of size ln(1/k)/k cancels when k
+    is small, and the shift is sized so that err_bound meets ``ctrl.tol``
+    after the division.  Raises OverflowError when the value exceeds the
+    double range, as ln(t)/k does at t != 1 and a subnormal k.
     """
     if ctrl is None:
         ctrl = default_series_control()
     _check_t(t)
     _check_k(k)
-    n = _psi_shift(t / k, math.log(ctrl.tol) + math.log(k), ctrl.max_terms)
-    y = t + n * k
-    r = k / y  # 1/x
-    bound = _PSI_OMITTED * r**15 / y
-    value = (math.log(y) / k - (0.5 + _odd_power_series(_PSI_ASYMPTOTIC, r)) / y
-             - math.fsum([1.0 / (t + j * k) for j in range(n)]))
-    return EvalResult(value, bound, n, bound <= ctrl.tol)
+    return _psi_scaled(t, k, ctrl)

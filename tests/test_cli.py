@@ -52,6 +52,13 @@ def test_eval_psi_k_at_smallest_subnormal_k():
     assert r.stdout.splitlines()[0] == "-0.5000000000000000"
 
 
+def test_eval_psi_k_beyond_double_range_is_domain_error():
+    # about ln(0.5)/1e-320 = -6.9e319: reported as exit 2, never as -inf
+    r = run_cli("eval", "psi_k", "--t", "0.5", "--k", "1e-320")
+    assert r.returncode == 2
+    assert "exceeds the double range" in r.stderr
+
+
 def test_eval_domain_error_names_hypothesis():
     r = run_cli("eval", "gamma_q", "--t", "1", "--q", "1.5")
     assert r.returncode == 2
