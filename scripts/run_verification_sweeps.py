@@ -11,10 +11,9 @@ import argparse
 import pathlib
 import sys
 
-from gammagen.cli import (SweepConfig, parse_grid_spec, render_reports_csv,
-                          render_reports_json)
+from gammagen.cli import (parse_grid_spec, render_reports_csv,
+                          render_reports_json, report_config)
 from gammagen.core_special import DEFAULT_TOL
-from gammagen.gen_gamma import KParam, PParam, QParam
 from gammagen.inequality_engine import (
     DEFAULT_TOL_REPORT,
     GenParams,
@@ -31,15 +30,15 @@ SANDWICH_GRID = parse_grid_spec(SANDWICH_GRID_SPEC)
 SCAN_GRID = tuple(0.01 + 0.01 * i for i in range(500))
 
 BATTERY = [
-    ("p", GenParams(1.0, 1.0, 1.5, 1.0), PParam(5)),
-    ("p", GenParams(2.0, 0.5, 1.0, 0.7), PParam(50)),
-    ("p", GenParams(0.4, 1.8, 2.2, 1.3), PParam(1)),
-    ("q", GenParams(1.0, 1.0, 1.5, 1.0), QParam(0.5)),
-    ("q", GenParams(1.2, 0.7, 1.0, 0.9), QParam(0.9)),
-    ("q", GenParams(0.5, 2.0, 3.0, 1.0), QParam(0.1)),
-    ("k", GenParams(1.0, 1.0, 1.5, 1.0), KParam(1.0)),
-    ("k", GenParams(2.0, 1.0, 1.5, 0.5), KParam(3.0)),
-    ("k", GenParams(3.0, 0.3, 0.8, 1.1), KParam(8.0)),
+    ("p", GenParams(1.0, 1.0, 1.5, 1.0), 5),
+    ("p", GenParams(2.0, 0.5, 1.0, 0.7), 50),
+    ("p", GenParams(0.4, 1.8, 2.2, 1.3), 1),
+    ("q", GenParams(1.0, 1.0, 1.5, 1.0), 0.5),
+    ("q", GenParams(1.2, 0.7, 1.0, 0.9), 0.9),
+    ("q", GenParams(0.5, 2.0, 3.0, 1.0), 0.1),
+    ("k", GenParams(1.0, 1.0, 1.5, 1.0), 1.0),
+    ("k", GenParams(2.0, 1.0, 1.5, 0.5), 3.0),
+    ("k", GenParams(3.0, 0.3, 0.8, 1.1), 8.0),
 ]
 
 
@@ -56,15 +55,13 @@ def main(argv=None) -> int:
     print(f"{'sweep':<28} {'sandwich':>12} {'min margin':>12} {'scan fwd':>12}")
     for i, (family, gp, param) in enumerate(BATTERY):
         rows = check_sandwich(family, gp, param, SANDWICH_GRID, DEFAULT_TOL_REPORT)
-        config = SweepConfig(
-            family=family, gen_params=gp, family_param=param,
-            grid=SANDWICH_GRID, grid_spec=SANDWICH_GRID_SPEC, seed=0,
-            tol=DEFAULT_TOL, tol_report=DEFAULT_TOL_REPORT,
-            output_path=None, format=args.format)
         name = f"sweep{i:02d}_{family}"
         path = outdir / f"{name}.{args.format}"
         content = (render_reports_csv(rows) if args.format == "csv"
-                   else render_reports_json(config, rows))
+                   else render_reports_json(report_config(
+                       family, gp, param, SANDWICH_GRID_SPEC, SANDWICH_GRID, seed=0,
+                       tol=DEFAULT_TOL, tol_report=DEFAULT_TOL_REPORT,
+                       fmt=args.format), rows))
         path.write_text(content)
 
         fn, ld = family_callables(family, gp, param)

@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 
 from . import selftest as selftest_mod
 from .core_special import (
@@ -20,12 +19,12 @@ from .core_special import (
     EvalResult,
     SeriesControl,
     ToleranceNotMet,
+    _require_positive,
     default_series_control,
     gamma,
     psi_series,
 )
 from .gen_gamma import (
-    FamilyParam,
     gamma_k,
     gamma_p,
     gamma_q,
@@ -35,7 +34,6 @@ from .gen_gamma import (
 )
 from .inequality_engine import (
     DEFAULT_TOL_REPORT,
-    FAMILIES,
     GenParams,
     check_sandwich,
     family_callables,
@@ -58,36 +56,13 @@ CSV_COLUMNS = ("t", "lower", "middle", "upper",
                "lower_margin", "upper_margin", "strict", "pass")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Everything that determines one verification or scan sweep."""
-
-    family: str
-    gen_params: GenParams
-    family_param: FamilyParam
-    grid: tuple
-    grid_spec: str
-    seed: int
-    tol: float
-    tol_report: float
-    output_path: str | None
-    format: str
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "a": self.gen_params.a,
-            "b": self.gen_params.b,
-            "alpha": self.gen_params.alpha,
-            "beta": self.gen_params.beta,
-            self.family: getattr(self.family_param, self.family),
-            "grid_spec": self.grid_spec,
-            "grid": list(self.grid),
-            "seed": self.seed,
-            "tol": self.tol,
-            "tol_report": self.tol_report,
-            "format": self.format,
-        }
+def report_config(family: str, gp: GenParams, param, grid_spec: str, grid,
+                  seed: int, tol: float, tol_report: float, fmt: str) -> dict:
+    """The ``config`` object of a JSON report, with its keys in report order."""
+    return {"family": family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
+            "beta": gp.beta, family: param, "grid_spec": grid_spec,
+            "grid": list(grid), "seed": seed, "tol": tol,
+            "tol_report": tol_report, "format": fmt}
 
 
 def parse_grid_spec(spec: str) -> tuple:
@@ -127,18 +102,8 @@ def _bool_str(b: bool) -> str:
 
 
 def _report_row_dict(r) -> dict:
-    return {
-        "t": r.t,
-        "lower": r.lower,
-        "middle": r.middle,
-        "upper": r.upper,
-        "lower_margin": r.lower_margin,
-        "upper_margin": r.upper_margin,
-        "strict": r.strict,
-        "pass": r.passed,
-        "tol_report": r.tol_report,
-        "note": r.note,
-    }
+    # the report's fields in order; ``passed`` serializes as "pass"
+    return {("pass" if k == "passed" else k): v for k, v in vars(r).items()}
 
 
 def render_reports_csv(rows) -> str:
@@ -153,10 +118,10 @@ def render_reports_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_reports_json(config: SweepConfig, rows) -> str:
+def render_reports_json(config: dict, rows) -> str:
     n_pass = sum(1 for r in rows if r.passed)
     obj = {
-        "config": config.as_dict(),
+        "config": config,
         "rows": [_report_row_dict(r) for r in rows],
         "summary": {
             "total": len(rows),
@@ -220,62 +185,53 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_config(args, where: str) -> SweepConfig:
+def _sweep(args):
+    """What verify and scan share: (gp, family parameter, grid, ctrl, report
+    config).  The engine checks the parameters and the sandwich grid."""
     gp = GenParams(args.a, args.b, args.alpha, args.beta)
-    value = getattr(args, args.family)
-    if value is None:
+    param = getattr(args, args.family)
+    if param is None:
         raise DomainError(f"--{args.family} is required for family {args.family}")
-    param = FAMILIES[args.family].param_type(value)
     grid = parse_grid_spec(args.grid)
-    if where == "sandwich" and any(not 0.0 < t < 1.0 for t in grid):
-        raise DomainError("sandwich grids must lie strictly in (0, 1)")
-    if where == "monotone" and any(t <= 0.0 for t in grid):
+    # the engine admits t = 0, where the sandwich evaluates aux; a scan does not
+    if args.command == "scan" and any(t <= 0.0 for t in grid):
         raise DomainError("monotone grids must lie strictly in (0, inf)")
-    if not args.tol_report > 0:
-        raise DomainError(f"tol-report must be > 0 (got {args.tol_report})")
-    return SweepConfig(
-        family=args.family, gen_params=gp, family_param=param, grid=grid,
-        grid_spec=args.grid, seed=args.seed,
-        tol=args.tol if args.tol is not None else default_series_control().tol,
-        tol_report=args.tol_report, output_path=args.out, format=args.format,
-    )
+    _require_positive("tol-report", args.tol_report)
+    ctrl = _series_control(args.tol)
+    return gp, param, grid, ctrl, report_config(
+        args.family, gp, param, args.grid, grid, args.seed, ctrl.tol,
+        args.tol_report, args.format)
 
 
 def _cmd_verify(args) -> int:
-    config = _sweep_config(args, "sandwich")
-    rows = check_sandwich(config.family, config.gen_params, config.family_param,
-                          config.grid, config.tol_report, _series_control(args.tol))
-    content = (render_reports_csv(rows) if config.format == "csv"
-               else render_reports_json(config, rows))
-    _emit(content, config.output_path)
-    n_pass = sum(1 for r in rows if r.passed)
-    verdict = "PASS" if n_pass == len(rows) else "FAIL"
-    count = n_pass if verdict == "PASS" else len(rows) - n_pass
-    print(f"{verdict} {count}/{len(rows)}")
-    return EXIT_OK if verdict == "PASS" else EXIT_NUMERIC_FAIL
+    gp, param, grid, ctrl, config = _sweep(args)
+    rows = check_sandwich(args.family, gp, param, grid, args.tol_report, ctrl)
+    _emit(render_reports_csv(rows) if args.format == "csv"
+          else render_reports_json(config, rows), args.out)
+    n_fail = sum(not r.passed for r in rows)
+    print(f"FAIL {n_fail}/{len(rows)}" if n_fail else f"PASS {len(rows)}/{len(rows)}")
+    return EXIT_NUMERIC_FAIL if n_fail else EXIT_OK
 
 
 def _cmd_scan(args) -> int:
-    config = _sweep_config(args, "monotone")
-    fn, log_deriv = family_callables(config.family, config.gen_params,
-                                     config.family_param, _series_control(args.tol))
-    scan = scan_monotone(fn, log_deriv, config.grid)
-    if config.format == "csv":
+    gp, param, grid, ctrl, config = _sweep(args)
+    scan = scan_monotone(*family_callables(args.family, gp, param, ctrl), grid)
+    if args.format == "csv":
         lines = ["t,value"]
         lines += [f"{_repr_num(t)},{_repr_num(v)}"
                   for t, v in zip(scan.grid, scan.values)]
         content = "\n".join(lines) + "\n"
     else:
         obj = {
-            "config": config.as_dict(),
+            "config": config,
             "grid": list(scan.grid),
             "values": list(scan.values),
             "min_forward_diff": scan.min_forward_diff,
             "derivative_min": scan.derivative_min,
         }
         content = json.dumps(obj, indent=2) + "\n"
-    _emit(content, config.output_path)
-    ok = scan_passes(scan, config.tol_report)
+    _emit(content, args.out)
+    ok = scan_passes(scan, args.tol_report)
     print(f"{'PASS' if ok else 'FAIL'} min_forward_diff={scan.min_forward_diff!r} "
           f"derivative_min={scan.derivative_min!r}")
     return EXIT_OK if ok else EXIT_NUMERIC_FAIL
@@ -345,9 +301,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (OverflowError, ValueError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -75,9 +75,10 @@ class SeriesControl:
 class EvalResult:
     """Value of a truncated series/product plus its a-posteriori tail bound.
 
-    ``converged`` is False when the term budget ran out before the tail
-    bound dropped below the requested tolerance; the value is still the
-    best available estimate and ``err_bound`` stays honest.
+    ``converged`` is False when the requested tolerance cannot be met within
+    the term budget.  The value is then the estimate at the length the
+    evaluator stopped at, the whole budget or, where no length within it
+    meets tol (psi), a short one; ``err_bound`` bounds its truncation error.
     """
 
     value: float
@@ -175,20 +176,26 @@ def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
 
         (ln k + psi(u))/k = psi_asymptotic(t + nk, k) - sum_{j<n} 1/(t + jk),
 
-    with n the shortest shift, at most ``ctrl.max_terms``, with x >= 10
-    whose first omitted term |B_16|/(16 x^16), divided by k, is below
-    ``ctrl.tol``.  That term is err_bound (the value is otherwise exact to
-    rounding) and n is terms_used; if the cap shortens the shift, converged
-    is False.  Tolerance and k enter the sizing as logs, so a tiny one can
-    neither overflow nor underflow.  At a subnormal k, t/k may overflow to
-    inf, which asks for no shift, and what underflows (1/x and err_bound)
-    lies far below the rounding of the value.  Raises OverflowError when
-    the value exceeds the double range.
+    with n the shortest shift with x >= 10 whose first omitted term
+    |B_16|/(16 x^16), divided by k, is below ``ctrl.tol``.  That term is
+    err_bound (the value is otherwise exact to rounding) and n is
+    terms_used.  If that n exceeds ``ctrl.max_terms``, no shift within the
+    budget meets tol: converged is False and n is the shortest shift with
+    x >= 10, capped by the budget.  Summing the whole budget instead would
+    cost up to max_terms terms and still miss tol; at k = 1 the bound at
+    x >= 10 is already below the rounding error of the sum.  Tolerance and
+    k enter the sizing as logs, so a tiny one can neither overflow nor
+    underflow.  At a subnormal k, t/k may overflow to inf, which asks for
+    no shift, and what underflows (1/x and err_bound) lies far below the
+    rounding of the value.  Raises OverflowError when the value exceeds the
+    double range.
     """
     u = t / k
     # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
     x_needed = math.exp((_LOG_PSI_OMITTED - math.log(ctrl.tol) - math.log(k)) / 16.0 + 1e-9)
-    n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u)), ctrl.max_terms)
+    n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u))
+    if n > ctrl.max_terms:
+        n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - u)), ctrl.max_terms)
     y = t + n * k
     r = k / y  # 1/x
     bound = _PSI_OMITTED * r**15 / y
@@ -202,8 +209,8 @@ def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """psi(t) as psi(t+n) - sum_{j<n} 1/(t+j), with psi(x = t+n) from the
     asymptotic series; n is the shortest shift with x >= 10 whose first
     omitted term |B_16|/(16 x^16) is below ``ctrl.tol``.  That term is
-    ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` caps the
-    shift first, ``converged`` is False.  This is ``_psi_scaled`` at k = 1.
+    ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` rules that
+    shift out, ``converged`` is False.  This is ``_psi_scaled`` at k = 1.
     """
     if ctrl is None:
         ctrl = default_series_control()

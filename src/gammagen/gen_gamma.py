@@ -50,6 +50,7 @@ from .core_special import (
     _odd_power_series,
     _psi_scaled,
     _psi_tail,
+    _require_positive,
     default_series_control,
     psi_asymptotic,
 )
@@ -98,15 +99,10 @@ class KParam:
     k: float
 
     def __post_init__(self):
-        _check_k(self.k)
+        _require_positive("k", self.k)
 
 
 FamilyParam = Union[PParam, QParam, KParam]
-
-
-def _check_t(t) -> None:
-    if not t > 0:
-        raise DomainError(f"t must be > 0 (got {t})")
 
 
 def _check_p(p) -> int:
@@ -123,11 +119,6 @@ def _check_q(q) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie strictly in (0, 1) (got {q})")
     return q
-
-
-def _check_k(k) -> None:
-    if not k > 0:
-        raise DomainError(f"k must be > 0 (got {k})")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ def log_gamma_p(t: float, p: int) -> float:
     only through 1/p, formed by integer true division, so p may exceed the
     double range.
     """
-    _check_t(t)
+    _require_positive("t", t)
     p = _check_p(p)
     m = min(p + 1, _ASYMPTOTIC_FROM)
     direct = math.fsum(math.log(t + j) for j in range(m))
@@ -203,7 +194,7 @@ def psi_p(t: float, p: int) -> float:
     asymptotic series of psi through B_14, is exact to rounding at x >= 10,
     and so is the closure.  As in ``log_gamma_p``, p enters only through 1/p.
     """
-    _check_t(t)
+    _require_positive("t", t)
     p = _check_p(p)
     m = min(p + 1, _ASYMPTOTIC_FROM)
     direct = math.fsum(1.0 / (t + n) for n in range(m))
@@ -303,15 +294,20 @@ def _bose(z: float) -> float:
 _MIN_NORMAL = 2.0 ** -1022
 
 
-def _q_block(lead: float, power: int, x0: float, ctrl: SeriesControl, closure):
+def _q_block(lead: float, power: int, x0: float, c: float, ctrl: SeriesControl,
+             closure):
     """Shortest direct block n whose Euler-Maclaurin closure meets ctrl.tol,
     capped at ctrl.max_terms; returns (n, *closure(n)).
 
     closure(n) returns (tail, err_bound).  The search starts where
     lead/(x0 + n)^power, the size of the last correction as c -> 0, falls
-    to ctrl.tol (computed in log space), and almost always ends there.
+    to ctrl.tol (computed in log space), and almost always ends there.  Past
+    the budget (a tiny tol) it starts where e^(-c(x0 + n)) falls to tol: the
+    summands fall that fast there, and the correction is below it if q > 0.003.
     """
     estimate = math.exp((math.log(lead) - math.log(ctrl.tol)) / power) - x0
+    if estimate > ctrl.max_terms:
+        estimate = -math.log(ctrl.tol) / c - x0
     n = min(max(1, math.ceil(min(estimate, 1e18))), ctrl.max_terms)
     tail, bound = closure(n)
     while bound > ctrl.tol and n < ctrl.max_terms:
@@ -379,7 +375,7 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
     """
     if ctrl is None:
         ctrl = default_series_control()
-    _check_t(t)
+    _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
 
@@ -392,7 +388,7 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
 
     k2 = 2 * _Q_CORRECTIONS
     lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1))
-    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), ctrl, closure)
+    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), c, ctrl, closure)
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
     log, expm1 = math.log, math.expm1
     h = [log(expm1(-c) / expm1(-c * t)) if c * t >= _MIN_NORMAL
@@ -428,7 +424,7 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """
     if ctrl is None:
         ctrl = default_series_control()
-    _check_t(t)
+    _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
 
@@ -440,7 +436,7 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
 
     k2 = 2 * _Q_CORRECTIONS
     lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / k2
-    n, tail, bound = _q_block(lead, k2, t, ctrl, closure)
+    n, tail, bound = _q_block(lead, k2, t, c, ctrl, closure)
     first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
     rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
@@ -455,8 +451,8 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
 
 def log_gamma_k(t: float, k: float) -> float:
     """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k)."""
-    _check_t(t)
-    _check_k(k)
+    _require_positive("t", t)
+    _require_positive("k", k)
     u = t / k
     return (u - 1.0) * math.log(k) + math.lgamma(u)
 
@@ -467,8 +463,8 @@ def gamma_k(t: float, k: float) -> float:
     The defining integral is validated against this path by the oracle's
     quadrature; the identity follows from substituting u = x^k / k.
     """
-    _check_t(t)
-    _check_k(k)
+    _require_positive("t", t)
+    _require_positive("k", k)
     u = t / k
     return k ** (u - 1.0) * math.gamma(u)
 
@@ -485,6 +481,6 @@ def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
     """
     if ctrl is None:
         ctrl = default_series_control()
-    _check_t(t)
-    _check_k(k)
+    _require_positive("t", t)
+    _require_positive("k", k)
     return _psi_scaled(t, k, ctrl)

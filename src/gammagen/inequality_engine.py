@@ -10,9 +10,14 @@ function and the sandwich check are written once on top of it.  This
 module exposes all three layers as checkable predicates that produce
 quantitative margins.
 
-Verdict slack (``tol_report``, default 1e-9) is deliberately three orders
-of magnitude looser than the series evaluation tolerance (1e-12), so that
-pass/fail decisions are robust to accumulated evaluation error.
+A sandwich row passes when both margins, middle - lower and upper - middle,
+exceed -``tol_report`` (default 1e-9).  The margins are differences of the
+exponentiated values, so the slack is absolute: it is neither scaled to
+the values nor derived from the evaluators' err_bounds, and a verdict
+depends on the scale of what it compares.  Where all three values are
+below the slack, a violated bound still passes; where they are large,
+the rounding of exp alone can exceed it; and past the double range exp
+raises OverflowError.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .core_special import (
     DomainError,
     SeriesControl,
     ToleranceNotMet,
+    _require_positive,
     gamma,
     log_gamma,
     psi_series,
@@ -99,9 +105,7 @@ class GenParams:
 
     def __post_init__(self):
         for name in ("a", "b", "alpha", "beta"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise DomainError(f"{name} must be > 0 (got {v})")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,6 @@ class Family:
     """
 
     name: str              # "p", "q" or "k"; also the parameter's name
-    param_type: type       # PParam, QParam or KParam
     hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
     log_gamma: Callable    # (s, x, ctrl) -> ln Gamma_X(s)
     psi: Callable          # (s, x, ctrl) -> psi_X(s)
@@ -181,18 +184,18 @@ class Family:
 
 
 FAMILIES = {fam.name: fam for fam in (
-    Family("p", PParam, lambda a, b, p: _check_p(p),
+    Family("p", lambda a, b, p: _check_p(p),
            log_gamma=lambda s, p, ctrl: log_gamma_p(s, p),
            psi=lambda s, p, ctrl: psi_p(s, p),
            lemma_const=lambda b, p: b * math.log(p),
            s_power=False, s_floor=1.0, strict=True),
-    Family("q", QParam, lambda a, b, q: _check_q(q),
+    Family("q", lambda a, b, q: _check_q(q),
            log_gamma=lambda s, q, ctrl: _converged_value(log_gamma_q(s, q, ctrl),
                                                          "log_gamma_q"),
            psi=lambda s, q, ctrl: _converged_value(psi_q(s, q, ctrl), "psi_q"),
            lemma_const=lambda b, q: -b * math.log1p(-q),
            s_power=False, s_floor=1.0, strict=True),
-    Family("k", KParam, _k_hypotheses,
+    Family("k", _k_hypotheses,
            log_gamma=lambda s, k, ctrl: log_gamma_k(s, k),
            psi=lambda s, k, ctrl: _converged_value(psi_k(s, k, ctrl), "psi_k"),
            lemma_const=lambda b, k: b / k * (math.log(k) - core_special.EULER_GAMMA),
@@ -231,10 +234,8 @@ def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float,
 
 def _lemma_checked(family: str, a: float, b: float, s: float, x,
                    ctrl: SeriesControl | None = None) -> float:
-    if not a > 0:
-        raise DomainError(f"a must be > 0 (got {a})")
-    if not b > 0:
-        raise DomainError(f"b must be > 0 (got {b})")
+    _require_positive("a", a)
+    _require_positive("b", b)
     return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s, ctrl)
 
 

@@ -229,6 +229,16 @@ def test_verify_grid_outside_unit_interval_rejected():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "p", "--p", "3", "--grid", "0.5,1"], "t=1.0"),
+    (["--family", "k", "--k", "-1", "--grid", "0.5"], "k >= 1"),
+])
+def test_verify_inadmissible_input_names_the_rule(capsys, flags, named):
+    # The engine's checks, not a copy of them in the CLI, reject these.
+    assert main(["verify", "--alpha", "1.5", *flags]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_verify_stdout_when_no_out_flag():
     r = run_cli("verify", "--family", "p", "--alpha", "1.5", "--p", "3",
                 "--grid", "0.5")

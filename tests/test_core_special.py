@@ -85,6 +85,17 @@ def test_psi_series_tolerance_not_met_is_nonfatal():
     assert r.err_bound > ctrl.tol
 
 
+def test_psi_series_unreachable_tol_stops_at_x_ten():
+    # tol = 1e-300 needs a shift of about 5e18 terms; the whole 10^7-term
+    # budget was once summed, for a value 1.6e-15 off.
+    r = psi_series(2.5, SeriesControl(tol=1e-300))
+    assert not r.converged and r.terms_used <= 10
+    with mp.workdps(30):
+        exact = float(mp.digamma(mpf(2.5)))
+    assert abs(r.value - exact) <= 2 * math.ulp(exact)
+    assert r.err_bound == psi_series(2.5).err_bound
+
+
 _T_LOG_SPACED = [10.0 ** (e / 4.0) for e in range(-12, 49)]  # 1e-3 .. 1e12
 
 

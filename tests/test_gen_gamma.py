@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ def test_q_family_budget_exhaustion_flagged():
         assert not r.converged
         assert r.terms_used == 2
         assert r.err_bound > ctrl.tol
+
+
+def test_q_family_tiny_tol_at_q_half_sums_a_short_block():
+    # The search for the block once started from the small-c estimate, about
+    # 10^29 terms, and so summed the whole 10^7-term budget.
+    ctrl = SeriesControl(tol=1e-300)
+    for fn in (psi_q, log_gamma_q):
+        r = fn(2.5, 0.5, ctrl)
+        assert r.converged and r.err_bound <= ctrl.tol
+        assert r.terms_used <= 2000
 
 
 @pytest.mark.parametrize("t", [0.5, 2.5, 7.3])
@@ -414,6 +425,15 @@ def test_psi_k_small_k_matches_mpmath(t, k):
     assert r.converged and r.err_bound <= core_special.DEFAULT_TOL
     with mp.workdps(40 + math.ceil(-math.log10(k))):
         assert abs(r.value - ref) <= r.err_bound + 4 * 2.0**-53 * max(abs(ref), 1)
+
+
+def test_psi_k_unreachable_tol_raises_overflow_at_once():
+    # tol cannot be met at k = 1e-320; the whole 10^7-term budget was once
+    # summed before the value, about -7.4e322, overflowed.
+    start = time.perf_counter()
+    with pytest.raises(OverflowError):
+        psi_k(1e-320, 1e-320)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_psi_k_series_matches_closed_form():

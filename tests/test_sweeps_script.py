@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from gammagen.cli import parse_grid_spec
+from gammagen.cli import main, parse_grid_spec
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,6 +33,22 @@ def test_sweeps_script_writes_nine_passing_reports(tmp_path, capsys, fmt):
             # `gammagen verify --grid <grid_spec>` must reproduce the report
             assert tuple(config["grid"]) == parse_grid_spec(config["grid_spec"])
             assert obj["summary"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("index", [0, 3, 6], ids=["p", "q", "k"])
+def test_sweeps_script_report_is_the_verify_report(tmp_path, capsys, index):
+    # Both write their JSON config through cli.report_config, so the same
+    # flags give the same bytes.
+    module = _load_script()
+    assert module.main(["--outdir", str(tmp_path), "--format", "json"]) == 0
+    family, gp, param = module.BATTERY[index]
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--family", family, "--a", repr(gp.a), "--b", repr(gp.b),
+                 "--alpha", repr(gp.alpha), "--beta", repr(gp.beta),
+                 f"--{family}", repr(param), "--grid", module.SANDWICH_GRID_SPEC,
+                 "--format", "json", "--out", str(out)]) == 0
+    report = tmp_path / f"sweep{index:02d}_{family}.json"
+    assert out.read_bytes() == report.read_bytes()
 
 
 def _table(lines, header, stop):
