@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run sandwich verifications and monotonicity scans for a battery of
 parameter sets across all three Gamma deformations, writing one report
-file per sweep and printing a summary table.
+file per command, each through `gammagen verify` or `gammagen scan`.
 
 Usage:
     python scripts/run_verification_sweeps.py --outdir results [--format json]
@@ -11,23 +11,11 @@ import argparse
 import pathlib
 import sys
 
-from gammagen.cli import (parse_grid_spec, render_reports_csv,
-                          render_reports_json, report_config)
-from gammagen.core_special import DEFAULT_TOL
-from gammagen.inequality_engine import (
-    DEFAULT_TOL_REPORT,
-    GenParams,
-    check_sandwich,
-    family_callables,
-    scan_monotone,
-    scan_passes,
-)
+from gammagen import cli
+from gammagen.inequality_engine import GenParams
 
-# The grid is built from its spec, so `gammagen verify --grid SPEC` reproduces
-# every report.
 SANDWICH_GRID_SPEC = "0.05:0.95:0.05"
-SANDWICH_GRID = parse_grid_spec(SANDWICH_GRID_SPEC)
-SCAN_GRID = tuple(0.01 + 0.01 * i for i in range(500))
+SCAN_GRID_SPEC = "0.01:5:0.01"
 
 BATTERY = [
     ("p", GenParams(1.0, 1.0, 1.5, 1.0), 5),
@@ -52,28 +40,18 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     all_ok = True
-    print(f"{'sweep':<28} {'sandwich':>12} {'min margin':>12} {'scan fwd':>12}")
     for i, (family, gp, param) in enumerate(BATTERY):
-        rows = check_sandwich(family, gp, param, SANDWICH_GRID, DEFAULT_TOL_REPORT)
-        name = f"sweep{i:02d}_{family}"
-        path = outdir / f"{name}.{args.format}"
-        content = (render_reports_csv(rows) if args.format == "csv"
-                   else render_reports_json(report_config(
-                       family, gp, param, SANDWICH_GRID_SPEC, SANDWICH_GRID, seed=0,
-                       tol=DEFAULT_TOL, tol_report=DEFAULT_TOL_REPORT,
-                       fmt=args.format), rows))
-        path.write_text(content)
-
-        fn, ld = family_callables(family, gp, param)
-        scan = scan_monotone(fn, ld, SCAN_GRID)
-
-        n_pass = sum(r.passed for r in rows)
-        margin = min(min(r.lower_margin for r in rows),
-                     min(r.upper_margin for r in rows))
-        ok = n_pass == len(rows) and scan_passes(scan, DEFAULT_TOL_REPORT)
-        all_ok = all_ok and ok
-        print(f"{name:<28} {n_pass:>9}/{len(rows)} {margin:>12.3e} "
-              f"{scan.min_forward_diff:>12.3e}")
+        flags = ["--family", family, "--a", repr(gp.a), "--b", repr(gp.b),
+                 "--alpha", repr(gp.alpha), "--beta", repr(gp.beta),
+                 f"--{family}", repr(param), "--format", args.format]
+        for command, report, grid in (("verify", "sweep", SANDWICH_GRID_SPEC),
+                                      ("scan", "scan", SCAN_GRID_SPEC)):
+            out = outdir / f"{report}{i:02d}_{family}.{args.format}"
+            print(f"{out.name:<16}", end=" ")
+            code = cli.main([command, *flags, "--grid", grid, "--out", str(out)])
+            if code > cli.EXIT_NUMERIC_FAIL:  # the command printed nothing to stdout
+                print(f"exit {code}")
+            all_ok = all_ok and code == 0
 
     print("all sweeps passed" if all_ok else "SOME SWEEPS FAILED")
     return 0 if all_ok else 1

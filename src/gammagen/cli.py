@@ -56,15 +56,6 @@ CSV_COLUMNS = ("t", "lower", "middle", "upper",
                "lower_margin", "upper_margin", "strict", "pass")
 
 
-def report_config(family: str, gp: GenParams, param, grid_spec: str, grid,
-                  seed: int, tol: float, tol_report: float, fmt: str) -> dict:
-    """The ``config`` object of a JSON report, with its keys in report order."""
-    return {"family": family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
-            "beta": gp.beta, family: param, "grid_spec": grid_spec,
-            "grid": list(grid), "seed": seed, "tol": tol,
-            "tol_report": tol_report, "format": fmt}
-
-
 def parse_grid_spec(spec: str) -> tuple:
     """Parse 'start:stop:step' (inclusive endpoints, within float slack) or a
     comma-separated explicit list; the result must be strictly increasing."""
@@ -144,6 +135,7 @@ def _emit(content: str, path: str | None) -> None:
 
 
 def _series_control(tol: float | None) -> SeriesControl:
+    # the only reader of GAMMA_GEN_MAX_TERMS; library calls use SeriesControl()
     base = default_series_control()
     if tol is None:
         return base
@@ -186,8 +178,9 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep(args):
-    """What verify and scan share: (gp, family parameter, grid, ctrl, report
-    config).  The engine checks the parameters and the sandwich grid."""
+    """What verify and scan share: (gp, family parameter, grid, ctrl, and the
+    JSON report's ``config`` with its keys in report order).  The engine
+    checks the parameters and the sandwich grid."""
     gp = GenParams(args.a, args.b, args.alpha, args.beta)
     param = getattr(args, args.family)
     if param is None:
@@ -198,9 +191,11 @@ def _sweep(args):
         raise DomainError("monotone grids must lie strictly in (0, inf)")
     _require_positive("tol-report", args.tol_report)
     ctrl = _series_control(args.tol)
-    return gp, param, grid, ctrl, report_config(
-        args.family, gp, param, args.grid, grid, args.seed, ctrl.tol,
-        args.tol_report, args.format)
+    return gp, param, grid, ctrl, {
+        "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
+        "beta": gp.beta, args.family: param, "grid_spec": args.grid,
+        "grid": list(grid), "seed": args.seed, "tol": ctrl.tol,
+        "tol_report": args.tol_report, "format": args.format}
 
 
 def _cmd_verify(args) -> int:

@@ -8,7 +8,8 @@ t > 0) and then taken from the asymptotic series
 
 through B_14, whose first omitted term bounds the remainder for real x > 0
 and is the reported error bound.  The same routine, scaled by k, is
-gen_gamma's psi_k, and the series also closes gen_gamma's psi_p.
+gen_gamma's psi_k, and at k = 1 it gives the psi(t) of gen_gamma's
+psi_p(t) = psi(t) - (psi(t+p+1) - ln p).
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ _DEFAULT_CONTROL = SeriesControl()
 
 
 def default_series_control() -> SeriesControl:
-    """Default evaluation control; GAMMA_GEN_MAX_TERMS overrides the budget.
+    """The command line's evaluation control: GAMMA_GEN_MAX_TERMS, when set,
+    overrides the budget; when it is unset, the shared (frozen) default.
 
-    The variable is read at every call; when it is unset, one shared
-    (frozen) SeriesControl is returned.
+    Evaluators called with ``ctrl=None`` use that shared default and never
+    read the environment.
     """
     raw = os.environ.get(MAX_TERMS_ENV_VAR)
     if raw is None:
@@ -161,22 +163,15 @@ def _psi_tail(r: float) -> float:
     return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
 
 
-def psi_asymptotic(y: float, k: float = 1.0) -> float:
-    """(ln k + psi(x))/k at x = y/k by the asymptotic series, formed as
-    ln(y)/k - 1/(2y) - T(x)/k so that no term of size ln(1/k)/k cancels when
-    k is small.  At the default k = 1 this is ln x - 1/(2x) - T(x): psi(x)
-    to rounding for x >= _ASYMPTOTIC_FROM."""
-    return math.log(y) / k - (0.5 / y + _psi_tail(k / y) / k)
-
-
 def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
     """(ln k + psi(u))/k at u = t/k, which is psi_k(t) and at k = 1 psi(t).
 
     psi(u) is shifted by the recurrence to x = u+n, so that
 
-        (ln k + psi(u))/k = psi_asymptotic(t + nk, k) - sum_{j<n} 1/(t + jk),
+        (ln k + psi(u))/k = ln(y)/k - 1/(2y) - T(x)/k - sum_{j<n} 1/(t + jk),
 
-    with n the shortest shift with x >= 10 whose first omitted term
+    at y = t + nk, formed so that no term of size ln(1/k)/k cancels when k
+    is small, with n the shortest shift with x >= 10 whose first omitted term
     |B_16|/(16 x^16), divided by k, is below ``ctrl.tol``.  That term is
     err_bound (the value is otherwise exact to rounding) and n is
     terms_used.  If that n exceeds ``ctrl.max_terms``, no shift within the
@@ -199,7 +194,8 @@ def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
     y = t + n * k
     r = k / y  # 1/x
     bound = _PSI_OMITTED * r**15 / y
-    value = psi_asymptotic(y, k) - math.fsum([1.0 / (t + j * k) for j in range(n)])
+    value = (math.log(y) / k - (0.5 / y + _psi_tail(r) / k)
+             - math.fsum([1.0 / (t + j * k) for j in range(n)]))
     if not math.isfinite(value):
         raise OverflowError(f"(ln k + psi(t/k))/k at t = {t}, k = {k} exceeds the double range")
     return EvalResult(value, bound, n, bound <= ctrl.tol)
@@ -210,12 +206,11 @@ def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
     asymptotic series; n is the shortest shift with x >= 10 whose first
     omitted term |B_16|/(16 x^16) is below ``ctrl.tol``.  That term is
     ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` rules that
-    shift out, ``converged`` is False.  This is ``_psi_scaled`` at k = 1.
+    shift out, ``converged`` is False.  This is ``_psi_scaled`` at k = 1;
+    ``ctrl=None`` means the default ``SeriesControl()``.
     """
-    if ctrl is None:
-        ctrl = default_series_control()
     _require_positive("t", t)
-    return _psi_scaled(t, 1.0, ctrl)
+    return _psi_scaled(t, 1.0, ctrl or _DEFAULT_CONTROL)
 
 
 def psi(t: float) -> float:

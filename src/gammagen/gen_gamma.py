@@ -13,11 +13,12 @@ The p-family costs the same at every p.  By the identities
     Gamma_p(t) = p! p^t Gamma(t) / Gamma(t+p+1),
     psi_p(t)   = ln p - psi(t+p+1) + psi(t),
 
-the first min(p+1, 10) factors (or terms) are summed directly and the rest
-is closed by the Stirling series of ln Gamma and core_special's asymptotic
-psi, evaluated only at arguments >= 10, where their truncation error is
-below the unit roundoff.  The ln p terms cancel analytically, so no two
-quantities of size p ln p are subtracted, and p enters only through 1/p.
+ln Gamma_p is math.lgamma(t) plus a Stirling difference and psi_p is
+core_special's psi(t) minus an asymptotic difference, both series taken at
+arguments >= p+1 >= 11, where their truncation error is below the unit
+roundoff.  The ln p terms cancel analytically, so no two quantities of size
+p ln p are subtracted, and p enters only through 1/p.  For p <= 9 the
+definitions' finite sums are summed directly.
 
 The q-family also costs the same at every q.  With c = -ln q, psi_q and
 ln Gamma_q sum a short direct block (about ten terms at tol = 1e-12, each
@@ -26,8 +27,9 @@ by Euler-Maclaurin, in the manner of Moak's q-Stirling formula.  The
 closure's integrals are -ln(1 - e^(-ca))/c and a difference of two
 dilogarithms, whose zeta(2)/c parts cancel analytically; its err_bound is
 the last retained Bernoulli correction.  Gamma_k uses the closed identity
-Gamma_k(t) = k^(t/k - 1) Gamma(t/k).  The oracle module keeps the raw
-products and the defining integral as independent cross-checks.
+Gamma_k(t) = k^(t/k - 1) Gamma(t/k), combined in log space.  The oracle
+module keeps the raw products and the defining integral as independent
+cross-checks.
 
 Domain boundaries are strict: q = 0, q = 1, t = 0, k = 0 are rejected,
 never clamped.
@@ -47,12 +49,11 @@ from .core_special import (
     EvalResult,
     SeriesControl,
     _ASYMPTOTIC_FROM,
+    _DEFAULT_CONTROL,
     _odd_power_series,
     _psi_scaled,
     _psi_tail,
     _require_positive,
-    default_series_control,
-    psi_asymptotic,
 )
 
 __all__ = [
@@ -144,24 +145,23 @@ def log_gamma_p(t: float, p: int) -> float:
     """ln Gamma_p(t) = ln p! + t ln p - sum_{j=0}^{p} ln(t + j), at a cost
     independent of p.
 
-    The first m = min(p+1, 10) logarithms are summed directly.  For larger
-    p the identity Gamma_p(t) = p! p^t Gamma(t)/Gamma(t+p+1) closes the
-    rest: ln Gamma_p(t) = B + ln Gamma(t+m) - sum_{j<m} ln(t+j), where
-    B = ln p! + t ln p - ln Gamma(t+p+1) is the Stirling difference
+    For p <= 9 the p+1 logarithms are summed directly.  For larger p the
+    identity Gamma_p(t) = p! p^t Gamma(t)/Gamma(t+p+1) gives
+    ln Gamma_p(t) = ln Gamma(t) + B, where B = ln p! + t ln p - ln Gamma(t+p+1)
+    is the Stirling difference
 
-        (p+1/2) log1p(1/p) - (p+t+1/2) log1p((t+1)/p) + t + S(p+1) - S(p+t+1).
+        (p+1/2) log1p(1/p) - (p+t+1/2) log1p((t+1)/p) + t + S(p+1) - S(p+t+1)
 
-    S is the Stirling series truncated after B_14; for real x > 0 its
-    remainder is bounded by the first omitted term, which is below
-    3.0e-17 at x >= 10, so the closure is exact to rounding.  p enters
-    only through 1/p, formed by integer true division, so p may exceed the
-    double range.
+    and ln Gamma(t) is math.lgamma.  S is the Stirling series truncated
+    after B_14; for real x > 0 its remainder is bounded by the first omitted
+    term, which is below 3.0e-17 at x >= 10, so B is exact to rounding.
+    p enters only through 1/p, formed by integer true division, so p may
+    exceed the double range.
     """
     _require_positive("t", t)
     p = _check_p(p)
-    m = min(p + 1, _ASYMPTOTIC_FROM)
-    direct = math.fsum(math.log(t + j) for j in range(m))
-    if m == p + 1:
+    if p < _ASYMPTOTIC_FROM:
+        direct = math.fsum(math.log(t + j) for j in range(p + 1))
         return math.lgamma(p + 1) + t * math.log(p) - direct
     x = 1 / p
     y = (t + 1.0) * x
@@ -169,7 +169,7 @@ def log_gamma_p(t: float, p: int) -> float:
     bracket = (_log1p_ratio(x) + 0.5 * math.log1p(x)
                - (t + 1.0) * _log1p_ratio(y) - (t + 0.5) * math.log1p(y) + t
                + _stirling_tail(1 / (p + 1)) - _stirling_tail(x / (1.0 + y)))
-    return bracket + math.lgamma(t + m) - direct
+    return math.lgamma(t) + bracket
 
 
 def gamma_p(t: float, p: int) -> float:
@@ -184,28 +184,24 @@ def gamma_p(t: float, p: int) -> float:
 def psi_p(t: float, p: int) -> float:
     """psi_p(t) = ln p - sum_{n=0}^{p} 1/(n + t), at a cost independent of p.
 
-    The first m = min(p+1, 10) terms are summed directly.  For larger p the
-    identity psi_p(t) = ln p - psi(t+p+1) + psi(t) closes the rest as
-    ln p - psi(x2) + psi(x1) with x1 = t+m, x2 = t+p+1, evaluated as
+    For p <= 9 the p+1 terms are summed directly.  For larger p the identity
+    psi_p(t) = psi(t) - D with D = psi(x2) - ln p, x2 = t+p+1, gives
 
-        -log1p((t+1)/p) + 1/(2 x2) + T(x2) + psi_asymptotic(x1).
+        psi_p(t) = psi(t) - log1p((t+1)/p) + 1/(2 x2) + T(x2),
 
-    core_special.psi_asymptotic(x) = ln x - 1/(2x) - T(x), with T the
-    asymptotic series of psi through B_14, is exact to rounding at x >= 10,
-    and so is the closure.  As in ``log_gamma_p``, p enters only through 1/p.
+    with T the asymptotic series of psi through B_14, exact to rounding at
+    x2 >= 10, and psi(t) from core_special's psi routine at the default
+    SeriesControl().  As in ``log_gamma_p``, p enters only through 1/p.
     """
     _require_positive("t", t)
     p = _check_p(p)
-    m = min(p + 1, _ASYMPTOTIC_FROM)
-    direct = math.fsum(1.0 / (t + n) for n in range(m))
-    if m == p + 1:
-        return math.log(p) - direct
+    if p < _ASYMPTOTIC_FROM:
+        return math.log(p) - math.fsum(1.0 / (t + n) for n in range(p + 1))
     x = 1 / p
     y = (t + 1.0) * x
-    x1 = t + m
     r2 = x / (1.0 + y)  # 1/x2
-    closure = -math.log1p(y) + 0.5 * r2 + _psi_tail(r2) + psi_asymptotic(x1)
-    return closure - direct
+    d = math.log1p(y) - 0.5 * r2 - _psi_tail(r2)  # psi(x2) - ln p
+    return _psi_scaled(t, 1.0, _DEFAULT_CONTROL).value - d
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +292,19 @@ _MIN_NORMAL = 2.0 ** -1022
 
 def _q_block(lead: float, power: int, x0: float, c: float, ctrl: SeriesControl,
              closure):
-    """Shortest direct block n whose Euler-Maclaurin closure meets ctrl.tol,
-    capped at ctrl.max_terms; returns (n, *closure(n)).
+    """Direct block n whose Euler-Maclaurin closure meets ctrl.tol, capped at
+    ctrl.max_terms; returns (n, *closure(n)).
 
-    closure(n) returns (tail, err_bound).  The search starts where
-    lead/(x0 + n)^power, the size of the last correction as c -> 0, falls
-    to ctrl.tol (computed in log space), and almost always ends there.  Past
-    the budget (a tiny tol) it starts where e^(-c(x0 + n)) falls to tol: the
-    summands fall that fast there, and the correction is below it if q > 0.003.
+    closure(n) returns (tail, err_bound).  The search starts at the smaller
+    of two sizes, both computed in log space, and walks up from there: where
+    lead/(x0 + n)^power, the size of the last correction as c -> 0, falls to
+    ctrl.tol, and where e^(-c(x0 + n)) does.  Once e^(-c(x0 + n)) is small
+    the correction falls like the summands, as that factor times about
+    2e-8 c^10, so at the second size it is below tol when c < 5.8
+    (q > 0.003); at smaller q each further term shrinks it by the factor q.
     """
-    estimate = math.exp((math.log(lead) - math.log(ctrl.tol)) / power) - x0
-    if estimate > ctrl.max_terms:
-        estimate = -math.log(ctrl.tol) / c - x0
+    estimate = min(math.exp((math.log(lead) - math.log(ctrl.tol)) / power),
+                   -math.log(ctrl.tol) / c) - x0
     n = min(max(1, math.ceil(min(estimate, 1e18))), ctrl.max_terms)
     tail, bound = closure(n)
     while bound > ctrl.tol and n < ctrl.max_terms:
@@ -373,8 +370,7 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
     block for which it is below ctrl.tol.  If ctrl.max_terms caps the block
     first, ``converged`` is False.
     """
-    if ctrl is None:
-        ctrl = default_series_control()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
@@ -422,8 +418,7 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     monotone; n is the shortest block for which it is below ctrl.tol.  If
     ctrl.max_terms caps the block first, ``converged`` is False.
     """
-    if ctrl is None:
-        ctrl = default_series_control()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
@@ -458,15 +453,15 @@ def log_gamma_k(t: float, k: float) -> float:
 
 
 def gamma_k(t: float, k: float) -> float:
-    """Gamma_k(t) for t > 0, k > 0, by the closed identity.
+    """Gamma_k(t) for t > 0, k > 0, as exp(log_gamma_k(t, k)).
 
-    The defining integral is validated against this path by the oracle's
-    quadrature; the identity follows from substituting u = x^k / k.
+    Gamma(t/k) alone overflows once t/k > 171.6 although Gamma_k may not, so
+    the identity is combined in log space; OverflowError is raised only when
+    Gamma_k itself exceeds the double range.  The defining integral is
+    validated against this path by the oracle's trapezoid rule; the
+    identity follows from substituting u = x^k / k.
     """
-    _require_positive("t", t)
-    _require_positive("k", k)
-    u = t / k
-    return k ** (u - 1.0) * math.gamma(u)
+    return math.exp(log_gamma_k(t, k))
 
 
 def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -479,8 +474,7 @@ def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
     after the division.  Raises OverflowError when the value exceeds the
     double range, as ln(t)/k does at t != 1 and a subnormal k.
     """
-    if ctrl is None:
-        ctrl = default_series_control()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _require_positive("k", k)
     return _psi_scaled(t, k, ctrl)

@@ -286,6 +286,15 @@ def test_scan_p_family_flags_classical_psi_budget(monkeypatch, capsys):
     assert "psi" in capsys.readouterr().err
 
 
+def test_max_terms_variable_reaches_commands_not_library_calls(monkeypatch, capsys):
+    # Library calls once read the variable too, so this psi stopped after
+    # 2 of the 10 terms it needs.
+    monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", "2")
+    assert psi_series(0.5).converged
+    assert main(["eval", "psi", "--t", "0.5"]) == 3
+    assert "tolerance not met" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("raw", ["", "abc"])
 def test_unparsable_max_terms_is_exit_2(monkeypatch, capsys, raw):
     monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", raw)

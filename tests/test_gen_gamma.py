@@ -229,6 +229,17 @@ def test_q_family_matches_mpmath_euler_maclaurin(q):
             assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
 
 
+def test_q_family_small_tol_at_q_half_sums_the_geometric_block():
+    # The search once started from the small-c estimate whenever that was
+    # within the budget: 6,136,807 terms here, where about 230 do.
+    ctrl = SeriesControl(tol=1e-70)
+    for fn, ref in ((psi_q, _psi_q_mp), (log_gamma_q, _log_gamma_q_mp)):
+        r = fn(2.5, 0.5, ctrl)
+        assert r.converged and r.terms_used <= 300
+        exact = float(ref(2.5, 0.5))
+        assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
+
+
 @pytest.mark.parametrize("fn,t,q", [
     (psi_q, 1e-300, 1.0 - 1e-12), (log_gamma_q, 1e-300, 1.0 - 1e-12),
     (log_gamma_q, 5e-324, 0.5),
@@ -294,6 +305,23 @@ def test_gamma_k_fixed_points():
     assert gamma_k(2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
     assert gamma_k(3.7, 1.0) == pytest.approx(gamma(3.7), rel=1e-14)
     assert gamma_k(3.0, 2.0) == pytest.approx(1.2533141373155003, rel=1e-14)
+
+
+@pytest.mark.parametrize("t, k", [(10.0, 0.05), (5.0, 0.02), (0.5, 0.002)])
+def test_gamma_k_beyond_the_range_of_gamma_matches_mpmath(t, k):
+    # Gamma(t/k) overflows at t/k > 171.6, although Gamma_k(t) is
+    # 4.9e113, 1.2e67 and 1.2e-182 here.  The allowance is the rounding of
+    # exp((u - 1) ln k + ln Gamma(u)), u = t/k.
+    u = t / k
+    with mp.workdps(30):
+        ref = mp.power(k, mpf(t) / k - 1) * mp.gamma(mpf(t) / k)
+        tol = 8 * 2.0**-53 * (abs((u - 1) * math.log(k)) + abs(math.lgamma(u)) + 1)
+        assert abs(gamma_k(t, k) - ref) <= tol * ref
+
+
+def test_gamma_k_beyond_double_range_overflows():
+    with pytest.raises(OverflowError):
+        gamma_k(60.0, 0.2)  # 1.04e403
 
 
 def test_psi_k_reduces_to_psi_at_k_one():

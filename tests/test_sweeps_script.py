@@ -26,6 +26,8 @@ def test_sweeps_script_writes_nine_passing_reports(tmp_path, capsys, fmt):
     assert capsys.readouterr().out.rstrip().endswith("all sweeps passed")
     reports = sorted(tmp_path.glob(f"sweep*.{fmt}"))
     assert len(reports) == 9
+    scans = sorted(tmp_path.glob(f"scan*.{fmt}"))
+    assert len(scans) == 9
     if fmt == "json":
         for path in reports:
             obj = json.loads(path.read_text())
@@ -33,11 +35,15 @@ def test_sweeps_script_writes_nine_passing_reports(tmp_path, capsys, fmt):
             # `gammagen verify --grid <grid_spec>` must reproduce the report
             assert tuple(config["grid"]) == parse_grid_spec(config["grid_spec"])
             assert obj["summary"]["all_pass"] is True
+        for path in scans:
+            obj = json.loads(path.read_text())
+            assert obj["min_forward_diff"] >= -1e-9
+            assert obj["derivative_min"] >= -1e-9
 
 
 @pytest.mark.parametrize("index", [0, 3, 6], ids=["p", "q", "k"])
 def test_sweeps_script_report_is_the_verify_report(tmp_path, capsys, index):
-    # Both write their JSON config through cli.report_config, so the same
+    # The script writes its reports through `gammagen verify`, so the same
     # flags give the same bytes.
     module = _load_script()
     assert module.main(["--outdir", str(tmp_path), "--format", "json"]) == 0
