@@ -9,11 +9,11 @@ configuration (including seed) produces byte-identical CSV/JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
 
-from . import selftest as selftest_mod
 from .core_special import (
     DomainError,
     EvalResult,
@@ -233,7 +233,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return selftest_mod.run(quick=args.quick, seed=args.seed)
+    from . import selftest  # imports the mpmath oracle; kept out of start-up
+
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    return selftest.run(quick=args.quick, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = subs.add_parser("selftest", help="run oracle cross-validation suites")
     p_self.add_argument("--quick", action="store_true")
-    p_self.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
+    p_self.add_argument("--seed", type=int, default=None,
+                        help="seed of the sampled points (default selftest.DEFAULT_SEED)")
     p_self.set_defaults(handler=_cmd_selftest)
     return parser
 
 
+# main's one parser per process.  parse_args leaves the parser unchanged and
+# builds a fresh Namespace per call, and argparse looks up sys.stderr only
+# when it reports an error, so calls stay independent.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OverflowError, ValueError) as exc:

@@ -366,9 +366,10 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
     values, is followed by the Euler-Maclaurin closure of the rest
     (see ``_log_gamma_q_integral`` for its integral).  err_bound is the last
     retained Bernoulli correction, which bounds the remainder because each
-    summand is, up to sign, completely monotone in n; n is the shortest
-    block for which it is below ctrl.tol.  If ctrl.max_terms caps the block
-    first, ``converged`` is False.
+    summand is, up to sign, completely monotone in n.  n is the first block
+    size, counting up from ``_q_block``'s estimated start, at which it is
+    below ctrl.tol; the start often already lies past the shortest such
+    block.  If ctrl.max_terms caps the block first, ``converged`` is False.
     """
     ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
@@ -415,8 +416,10 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     with integral -ln(1 - e^(-ca))/c at a = t+n, whose logarithm is combined
     with -ln(1-q) into one log1p.  err_bound is c times the last retained
     Bernoulli correction, which bounds the remainder because f is completely
-    monotone; n is the shortest block for which it is below ctrl.tol.  If
-    ctrl.max_terms caps the block first, ``converged`` is False.
+    monotone.  n is the first block size, counting up from ``_q_block``'s
+    estimated start, at which it is below ctrl.tol; the start often already
+    lies past the shortest such block.  If ctrl.max_terms caps the block
+    first, ``converged`` is False.
     """
     ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -371,3 +374,67 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
                      "--grid", "0.25,0.75", "--out", str(out)])
     assert code == 1
     assert "FAIL 2/2" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# main called repeatedly in one process
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only selftest needs the oracle, and so mpmath
+    code = "import sys, gammagen.cli; print('mpmath' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_selftest_default_seed(monkeypatch):
+    from gammagen import selftest
+    seeds = []
+    monkeypatch.setattr(selftest, "run", lambda quick, seed: seeds.append(seed) or 0)
+    assert main(["selftest", "--quick"]) == 0
+    assert main(["selftest", "--quick", "--seed", "5"]) == 0
+    assert seeds == [selftest.DEFAULT_SEED, 5]
+
+
+def test_flag_value_does_not_carry_to_the_next_call(tmp_path, capsys):
+    args = ["verify", "--family", "k", "--alpha", "1.5", "--k", "2",
+            "--grid", "0.5", "--format", "json"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main([*args, "--tol", "1e-14", "--out", str(first)]) == 0
+    assert main([*args, "--out", str(second)]) == 0
+    assert json.loads(first.read_text())["config"]["tol"] == 1e-14
+    assert json.loads(second.read_text())["config"]["tol"] == 1e-12
+
+
+def test_rejected_call_leaves_the_next_call_unchanged(tmp_path, capsys):
+    args = ["verify", "--family", "q", "--alpha", "1.3", "--q", "0.45",
+            "--grid", "0.1:0.9:0.1", "--format", "json"]
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main([*args, "--out", str(before)]) == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "q", "--q", "0.45"])  # no --grid
+    assert exc.value.code == 2
+    assert err.getvalue().startswith("usage: gammagen verify")
+    assert "--grid" in err.getvalue()
+    assert main([*args, "--out", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
+    argv = ["verify", "--family", "p", "--alpha", "1.5", "--p", "3",
+            "--grid", "0.5", "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(argv) == 0
+        assert main(["eval", "gamma", "--t", "5"]) == 0
+    assert built == []
