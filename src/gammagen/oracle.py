@@ -1,13 +1,21 @@
 """Independent high-precision reference evaluators.
 
-Everything here is deliberately slow and deliberately separate from the
-fast paths: the psi-family series are re-summed in arbitrary precision
-with their own tail closure, the Gamma deformations are evaluated from
-their raw product definitions without log-space tricks, and Gamma and
-Gamma_k come from the trapezoid rule on the defining integral, with an
-a-priori error bound.  A bug shared with the fast evaluators would defeat
-cross-validation, so no evaluation code is shared with ``core_special`` or
-``gen_gamma``.
+Everything here is deliberately separate from the fast paths: the
+psi-family series are re-summed term by term with their own tail closure,
+the Gamma deformations are evaluated from their raw product definitions
+without log-space tricks, and Gamma and Gamma_k come from the trapezoid
+rule on the defining integral, with an a-priori error bound.  A bug shared
+with the fast evaluators would defeat cross-validation, so no evaluation
+code is shared with ``core_special`` or ``gen_gamma``.
+
+The series and product loops run on Python integers.  A value x in them is
+the fixed-point integer floor(x 2^W), W = mp.prec + _GUARD_BITS at the
+oracle's 35-digit working precision, and a product is a mantissa of W to
+2W bits with a separate binary exponent.  mpmath does only the set-up
+(powers, logarithms, the stop index) and the final assembly.  Each
+routine's docstring derives a bound on the rounding of its loop, in units
+of 2^-W, and ``certified_digits`` counts that bound with the truncation
+error and a few mp.eps for the assembly.
 """
 
 from __future__ import annotations
@@ -41,6 +49,14 @@ EULER_GAMMA_HP = "0.57721566490153286060651209008240243104215933593992"
 _SERIES_DPS = 35
 _QUAD_DPS = 30
 _SERIES_TAIL = "1e-25"
+# The series and products are truncated at _TRUNCATION and the rounding of
+# the integer loops has the remaining 1e-31, so both together stay within
+# _SERIES_TAIL and certify as many digits as the truncation alone would.
+_TRUNCATION = "0.999999e-25"
+_GUARD_BITS = 32
+# mp.eps per part that the mpmath set-up and assembly combine: each part
+# takes a few correctly rounded operations
+_ASSEMBLY_EPS = 8
 _DPS_MARGIN = 10
 _LIFT_TO = 32
 _QUAD_MAX_NODES = 10_000
@@ -74,15 +90,50 @@ def _digits_from_error(value, err) -> int:
     return max(1, min(cap, int(-mp.log10(err / scale)) - 1))
 
 
+def _fixed(x, w) -> int:
+    """floor(x 2^w), for x >= 0."""
+    return int(mp.ldexp(x, w))
+
+
+def _assembly(*parts):
+    """Error bound of the mpmath set-up and assembly that combine parts
+    (a sum of them, or one product)."""
+    return _ASSEMBLY_EPS * mp.eps * sum(abs(x) for x in parts)
+
+
+def _q_drift(q_) -> int:
+    """Units of 2^-W by which X_n can miss q^n x_0 2^W, for 0 <= x_0 <= 1.
+
+    X_0 is floor(x_0 2^W), x_0 rounded to W bits: within 3 units.  Then
+    X_{n+1} = floor(X_n Q / 2^W), Q = floor(q 2^W), errs by x_n (q 2^W - Q)
+    plus the floor, below 2 units, besides q (1 + 2^-W) times the error
+    X_n carries, so |e_n| <= max(3, 2 / (1 - q - 2^-W)) < 4 + floor(2/(1-q)).
+    """
+    return 4 + int(2 / (1 - q_))
+
+
 # Bernoulli-number corrections B2..B10 for the Euler-Maclaurin closure of
 # sum_{n>=a} (1/n - 1/(n+u)); the remainder is below (|B10|/10!)|f^(9)(a)|,
 # itself below (50/66) u / a^11.
-def _psi_sum_hp(u, target):
+def _psi_sum_hp(u, target, w):
+    """sum_{i>=1} u / (i (i+u)), the terms summed and a bound on their
+    rounding, for u an mpf of at most w bits: i = 1..n in W = w bits of
+    fixed point, the rest by the Euler-Maclaurin closure, which errs by
+    less than target.
+
+    Each term (U 2^W) // (i (i 2^W + U)), U = floor(u 2^W), is the exact
+    rational term at U, floored: it errs by less than one unit (2^-W), and
+    as the term's derivative in u is 1/(i+u)^2, whose sum is below pi^2/6,
+    U's error of less than one unit moves the sum by less than 2.  So the
+    integer sum errs by less than n + 2 units; the rounding bound returned
+    adds one unit for the rounding of u to w bits, which moves the whole
+    series by at most u min(pi^2/6, 1/u) 2^-w.
+    """
     a_needed = (mpf(50) / 66 * u / target) ** (mpf(1) / 11)
     n = max(8, int(mp.ceil(a_needed)))
-    s = mpf(0)
-    for i in range(1, n + 1):
-        s += u / (i * (i + u))
+    one, big_u = 1 << w, _fixed(u, w)
+    num = big_u << w
+    s = sum(num // (i * (i * one + big_u)) for i in range(1, n + 1))
     a = mpf(n + 1)
     ia = 1 / a
     ib = 1 / (a + u)
@@ -92,64 +143,106 @@ def _psi_sum_hp(u, target):
     for b2j, two_j in bern:
         deriv = -math.factorial(two_j - 1) * (ia**two_j - ib**two_j)
         tail -= b2j / math.factorial(two_j) * deriv
-    return s + tail, n
+    return mp.ldexp(s, -w) + tail, n, mp.ldexp(n + 3, -w)
 
 
 def psi_hp(t) -> HPValue:
-    """psi(t) by direct extended-precision summation of its series."""
+    """psi(t) = -gamma - 1/t + sum_{i>=1} t / (i (i+t)), the sum by
+    ``_psi_sum_hp``."""
     _require(t > 0, f"t must be > 0 (got {t})")
     with mp.workdps(_SERIES_DPS):
+        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
-        target = mpf(_SERIES_TAIL)
-        s, n = _psi_sum_hp(t_, target)
-        v = -mpf(EULER_GAMMA_HP) - 1 / t_ + s
-        return HPValue(v, _digits_from_error(v, target), n)
+        trunc = mpf(_TRUNCATION)
+        s, n, rounding = _psi_sum_hp(t_, trunc, w)
+        gamma_e = mpf(EULER_GAMMA_HP)
+        v = -gamma_e - 1 / t_ + s
+        err = trunc + rounding + _assembly(gamma_e, 1 / t_, s)
+        return HPValue(v, _digits_from_error(v, err), n)
 
 
 def psi_p_hp(t, p) -> HPValue:
-    """psi_p(t) as the exact finite sum ln p - sum_{n=0}^{p} 1/(n+t)."""
+    """psi_p(t) as the exact finite sum ln p - sum_{n=0}^{p} 1/(n+t).
+
+    The double t is exactly m/d, so each term is the rational d / (m + n d),
+    floored in W bits of fixed point: the sum errs by less than p + 1 units
+    of 2^-W.
+    """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(p >= 1, f"p must be >= 1 (got {p})")
     with mp.workdps(_SERIES_DPS):
-        t_ = mpf(t)
-        v = mp.log(p) - mp.fsum([1 / (t_ + n) for n in range(int(p) + 1)])
-        return HPValue(v, _SERIES_DPS - 5, int(p) + 1)
+        w = mp.prec + _GUARD_BITS
+        p = int(p)
+        m, d = float(t).as_integer_ratio()
+        num = d << w
+        s = mp.ldexp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
+        v = mp.log(p) - s
+        err = mp.ldexp(p + 1, -w) + _assembly(mp.log(p), s)
+        return HPValue(v, _digits_from_error(v, err), p + 1)
 
 
 def psi_q_hp(t, q) -> HPValue:
-    """psi_q(t) summed term by term until the geometric tail, which grows with
-    x = q^(t+n), is < 1e-25: until x < c/(1+c), c = 1e-25 (1-q)/(-ln q)."""
+    """psi_q(t) = -ln(1-q) + ln q sum_{n>=0} x_n / (1-x_n), x_n = q^(t+n),
+    summed term by term until the geometric tail, which grows with x_n, is
+    below T = _TRUNCATION: until x_n < c/(1+c), with
+    c = T (1-q)/(-ln q).
+
+    The x_n are W-bit fixed-point values, within D = ``_q_drift`` units of
+    2^-W; the stop test compares them with floor(2^W c/(1+c)) - D, so a
+    stop certifies the tail.  A term (X_n 2^W) // (2^W - X_n) errs by less
+    than one unit for the floor and 2 D / (1-x_n)^2 units for X_n's error,
+    while D 2^-W < (1-x_n)/2, which holds whenever the bound below is under
+    1/2.  With y = q^t and lam = -ln q, 2x/(1-x)^2 falls along n and
+    integrates to 2y / (lam (1-y)), so sum_{n<N} 1/(1-x_n)^2 is at most
+    A = N + 2y/(1-y)^2 + 2y/(lam (1-y)), and the sum errs by less than
+    N + 2 D A units, which ln q multiplies.
+    """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
+        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
         q_ = mpf(q)
-        target = mpf(_SERIES_TAIL)
-        lnq = mp.log(q_)
-        c = target * (1 - q_) / -lnq
-        x_stop = c / (1 + c)
-        s = mpf(0)
-        x = q_**t_
+        trunc = mpf(_TRUNCATION)
+        lam = -mp.log(q_)
+        c = trunc * (1 - q_) / lam
+        with mp.workprec(w):
+            y = q_**t_
+        drift = _q_drift(q_)
+        one, big_q, x = 1 << w, _fixed(q_, w), _fixed(y, w)
+        stop = _fixed(c / (1 + c), w) - drift
+        s = 0
         for n in itertools.count(1):
-            s += x / (1 - x)
-            x *= q_
-            if x < x_stop:
+            s += (x << w) // (one - x)
+            x = x * big_q >> w
+            if x < stop:
                 break
-        v = -mp.log(1 - q_) + lnq * s
-        return HPValue(v, _digits_from_error(v, target), n)
+        s = mp.ldexp(s, -w)
+        log_1mq = mp.log(1 - q_)
+        v = -log_1mq - lam * s
+        amp = n + 2 * y / (1 - y) ** 2 + 2 * y / (lam * (1 - y))
+        err = (trunc + lam * mp.ldexp(n + 2 * drift * amp, -w)
+               + _assembly(log_1mq, lam * s))
+        return HPValue(v, _digits_from_error(v, err), n)
 
 
 def psi_k_hp(t, k) -> HPValue:
-    """psi_k(t) by summation of its series (scaled variable u = t/k)."""
+    """psi_k(t) = (ln k - gamma)/k - 1/t + (1/k) sum_{i>=1} u / (i (i+u)),
+    u = t/k, the sum by ``_psi_sum_hp`` to within k T."""
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(k > 0, f"k must be > 0 (got {k})")
     with mp.workdps(_SERIES_DPS):
+        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
         k_ = mpf(k)
-        target = mpf(_SERIES_TAIL)
-        s, n = _psi_sum_hp(t_ / k_, target * k_)
-        v = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_ - 1 / t_ + s / k_
-        return HPValue(v, _digits_from_error(v, target), n)
+        trunc = mpf(_TRUNCATION)
+        with mp.workprec(w):
+            u = t_ / k_
+        s, n, rounding = _psi_sum_hp(u, trunc * k_, w)
+        head = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_
+        v = head - 1 / t_ + s / k_
+        err = trunc + rounding / k_ + _assembly(head, 1 / t_, s / k_)
+        return HPValue(v, _digits_from_error(v, err), n)
 
 
 def gamma_hp(t) -> HPValue:
@@ -158,37 +251,86 @@ def gamma_hp(t) -> HPValue:
 
 
 def gamma_p_hp(t, p) -> HPValue:
-    """Gamma_p(t) as the raw finite product p! p^t / (t(t+1)...(t+p))."""
+    """Gamma_p(t) as the raw finite product p! p^t / (t(t+1)...(t+p)).
+
+    The double t is exactly m/d, d a power of two, so the denominator is
+    d^-(p+1) times the product of the integers m + n d.  That product is a
+    mantissa and a binary exponent: once the mantissa passes 2W bits it is
+    shifted down to W + 1, which errs by less than 2^-W relative, at most
+    once per factor.
+    """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(p >= 1, f"p must be >= 1 (got {p})")
     with mp.workdps(_SERIES_DPS):
-        t_ = mpf(t)
-        denom = mp.fprod([t_ + n for n in range(int(p) + 1)])
-        v = mp.factorial(int(p)) * mpf(p) ** t_ / denom
-        return HPValue(v, _SERIES_DPS - 5, int(p) + 1)
+        w = mp.prec + _GUARD_BITS
+        p = int(p)
+        m, d = float(t).as_integer_ratio()
+        prod, exp, top = 1, (p + 1) * -(d.bit_length() - 1), 2 * w
+        for f in range(m, m + (p + 1) * d, d):
+            prod *= f
+            if prod.bit_length() > top:
+                shift = prod.bit_length() - w - 1
+                prod >>= shift
+                exp += shift
+        fact, power = mp.factorial(p), mpf(p) ** mpf(t)
+        v = fact * power / mp.ldexp(prod, exp)
+        err = abs(v) * mp.ldexp(p + 1, -w) + _assembly(v)
+        return HPValue(v, _digits_from_error(v, err), p + 1)
 
 
 def gamma_q_hp(t, q) -> HPValue:
-    """Gamma_q(t) as the raw infinite product, truncated after the first n
-    factors, n >= 1 the least with coeff q^n/(1-q) < 1e-25."""
+    """Gamma_q(t) = (1-q)^(1-t) prod_{j>=0} (1 - q^(j+1)) / (1 - q^(t+j)),
+    truncated after the first n factors, n >= 1 the least with
+    coeff q^n/(1-q) < T = _TRUNCATION.
+
+    The powers are W-bit fixed-point values within D = ``_q_drift`` units
+    of 2^-W, so the factor 1 - x errs by less than D 2^-W / (1-x) relative.
+    With x = y q^j and lam = -ln q, x/(1-x) falls along j and integrates to
+    -ln(1-y)/lam, so over n factors these sum to less than
+    D 2^-W (n + y/(1-y) - ln(1-y)/lam), for y = q and for y = q^t.  Each
+    product is a mantissa and a binary exponent: once the mantissa passes
+    2W bits it is shifted down to W + 1, which errs by less than 2^-W
+    relative, at most once per factor.  The relative errors e_a of the
+    numerator and e_b of the denominator are at most twice these sums,
+    and the quotient's at most 2 (e_a + e_b), while both sums are below
+    1/4, which holds whenever the bound is under 1/2.
+    """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
+        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
         q_ = mpf(q)
-        target = mpf(_SERIES_TAIL)
-        num = q_          # q^(n+1)
-        den = q_**t_      # q^(t+n)
-        coeff = abs(q_ - den) / (1 - (q_ if t_ >= 1 else den))
-        n = max(1, int(mp.ceil(mp.log(target * (1 - q_) / coeff, q_)))) if coeff else 1
-        prod_num = prod_den = mpf(1)
+        trunc = mpf(_TRUNCATION)
+        with mp.workprec(w):
+            y = q_**t_
+        coeff = abs(q_ - y) / (1 - (q_ if t_ >= 1 else y))
+        n = max(1, int(mp.ceil(mp.log(trunc * (1 - q_) / coeff, q_)))) if coeff else 1
+        one, big_q, top = 1 << w, _fixed(q_, w), 2 * w
+        num, den = big_q, _fixed(y, w)  # q^(j+1) and q^(t+j)
+        prod_num = prod_den = 1         # mantissas of the products ...
+        exp_num = exp_den = 0           # ... and their binary exponents
         for _ in range(n):
-            prod_num *= 1 - num
-            prod_den *= 1 - den
-            num *= q_
-            den *= q_
-        v = (1 - q_) ** (1 - t_) * prod_num / prod_den
-        return HPValue(v, _digits_from_error(v, abs(v) * target), n)
+            prod_num *= one - num
+            prod_den *= one - den
+            num = num * big_q >> w
+            den = den * big_q >> w
+            if prod_num.bit_length() > top:
+                shift = prod_num.bit_length() - w - 1
+                prod_num >>= shift
+                exp_num += shift
+            if prod_den.bit_length() > top:
+                shift = prod_den.bit_length() - w - 1
+                prod_den >>= shift
+                exp_den += shift
+        # both products carry the same factor 2^(nW), which cancels
+        ratio = mp.ldexp(mpf(prod_num) / prod_den, exp_num - exp_den)
+        v = (1 - q_) ** (1 - t_) * ratio
+        lam = -mp.log(q_)
+        amp = sum(n + x / (1 - x) - mp.log1p(-x) / lam for x in (q_, y))
+        rel = 4 * mp.ldexp(2 * n + _q_drift(q_) * amp, -w)
+        err = abs(v) * (trunc + rel) + _assembly(v)
+        return HPValue(v, _digits_from_error(v, err), n)
 
 
 def gamma_k_quad(t, k) -> HPValue:

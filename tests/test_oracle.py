@@ -111,6 +111,71 @@ def test_gamma_k_quad_meets_its_certified_digits(t, k):
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
 
 
+# The series and products certify at least the 24 digits of their 1e-25
+# truncation target, at most the working precision less the margin.
+SERIES_DIGITS = (24, oracle._SERIES_DPS - oracle._DPS_MARGIN)
+
+
+def _meets_its_certified_digits(hp, reference):
+    assert SERIES_DIGITS[0] <= hp.certified_digits <= SERIES_DIGITS[1]
+    with mp.workdps(50):
+        ref = reference()
+        assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
+
+
+EDGE_T = [0.05, 2.5, 30.0]
+
+
+@pytest.mark.parametrize("t", EDGE_T + [0.5, 15.0])
+def test_psi_hp_meets_its_certified_digits(t):
+    _meets_its_certified_digits(oracle.psi_hp(t), lambda: mp.digamma(mpf(t)))
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 10.0])
+@pytest.mark.parametrize("t", EDGE_T)
+def test_psi_k_hp_meets_its_certified_digits(t, k):
+    # psi_k(t) = (ln k + psi(t/k)) / k
+    _meets_its_certified_digits(
+        oracle.psi_k_hp(t, k),
+        lambda: (mp.log(mpf(k)) + mp.digamma(mpf(t) / k)) / k)
+
+
+# q up to 0.97, the top of the oracle_crossval bands; t = 0.05 at q = 0.97
+# gives the smallest 1 - q^t, the loops' worst denominator.
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.97])
+@pytest.mark.parametrize("t", EDGE_T)
+def test_psi_q_hp_meets_its_certified_digits(t, q):
+    _meets_its_certified_digits(
+        oracle.psi_q_hp(t, q),
+        lambda: mp.diff(lambda x: mp.log(mp.qgamma(x, mpf(q))), mpf(t)))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.97])
+@pytest.mark.parametrize("t", EDGE_T)
+def test_gamma_q_hp_meets_its_certified_digits(t, q):
+    _meets_its_certified_digits(oracle.gamma_q_hp(t, q),
+                                lambda: mp.qgamma(mpf(t), mpf(q)))
+
+
+@pytest.mark.parametrize("p", [1, 1000])
+@pytest.mark.parametrize("t", EDGE_T)
+def test_psi_p_hp_meets_its_certified_digits(t, p):
+    # sum_{n=0}^{p} 1/(n+t) = psi(t+p+1) - psi(t)
+    _meets_its_certified_digits(
+        oracle.psi_p_hp(t, p),
+        lambda: mp.log(p) + mp.digamma(mpf(t)) - mp.digamma(mpf(t) + p + 1))
+
+
+@pytest.mark.parametrize("p", [1, 1000])
+@pytest.mark.parametrize("t", EDGE_T)
+def test_gamma_p_hp_meets_its_certified_digits(t, p):
+    # Gamma_p(t) = p! p^t Gamma(t) / Gamma(t+p+1)
+    _meets_its_certified_digits(
+        oracle.gamma_p_hp(t, p),
+        lambda: mp.exp(mp.loggamma(p + 1) + t * mp.log(p) + mp.loggamma(mpf(t))
+                       - mp.loggamma(mpf(t) + p + 1)))
+
+
 def test_trapezoid_node_budget_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_QUAD_MAX_NODES", 5)
     with pytest.raises(oracle.ConvergenceError):
@@ -147,17 +212,18 @@ def test_oracle_imports_nothing_that_evaluates():
 
 
 def test_p_family_cross_validates_at_large_p():
-    p = 10**5
+    p = 10**6
     for t in (0.5, 2.5, 11.7):
         assert oracle.cross_validate(psi_p(t, p), oracle.psi_p_hp(t, p), 1e-12)
         assert oracle.cross_validate(gamma_p(t, p), oracle.gamma_p_hp(t, p), 1e-12)
 
 
-@pytest.mark.parametrize("t, q", [(0.3, 0.99), (2.5, 0.99), (17.9, 0.99), (2.5, 0.999)])
+@pytest.mark.parametrize("t, q", [(0.3, 0.99), (2.5, 0.99), (17.9, 0.99), (2.5, 0.999),
+                                  (2.5, 0.9999)])
 def test_q_family_cross_validates_near_q_one(t, q):
-    # The raw product and the term-by-term sum take ~65,000 and ~58,000
-    # steps at q = 0.999 (about 1 s together), so only one point is
-    # checked there.
+    # The raw product and the term-by-term sum take about 65,000 and 58,000
+    # steps at q = 0.999 and ten times as many at q = 0.9999 (about 1 s
+    # together there), so only one point is checked at each.
     assert oracle.cross_validate(psi_q(t, q).value, oracle.psi_q_hp(t, q), 1e-12)
     assert oracle.cross_validate(gamma_q(t, q).value, oracle.gamma_q_hp(t, q), 1e-12)
 

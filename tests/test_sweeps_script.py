@@ -90,4 +90,4 @@ def test_oracle_cost_times_every_routine(capsys):
         "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad"}
     for row in rows:
         ms, terms, digits = float(row[-3]), int(row[-2]), int(row[-1])
-        assert ms > 0 and terms >= 1 and digits >= 15
+        assert ms > 0 and terms >= 1 and digits >= 20
