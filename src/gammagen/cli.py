@@ -15,12 +15,11 @@ import json
 import sys
 
 from .core_special import (
+    DEFAULT_TOL,
     DomainError,
     EvalResult,
-    SeriesControl,
     ToleranceNotMet,
     _require_positive,
-    default_series_control,
     gamma,
     psi_series,
 )
@@ -134,29 +133,19 @@ def _emit(content: str, path: str | None) -> None:
             fh.write(content)
 
 
-def _series_control(tol: float | None) -> SeriesControl:
-    # the only reader of GAMMA_GEN_MAX_TERMS; library calls use SeriesControl()
-    base = default_series_control()
-    if tol is None:
-        return base
-    return SeriesControl(max_terms=base.max_terms, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    ctrl = _series_control(args.tol)
-    # Each evaluator names its arguments t, p, q, k, gp or ctrl, so it gets
+    _require_positive("tol", args.tol)
+    # Each evaluator names its arguments t, p, q, k, gp or tol, so it gets
     # the flags its signature asks for.  It is looked up in this module when
     # called, so a wrapper installed here (a profiler's, say) sees the call.
     func = globals()["psi_series" if args.fn == "psi" else args.fn]
     kwargs = {}
     for name in inspect.signature(func).parameters:
-        if name == "ctrl":
-            kwargs[name] = ctrl
-        elif name == "gp":
+        if name == "gp":
             kwargs[name] = GenParams(args.a, args.b, args.alpha, args.beta)
         elif getattr(args, name) is None:
             raise DomainError(f"--{name} is required for {args.fn}")
@@ -168,9 +157,8 @@ def _cmd_eval(args) -> int:
         print(_fmt17(result.value))
         print(f"err_bound {result.err_bound!r} terms_used {result.terms_used}")
         if not result.converged:
-            print("tolerance not met: series budget exhausted before reaching "
-                  f"tol={ctrl.tol!r} (err_bound {result.err_bound!r})",
-                  file=sys.stderr)
+            print(f"tolerance not met: term cap reached short of tol={args.tol!r} "
+                  f"(err_bound {result.err_bound!r})", file=sys.stderr)
             return EXIT_TOL
     else:
         print(_fmt17(result))
@@ -178,7 +166,7 @@ def _cmd_eval(args) -> int:
 
 
 def _sweep(args):
-    """What verify and scan share: (gp, family parameter, grid, ctrl, and the
+    """What verify and scan share: (gp, family parameter, grid, and the
     JSON report's ``config`` with its keys in report order).  The engine
     checks the parameters and the sandwich grid."""
     gp = GenParams(args.a, args.b, args.alpha, args.beta)
@@ -190,17 +178,17 @@ def _sweep(args):
     if args.command == "scan" and any(t <= 0.0 for t in grid):
         raise DomainError("monotone grids must lie strictly in (0, inf)")
     _require_positive("tol-report", args.tol_report)
-    ctrl = _series_control(args.tol)
-    return gp, param, grid, ctrl, {
+    _require_positive("tol", args.tol)
+    return gp, param, grid, {
         "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
         "beta": gp.beta, args.family: param, "grid_spec": args.grid,
-        "grid": list(grid), "seed": args.seed, "tol": ctrl.tol,
+        "grid": list(grid), "seed": args.seed, "tol": args.tol,
         "tol_report": args.tol_report, "format": args.format}
 
 
 def _cmd_verify(args) -> int:
-    gp, param, grid, ctrl, config = _sweep(args)
-    rows = check_sandwich(args.family, gp, param, grid, args.tol_report, ctrl)
+    gp, param, grid, config = _sweep(args)
+    rows = check_sandwich(args.family, gp, param, grid, args.tol_report, args.tol)
     _emit(render_reports_csv(rows) if args.format == "csv"
           else render_reports_json(config, rows), args.out)
     n_fail = sum(not r.passed for r in rows)
@@ -209,8 +197,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    gp, param, grid, ctrl, config = _sweep(args)
-    scan = scan_monotone(*family_callables(args.family, gp, param, ctrl), grid)
+    gp, param, grid, config = _sweep(args)
+    scan = scan_monotone(*family_callables(args.family, gp, param, args.tol), grid)
     if args.format == "csv":
         lines = ["t,value"]
         lines += [f"{_repr_num(t)},{_repr_num(v)}"
@@ -251,8 +239,8 @@ def _add_gen_param_flags(sub):
     sub.add_argument("--p", type=int, default=None)
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--k", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=None,
-                     help="series tail-bound target (default 1e-12)")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="series tail-bound target (default %(default)g)")
 
 
 def _add_sweep_flags(sub):

@@ -10,24 +10,22 @@ through B_14, whose first omitted term bounds the remainder for real x > 0
 and is the reported error bound.  The same routine, scaled by k, is
 gen_gamma's psi_k, and at k = 1 it gives the psi(t) of gen_gamma's
 psi_p(t) = psi(t) - (psi(t+p+1) - ln p).
+
+Every series here and in gen_gamma has one setting, the absolute tail-bound
+target ``tol``, and sums at most _MAX_TERMS terms (see EvalResult).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 __all__ = [
     "EULER_GAMMA",
-    "DEFAULT_MAX_TERMS",
     "DEFAULT_TOL",
-    "MAX_TERMS_ENV_VAR",
     "DomainError",
     "ToleranceNotMet",
-    "SeriesControl",
     "EvalResult",
-    "default_series_control",
     "gamma",
     "log_gamma",
     "psi_series",
@@ -38,11 +36,13 @@ __all__ = [
 #: Never recomputed at runtime.
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
-DEFAULT_MAX_TERMS = 10_000_000
+#: The absolute tail-bound target of every series, unless a call passes tol.
 DEFAULT_TOL = 1e-12
 
-#: Environment variable overriding the default series term budget.
-MAX_TERMS_ENV_VAR = "GAMMA_GEN_MAX_TERMS"
+#: The most terms a series sums.  Every series is sized up front, to at most
+#: 76 terms down to tol = 1e-20, so the cap binds only at a tol that no
+#: double result can carry; there the evaluator reports converged=False.
+_MAX_TERMS = 10_000
 
 
 class DomainError(ValueError):
@@ -50,7 +50,7 @@ class DomainError(ValueError):
 
 
 class ToleranceNotMet(RuntimeError):
-    """A series evaluation exhausted its budget before reaching its tolerance.
+    """A series evaluation stopped at the term cap before reaching its tolerance.
 
     Evaluators themselves report this condition non-fatally through
     ``EvalResult.converged``; this exception is raised only where a verdict
@@ -59,27 +59,13 @@ class ToleranceNotMet(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SeriesControl:
-    """Truncation budget and absolute tail-bound target for series evaluation."""
-
-    max_terms: int = DEFAULT_MAX_TERMS
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1 (got {self.max_terms})")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0 (got {self.tol})")
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """Value of a truncated series/product plus its a-posteriori tail bound.
 
-    ``converged`` is False when the requested tolerance cannot be met within
-    the term budget.  The value is then the estimate at the length the
-    evaluator stopped at, the whole budget or, where no length within it
-    meets tol (psi), a short one; ``err_bound`` bounds its truncation error.
+    ``converged`` is False when no length within the _MAX_TERMS cap meets
+    the requested tolerance.  The value is then the estimate at the length
+    the evaluator stopped at, the cap or, where no length within it meets
+    tol (psi), a short one; ``err_bound`` bounds its truncation error.
     """
 
     value: float
@@ -90,25 +76,6 @@ class EvalResult:
     def __post_init__(self):
         if not self.err_bound >= 0.0:
             raise ValueError(f"err_bound must be >= 0 (got {self.err_bound})")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
-def default_series_control() -> SeriesControl:
-    """The command line's evaluation control: GAMMA_GEN_MAX_TERMS, when set,
-    overrides the budget; when it is unset, the shared (frozen) default.
-
-    Evaluators called with ``ctrl=None`` use that shared default and never
-    read the environment.
-    """
-    raw = os.environ.get(MAX_TERMS_ENV_VAR)
-    if raw is None:
-        return _DEFAULT_CONTROL
-    try:
-        return SeriesControl(max_terms=int(raw))
-    except ValueError:
-        raise ValueError(f"{MAX_TERMS_ENV_VAR}={raw!r} is not an integer >= 1") from None
 
 
 def _require_positive(name: str, value) -> None:
@@ -163,7 +130,7 @@ def _psi_tail(r: float) -> float:
     return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
 
 
-def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
+def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
     """(ln k + psi(u))/k at u = t/k, which is psi_k(t) and at k = 1 psi(t).
 
     psi(u) is shifted by the recurrence to x = u+n, so that
@@ -172,25 +139,25 @@ def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
 
     at y = t + nk, formed so that no term of size ln(1/k)/k cancels when k
     is small, with n the shortest shift with x >= 10 whose first omitted term
-    |B_16|/(16 x^16), divided by k, is below ``ctrl.tol``.  That term is
+    |B_16|/(16 x^16), divided by k, is below ``tol``.  That term is
     err_bound (the value is otherwise exact to rounding) and n is
-    terms_used.  If that n exceeds ``ctrl.max_terms``, no shift within the
-    budget meets tol: converged is False and n is the shortest shift with
-    x >= 10, capped by the budget.  Summing the whole budget instead would
-    cost up to max_terms terms and still miss tol; at k = 1 the bound at
-    x >= 10 is already below the rounding error of the sum.  Tolerance and
-    k enter the sizing as logs, so a tiny one can neither overflow nor
-    underflow.  At a subnormal k, t/k may overflow to inf, which asks for
-    no shift, and what underflows (1/x and err_bound) lies far below the
-    rounding of the value.  Raises OverflowError when the value exceeds the
-    double range.
+    terms_used.  If that n exceeds _MAX_TERMS, no shift within the cap
+    meets tol: converged is False and n is the shortest shift with
+    x >= 10.  Summing up to the cap instead would still miss tol; at k = 1
+    the bound at x >= 10 is already below the rounding error of the sum.
+    Tolerance and k enter the sizing as logs, so a tiny one can neither
+    overflow nor underflow.  At a subnormal k, t/k may overflow to inf,
+    which asks for no shift, and what underflows (1/x and err_bound) lies
+    far below the rounding of the value.  Raises OverflowError when the
+    value exceeds the double range.
     """
+    _require_positive("tol", tol)
     u = t / k
     # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
-    x_needed = math.exp((_LOG_PSI_OMITTED - math.log(ctrl.tol) - math.log(k)) / 16.0 + 1e-9)
+    x_needed = math.exp((_LOG_PSI_OMITTED - math.log(tol) - math.log(k)) / 16.0 + 1e-9)
     n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u))
-    if n > ctrl.max_terms:
-        n = min(math.ceil(max(0.0, _ASYMPTOTIC_FROM - u)), ctrl.max_terms)
+    if n > _MAX_TERMS:
+        n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u))
     y = t + n * k
     r = k / y  # 1/x
     bound = _PSI_OMITTED * r**15 / y
@@ -198,21 +165,20 @@ def _psi_scaled(t: float, k: float, ctrl: SeriesControl) -> EvalResult:
              - math.fsum([1.0 / (t + j * k) for j in range(n)]))
     if not math.isfinite(value):
         raise OverflowError(f"(ln k + psi(t/k))/k at t = {t}, k = {k} exceeds the double range")
-    return EvalResult(value, bound, n, bound <= ctrl.tol)
+    return EvalResult(value, bound, n, bound <= tol)
 
 
-def psi_series(t: float, ctrl: SeriesControl | None = None) -> EvalResult:
+def psi_series(t: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """psi(t) as psi(t+n) - sum_{j<n} 1/(t+j), with psi(x = t+n) from the
     asymptotic series; n is the shortest shift with x >= 10 whose first
-    omitted term |B_16|/(16 x^16) is below ``ctrl.tol``.  That term is
-    ``err_bound`` and n is ``terms_used``; if ``ctrl.max_terms`` rules that
-    shift out, ``converged`` is False.  This is ``_psi_scaled`` at k = 1;
-    ``ctrl=None`` means the default ``SeriesControl()``.
+    omitted term |B_16|/(16 x^16) is below ``tol``.  That term is
+    ``err_bound`` and n is ``terms_used``; if the _MAX_TERMS cap rules that
+    shift out, ``converged`` is False.  This is ``_psi_scaled`` at k = 1.
     """
     _require_positive("t", t)
-    return _psi_scaled(t, 1.0, ctrl or _DEFAULT_CONTROL)
+    return _psi_scaled(t, 1.0, tol)
 
 
 def psi(t: float) -> float:
-    """psi(t) = d/dt ln Gamma(t) for t > 0, at the default series control."""
+    """psi(t) = d/dt ln Gamma(t) for t > 0, at the default tolerance."""
     return psi_series(t).value

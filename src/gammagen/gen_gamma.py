@@ -45,11 +45,11 @@ from typing import Union
 
 from .core_special import (
     BERNOULLI,
+    DEFAULT_TOL,
     DomainError,
     EvalResult,
-    SeriesControl,
     _ASYMPTOTIC_FROM,
-    _DEFAULT_CONTROL,
+    _MAX_TERMS,
     _odd_power_series,
     _psi_scaled,
     _psi_tail,
@@ -191,7 +191,7 @@ def psi_p(t: float, p: int) -> float:
 
     with T the asymptotic series of psi through B_14, exact to rounding at
     x2 >= 10, and psi(t) from core_special's psi routine at the default
-    SeriesControl().  As in ``log_gamma_p``, p enters only through 1/p.
+    tolerance.  As in ``log_gamma_p``, p enters only through 1/p.
     """
     _require_positive("t", t)
     p = _check_p(p)
@@ -201,7 +201,7 @@ def psi_p(t: float, p: int) -> float:
     y = (t + 1.0) * x
     r2 = x / (1.0 + y)  # 1/x2
     d = math.log1p(y) - 0.5 * r2 - _psi_tail(r2)  # psi(x2) - ln p
-    return _psi_scaled(t, 1.0, _DEFAULT_CONTROL).value - d
+    return _psi_scaled(t, 1.0, DEFAULT_TOL).value - d
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +290,26 @@ def _bose(z: float) -> float:
 _MIN_NORMAL = 2.0 ** -1022
 
 
-def _q_block(lead: float, power: int, x0: float, c: float, ctrl: SeriesControl,
-             closure):
-    """Direct block n whose Euler-Maclaurin closure meets ctrl.tol, capped at
-    ctrl.max_terms; returns (n, *closure(n)).
+def _q_block(lead: float, power: int, x0: float, c: float, tol: float, closure):
+    """Direct block n whose Euler-Maclaurin closure meets tol, capped at
+    _MAX_TERMS; returns (n, *closure(n)).
 
     closure(n) returns (tail, err_bound).  The search starts at the smaller
     of two sizes, both computed in log space, and walks up from there: where
     lead/(x0 + n)^power, the size of the last correction as c -> 0, falls to
-    ctrl.tol, and where e^(-c(x0 + n)) does.  Once e^(-c(x0 + n)) is small
-    the correction falls like the summands, as that factor times about
+    tol, and where e^(-c(x0 + n)) does.  Once e^(-c(x0 + n)) is small the
+    correction falls like the summands, as that factor times about
     2e-8 c^10, so at the second size it is below tol when c < 5.8
     (q > 0.003); at smaller q each further term shrinks it by the factor q.
+    The start can undershoot (by one term in 1-3% of calls at tol 1e-12 to
+    1e-20, by up to 156 at 1e-40), so only the walk checks the bound.
     """
-    estimate = min(math.exp((math.log(lead) - math.log(ctrl.tol)) / power),
-                   -math.log(ctrl.tol) / c) - x0
-    n = min(max(1, math.ceil(min(estimate, 1e18))), ctrl.max_terms)
+    _require_positive("tol", tol)
+    estimate = min(math.exp((math.log(lead) - math.log(tol)) / power),
+                   -math.log(tol) / c) - x0
+    n = max(1, math.ceil(min(estimate, _MAX_TERMS)))
     tail, bound = closure(n)
-    while bound > ctrl.tol and n < ctrl.max_terms:
+    while bound > tol and n < _MAX_TERMS:
         n += 1
         tail, bound = closure(n)
     return n, tail, bound
@@ -358,7 +360,7 @@ def _log_gamma_q_integral(t: float, q: float, c: float, a: float) -> float:
             - (_dilog_regular(z1) - _dilog_regular(z2)) / c)
 
 
-def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
+def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """ln Gamma_q(t) = (1-t) ln(1-q) + sum_{n>=0} ln((1-q^(n+1))/(1-q^(n+t))),
     at a cost independent of q.
 
@@ -368,10 +370,9 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
     retained Bernoulli correction, which bounds the remainder because each
     summand is, up to sign, completely monotone in n.  n is the first block
     size, counting up from ``_q_block``'s estimated start, at which it is
-    below ctrl.tol; the start often already lies past the shortest such
-    block.  If ctrl.max_terms caps the block first, ``converged`` is False.
+    below tol; the start often already lies past the shortest such block.
+    If the _MAX_TERMS cap stops the block first, ``converged`` is False.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
@@ -385,29 +386,29 @@ def log_gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalRe
 
     k2 = 2 * _Q_CORRECTIONS
     lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1))
-    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), c, ctrl, closure)
+    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), c, tol, closure)
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
     log, expm1 = math.log, math.expm1
     h = [log(expm1(-c) / expm1(-c * t)) if c * t >= _MIN_NORMAL
          else log(-expm1(-c)) - log(c) - log(t)]
     h += [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(1, n + 1)]
     value = _log_gamma_q_integral(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
-    return EvalResult(value, bound, n, bound <= ctrl.tol)
+    return EvalResult(value, bound, n, bound <= tol)
 
 
-def gamma_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
+def gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Gamma_q(t) for t > 0, q in (0, 1).
 
     Truncation is controlled on the log scale (see ``log_gamma_q``); the
     reported err_bound is propagated to the value scale, and ``converged``
-    is False when ctrl.max_terms capped the direct block.
+    is False when the _MAX_TERMS cap stopped the direct block.
     """
-    r = log_gamma_q(t, q, ctrl)
+    r = log_gamma_q(t, q, tol)
     value = math.exp(r.value)
     return EvalResult(value, abs(value) * math.expm1(r.err_bound), r.terms_used, r.converged)
 
 
-def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
+def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """psi_q(t) = -ln(1-q) + ln q * sum_{n>=0} q^(t+n) / (1 - q^(t+n)),
     at a cost independent of q.
 
@@ -417,11 +418,10 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
     with -ln(1-q) into one log1p.  err_bound is c times the last retained
     Bernoulli correction, which bounds the remainder because f is completely
     monotone.  n is the first block size, counting up from ``_q_block``'s
-    estimated start, at which it is below ctrl.tol; the start often already
-    lies past the shortest such block.  If ctrl.max_terms caps the block
-    first, ``converged`` is False.
+    estimated start, at which it is below tol; the start often already
+    lies past the shortest such block.  If the _MAX_TERMS cap stops the
+    block first, ``converged`` is False.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
@@ -434,13 +434,13 @@ def psi_q(t: float, q: float, ctrl: SeriesControl | None = None) -> EvalResult:
 
     k2 = 2 * _Q_CORRECTIONS
     lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / k2
-    n, tail, bound = _q_block(lead, k2, t, c, ctrl, closure)
+    n, tail, bound = _q_block(lead, k2, t, c, tol, closure)
     first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
     rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
     # as log1p(-q expm1(-c(a-1))/(1-q)): no cancellation at any q
     value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * rest - first
-    return EvalResult(value, bound, n, bound <= ctrl.tol)
+    return EvalResult(value, bound, n, bound <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +467,16 @@ def gamma_k(t: float, k: float) -> float:
     return math.exp(log_gamma_k(t, k))
 
 
-def psi_k(t: float, k: float, ctrl: SeriesControl | None = None) -> EvalResult:
+def psi_k(t: float, k: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """psi_k(t) = (ln k + psi(t/k))/k, the logarithmic derivative of the
     identity Gamma_k(t) = k^(t/k - 1) Gamma(t/k).
 
     The sum is core_special's psi_series at u = t/k with every term divided
     by k before it is summed, so nothing of size ln(1/k)/k cancels when k
-    is small, and the shift is sized so that err_bound meets ``ctrl.tol``
+    is small, and the shift is sized so that err_bound meets ``tol``
     after the division.  Raises OverflowError when the value exceeds the
     double range, as ln(t)/k does at t != 1 and a subnormal k.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
     _require_positive("t", t)
     _require_positive("k", k)
-    return _psi_scaled(t, k, ctrl)
+    return _psi_scaled(t, k, tol)

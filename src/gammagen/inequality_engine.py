@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 from . import core_special
 from .core_special import (
+    DEFAULT_TOL,
     DomainError,
-    SeriesControl,
     ToleranceNotMet,
     _require_positive,
     gamma,
@@ -148,7 +148,7 @@ class MonotoneScan:
 def _converged_value(result, what: str) -> float:
     if not result.converged:
         raise ToleranceNotMet(
-            f"{what}: series budget exhausted (err_bound {result.err_bound:.3g})")
+            f"{what}: term cap reached short of tol (err_bound {result.err_bound:.3g})")
     return result.value
 
 
@@ -175,8 +175,8 @@ class Family:
 
     name: str              # "p", "q" or "k"; also the parameter's name
     hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
-    log_gamma: Callable    # (s, x, ctrl) -> ln Gamma_X(s)
-    psi: Callable          # (s, x, ctrl) -> psi_X(s)
+    log_gamma: Callable    # (s, x, tol) -> ln Gamma_X(s)
+    psi: Callable          # (s, x, tol) -> psi_X(s)
     lemma_const: Callable  # (b, x) -> c
     s_power: bool          # aux(t) carries the factor s^(a-b)
     s_floor: float         # the lemma holds for s > s_floor
@@ -185,19 +185,19 @@ class Family:
 
 FAMILIES = {fam.name: fam for fam in (
     Family("p", lambda a, b, p: _check_p(p),
-           log_gamma=lambda s, p, ctrl: log_gamma_p(s, p),
-           psi=lambda s, p, ctrl: psi_p(s, p),
+           log_gamma=lambda s, p, tol: log_gamma_p(s, p),
+           psi=lambda s, p, tol: psi_p(s, p),
            lemma_const=lambda b, p: b * math.log(p),
            s_power=False, s_floor=1.0, strict=True),
     Family("q", lambda a, b, q: _check_q(q),
-           log_gamma=lambda s, q, ctrl: _converged_value(log_gamma_q(s, q, ctrl),
-                                                         "log_gamma_q"),
-           psi=lambda s, q, ctrl: _converged_value(psi_q(s, q, ctrl), "psi_q"),
+           log_gamma=lambda s, q, tol: _converged_value(log_gamma_q(s, q, tol),
+                                                        "log_gamma_q"),
+           psi=lambda s, q, tol: _converged_value(psi_q(s, q, tol), "psi_q"),
            lemma_const=lambda b, q: -b * math.log1p(-q),
            s_power=False, s_floor=1.0, strict=True),
     Family("k", _k_hypotheses,
-           log_gamma=lambda s, k, ctrl: log_gamma_k(s, k),
-           psi=lambda s, k, ctrl: _converged_value(psi_k(s, k, ctrl), "psi_k"),
+           log_gamma=lambda s, k, tol: log_gamma_k(s, k),
+           psi=lambda s, k, tol: _converged_value(psi_k(s, k, tol), "psi_k"),
            lemma_const=lambda b, k: b / k * (math.log(k) - core_special.EULER_GAMMA),
            s_power=True, s_floor=0.0, strict=False),
 )}
@@ -216,31 +216,30 @@ def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
 
 # The generic code below takes a resolved (family, parameter) pair first.
 
-def _lemma(fam: Family, x, a: float, b: float, s: float,
-           ctrl: SeriesControl | None) -> float:
+def _lemma(fam: Family, x, a: float, b: float, s: float, tol: float) -> float:
     value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
     if fam.s_power:
         value += (a - b) / s
-    return value + a * _converged_value(psi_series(s, ctrl), "psi") - b * fam.psi(s, x, ctrl)
+    return value + a * _converged_value(psi_series(s, tol), "psi") - b * fam.psi(s, x, tol)
 
 
 def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float,
-                     ctrl: SeriesControl | None) -> float:
+                     tol: float) -> float:
     if not s > fam.s_floor:
         raise DomainError(f"t must be > {fam.s_floor:g} for the "
                           f"{fam.name}-family positivity (got {s})")
-    return _lemma(fam, x, a, b, s, ctrl)
+    return _lemma(fam, x, a, b, s, tol)
 
 
 def _lemma_checked(family: str, a: float, b: float, s: float, x,
-                   ctrl: SeriesControl | None = None) -> float:
+                   tol: float = DEFAULT_TOL) -> float:
     _require_positive("a", a)
     _require_positive("b", b)
-    return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s, ctrl)
+    return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s, tol)
 
 
 def _log_parts(fam: Family, x, t: float, gp: GenParams,
-               ctrl: SeriesControl | None) -> tuple[float, float]:
+               tol: float) -> tuple[float, float]:
     """ln aux(t) as (ell(t), ln Gamma(s)^a / Gamma_X(s)^b)."""
     if not t >= 0:
         raise DomainError(f"t must be >= 0 (got {t})")
@@ -248,12 +247,11 @@ def _log_parts(fam: Family, x, t: float, gp: GenParams,
     ell = gp.beta * t * (gp.a * core_special.EULER_GAMMA + fam.lemma_const(gp.b, x))
     if fam.s_power:
         ell += (gp.a - gp.b) * math.log(s)
-    return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x, ctrl)
+    return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x, tol)
 
 
-def _log_aux(fam: Family, x, t: float, gp: GenParams,
-             ctrl: SeriesControl | None = None) -> float:
-    ell, log_ratio = _log_parts(fam, x, t, gp, ctrl)
+def _log_aux(fam: Family, x, t: float, gp: GenParams, tol: float = DEFAULT_TOL) -> float:
+    ell, log_ratio = _log_parts(fam, x, t, gp, tol)
     return ell + log_ratio
 
 
@@ -262,8 +260,8 @@ def _log_aux(fam: Family, x, t: float, gp: GenParams,
 # the auxiliary functions increasing.
 
 def _log_deriv(fam: Family, x, t: float, gp: GenParams,
-               ctrl: SeriesControl | None = None) -> float:
-    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t, ctrl)
+               tol: float = DEFAULT_TOL) -> float:
+    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def _log_deriv(fam: Family, x, t: float, gp: GenParams,
 
 def lemma_expr_p_unchecked(a: float, b: float, t: float, p: int) -> float:
     """a*gamma_E + b ln p + a psi(t) - b psi_p(t), with no hypothesis checks."""
-    return _lemma(FAMILIES["p"], p, a, b, t, None)
+    return _lemma(FAMILIES["p"], p, a, b, t, DEFAULT_TOL)
 
 
 def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
@@ -285,27 +283,27 @@ def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
 
 
 def lemma_expr_q_unchecked(a: float, b: float, t: float, q: float,
-                           ctrl: SeriesControl | None = None) -> float:
+                           tol: float = DEFAULT_TOL) -> float:
     """a*gamma_E - b ln(1-q) + a psi(t) - b psi_q(t), no hypothesis checks."""
-    return _lemma(FAMILIES["q"], q, a, b, t, ctrl)
+    return _lemma(FAMILIES["q"], q, a, b, t, tol)
 
 
 def lemma_expr_q(a: float, b: float, t: float, q: float,
-                 ctrl: SeriesControl | None = None) -> float:
+                 tol: float = DEFAULT_TOL) -> float:
     """The q-family combined expression; strictly positive for t > 1."""
-    return _lemma_checked("q", a, b, t, q, ctrl)
+    return _lemma_checked("q", a, b, t, q, tol)
 
 
 def lemma_expr_k_unchecked(a: float, b: float, t: float, k: float,
-                           ctrl: SeriesControl | None = None) -> float:
+                           tol: float = DEFAULT_TOL) -> float:
     """The k-family combined expression, with no hypothesis checks."""
-    return _lemma(FAMILIES["k"], k, a, b, t, ctrl)
+    return _lemma(FAMILIES["k"], k, a, b, t, tol)
 
 
 def lemma_expr_k(a: float, b: float, t: float, k: float,
-                 ctrl: SeriesControl | None = None) -> float:
+                 tol: float = DEFAULT_TOL) -> float:
     """The k-family combined expression; nonnegative for a >= b > 0, k >= 1, t > 0."""
-    return _lemma_checked("k", a, b, t, k, ctrl)
+    return _lemma_checked("k", a, b, t, k, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +327,18 @@ def omega(t: float, gp: GenParams, p: int) -> float:
 
 
 def log_phi(t: float, gp: GenParams, q: float,
-            ctrl: SeriesControl | None = None) -> float:
+            tol: float = DEFAULT_TOL) -> float:
     """ln of the q-family auxiliary function
 
         phi(t) = (1-q)^(-b beta t) e^(a beta gamma_E t)
                  Gamma(alpha+beta t)^a / Gamma_q(alpha+beta t)^b.
     """
-    return _log_aux(*_resolve("q", gp.a, gp.b, q), t, gp, ctrl)
+    return _log_aux(*_resolve("q", gp.a, gp.b, q), t, gp, tol)
 
 
 def phi(t: float, gp: GenParams, q: float,
-        ctrl: SeriesControl | None = None) -> float:
-    return math.exp(log_phi(t, gp, q, ctrl))
+        tol: float = DEFAULT_TOL) -> float:
+    return math.exp(log_phi(t, gp, q, tol))
 
 
 def log_theta(t: float, gp: GenParams, k: float) -> float:
@@ -363,13 +361,13 @@ def log_deriv_omega(t: float, gp: GenParams, p: int) -> float:
 
 
 def log_deriv_phi(t: float, gp: GenParams, q: float,
-                  ctrl: SeriesControl | None = None) -> float:
-    return _log_deriv(*_resolve("q", gp.a, gp.b, q), t, gp, ctrl)
+                  tol: float = DEFAULT_TOL) -> float:
+    return _log_deriv(*_resolve("q", gp.a, gp.b, q), t, gp, tol)
 
 
 def log_deriv_theta(t: float, gp: GenParams, k: float,
-                    ctrl: SeriesControl | None = None) -> float:
-    return _log_deriv(*_resolve("k", gp.a, gp.b, k), t, gp, ctrl)
+                    tol: float = DEFAULT_TOL) -> float:
+    return _log_deriv(*_resolve("k", gp.a, gp.b, k), t, gp, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def _check_alpha_floor(gp: GenParams, floor: float) -> str:
 
 def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
                    tol_report: float = DEFAULT_TOL_REPORT,
-                   ctrl: SeriesControl | None = None) -> list[InequalityReport]:
+                   tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     """Check aux(0) <= aux(t) <= aux(1) at every grid point t in (0, 1), as
 
         ln aux(0) - ell(t)  <=  ln Gamma(s)^a / Gamma_X(s)^b  <=  ln aux(1) - ell(t)
@@ -424,11 +422,11 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
     fam, x = _resolve(family, gp.a, gp.b, param)
     note = _check_alpha_floor(gp, fam.s_floor)
     _check_unit_grid(grid)
-    log_at0 = _log_aux(fam, x, 0.0, gp, ctrl)
-    log_at1 = _log_aux(fam, x, 1.0, gp, ctrl)
+    log_at0 = _log_aux(fam, x, 0.0, gp, tol)
+    log_at1 = _log_aux(fam, x, 1.0, gp, tol)
     out = []
     for t in grid:
-        ell, log_middle = _log_parts(fam, x, t, gp, ctrl)
+        ell, log_middle = _log_parts(fam, x, t, gp, tol)
         out.append(_verdict(t, log_at0 - ell, log_middle, log_at1 - ell,
                             fam.strict, tol_report, note))
     return out
@@ -449,9 +447,9 @@ def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float],
 
 def check_sandwich_q(gp: GenParams, q: float, grid: Sequence[float],
                      tol_report: float = DEFAULT_TOL_REPORT,
-                     ctrl: SeriesControl | None = None) -> list[InequalityReport]:
+                     tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     """q-family analogue of ``check_sandwich_p`` (strict bounds)."""
-    return check_sandwich("q", gp, q, grid, tol_report, ctrl)
+    return check_sandwich("q", gp, q, grid, tol_report, tol)
 
 
 def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
@@ -489,10 +487,10 @@ def classical_bounds_p(alpha: float, p: int, t: float) -> tuple[float, float, fl
 
 
 def classical_bounds_q(alpha: float, q: float, t: float,
-                       ctrl: SeriesControl | None = None) -> tuple[float, float, float]:
+                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
     """Single-parameter q-bound, assembled directly."""
     g = core_special.EULER_GAMMA
-    gq = lambda x: _converged_value(gamma_q(x, q, ctrl), "gamma_q")
+    gq = lambda x: _converged_value(gamma_q(x, q, tol), "gamma_q")
     lower = (1.0 - q) ** t * math.exp(-g * t) * gamma(alpha) / gq(alpha)
     middle = gamma(alpha + t) / gq(alpha + t)
     upper = ((1.0 - q) ** (t - 1.0) * math.exp(g * (1.0 - t))
@@ -540,12 +538,12 @@ def scan_passes(scan: MonotoneScan, tol_report: float = DEFAULT_TOL_REPORT) -> b
 
 
 def family_callables(family: str, gp: GenParams, param,
-                     ctrl: SeriesControl | None = None):
+                     tol: float = DEFAULT_TOL):
     """(fn, log_deriv) closures for one family, with parameters bound:
     the auxiliary function and its log-derivative.
 
     ``param`` may be a raw number or a PParam/QParam/KParam instance.
     """
     fam, x = _resolve(family, gp.a, gp.b, param)
-    return (lambda t: math.exp(_log_aux(fam, x, t, gp, ctrl)),
-            lambda t: _log_deriv(fam, x, t, gp, ctrl))
+    return (lambda t: math.exp(_log_aux(fam, x, t, gp, tol)),
+            lambda t: _log_deriv(fam, x, t, gp, tol))

@@ -195,7 +195,10 @@ def psi_q_hp(t, q) -> HPValue:
     1/2.  With y = q^t and lam = -ln q, 2x/(1-x)^2 falls along n and
     integrates to 2y / (lam (1-y)), so sum_{n<N} 1/(1-x_n)^2 is at most
     A = N + 2y/(1-y)^2 + 2y/(lam (1-y)), and the sum errs by less than
-    N + 2 D A units, which ln q multiplies.
+    N + 2 D A units, which ln q multiplies.  Where 1 - q^t < 2^-32, fixed
+    point would keep fewer than mp.prec bits of 1 - x_0 (none once q^t
+    rounds to 1): the j = 0 term is then formed from -expm1(t ln q), within
+    8 units of 2^-W relative, and y above is q^(t+1).
     """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
@@ -206,13 +209,16 @@ def psi_q_hp(t, q) -> HPValue:
         trunc = mpf(_TRUNCATION)
         lam = -mp.log(q_)
         c = trunc * (1 - q_) / lam
+        s = head = 0
         with mp.workprec(w):
             y = q_**t_
+            if 1 - y < 2.0**-_GUARD_BITS:
+                head, y = y / -mp.expm1(t_ * mp.log(q_)), y * q_
+                s = _fixed(head, w)
         drift = _q_drift(q_)
         one, big_q, x = 1 << w, _fixed(q_, w), _fixed(y, w)
         stop = _fixed(c / (1 + c), w) - drift
-        s = 0
-        for n in itertools.count(1):
+        for n in itertools.count(2 if head else 1):
             s += (x << w) // (one - x)
             x = x * big_q >> w
             if x < stop:
@@ -221,7 +227,7 @@ def psi_q_hp(t, q) -> HPValue:
         log_1mq = mp.log(1 - q_)
         v = -log_1mq - lam * s
         amp = n + 2 * y / (1 - y) ** 2 + 2 * y / (lam * (1 - y))
-        err = (trunc + lam * mp.ldexp(n + 2 * drift * amp, -w)
+        err = (trunc + lam * mp.ldexp(n + 2 * drift * amp + 8 * head, -w)
                + _assembly(log_1mq, lam * s))
         return HPValue(v, _digits_from_error(v, err), n)
 
@@ -293,7 +299,11 @@ def gamma_q_hp(t, q) -> HPValue:
     relative, at most once per factor.  The relative errors e_a of the
     numerator and e_b of the denominator are at most twice these sums,
     and the quotient's at most 2 (e_a + e_b), while both sums are below
-    1/4, which holds whenever the bound is under 1/2.
+    1/4, which holds whenever the bound is under 1/2.  Where 1 - q^t < 2^-32,
+    fixed point would keep fewer than mp.prec bits of it (none once q^t
+    rounds to 1): the product is then taken at t+1, with y = q^(t+1), and
+    Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last factor formed
+    from -expm1(t ln q) within 8 units of 2^-W relative.
     """
     _require(t > 0, f"t must be > 0 (got {t})")
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
@@ -302,9 +312,12 @@ def gamma_q_hp(t, q) -> HPValue:
         t_ = mpf(t)
         q_ = mpf(q)
         trunc = mpf(_TRUNCATION)
+        first = 0  # 1 - q^t, where the product is taken at t+1
         with mp.workprec(w):
             y = q_**t_
-        coeff = abs(q_ - y) / (1 - (q_ if t_ >= 1 else y))
+            if 1 - y < 2.0**-_GUARD_BITS:
+                first, y = -mp.expm1(t_ * mp.log(q_)), y * q_
+        coeff = abs(q_ - y) / (1 - max(q_, y))
         n = max(1, int(mp.ceil(mp.log(trunc * (1 - q_) / coeff, q_)))) if coeff else 1
         one, big_q, top = 1 << w, _fixed(q_, w), 2 * w
         num, den = big_q, _fixed(y, w)  # q^(j+1) and q^(t+j)
@@ -325,10 +338,10 @@ def gamma_q_hp(t, q) -> HPValue:
                 exp_den += shift
         # both products carry the same factor 2^(nW), which cancels
         ratio = mp.ldexp(mpf(prod_num) / prod_den, exp_num - exp_den)
-        v = (1 - q_) ** (1 - t_) * ratio
+        v = (1 - q_) ** (1 - t_) * ratio / (first or 1)
         lam = -mp.log(q_)
         amp = sum(n + x / (1 - x) - mp.log1p(-x) / lam for x in (q_, y))
-        rel = 4 * mp.ldexp(2 * n + _q_drift(q_) * amp, -w)
+        rel = 4 * mp.ldexp(2 * n + _q_drift(q_) * amp + (2 if first else 0), -w)
         err = abs(v) * (trunc + rel) + _assembly(v)
         return HPValue(v, _digits_from_error(v, err), n)
 

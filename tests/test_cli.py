@@ -2,26 +2,21 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 import time
 
 import pytest
 
-from gammagen import (GenParams, SeriesControl, gamma, gamma_k, gamma_p, gamma_q,
-                      omega, phi, psi_k, psi_p, psi_q, psi_series, theta)
+from gammagen import (GenParams, gamma, gamma_k, gamma_p, gamma_q, omega, phi, psi_k,
+                      psi_p, psi_q, psi_series, theta)
 from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
 from gammagen.core_special import DomainError, EvalResult
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "gammagen", *args],
-        capture_output=True, text=True, env=env)
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "gammagen", *args],
+                          capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +70,14 @@ def test_eval_missing_required_flag_is_domain_error():
 
 
 def test_eval_tolerance_not_met_exit_code():
-    # A budget of 2 is below the 8-term direct block that t = 2 needs.
-    r = run_cli("eval", "psi_q", "--t", "2", "--q", "0.9999",
-                env_extra={"GAMMA_GEN_MAX_TERMS": "2"})
+    # No block within the 10^4-term cap meets tol = 1e-300 this close to
+    # q = 1.  A 10^7-term budget was once summed here first (4.5 s).
+    start = time.perf_counter()
+    r = run_cli("eval", "psi_q", "--t", "2.5", "--q", "0.999999999999", "--tol", "1e-300")
+    assert time.perf_counter() - start < 2.0
     assert r.returncode == 3
-    assert "tolerance" in r.stderr.lower()
-    assert r.stdout.splitlines()[1].endswith("terms_used 2")
+    assert "tolerance not met" in r.stderr
+    assert r.stdout.splitlines()[1].endswith("terms_used 10000")
 
 
 def test_eval_gamma_p_beyond_double_range():
@@ -100,7 +97,7 @@ def test_eval_omega_uses_gen_params():
 GP_FLAGS = ["--a", "1.3", "--b", "0.7", "--alpha", "1.5", "--beta", "0.8"]
 GP = GenParams(1.3, 0.7, 1.5, 0.8)
 TOL_FLAGS = ["--tol", "1e-14"]
-TIGHT = SeriesControl(tol=1e-14)
+TIGHT = 1e-14
 
 # fn -> (flags after the function name, the library call it must match)
 EVAL_CASES = {
@@ -279,30 +276,36 @@ def test_scan_q_family_converges_near_q_one():
     assert r.stdout.splitlines()[-1].startswith("PASS")
 
 
-def test_scan_p_family_flags_classical_psi_budget(monkeypatch, capsys):
-    # A budget of 2 is below the shift psi(s) needs on s in [2, 3]; the
-    # p-lemma's classical psi once ignored it, so this scan exited 0 while
-    # the same k scan exited 3.
-    monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", "2")
+def test_scan_p_family_flags_classical_psi_budget(capsys):
+    # The shift psi(s) needs for tol = 1e-100, about 1.7 million terms, is
+    # beyond the 10^4-term cap; the p-lemma's classical psi once summed it
+    # in every call, and exited 0.
     assert main(["scan", "--family", "p", "--alpha", "1.5", "--p", "5",
-                 "--grid", "0.5:2:0.5"]) == 3
-    assert "psi" in capsys.readouterr().err
+                 "--grid", "0.5:2:0.5", "--tol", "1e-100"]) == 3
+    assert "psi:" in capsys.readouterr().err
 
 
-def test_max_terms_variable_reaches_commands_not_library_calls(monkeypatch, capsys):
-    # Library calls once read the variable too, so this psi stopped after
-    # 2 of the 10 terms it needs.
-    monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", "2")
-    assert psi_series(0.5).converged
-    assert main(["eval", "psi", "--t", "0.5"]) == 3
-    assert "tolerance not met" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("raw", ["", "abc"])
-def test_unparsable_max_terms_is_exit_2(monkeypatch, capsys, raw):
+@pytest.mark.parametrize("raw", ["2", "", "abc"])
+def test_max_terms_variable_is_ignored(monkeypatch, capsys, raw):
+    # GAMMA_GEN_MAX_TERMS once set a term budget; 2 stopped this psi after
+    # 2 of the 10 terms it needs (exit 3), and "" or "abc" was exit 2.
     monkeypatch.setenv("GAMMA_GEN_MAX_TERMS", raw)
-    assert main(["eval", "psi", "--t", "2.5"]) == 2
-    assert "GAMMA_GEN_MAX_TERMS" in capsys.readouterr().err
+    assert main(["eval", "psi", "--t", "0.5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].endswith("terms_used 10")
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "gamma", "--t", "2"],
+    ["verify", "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5"],
+    ["scan", "--family", "k", "--alpha", "1.5", "--k", "2", "--grid", "0.5,1"],
+])
+@pytest.mark.parametrize("bad", ["0", "-1", "nan"])
+def test_invalid_tol_is_exit_2(capsys, command, bad):
+    # gamma and the p-family's sandwich read tol in no series, so the CLI
+    # itself must check it.
+    assert main([*command, "--tol", bad]) == 2
+    assert f"tol must be > 0 (got {float(bad)})" in capsys.readouterr().err
 
 
 def test_scan_inadmissible_point_exit_2():
@@ -364,7 +367,7 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
     from gammagen import cli
     from gammagen.inequality_engine import InequalityReport
 
-    def fake_checker(family, gp, param, grid, tol_report, ctrl):
+    def fake_checker(family, gp, param, grid, tol_report, tol):
         return [InequalityReport(t, 2.0, 1.0, 3.0, -1.0, 2.0, True, False,
                                  tol_report) for t in grid]
 

@@ -11,14 +11,13 @@ from gammagen.core_special import (
     EULER_GAMMA,
     DomainError,
     EvalResult,
-    SeriesControl,
-    default_series_control,
     gamma,
     log_gamma,
     psi,
     psi_series,
 )
 from gammagen import oracle
+from gammagen.gen_gamma import gamma_q, log_gamma_q, psi_k, psi_q
 
 
 def test_gamma_integer_values():
@@ -47,17 +46,17 @@ def test_gamma_overflow():
 def test_psi_series_at_one_matches_vanishing_prefactor_form():
     # The (t-1)-prefactor form of the series is exactly -gamma_E at t = 1.
     first_form = -EULER_GAMMA + (1.0 - 1.0) * 0.0
-    r = psi_series(1.0, SeriesControl(tol=1e-12))
+    r = psi_series(1.0, 1e-12)
     assert abs(r.value - first_form) < 1e-13
 
 
 def test_psi_series_at_two_telescopes_to_one_minus_gamma():
-    r = psi_series(2.0, SeriesControl(tol=1e-12))
+    r = psi_series(2.0, 1e-12)
     assert abs(r.value - (1.0 - EULER_GAMMA)) < 1e-13
 
 
 def test_psi_series_at_half():
-    r = psi_series(0.5, SeriesControl(tol=1e-12))
+    r = psi_series(0.5, 1e-12)
     assert abs(r.value - (-1.9635100260214235)) < 5e-13
     assert abs(r.value + EULER_GAMMA + 2.0 * math.log(2.0)) < 5e-13
 
@@ -67,28 +66,30 @@ def test_psi_at_ten():
 
 
 def test_psi_series_reports_budget_and_bound():
-    ctrl = SeriesControl(max_terms=1000, tol=1e-12)
-    r = psi_series(3.7, ctrl)
+    r = psi_series(3.7, 1e-12)
     assert isinstance(r, EvalResult)
     assert r.err_bound >= 0.0
-    assert r.terms_used <= ctrl.max_terms
+    assert r.terms_used <= core_special._MAX_TERMS
     assert r.converged
-    assert r.err_bound <= ctrl.tol
+    assert r.err_bound <= 1e-12
 
 
 def test_psi_series_tolerance_not_met_is_nonfatal():
-    # A budget of 4 is below the 10-term shift that t = 0.5 needs.
-    ctrl = SeriesControl(max_terms=4, tol=1e-15)
-    r = psi_series(0.5, ctrl)
+    # At t = 0.5, tol = 1e-60 takes a shift of about 5,300 terms, within the
+    # 10^4-term cap; 1e-70 would take about 12,000, so psi stops at the
+    # 10-term shift to x >= 10 that the default tol takes.
+    r = psi_series(0.5, 1e-60)
+    assert r.converged and 5000 < r.terms_used <= core_special._MAX_TERMS
+    r = psi_series(0.5, 1e-70)
     assert not r.converged
-    assert r.terms_used == 4
-    assert r.err_bound > ctrl.tol
+    assert r.terms_used == 10
+    assert r.err_bound == psi_series(0.5).err_bound > 1e-70
 
 
 def test_psi_series_unreachable_tol_stops_at_x_ten():
-    # tol = 1e-300 needs a shift of about 5e18 terms; the whole 10^7-term
-    # budget was once summed, for a value 1.6e-15 off.
-    r = psi_series(2.5, SeriesControl(tol=1e-300))
+    # tol = 1e-300 needs a shift of about 5e18 terms; a 10^7-term budget
+    # was once summed, for a value 1.6e-15 off.
+    r = psi_series(2.5, 1e-300)
     assert not r.converged and r.terms_used <= 10
     with mp.workdps(30):
         exact = float(mp.digamma(mpf(2.5)))
@@ -110,22 +111,19 @@ def test_psi_series_terms_bounded():
 
 
 def test_psi_series_meets_a_tolerance_below_the_unit_roundoff():
-    ctrl = SeriesControl(tol=1e-20)
     for t in _T_LOG_SPACED:
-        r = psi_series(t, ctrl)
+        r = psi_series(t, 1e-20)
         assert r.converged and r.err_bound <= 1e-20 and r.terms_used <= 20
 
 
-@pytest.mark.parametrize("bad", [0, -3])
-def test_series_control_rejects_bad_budget(bad):
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=bad)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1e-9])
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan])
 def test_series_control_rejects_bad_tol(bad):
-    with pytest.raises(ValueError):
-        SeriesControl(tol=bad)
+    # tol, the one series setting, is checked by every series that reads it
+    for call in (lambda: psi_series(2.0, bad), lambda: psi_k(2.0, 3.0, bad),
+                 lambda: psi_q(2.0, 0.5, bad), lambda: log_gamma_q(2.0, 0.5, bad),
+                 lambda: gamma_q(2.0, 0.5, bad)):
+        with pytest.raises(DomainError, match=r"tol must be > 0"):
+            call()
 
 
 def test_eval_result_rejects_negative_bound():
@@ -154,7 +152,7 @@ def test_psi_strictly_increasing_on_grid():
 
 def test_psi_consistency_against_oracle():
     rng = np.random.default_rng(11)
-    tol = default_series_control().tol
+    tol = core_special.DEFAULT_TOL
     for t in rng.uniform(1e-3, 100.0, size=1000):
         t = float(t)
         diff = abs(psi(t) - float(oracle.psi_hp(t).value))
@@ -166,16 +164,3 @@ def test_log_gamma_derivative_matches_psi():
     for t in (0.3, 0.9, 1.5, 4.0, 12.0, 40.0):
         fd = (log_gamma(t + h) - log_gamma(t - h)) / (2.0 * h)
         assert abs(fd - psi(t)) < 1e-6
-
-
-def test_default_series_control_env_override(monkeypatch):
-    monkeypatch.setenv(core_special.MAX_TERMS_ENV_VAR, "123")
-    assert default_series_control().max_terms == 123
-    monkeypatch.delenv(core_special.MAX_TERMS_ENV_VAR)
-    assert default_series_control().max_terms == core_special.DEFAULT_MAX_TERMS
-
-
-def test_default_series_control_is_shared_when_unset(monkeypatch):
-    monkeypatch.delenv(core_special.MAX_TERMS_ENV_VAR, raising=False)
-    assert default_series_control() is default_series_control()
-    assert default_series_control() == core_special.SeriesControl()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from gammagen import core_special
-from gammagen.core_special import DomainError, SeriesControl
+from gammagen.core_special import DomainError
 from gammagen.gen_gamma import (
     KParam,
     PParam,
@@ -23,9 +23,9 @@ from gammagen.gen_gamma import (
     psi_p,
     psi_q,
 )
-from gammagen.core_special import gamma, psi
+from gammagen.core_special import gamma, psi, psi_series
 
-TIGHT = SeriesControl(tol=1e-14)
+TIGHT = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,41 @@ def test_q_family_converges_at_q_one_minus_1e9():
 
 
 def test_q_family_budget_exhaustion_flagged():
-    # A budget of 2 is below the 8- and 9-term blocks that t = 2 needs.
-    ctrl = SeriesControl(max_terms=2, tol=1e-12)
-    for fn in (psi_q, log_gamma_q):
-        r = fn(2.0, 0.999, ctrl)
-        assert not r.converged
-        assert r.terms_used == 2
-        assert r.err_bound > ctrl.tol
+    # Close to q = 1 no block within the 10^4-term cap meets tol = 1e-300,
+    # so the block stops at the cap, its closure's bound far above tol.  At
+    # q = 1 - 1e-12 a 10^7-term budget was once summed first (3.1 s).
+    for q in (0.999, 1.0 - 1e-12):
+        for fn in (psi_q, log_gamma_q, gamma_q):
+            r = fn(2.0, q, 1e-300)
+            assert not r.converged
+            assert r.terms_used == core_special._MAX_TERMS
+            assert r.err_bound > 1e-300
 
 
 def test_q_family_tiny_tol_at_q_half_sums_a_short_block():
     # The search for the block once started from the small-c estimate, about
-    # 10^29 terms, and so summed the whole 10^7-term budget.
-    ctrl = SeriesControl(tol=1e-300)
+    # 10^29 terms, and so summed the whole of a 10^7-term budget.
     for fn in (psi_q, log_gamma_q):
-        r = fn(2.5, 0.5, ctrl)
-        assert r.converged and r.err_bound <= ctrl.tol
+        r = fn(2.5, 0.5, 1e-300)
+        assert r.converged and r.err_bound <= 1e-300
         assert r.terms_used <= 2000
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-16, 1e-20])
+def test_term_cap_never_binds_at_realistic_tolerances(tol):
+    # Every series is sized up front: across t in [1e-300, 1e12], q across
+    # (0, 1 - 1e-12] and k in [1e-6, 1e6], the most terms any call takes is
+    # 76, far below the 10^4-term cap.
+    rng = np.random.default_rng(int(-math.log10(tol)))
+    for i in range(500):
+        t = 10.0 ** rng.uniform(-300, 12)
+        q = (10.0 ** rng.uniform(-300, math.log10(0.5)) if i % 2
+             else 1.0 - 10.0 ** rng.uniform(-12, math.log10(0.5)))
+        k = 10.0 ** rng.uniform(-6, 6)
+        for r in (psi_series(t, tol), psi_q(t, q, tol), log_gamma_q(t, q, tol),
+                  psi_k(t, k, tol)):
+            assert r.converged and r.err_bound <= tol, (t, q, k)
+            assert r.terms_used <= 100, (t, q, k)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.5, 7.3])
@@ -231,10 +249,9 @@ def test_q_family_matches_mpmath_euler_maclaurin(q):
 
 def test_q_family_small_tol_at_q_half_sums_the_geometric_block():
     # The search once started from the small-c estimate whenever that was
-    # within the budget: 6,136,807 terms here, where about 230 do.
-    ctrl = SeriesControl(tol=1e-70)
+    # within a 10^7-term budget: 6,136,807 terms here, where about 230 do.
     for fn, ref in ((psi_q, _psi_q_mp), (log_gamma_q, _log_gamma_q_mp)):
-        r = fn(2.5, 0.5, ctrl)
+        r = fn(2.5, 0.5, 1e-70)
         assert r.converged and r.terms_used <= 300
         exact = float(ref(2.5, 0.5))
         assert abs(r.value - exact) <= r.err_bound + 4e-16 * max(1.0, abs(exact))
@@ -325,9 +342,8 @@ def test_gamma_k_beyond_double_range_overflows():
 
 
 def test_psi_k_reduces_to_psi_at_k_one():
-    ctrl = SeriesControl(tol=1e-12)
-    r = psi_k(2.0, 1.0, ctrl)
-    assert abs(r.value - psi(2.0)) <= 2.0 * ctrl.tol
+    r = psi_k(2.0, 1.0, 1e-12)
+    assert abs(r.value - psi(2.0)) <= 2.0 * 1e-12
 
 
 def test_psi_k_reference_values():
@@ -456,7 +472,7 @@ def test_psi_k_small_k_matches_mpmath(t, k):
 
 
 def test_psi_k_unreachable_tol_raises_overflow_at_once():
-    # tol cannot be met at k = 1e-320; the whole 10^7-term budget was once
+    # tol cannot be met at k = 1e-320; a whole 10^7-term budget was once
     # summed before the value, about -7.4e322, overflowed.
     start = time.perf_counter()
     with pytest.raises(OverflowError):
@@ -467,10 +483,9 @@ def test_psi_k_unreachable_tol_raises_overflow_at_once():
 def test_psi_k_series_matches_closed_form():
     # (1/k) psi(t/k) + ln(k)/k is an implementer-derived closed form that
     # must agree with the direct series summation.
-    ctrl = SeriesControl(tol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(60):
         t = float(rng.uniform(0.1, 30.0))
         k = float(rng.uniform(0.2, 10.0))
         closed = psi(t / k) / k + math.log(k) / k
-        assert abs(psi_k(t, k, ctrl).value - closed) <= 10.0 * ctrl.tol
+        assert abs(psi_k(t, k, 1e-12).value - closed) <= 10.0 * 1e-12

@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from _hp_bounds import k_bounds, p_bounds, q_bounds
-from gammagen.core_special import EULER_GAMMA, DomainError, SeriesControl
+from gammagen.core_special import EULER_GAMMA, DomainError
 from gammagen.gen_gamma import KParam, PParam, QParam
 from gammagen.inequality_engine import (
     GenParams,
@@ -88,7 +88,7 @@ def test_lemma_p_near_one_limit():
 
 
 def test_lemma_q_value_at_simple_point():
-    got = lemma_expr_q(1.0, 1.0, 2.0, 0.5, SeriesControl(tol=1e-14))
+    got = lemma_expr_q(1.0, 1.0, 2.0, 0.5, 1e-14)
     assert abs(got - 1.4205290343560458) < 1e-12
 
 

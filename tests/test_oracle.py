@@ -157,6 +157,30 @@ def test_gamma_q_hp_meets_its_certified_digits(t, q):
                                 lambda: mp.qgamma(mpf(t), mpf(q)))
 
 
+def _one_minus_q_power(t, q):
+    """1 - q^t, without cancellation at tiny t."""
+    return -mp.expm1(mpf(t) * mp.log(mpf(q)))
+
+
+# At these t, q^t rounds to 1 in the loops' fixed point, whose j = 0
+# term or factor 1 - q^t was once 0 (ZeroDivisionError).  The references
+# step down from t + 1 by the functional equation.
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("t", [1e-50, 1e-300])
+def test_q_oracles_at_tiny_t(t, q):
+    # psi_q(t) = psi_q(t+1) + ln q q^t / (1 - q^t)
+    psi_hp = oracle.psi_q_hp(t, q)
+    _meets_its_certified_digits(psi_hp, lambda: (
+        mp.diff(lambda x: mp.log(mp.qgamma(x, mpf(q))), 1 + mpf(t))
+        + mp.log(mpf(q)) * mpf(q) ** t / _one_minus_q_power(t, q)))
+    # Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t)
+    gamma_hp = oracle.gamma_q_hp(t, q)
+    _meets_its_certified_digits(gamma_hp, lambda: (
+        mp.qgamma(1 + mpf(t), mpf(q)) * (1 - mpf(q)) / _one_minus_q_power(t, q)))
+    assert oracle.cross_validate(psi_q(t, q).value, psi_hp, 1e-12)
+    assert oracle.cross_validate(gamma_q(t, q).value, gamma_hp, 1e-12)
+
+
 @pytest.mark.parametrize("p", [1, 1000])
 @pytest.mark.parametrize("t", EDGE_T)
 def test_psi_p_hp_meets_its_certified_digits(t, p):

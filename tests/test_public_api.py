@@ -12,9 +12,8 @@ import gammagen
 from gammagen import core_special, gen_gamma, inequality_engine
 
 CORE_SPECIAL = [
-    "EULER_GAMMA", "DEFAULT_MAX_TERMS", "DEFAULT_TOL", "MAX_TERMS_ENV_VAR",
-    "DomainError", "ToleranceNotMet", "SeriesControl", "EvalResult",
-    "default_series_control", "gamma", "log_gamma", "psi_series", "psi",
+    "EULER_GAMMA", "DEFAULT_TOL", "DomainError", "ToleranceNotMet", "EvalResult",
+    "gamma", "log_gamma", "psi_series", "psi",
 ]
 GEN_GAMMA = [
     "PParam", "QParam", "KParam", "FamilyParam",
@@ -46,7 +45,7 @@ def test_public_name_importable(module, name):
 def test_public_functions_are_distinct():
     functions = [getattr(m, n) for m, n in PUBLIC
                  if inspect.isfunction(getattr(m, n))]
-    assert len(functions) == 5 + 9 + 23
+    assert len(functions) == 4 + 9 + 23
     assert len({id(f) for f in functions}) == len(functions)
 
 
