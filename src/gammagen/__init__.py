@@ -14,10 +14,6 @@ from .core_special import (
     psi_series,
 )
 from .gen_gamma import (
-    FamilyParam,
-    KParam,
-    PParam,
-    QParam,
     gamma_k,
     gamma_p,
     gamma_q,
@@ -39,9 +35,6 @@ from .inequality_engine import (
     check_sandwich_k,
     check_sandwich_p,
     check_sandwich_q,
-    classical_bounds_k,
-    classical_bounds_p,
-    classical_bounds_q,
     family_callables,
     lemma_expr_k,
     lemma_expr_k_unchecked,

@@ -12,6 +12,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 
 from .core_special import (
@@ -55,17 +56,28 @@ CSV_COLUMNS = ("t", "lower", "middle", "upper",
                "lower_margin", "upper_margin", "strict", "pass")
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid_spec(spec: str) -> tuple:
     """Parse 'start:stop:step' (inclusive endpoints, within float slack) or a
-    comma-separated explicit list; the result must be strictly increasing."""
+    comma-separated explicit list; the result must be strictly increasing.
+    A start:stop:step grid must be finite and hold at most MAX_GRID_POINTS
+    points, which is checked before any point is built."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec must be start:stop:step (got {spec!r})")
         start, stop, step = (float(x) for x in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise DomainError(f"grid spec must be finite (got {spec!r})")
         if not step > 0 or stop < start:
             raise DomainError(f"grid spec needs step > 0 and stop >= start (got {spec!r})")
-        count = int((stop - start) / step + 1e-9) + 1
+        intervals = (stop - start) / step + 1e-9
+        if not intervals < MAX_GRID_POINTS:
+            raise DomainError(f"grid spec gives more than {MAX_GRID_POINTS} points "
+                              f"(got {spec!r})")
+        count = int(intervals) + 1
         grid = tuple(start + i * step for i in range(count))
     else:
         grid = tuple(float(x) for x in spec.split(","))

@@ -31,8 +31,9 @@ Gamma_k(t) = k^(t/k - 1) Gamma(t/k), combined in log space.  The oracle
 module keeps the raw products and the defining integral as independent
 cross-checks.
 
-Domain boundaries are strict: q = 0, q = 1, t = 0, k = 0 are rejected,
-never clamped.
+Each deformation parameter is a plain number, an integer p or a real q
+or k, checked by the function that takes it.  Domain boundaries are
+strict: q = 0, q = 1, t = 0, k = 0 are rejected, never clamped.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Union
 
 from .core_special import (
     BERNOULLI,
@@ -57,10 +56,6 @@ from .core_special import (
 )
 
 __all__ = [
-    "PParam",
-    "QParam",
-    "KParam",
-    "FamilyParam",
     "gamma_p",
     "log_gamma_p",
     "psi_p",
@@ -71,39 +66,6 @@ __all__ = [
     "log_gamma_k",
     "psi_k",
 ]
-
-
-@dataclass(frozen=True)
-class PParam:
-    """Deformation parameter of the finite-product family: integer p >= 1."""
-
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
-
-
-@dataclass(frozen=True)
-class QParam:
-    """Deformation parameter of the q-family: real q strictly in (0, 1)."""
-
-    q: float
-
-    def __post_init__(self):
-        _check_q(self.q)
-
-
-@dataclass(frozen=True)
-class KParam:
-    """Deformation parameter of the k-family: real k > 0."""
-
-    k: float
-
-    def __post_init__(self):
-        _require_positive("k", self.k)
-
-
-FamilyParam = Union[PParam, QParam, KParam]
 
 
 def _check_p(p) -> int:

@@ -23,7 +23,7 @@ raises OverflowError.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import core_special
@@ -32,17 +32,10 @@ from .core_special import (
     DomainError,
     ToleranceNotMet,
     _require_positive,
-    gamma,
     log_gamma,
     psi_series,
 )
 from .gen_gamma import (
-    KParam,
-    PParam,
-    QParam,
-    gamma_k,
-    gamma_p,
-    gamma_q,
     log_gamma_k,
     log_gamma_p,
     log_gamma_q,
@@ -79,9 +72,6 @@ __all__ = [
     "check_sandwich_p",
     "check_sandwich_q",
     "check_sandwich_k",
-    "classical_bounds_p",
-    "classical_bounds_q",
-    "classical_bounds_k",
     "scan_monotone",
     "scan_passes",
     "family_callables",
@@ -92,7 +82,7 @@ DEFAULT_TOL_REPORT = 1e-9
 
 @dataclass(frozen=True)
 class GenParams:
-    """The shared parameter tuple (a, b, alpha, beta), all strictly positive.
+    """The shared parameter tuple (a, b, alpha, beta), all positive and finite.
 
     Theorem-specific admissibility (a >= b for the k-family, alpha bounds
     for the p/q sandwiches) is checked by the individual operations.
@@ -105,7 +95,10 @@ class GenParams:
 
     def __post_init__(self):
         for name in ("a", "b", "alpha", "beta"):
-            _require_positive(name, getattr(self, name))
+            value = getattr(self, name)
+            _require_positive(name, value)
+            if math.isinf(value):
+                raise DomainError(f"{name} must be finite (got {value})")
 
 
 @dataclass(frozen=True)
@@ -204,13 +197,10 @@ FAMILIES = {fam.name: fam for fam in (
 
 
 def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
-    """The family's description and its checked parameter; ``param`` may be
-    a raw number or a PParam/QParam/KParam record."""
+    """The family's description and its parameter, checked by its hypotheses."""
     fam = FAMILIES.get(family)
     if fam is None:
         raise DomainError(f"family must be one of p, q, k (got {family!r})")
-    if isinstance(param, (PParam, QParam, KParam)):
-        param = astuple(param)[0]  # each record holds one field
     return fam, fam.hypotheses(a, b, param)
 
 
@@ -416,7 +406,7 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
         ln aux(0) - ell(t)  <=  ln Gamma(s)^a / Gamma_X(s)^b  <=  ln aux(1) - ell(t)
 
     with s = alpha + beta t; strict bounds for p and q, non-strict for k.
-    ``param`` may be a raw number or a PParam/QParam/KParam instance.
+    ``param`` is the family's parameter, the integer p or the real q or k.
     Returns one report per grid point, in grid order.
     """
     fam, x = _resolve(family, gp.a, gp.b, param)
@@ -467,50 +457,6 @@ def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Regression predicates: the single-parameter (a = b = beta = 1) bounds
-# ---------------------------------------------------------------------------
-
-def classical_bounds_p(alpha: float, p: int, t: float) -> tuple[float, float, float]:
-    """(lower, middle, upper) of the original single-parameter p-bound,
-
-        p^-t e^(-g t) G(alpha)/G_p(alpha) < G(alpha+t)/G_p(alpha+t)
-                                          < p^(1-t) e^(g(1-t)) G(alpha+1)/G_p(alpha+1),
-
-    assembled directly, term by term, without the generalized machinery.
-    """
-    g = core_special.EULER_GAMMA
-    lower = p ** (-t) * math.exp(-g * t) * gamma(alpha) / gamma_p(alpha, p)
-    middle = gamma(alpha + t) / gamma_p(alpha + t, p)
-    upper = (p ** (1.0 - t) * math.exp(g * (1.0 - t))
-             * gamma(alpha + 1.0) / gamma_p(alpha + 1.0, p))
-    return lower, middle, upper
-
-
-def classical_bounds_q(alpha: float, q: float, t: float,
-                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
-    """Single-parameter q-bound, assembled directly."""
-    g = core_special.EULER_GAMMA
-    gq = lambda x: _converged_value(gamma_q(x, q, tol), "gamma_q")
-    lower = (1.0 - q) ** t * math.exp(-g * t) * gamma(alpha) / gq(alpha)
-    middle = gamma(alpha + t) / gq(alpha + t)
-    upper = ((1.0 - q) ** (t - 1.0) * math.exp(g * (1.0 - t))
-             * gamma(alpha + 1.0) / gq(alpha + 1.0))
-    return lower, middle, upper
-
-
-def classical_bounds_k(alpha: float, k: float, t: float) -> tuple[float, float, float]:
-    """Single-parameter k-bound (non-strict), assembled directly."""
-    g = core_special.EULER_GAMMA
-    c = (k * g - g) / k
-    lower = (k ** (-t / k) * math.exp(-t * c)
-             * gamma(alpha) / gamma_k(alpha, k))
-    middle = gamma(alpha + t) / gamma_k(alpha + t, k)
-    upper = (k ** ((1.0 - t) / k) * math.exp((1.0 - t) * c)
-             * gamma(alpha + 1.0) / gamma_k(alpha + 1.0, k))
-    return lower, middle, upper
-
-
-# ---------------------------------------------------------------------------
 # Monotonicity scans
 # ---------------------------------------------------------------------------
 
@@ -540,9 +486,8 @@ def scan_passes(scan: MonotoneScan, tol_report: float = DEFAULT_TOL_REPORT) -> b
 def family_callables(family: str, gp: GenParams, param,
                      tol: float = DEFAULT_TOL):
     """(fn, log_deriv) closures for one family, with parameters bound:
-    the auxiliary function and its log-derivative.
-
-    ``param`` may be a raw number or a PParam/QParam/KParam instance.
+    the auxiliary function and its log-derivative.  ``param`` is the
+    family's parameter, the integer p or the real q or k.
     """
     fam, x = _resolve(family, gp.a, gp.b, param)
     return (lambda t: math.exp(_log_aux(fam, x, t, gp, tol)),

@@ -287,7 +287,9 @@ def gamma_p_hp(t, p) -> HPValue:
 def gamma_q_hp(t, q) -> HPValue:
     """Gamma_q(t) = (1-q)^(1-t) prod_{j>=0} (1 - q^(j+1)) / (1 - q^(t+j)),
     truncated after the first n factors, n >= 1 the least with
-    coeff q^n/(1-q) < T = _TRUNCATION.
+    coeff q^n/(1-q) < T = _TRUNCATION, where coeff = |q - q^t|/(1-q): factor
+    j differs from 1 by q^j |q - q^t| / (1 - q^(t+j)), and every omitted
+    one, j >= n >= 1, has a denominator of at least 1 - q.
 
     The powers are W-bit fixed-point values within D = ``_q_drift`` units
     of 2^-W, so the factor 1 - x errs by less than D 2^-W / (1-x) relative.
@@ -317,7 +319,7 @@ def gamma_q_hp(t, q) -> HPValue:
             y = q_**t_
             if 1 - y < 2.0**-_GUARD_BITS:
                 first, y = -mp.expm1(t_ * mp.log(q_)), y * q_
-        coeff = abs(q_ - y) / (1 - max(q_, y))
+        coeff = abs(q_ - y) / (1 - q_)
         n = max(1, int(mp.ceil(mp.log(trunc * (1 - q_) / coeff, q_)))) if coeff else 1
         one, big_q, top = 1 << w, _fixed(q_, w), 2 * w
         num, den = big_q, _fixed(y, w)  # q^(j+1) and q^(t+j)

@@ -3,7 +3,8 @@
 Each suite cross-validates a fast evaluator against the independent
 oracle, re-checks the functional equations, or re-derives the
 single-parameter bounds and compares them term by term against the
-generalized checkers at a = b = beta = 1.
+generalized checkers at a = b = beta = 1.  Those reference bounds,
+``classical_bounds_p/q/k``, are test predicates, so they live here.
 """
 
 from __future__ import annotations
@@ -11,16 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import oracle
-from .core_special import gamma, psi
+from . import core_special, oracle
+from .core_special import DEFAULT_TOL, gamma, psi
 from .gen_gamma import gamma_k, gamma_p, gamma_q, psi_k, psi_p, psi_q
-from .inequality_engine import (
-    GenParams,
-    check_sandwich,
-    classical_bounds_k,
-    classical_bounds_p,
-    classical_bounds_q,
-)
+from .inequality_engine import GenParams, _converged_value, check_sandwich
 
 DEFAULT_SEED = 20250802
 
@@ -97,6 +92,46 @@ def _functional_equation_suite(rng, n: int) -> SuiteResult:
 
 def _close(x, y, tol=1e-12):
     return math.isclose(x, y, rel_tol=tol, abs_tol=tol)
+
+
+def classical_bounds_p(alpha: float, p: int, t: float) -> tuple[float, float, float]:
+    """(lower, middle, upper) of the original single-parameter p-bound,
+
+        p^-t e^(-g t) G(alpha)/G_p(alpha) < G(alpha+t)/G_p(alpha+t)
+                                          < p^(1-t) e^(g(1-t)) G(alpha+1)/G_p(alpha+1),
+
+    assembled directly, term by term, without the generalized machinery.
+    """
+    g = core_special.EULER_GAMMA
+    lower = p ** (-t) * math.exp(-g * t) * gamma(alpha) / gamma_p(alpha, p)
+    middle = gamma(alpha + t) / gamma_p(alpha + t, p)
+    upper = (p ** (1.0 - t) * math.exp(g * (1.0 - t))
+             * gamma(alpha + 1.0) / gamma_p(alpha + 1.0, p))
+    return lower, middle, upper
+
+
+def classical_bounds_q(alpha: float, q: float, t: float,
+                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+    """Single-parameter q-bound, assembled directly."""
+    g = core_special.EULER_GAMMA
+    gq = lambda x: _converged_value(gamma_q(x, q, tol), "gamma_q")
+    lower = (1.0 - q) ** t * math.exp(-g * t) * gamma(alpha) / gq(alpha)
+    middle = gamma(alpha + t) / gq(alpha + t)
+    upper = ((1.0 - q) ** (t - 1.0) * math.exp(g * (1.0 - t))
+             * gamma(alpha + 1.0) / gq(alpha + 1.0))
+    return lower, middle, upper
+
+
+def classical_bounds_k(alpha: float, k: float, t: float) -> tuple[float, float, float]:
+    """Single-parameter k-bound (non-strict), assembled directly."""
+    g = core_special.EULER_GAMMA
+    c = (k * g - g) / k
+    lower = (k ** (-t / k) * math.exp(-t * c)
+             * gamma(alpha) / gamma_k(alpha, k))
+    middle = gamma(alpha + t) / gamma_k(alpha + t, k)
+    upper = (k ** ((1.0 - t) / k) * math.exp((1.0 - t) * c)
+             * gamma(alpha + 1.0) / gamma_k(alpha + 1.0, k))
+    return lower, middle, upper
 
 
 def _reduction_suites(rng, n: int) -> list[SuiteResult]:

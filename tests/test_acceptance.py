@@ -21,9 +21,6 @@ from gammagen.inequality_engine import (
     check_sandwich_k,
     check_sandwich_p,
     check_sandwich_q,
-    classical_bounds_k,
-    classical_bounds_p,
-    classical_bounds_q,
     family_callables,
     lemma_expr_k,
     lemma_expr_p,
@@ -36,6 +33,7 @@ from gammagen.inequality_engine import (
     log_theta,
     scan_monotone,
 )
+from gammagen.selftest import classical_bounds_k, classical_bounds_p, classical_bounds_q
 
 GRID_19 = [0.05 * i for i in range(1, 20)]
 

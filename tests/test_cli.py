@@ -239,6 +239,17 @@ def test_verify_inadmissible_input_names_the_rule(capsys, flags, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--a", "--b", "--alpha", "--beta"])
+def test_verify_non_finite_gen_param_is_exit_2(capsys, flag):
+    # a report would hold NaN or Infinity, which JSON has no numbers for
+    argv = ["verify", "--family", "p", "--p", "5", "--alpha", "1.5",
+            flag, "inf", "--grid", "0.5", "--format", "json"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag[2:]} must be finite (got inf)" in err
+
+
 def test_verify_stdout_when_no_out_flag():
     r = run_cli("verify", "--family", "p", "--alpha", "1.5", "--p", "3",
                 "--grid", "0.5")
@@ -349,10 +360,17 @@ def test_parse_grid_spec_list():
     assert parse_grid_spec("0.1,0.2,0.7") == (0.1, 0.2, 0.7)
 
 
-@pytest.mark.parametrize("bad", ["1:0:0.1", "0.1:1:-0.5", "0.5,0.5", "0.7,0.2"])
+# 0:1:1e-6 is 1,000,001 points, one more than a grid may hold
+@pytest.mark.parametrize("bad", ["1:0:0.1", "0.1:1:-0.5", "0.5,0.5", "0.7,0.2",
+                                 "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf",
+                                 "0:1:1e-6", "-1e308:1e308:1e-300"])
 def test_parse_grid_spec_rejects(bad):
     with pytest.raises(DomainError):
         parse_grid_spec(bad)
+
+
+def test_parse_grid_spec_admits_a_million_points():
+    assert len(parse_grid_spec("1:1000000:1")) == 10**6
 
 
 def test_main_returns_exit_codes_in_process(capsys):

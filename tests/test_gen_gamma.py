@@ -10,9 +10,6 @@ from mpmath import mp, mpf
 from gammagen import core_special
 from gammagen.core_special import DomainError
 from gammagen.gen_gamma import (
-    KParam,
-    PParam,
-    QParam,
     gamma_k,
     gamma_p,
     gamma_q,
@@ -99,8 +96,6 @@ def test_p_rejected(bad_p):
     for fn in (lambda: gamma_p(1.0, bad_p), lambda: psi_p(1.0, bad_p)):
         with pytest.raises(DomainError):
             fn()
-    with pytest.raises(DomainError):
-        PParam(bad_p)
 
 
 def test_p_noninteger_rejected():
@@ -310,8 +305,6 @@ def test_q_rejected(bad_q):
         gamma_q(1.0, bad_q)
     with pytest.raises(DomainError):
         psi_q(1.0, bad_q)
-    with pytest.raises(DomainError):
-        QParam(bad_q)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +351,6 @@ def test_k_rejected(bad_k):
         gamma_k(1.0, bad_k)
     with pytest.raises(DomainError):
         psi_k(1.0, bad_k)
-    with pytest.raises(DomainError):
-        KParam(bad_k)
 
 
 @pytest.mark.parametrize("fn", [

@@ -5,16 +5,12 @@ from mpmath import mp, mpf
 
 from _hp_bounds import k_bounds, p_bounds, q_bounds
 from gammagen.core_special import EULER_GAMMA, DomainError
-from gammagen.gen_gamma import KParam, PParam, QParam
 from gammagen.inequality_engine import (
     GenParams,
     MonotoneScan,
     check_sandwich_k,
     check_sandwich_p,
     check_sandwich_q,
-    classical_bounds_k,
-    classical_bounds_p,
-    classical_bounds_q,
     family_callables,
     lemma_expr_k,
     lemma_expr_k_unchecked,
@@ -33,6 +29,7 @@ from gammagen.inequality_engine import (
     scan_monotone,
     theta,
 )
+from gammagen.selftest import classical_bounds_k, classical_bounds_p, classical_bounds_q
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +356,6 @@ def test_scan_monotone_phi_with_large_alpha():
     scan = scan_monotone(fn, ld, [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
     assert scan.derivative_min > 0.0
     assert scan.min_forward_diff > 0.0
-
-
-@pytest.mark.parametrize("family,record", [
-    ("p", PParam(4)), ("q", QParam(0.6)), ("k", KParam(2.5))])
-def test_family_callables_accepts_param_records(family, record):
-    gp = GenParams(2.0, 1.0, 1.5, 0.8)
-    raw = getattr(record, family)
-    for t in (0.3, 1.7):
-        assert [f(t) for f in family_callables(family, gp, record)] == \
-            [f(t) for f in family_callables(family, gp, raw)]
 
 
 def test_family_callables_rejects_unknown_family():

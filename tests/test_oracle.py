@@ -151,10 +151,22 @@ def test_psi_q_hp_meets_its_certified_digits(t, q):
 
 
 @pytest.mark.parametrize("q", [0.5, 0.9, 0.97])
-@pytest.mark.parametrize("t", EDGE_T)
+@pytest.mark.parametrize("t", EDGE_T + [1e-6, 1e-3])
 def test_gamma_q_hp_meets_its_certified_digits(t, q):
     _meets_its_certified_digits(oracle.gamma_q_hp(t, q),
                                 lambda: mp.qgamma(mpf(t), mpf(q)))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.97])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.5, 0.999])
+def test_gamma_q_hp_product_length_below_t_one(t, q):
+    # At t < 1 the omitted factors j >= n differ from 1 by less than q^j,
+    # since |q - q^t| < 1 - q and each denominator is at least 1 - q; so
+    # n = ceil(ln(T (1-q)) / ln q) factors meet the truncation T.
+    with mp.workdps(30):
+        q_ = mpf(q)
+        bound = int(mp.ceil(mp.log(mpf(oracle._TRUNCATION) * (1 - q_)) / mp.log(q_)))
+    assert oracle.gamma_q_hp(t, q).terms_used <= bound
 
 
 def _one_minus_q_power(t, q):
