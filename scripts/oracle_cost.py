@@ -3,9 +3,12 @@
 
 One row per routine and argument set: the arguments are the centres of the
 bands the benchmark's ``oracle_crossval`` workload draws from
-(benchmark/bench_workloads.py).  Each row gives the median wall time of
-five calls (after one untimed call), the terms, factors or quadrature
-nodes the call took, and the digits it certifies.
+(benchmark/bench_workloads.py), and two extremes of the trapezoid rule: a
+tiny t, which the functional equation lifts by 32 integer factors of
+about 1,050 bits, and t/k = 1500, which widens the working precision.
+Each row gives the median wall time of five calls (after one untimed
+call), the terms, factors or quadrature nodes the call took, and the
+digits it certifies.
 
 Usage:
     python scripts/oracle_cost.py
@@ -29,6 +32,7 @@ CASES = [
     ("gamma_hp", (6.0,)),
     ("gamma_hp", (11.5,)),
     ("gamma_hp", (22.5,)),
+    ("gamma_hp", (1e-300,)),
     ("gamma_p_hp", (12.55, 900)),
     ("gamma_q_hp", (12.55, 0.6)),
     ("gamma_q_hp", (12.55, 0.905)),
@@ -37,6 +41,7 @@ CASES = [
     ("gamma_k_quad", (5.5, 5.5)),
     ("gamma_k_quad", (9.0, 5.5)),
     ("gamma_k_quad", (13.0, 5.5)),
+    ("gamma_k_quad", (300.0, 0.2)),
 ]
 REPEATS = 5
 

@@ -81,6 +81,8 @@ class EvalResult:
 def _require_positive(name: str, value) -> None:
     if not value > 0:
         raise DomainError(f"{name} must be > 0 (got {value})")
+    if value == math.inf:  # not math.isfinite, which overflows on a huge int
+        raise DomainError(f"{name} must be finite (got {value})")
 
 
 def gamma(t: float) -> float:
@@ -164,7 +166,8 @@ def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
     value = (math.log(y) / k - (0.5 / y + _psi_tail(r) / k)
              - math.fsum([1.0 / (t + j * k) for j in range(n)]))
     if not math.isfinite(value):
-        raise OverflowError(f"(ln k + psi(t/k))/k at t = {t}, k = {k} exceeds the double range")
+        what = f"psi(t) at t = {t}" if k == 1 else f"(ln k + psi(t/k))/k at t = {t}, k = {k}"
+        raise OverflowError(f"{what} exceeds the double range")
     return EvalResult(value, bound, n, bound <= tol)
 
 

@@ -95,10 +95,7 @@ class GenParams:
 
     def __post_init__(self):
         for name in ("a", "b", "alpha", "beta"):
-            value = getattr(self, name)
-            _require_positive(name, value)
-            if math.isinf(value):
-                raise DomainError(f"{name} must be finite (got {value})")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ rule on the defining integral, with an a-priori error bound.  A bug shared
 with the fast evaluators would defeat cross-validation, so no evaluation
 code is shared with ``core_special`` or ``gen_gamma``.
 
-The series and product loops run on Python integers.  A value x in them is
-the fixed-point integer floor(x 2^W), W = mp.prec + _GUARD_BITS at the
-oracle's 35-digit working precision, and a product is a mantissa of W to
-2W bits with a separate binary exponent.  mpmath does only the set-up
-(powers, logarithms, the stop index) and the final assembly.  Each
-routine's docstring derives a bound on the rounding of its loop, in units
-of 2^-W, and ``certified_digits`` counts that bound with the truncation
-error and a few mp.eps for the assembly.
+The series and product loops, and the trapezoid rule's nodes, run on
+Python integers.  A value x in them is the fixed-point integer
+floor(x 2^W), W = mp.prec + _GUARD_BITS at the working precision (35
+digits for the series, 30 and more for the quadrature), and a product is a
+mantissa of W to 2W bits with a separate binary exponent.  mpmath does
+only the set-up (powers, logarithms, the stop index, the step), one
+exponential per quadrature node, and the final assembly.  Each routine's
+docstring derives a bound on the rounding of its loop, in units of 2^-W,
+and ``certified_digits`` counts that bound with the truncation error and
+a few mp.eps for the assembly.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, mpf_exp, round_nearest, to_fixed
 
 from .core_special import DomainError
 
@@ -78,6 +81,16 @@ class HPValue:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DomainError(msg)
+
+
+def _require_positive(name: str, value) -> None:
+    _require(value > 0, f"{name} must be > 0 (got {value})")
+    _require(value != math.inf, f"{name} must be finite (got {value})")
+
+
+def _require_integer_p(p) -> int:
+    _require(1 <= p < math.inf and p == int(p), f"p must be an integer >= 1 (got {p})")
+    return int(p)
 
 
 def _digits_from_error(value, err) -> int:
@@ -149,7 +162,7 @@ def _psi_sum_hp(u, target, w):
 def psi_hp(t) -> HPValue:
     """psi(t) = -gamma - 1/t + sum_{i>=1} t / (i (i+t)), the sum by
     ``_psi_sum_hp``."""
-    _require(t > 0, f"t must be > 0 (got {t})")
+    _require_positive("t", t)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
@@ -168,11 +181,10 @@ def psi_p_hp(t, p) -> HPValue:
     floored in W bits of fixed point: the sum errs by less than p + 1 units
     of 2^-W.
     """
-    _require(t > 0, f"t must be > 0 (got {t})")
-    _require(p >= 1, f"p must be >= 1 (got {p})")
+    _require_positive("t", t)
+    p = _require_integer_p(p)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
-        p = int(p)
         m, d = float(t).as_integer_ratio()
         num = d << w
         s = mp.ldexp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
@@ -200,7 +212,7 @@ def psi_q_hp(t, q) -> HPValue:
     rounds to 1): the j = 0 term is then formed from -expm1(t ln q), within
     8 units of 2^-W relative, and y above is q^(t+1).
     """
-    _require(t > 0, f"t must be > 0 (got {t})")
+    _require_positive("t", t)
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
@@ -235,8 +247,8 @@ def psi_q_hp(t, q) -> HPValue:
 def psi_k_hp(t, k) -> HPValue:
     """psi_k(t) = (ln k - gamma)/k - 1/t + (1/k) sum_{i>=1} u / (i (i+u)),
     u = t/k, the sum by ``_psi_sum_hp`` to within k T."""
-    _require(t > 0, f"t must be > 0 (got {t})")
-    _require(k > 0, f"k must be > 0 (got {k})")
+    _require_positive("t", t)
+    _require_positive("k", k)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
@@ -265,11 +277,10 @@ def gamma_p_hp(t, p) -> HPValue:
     shifted down to W + 1, which errs by less than 2^-W relative, at most
     once per factor.
     """
-    _require(t > 0, f"t must be > 0 (got {t})")
-    _require(p >= 1, f"p must be >= 1 (got {p})")
+    _require_positive("t", t)
+    p = _require_integer_p(p)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
-        p = int(p)
         m, d = float(t).as_integer_ratio()
         prod, exp, top = 1, (p + 1) * -(d.bit_length() - 1), 2 * w
         for f in range(m, m + (p + 1) * d, d):
@@ -307,7 +318,7 @@ def gamma_q_hp(t, q) -> HPValue:
     Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last factor formed
     from -expm1(t ln q) within 8 units of 2^-W relative.
     """
-    _require(t > 0, f"t must be > 0 (got {t})")
+    _require_positive("t", t)
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
@@ -359,8 +370,11 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
 
     The functional equation Gamma_k(t+k) = t Gamma_k(t) first lifts t until
     u = t/k >= _LIFT_TO: the node count depends on u alone and falls as u
-    grows, so a few multiplications save nodes.  With x = e^s and
-    s = (ln t)/k + sigma, which puts the integrand's peak at sigma = 0,
+    grows, so a few multiplications save nodes.  The doubles t and k are
+    exactly m/d and m_k/d_k, so t + ik = (m d_k + i m_k d)/(d d_k) and the
+    lift is a product of integers; it, the lifted t and u are each rounded
+    once, when they become mpfs.  With x = e^s and s = (ln t)/k + sigma,
+    which puts the integrand's peak at sigma = 0,
 
         Gamma_k(t) = exp(u (ln t - 1)) integral g(sigma) d sigma,
         g(sigma) = exp(u (k sigma - (e^(k sigma) - 1))),
@@ -372,28 +386,63 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
     56 (2014), Thm 5.1); d and h are chosen to make that bound 1e-25/2.
 
-    The nodes walk out from the peak, each side with one mp.exp per node:
-    e^(k sigma_j) comes from a geometric recurrence.  On each side the
-    ratio of neighbouring nodes falls outward, so once a node g is below
-    its predecessor g' the rest of that side sums to at most
-    g^2/(g' - g); a side stops when twice that is below 1e-25/8 (g(0) = 1
-    and the sum is at least 1, so the tails are relative).
-    ``certified_digits`` counts the aliasing bound, both tails and a
-    rounding allowance for the recurrences, the exponents and the lift.
+    The nodes walk out from the peak in W = mp.prec + _GUARD_BITS bits of
+    fixed point, a unit being 2^-W, with one exponential per node, mpf_exp
+    at W bits.  The step taken is kh' = K 2^-W, K = floor(kh 2^W), at most
+    kh, so the aliasing bound still holds.  With U = floor(u 2^W), the
+    exact u's floor, and u' = U 2^-W, node j's exponent
+    E = u (k sigma_j - e^(k sigma_j) + 1) is the integer A - X + U, where:
+
+    - A, u' k sigma_j, adds floor(U K 2^-W), negated on the - side, at
+      each node, so it is within j units at node j;
+    - X, u' e^(k sigma_j), starts at U and is floor(X B 2^-W) at each
+      node, B within 2 units of b 2^W, b = e^(+-kh') (one ulp of mpf_exp;
+      to_fixed is exact for b in (1/2, 2)).  A step multiplies X's error
+      by b and adds at most 2 X 2^-W + 1 units, so at node j it is at most
+      j max(1, b^j) (2u' + 1) units, which grows on the + side, where
+      b > 1; as u' >= 32, that is below j (3 max(X, U) 2^-W);
+    - U: the exact u is within a unit of u', which moves E by at most
+      |E|/u' units and the node by at most |E| e^E/u' < 1/(32 e) unit;
+    - the node G = to_fixed(mpf_exp(E 2^-W, W), W) adds mpf_exp's one ulp,
+      at most a unit as g <= 1, and a unit for to_fixed's floor, besides
+      g times the units by which E errs.
+
+    So node j is within r = j ((3 max(X, U) >> W) + 2) + 4 units of
+    g(sigma_j) 2^W.  r grows along a side, so a side of j nodes errs by at
+    most j r units in all, and as the sum is at least g(0) = 1, exact as
+    2^W, so much is a relative bound.
+
+    On each side the ratio of neighbouring nodes falls outward (the
+    exponent is concave), so once a node g is below its predecessor g'
+    the rest of that side sums to at most g^2/(g' - g).  The stop test
+    takes g at G + r and g' at G' - r, which enclose the exact nodes: a
+    side stops when 2 (G + r)^2 < floor(2^W T/8) (G' - G - 2r),
+    T = 1e-25, which proves twice its exact tail below T/8 (relative, as
+    the sum is at least 1).  So the argument holds for the rounded nodes,
+    and the widening moves no stop in practice: at the stop g is about
+    1e-26 or more, still at least 2^47 units at W = 135, where r is below
+    2^13, and the two grow together with t/k, so the test moves by a
+    relative 2^-34 or less.
+    ``certified_digits`` counts the aliasing bound, both tails, the
+    rounding of the nodes and a few mp.eps for the mpmath set-up and
+    assembly, whose exponent has parts u ln t and u.
     Raises ConvergenceError if a side needs more than _QUAD_MAX_NODES nodes.
     """
-    _require(t > 0, f"t must be > 0 (got {t})")
-    _require(k > 0, f"k must be > 0 (got {k})")
+    _require_positive("t", t)
+    _require_positive("k", k)
+    m, d = float(t).as_integer_ratio()
+    m_k, d_k = float(k).as_integer_ratio()
+    t_num, k_num = m * d_k, m_k * d  # t and k times d d_k = 2^e
+    e = (d * d_k).bit_length() - 1
+    lifts = max(0, -((t_num - _LIFT_TO * k_num) // k_num))
+    lift = math.prod(range(t_num, t_num + lifts * k_num, k_num))
+    t_num += lifts * k_num
     # the exponents are of size u = t/k and needed to _QUAD_DPS digits
     # after the point, so the working precision adds the digits of t/k
     with mp.workdps(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k)))):
-        t_, k_, target = mpf(t), mpf(k), mpf(_SERIES_TAIL)
-        lift, m = mpf(1), 0
-        while t_ < _LIFT_TO * k_:
-            lift *= t_
-            t_ += k_
-            m += 1
-        u = t_ / k_
+        w = mp.prec + _GUARD_BITS
+        t_, target = mp.ldexp(t_num, -e), mpf(_SERIES_TAIL)
+        u = mpf(from_rational(t_num, k_num, mp.prec, round_nearest))
         # the strip angle theta = kd that allows the longest step; it lies
         # a little below sqrt(2 lam/u), where that is below pi/2
         lam, uf = math.log(4 / float(target)), min(float(u), 1e300)
@@ -403,26 +452,32 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
         sec_u = mp.cos(theta) ** -u
         kh = 2 * mp.pi * theta / (lam + mp.log(sec_u))  # k times the step h
         err = 2 * sec_u / mp.expm1(2 * mp.pi * theta / kh)
-        total, nodes = mpf(1), 1
-        work = (m + 1) * (u * (abs(mp.log(t_)) + 1) + 1)
+        one, big_u, big_kh = 1 << w, (t_num << w) // k_num, _fixed(kh, w)
+        da, stop = big_u * big_kh >> w, _fixed(target / 8, w)
+        total, nodes, units = one, 1, 0
         for sign in (1, -1):
-            a, w, da, b, g_prev = mpf(0), u, sign * u * kh, mp.exp(sign * kh), mpf(1)
+            b = to_fixed(mpf_exp(from_man_exp(sign * big_kh, -w), w), w)
+            a, x, g_prev = 0, big_u, one
             for j in range(1, _QUAD_MAX_NODES + 1):
-                a += da            # u k sigma_j
-                w *= b             # u e^(k sigma_j)
-                g = mp.exp(a - w + u)
+                a += sign * da     # u k sigma_j
+                x = x * b >> w     # u e^(k sigma_j)
+                g = to_fixed(mpf_exp(from_man_exp(a - x + big_u, -w), w), w)
                 total += g
-                if g < g_prev and 2 * g * g < target / 8 * (g_prev - g):
-                    break
+                if 2 * g * g < stop * (g_prev - g):  # implied by the next test
+                    r = j * ((3 * max(x, big_u) >> w) + 2) + 4
+                    if 2 * (g + r) ** 2 < stop * (g_prev - g - 2 * r):
+                        break
                 g_prev = g
             else:
                 raise ConvergenceError(f"Gamma_k(t={t}, k={k}) needs more than "
                                        f"{_QUAD_MAX_NODES} nodes on one side")
-            err += 2 * g * g / (g_prev - g)
-            work += j * (abs(a) + w + 1)
+            # the side's rounding and, rounded up, twice its tail
+            units += j * r - (-2 * (g + r) ** 2 // (g_prev - g - 2 * r))
             nodes += j
-        v = mp.exp(u * (mp.log(t_) - 1)) * kh / k_ * total / lift
-        err += 8 * mp.eps * work
+        log_t = mp.log(t_)
+        v = (mp.exp(u * (log_t - 1)) * mp.ldexp(big_kh, -w) / mpf(k)
+             * mp.ldexp(total, -w) / mp.ldexp(lift, -e * lifts))
+        err += mp.ldexp(units, -w) + _assembly(u * log_t, u, 1)
     with mp.workdps(_QUAD_DPS):
         return HPValue(v, _digits_from_error(v, v * err), nodes)
 

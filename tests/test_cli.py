@@ -57,6 +57,32 @@ def test_eval_psi_k_beyond_double_range_is_domain_error():
     assert "exceeds the double range" in r.stderr
 
 
+def test_eval_psi_overflow_names_only_t(capsys):
+    # psi(1e-320) is about -1e320; the message once named a k = 1.0 never given
+    assert main(["eval", "psi", "--t", "1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert "psi(t) at t = 1e-320 exceeds the double range" in err
+    assert "k" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gamma", "--t", "inf"], "t"),
+    (["gamma_k", "--t", "inf", "--k", "2"], "t"),
+    (["psi", "--t", "inf"], "t"),
+    (["psi_p", "--t", "inf", "--p", "5"], "t"),
+    (["psi_q", "--t", "inf", "--q", "0.5"], "t"),
+    (["psi_k", "--t", "inf", "--k", "2"], "t"),
+    (["gamma_k", "--t", "2", "--k", "inf"], "k"),
+    (["psi_k", "--t", "2", "--k", "inf"], "k"),
+])
+def test_eval_infinite_argument_is_exit_2(capsys, argv, name):
+    # these printed inf, ln 5 or an unnamed conversion error
+    assert main(["eval", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{name} must be finite (got inf)" in err
+
+
 def test_eval_domain_error_names_hypothesis():
     r = run_cli("eval", "gamma_q", "--t", "1", "--q", "1.5")
     assert r.returncode == 2

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -86,26 +87,31 @@ def test_certified_digits_floor():
 
 
 # The working precision of the quadrature less the margin the oracle keeps.
+# The aliasing bound and the tails come to 1e-25 and the integer rounding
+# to far less, so every call certifies this cap.
 QUAD_DIGITS_CAP = oracle._QUAD_DPS - oracle._DPS_MARGIN
 
 
-@pytest.mark.parametrize("t", [0.05, 0.2, 2.3, 16.05, 27.26, 60.0]
+# a tiny t is lifted by 32 exact factors of up to 1,075 bits; 60 widens the precision
+@pytest.mark.parametrize("t", [0.05, 0.2, 2.3, 16.05, 27.26, 60.0, 1e-6, 1e-300, 5e-324]
                          + [0.5 + 1.25 * i for i in range(48)])
 def test_gamma_hp_meets_its_certified_digits(t):
     hp = oracle.gamma_hp(t)
-    assert 15 <= hp.certified_digits <= QUAD_DIGITS_CAP
+    assert hp.certified_digits == QUAD_DIGITS_CAP
     with mp.workdps(50):
         ref = mp.gamma(mpf(t))
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
 
 
-@pytest.mark.parametrize("k", [0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
-@pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0])
+# the last three widen the working precision by the digits of t/k
+@pytest.mark.parametrize("t, k", [(t, k) for t in (0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0)
+                                  for k in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
+                         + [(60.0, 0.2), (300.0, 0.2), (500.0, 1.0)])
 def test_gamma_k_quad_meets_its_certified_digits(t, k):
     # gamma_hp is the k = 1 case of the same routine, so this identity,
     # evaluated by mpmath, is the independent check of both.
     hp = oracle.gamma_k_quad(t, k)
-    assert 15 <= hp.certified_digits <= QUAD_DIGITS_CAP
+    assert hp.certified_digits == QUAD_DIGITS_CAP
     with mp.workdps(50):
         ref = mpf(k) ** (mpf(t) / k - 1) * mp.gamma(mpf(t) / k)
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
@@ -212,6 +218,13 @@ def test_gamma_p_hp_meets_its_certified_digits(t, p):
                        - mp.loggamma(mpf(t) + p + 1)))
 
 
+@pytest.mark.parametrize("t, k, nodes", [(2.5, 1.0, 53), (3.89, 6.43, 53),
+                                         (60.0, 0.2, 40), (500.0, 1.0, 39)])
+def test_trapezoid_node_counts_frozen(t, k, nodes):
+    # the node count follows from the step and the stop test alone
+    assert oracle.gamma_k_quad(t, k).terms_used == nodes
+
+
 def test_trapezoid_node_budget_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_QUAD_MAX_NODES", 5)
     with pytest.raises(oracle.ConvergenceError):
@@ -264,15 +277,33 @@ def test_q_family_cross_validates_near_q_one(t, q):
     assert oracle.cross_validate(gamma_q(t, q).value, oracle.gamma_q_hp(t, q), 1e-12)
 
 
-@pytest.mark.parametrize("fn", [
+ROUTINES_OF_T = [
     oracle.psi_hp, oracle.gamma_hp,
     lambda t: oracle.psi_p_hp(t, 3), lambda t: oracle.psi_q_hp(t, 0.5),
     lambda t: oracle.psi_k_hp(t, 2.0), lambda t: oracle.gamma_p_hp(t, 3),
     lambda t: oracle.gamma_q_hp(t, 0.5), lambda t: oracle.gamma_k_quad(t, 2.0),
-])
+]
+
+
+@pytest.mark.parametrize("fn", ROUTINES_OF_T)
 def test_oracle_domain_errors(fn):
     with pytest.raises(DomainError):
         fn(0.0)
+
+
+@pytest.mark.parametrize("fn", ROUTINES_OF_T + [
+    lambda k: oracle.psi_k_hp(2.0, k), lambda k: oracle.gamma_k_quad(2.0, k)])
+def test_oracle_rejects_infinity(fn):
+    with pytest.raises(DomainError, match=r"must be finite \(got inf\)"):
+        fn(math.inf)
+
+
+@pytest.mark.parametrize("p", [2.5, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("fn", [oracle.psi_p_hp, oracle.gamma_p_hp])
+def test_oracle_p_must_be_an_integer(fn, p):
+    # 2.5 was once taken as p = 2, where the fast path rejects it
+    with pytest.raises(DomainError, match="p must be an integer >= 1"):
+        fn(2.0, p)
 
 
 def test_every_fast_path_cross_validates():
