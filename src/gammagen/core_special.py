@@ -85,6 +85,13 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be finite (got {value})")
 
 
+def _require_finite(value: float, what: str, *args) -> float:
+    """value, or OverflowError naming what.format(*args) if it is not finite."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what.format(*args)} exceeds the double range")
+    return value
+
+
 def gamma(t: float) -> float:
     """Gamma(t) for t > 0.
 
@@ -165,10 +172,8 @@ def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
     bound = _PSI_OMITTED * r**15 / y
     value = (math.log(y) / k - (0.5 / y + _psi_tail(r) / k)
              - math.fsum([1.0 / (t + j * k) for j in range(n)]))
-    if not math.isfinite(value):
-        what = f"psi(t) at t = {t}" if k == 1 else f"(ln k + psi(t/k))/k at t = {t}, k = {k}"
-        raise OverflowError(f"{what} exceeds the double range")
-    return EvalResult(value, bound, n, bound <= tol)
+    what = "psi(t) at t = {0}" if k == 1 else "(ln k + psi(t/k))/k at t = {0}, k = {1}"
+    return EvalResult(_require_finite(value, what, t, k), bound, n, bound <= tol)
 
 
 def psi_series(t: float, tol: float = DEFAULT_TOL) -> EvalResult:

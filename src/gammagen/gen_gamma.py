@@ -45,6 +45,7 @@ import operator
 from .core_special import (
     BERNOULLI,
     DEFAULT_TOL,
+    EULER_GAMMA,
     DomainError,
     EvalResult,
     _ASYMPTOTIC_FROM,
@@ -52,6 +53,7 @@ from .core_special import (
     _odd_power_series,
     _psi_scaled,
     _psi_tail,
+    _require_finite,
     _require_positive,
 )
 
@@ -124,7 +126,8 @@ def log_gamma_p(t: float, p: int) -> float:
     p = _check_p(p)
     if p < _ASYMPTOTIC_FROM:
         direct = math.fsum(math.log(t + j) for j in range(p + 1))
-        return math.lgamma(p + 1) + t * math.log(p) - direct
+        return _require_finite(math.lgamma(p + 1) + t * math.log(p) - direct,
+                               "log_gamma_p(t) at t = {0}, p = {1}", t, p)
     x = 1 / p
     y = (t + 1.0) * x
     # p log1p(x) = log1p(x)/x and p log1p(y) = (t+1) log1p(y)/y
@@ -158,7 +161,8 @@ def psi_p(t: float, p: int) -> float:
     _require_positive("t", t)
     p = _check_p(p)
     if p < _ASYMPTOTIC_FROM:
-        return math.log(p) - math.fsum(1.0 / (t + n) for n in range(p + 1))
+        return _require_finite(math.log(p) - math.fsum(1.0 / (t + n) for n in range(p + 1)),
+                               "psi_p(t) at t = {0}, p = {1}", t, p)
     x = 1 / p
     y = (t + 1.0) * x
     r2 = x / (1.0 + y)  # 1/x2
@@ -179,26 +183,10 @@ def psi_p(t: float, p: int) -> float:
 # short direct block each sum is closed by Euler-Maclaurin with remainder at
 # most the last retained correction.  The derivatives are polynomials in w:
 # f^(j)(y) = (-c)^j A_j(w) and g^(j)(y) = (-c)^j A_(j-1)(w), where
-# A_j(w(z)) = Li_{-j}(e^(-z)).  As c -> 0, c^j A_j(w(cy)) -> j!/y^(j+1), so
-# the block length the closure needs does not depend on q.
+# A_j(w(z)) = Li_{-j}(e^(-z)).  As c -> 0, c^(j+1) A_j(w(cy)) -> j!/y^(j+1),
+# so the block length the closure needs does not depend on q.
 
 _EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI, 1))
-
-
-def euler_maclaurin_corrections(odd_derivatives) -> tuple[float, float]:
-    """Bernoulli corrections of the Euler-Maclaurin closure
-
-        sum_{n>=0} f(a+n) = int_a^inf f + f(a)/2 - sum_{k<=K} B_2k/(2k)! f^(2k-1)(a) + R,
-
-    given the odd derivatives f^(1)(a), f^(3)(a), ..., f^(2K-1)(a), K <= 7.
-    Returns the sum of the K corrections and the magnitude of the last one.
-    When f or -f is completely monotone, |R| is at most that magnitude.
-    """
-    total = 0.0
-    for weight, deriv in zip(_EM_WEIGHTS, odd_derivatives):
-        last = weight * deriv
-        total -= last
-    return total, abs(last)
 
 
 #: Bernoulli corrections of the q-family closures (B_2 .. B_10).
@@ -228,18 +216,23 @@ def _powers(w: float, count: int) -> list:
     return list(itertools.accumulate(itertools.repeat(w, count), operator.mul))
 
 
-def _odd_derivatives(powers, c: float, order: int) -> list:
-    """[-c^(2k-1) A_(2k-1-order)(w) for k = 1 .. _Q_CORRECTIONS], from
-    powers = [w, w^2, ...] (2 _Q_CORRECTIONS - order of them): the odd
-    derivatives of f (order 0) or of g (order 1) at y, w = w(cy).  Each
-    A_j is linear in the powers, so the difference of two power lists gives
-    the difference of the derivatives."""
-    out = []
+def _em_corrections(powers, c: float, order: int) -> tuple[float, float]:
+    """Bernoulli corrections of the Euler-Maclaurin closure
+
+        sum_{n>=0} F(a+n) = int_a^inf F + F(a)/2 - sum_{k<=K} B_2k/(2k)! F^(2k-1)(a) + R,
+
+    K = _Q_CORRECTIONS, F = f (order 0) or g (order 1), from the powers
+    [w, w^2, ...] of w = w(ca), 2K - order of them.  F^(2k-1)(a) is
+    -c^(2k-1) A_(2k-1-order)(w), linear in the powers, so a difference of
+    power lists gives the difference of the corrections.  Returns their sum
+    and the magnitude of the last, which bounds |R| when +-F is completely monotone."""
+    total = 0.0
     scale = -c
-    for coeffs in _A[1 - order::2]:
-        out.append(scale * sum(map(operator.mul, coeffs, powers)))
+    for weight, coeffs in zip(_EM_WEIGHTS, _A[1 - order::2]):
+        last = weight * (scale * sum(map(operator.mul, coeffs, powers)))
+        total -= last
         scale *= c * c
-    return out
+    return total, abs(last)
 
 
 def _bose(z: float) -> float:
@@ -252,22 +245,26 @@ def _bose(z: float) -> float:
 _MIN_NORMAL = 2.0 ** -1022
 
 
-def _q_block(lead: float, power: int, x0: float, c: float, tol: float, closure):
-    """Direct block n whose Euler-Maclaurin closure meets tol, capped at
-    _MAX_TERMS; returns (n, *closure(n)).
+def _q_block(order: int, x0: float, c: float, tol: float, closure):
+    """Direct block n, capped at _MAX_TERMS, whose Euler-Maclaurin closure
+    of f (order 0) or g (order 1) meets tol; returns (n, *closure(n)).
 
     closure(n) returns (tail, err_bound).  The search starts at the smaller
     of two sizes, both computed in log space, and walks up from there: where
     lead/(x0 + n)^power, the size of the last correction as c -> 0, falls to
-    tol, and where e^(-c(x0 + n)) does.  Once e^(-c(x0 + n)) is small the
-    correction falls like the summands, as that factor times about
-    2e-8 c^10, so at the second size it is below tol when c < 5.8
-    (q > 0.003); at smaller q each further term shrinks it by the factor q.
-    The start can undershoot (by one term in 1-3% of calls at tol 1e-12 to
-    1e-20, by up to 156 at 1e-40), so only the walk checks the bound.
+    tol (power = K2 - order and lead = |B_K2| (K2-1-order)!/K2!, with
+    K2 = 2 _Q_CORRECTIONS), and where e^(-c(x0 + n)) does.  Once
+    e^(-c(x0 + n)) is small the correction falls like the summands, as that
+    factor times about 2e-8 c^10, so at the second size it is below tol
+    when c < 5.8 (q > 0.003); at smaller q each further term shrinks it by
+    the factor q.  The start can undershoot (by one term in 1-3% of calls
+    at tol 1e-12 to 1e-20, by up to 156 at 1e-40), so only the walk checks
+    the bound.
     """
     _require_positive("tol", tol)
-    estimate = min(math.exp((math.log(lead) - math.log(tol)) / power),
+    k2 = 2 * _Q_CORRECTIONS
+    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1) ** order)
+    estimate = min(math.exp((math.log(lead) - math.log(tol)) / (k2 - order)),
                    -math.log(tol) / c) - x0
     n = max(1, math.ceil(min(estimate, _MAX_TERMS)))
     tail, bound = closure(n)
@@ -330,10 +327,9 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     values, is followed by the Euler-Maclaurin closure of the rest
     (see ``_log_gamma_q_integral`` for its integral).  err_bound is the last
     retained Bernoulli correction, which bounds the remainder because each
-    summand is, up to sign, completely monotone in n.  n is the first block
-    size, counting up from ``_q_block``'s estimated start, at which it is
-    below tol; the start often already lies past the shortest such block.
-    If the _MAX_TERMS cap stops the block first, ``converged`` is False.
+    summand is, up to sign, completely monotone in n.  n is the block size
+    ``_q_block`` finds; if its _MAX_TERMS cap stops it, ``converged`` is
+    False.  Raises OverflowError when the value exceeds the double range.
     """
     _require_positive("t", t)
     _check_q(q)
@@ -344,18 +340,17 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
         count = 2 * _Q_CORRECTIONS - 1
         powers = map(operator.sub, _powers(_bose(c * (n + t)), count),
                      _powers(_bose(c * (n + 1.0)), count))
-        return euler_maclaurin_corrections(_odd_derivatives(list(powers), c, 1))
+        return _em_corrections(list(powers), c, 1)
 
-    k2 = 2 * _Q_CORRECTIONS
-    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1))
-    n, corr, bound = _q_block(lead, k2 - 1, min(t, 1.0), c, tol, closure)
+    n, corr, bound = _q_block(1, min(t, 1.0), c, tol, closure)
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
     log, expm1 = math.log, math.expm1
     h = [log(expm1(-c) / expm1(-c * t)) if c * t >= _MIN_NORMAL
          else log(-expm1(-c)) - log(c) - log(t)]
     h += [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(1, n + 1)]
     value = _log_gamma_q_integral(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
-    return EvalResult(value, bound, n, bound <= tol)
+    what = "log_gamma_q(t) at t = {0}, q = {1}"
+    return EvalResult(_require_finite(value, what, t, q), bound, n, bound <= tol)
 
 
 def gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -379,10 +374,9 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     with integral -ln(1 - e^(-ca))/c at a = t+n, whose logarithm is combined
     with -ln(1-q) into one log1p.  err_bound is c times the last retained
     Bernoulli correction, which bounds the remainder because f is completely
-    monotone.  n is the first block size, counting up from ``_q_block``'s
-    estimated start, at which it is below tol; the start often already
-    lies past the shortest such block.  If the _MAX_TERMS cap stops the
-    block first, ``converged`` is False.
+    monotone.  n is the block size ``_q_block`` finds; if its _MAX_TERMS
+    cap stops it, ``converged`` is False.  Raises OverflowError when the
+    value exceeds the double range, as 1/t does at a subnormal t.
     """
     _require_positive("t", t)
     _check_q(q)
@@ -390,19 +384,17 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 
     def closure(n):
         w = _bose(c * (t + n))
-        corr, bound = euler_maclaurin_corrections(
-            _odd_derivatives(_powers(w, 2 * _Q_CORRECTIONS), c, 0))
+        corr, bound = _em_corrections(_powers(w, 2 * _Q_CORRECTIONS), c, 0)
         return 0.5 * w + corr, c * bound
 
-    k2 = 2 * _Q_CORRECTIONS
-    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / k2
-    n, tail, bound = _q_block(lead, k2, t, c, tol, closure)
+    n, tail, bound = _q_block(0, t, c, tol, closure)
     first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
     rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
     # as log1p(-q expm1(-c(a-1))/(1-q)): no cancellation at any q
     value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * rest - first
-    return EvalResult(value, bound, n, bound <= tol)
+    what = "psi_q(t) at t = {0}, q = {1}"
+    return EvalResult(_require_finite(value, what, t, q), bound, n, bound <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +402,19 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def log_gamma_k(t: float, k: float) -> float:
-    """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k)."""
+    """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k).
+
+    Below the smallest normal u = t/k, whose bits are then lost, the value is
+    t (ln k - gamma)/k - ln t, from ln Gamma(u) = -ln u - gamma u + O(u^2).
+    Raises OverflowError when t/k or the value exceeds the double range.
+    """
     _require_positive("t", t)
     _require_positive("k", k)
-    u = t / k
-    return (u - 1.0) * math.log(k) + math.lgamma(u)
+    u = _require_finite(t / k, "t/k in log_gamma_k(t, k) at t = {0}, k = {1}", t, k)
+    if u < _MIN_NORMAL:
+        return t * (math.log(k) - EULER_GAMMA) / k - math.log(t)
+    return _require_finite((u - 1.0) * math.log(k) + math.lgamma(u),
+                           "log_gamma_k(t) at t = {0}, k = {1}", t, k)
 
 
 def gamma_k(t: float, k: float) -> float:

@@ -160,18 +160,8 @@ def _psi_sum_hp(u, target, w):
 
 
 def psi_hp(t) -> HPValue:
-    """psi(t) = -gamma - 1/t + sum_{i>=1} t / (i (i+t)), the sum by
-    ``_psi_sum_hp``."""
-    _require_positive("t", t)
-    with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
-        t_ = mpf(t)
-        trunc = mpf(_TRUNCATION)
-        s, n, rounding = _psi_sum_hp(t_, trunc, w)
-        gamma_e = mpf(EULER_GAMMA_HP)
-        v = -gamma_e - 1 / t_ + s
-        err = trunc + rounding + _assembly(gamma_e, 1 / t_, s)
-        return HPValue(v, _digits_from_error(v, err), n)
+    """psi(t) as psi_k(t) at k = 1, where ln k and /k are exact."""
+    return _psi_k_hp(t, 1)
 
 
 def psi_p_hp(t, p) -> HPValue:
@@ -245,6 +235,11 @@ def psi_q_hp(t, q) -> HPValue:
 
 
 def psi_k_hp(t, k) -> HPValue:
+    """psi_k(t) by ``_psi_k_hp``."""
+    return _psi_k_hp(t, k)
+
+
+def _psi_k_hp(t, k) -> HPValue:
     """psi_k(t) = (ln k - gamma)/k - 1/t + (1/k) sum_{i>=1} u / (i (i+u)),
     u = t/k, the sum by ``_psi_sum_hp`` to within k T."""
     _require_positive("t", t)

@@ -65,6 +65,28 @@ def test_eval_psi_overflow_names_only_t(capsys):
     assert "k" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["psi_q", "--t", "1e-320", "--q", "0.5"], "psi_q(t) at t = 1e-320, q = 0.5"),
+    (["psi_p", "--t", "2e-313", "--p", "9"], "psi_p(t) at t = 2e-313, p = 9"),
+    (["gamma_q", "--t", "1.5e307", "--q", "0.9999999984102188"],
+     "log_gamma_q(t) at t = 1.5e+307, q = 0.9999999984102188"),
+    (["gamma_k", "--t", "1e300", "--k", "1e-10"],
+     "t/k in log_gamma_k(t, k) at t = 1e+300, k = 1e-10"),
+], ids=["psi_q", "psi_p", "gamma_q", "gamma_k"])
+def test_eval_beyond_double_range_is_exit_2(capsys, argv, named):
+    # these printed -inf, inf (with err_bound inf) or nan, and exited 0
+    assert main(["eval", *argv]) == 2
+    assert f"{named} exceeds the double range" in capsys.readouterr().err
+
+
+def test_eval_gamma_k_at_underflowing_t_over_k(capsys):
+    # t/k underflows to 0 here, and lgamma(0) once raised "math domain error"
+    assert main(["eval", "gamma_k", "--t", "1.5896682892121024e-259",
+                 "--k", "1.5659713716887333e+169"]) == 0
+    value = float(capsys.readouterr().out.splitlines()[0])
+    assert value == pytest.approx(6.2906205450926901e258, rel=1e-13)
+
+
 @pytest.mark.parametrize("argv, name", [
     (["gamma", "--t", "inf"], "t"),
     (["gamma_k", "--t", "inf", "--k", "2"], "t"),

@@ -173,6 +173,17 @@ def test_q_family_tiny_tol_at_q_half_sums_a_short_block():
         assert r.terms_used <= 2000
 
 
+@pytest.mark.parametrize("t, q, tol, psi_terms, log_terms", [
+    (2.5, 0.5, 1e-12, 8, 9), (2.5, 0.5, 1e-16, 22, 27), (0.3, 0.999, 1e-12, 10, 10),
+    (2.5, 1.0 - 1e-12, 1e-16, 22, 27), (40.0, 0.9, 1e-20, 22, 77)])
+def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
+    # The block size follows from _q_block's start estimate and walk alone.
+    # At q = 0.5, tol = 1e-16 the start overshoots the shortest block, so a
+    # smaller lead or a larger power would shorten it.
+    assert psi_q(t, q, tol).terms_used == psi_terms
+    assert log_gamma_q(t, q, tol).terms_used == log_terms
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-16, 1e-20])
 def test_term_cap_never_binds_at_realistic_tolerances(tol):
     # Every series is sized up front: across t in [1e-300, 1e12], q across
@@ -332,6 +343,32 @@ def test_gamma_k_beyond_the_range_of_gamma_matches_mpmath(t, k):
 def test_gamma_k_beyond_double_range_overflows():
     with pytest.raises(OverflowError):
         gamma_k(60.0, 0.2)  # 1.04e403
+
+
+@pytest.mark.parametrize("t, k", [(1e-300, 1e20), (1.5896682892121024e-259, 1.5659713716887333e169),
+                                  (1.0, 1e308), (3.0, 1.7e308), (1e-320, 0.3)])
+def test_log_gamma_k_below_normal_t_over_k_matches_mpmath(t, k):
+    # u = t/k is subnormal or 0: ln Gamma(u) lost u's bits (1.1e-5 off at
+    # (1e-300, 1e20)), cancelled against (u - 1) ln k, or raised at u = 0.
+    # The reference carries enough bits for 1 + u and for that cancellation.
+    with mp.workprec(1600):
+        u = mpf(t) / k
+        ref = (u - 1) * mp.log(k) + mp.loggamma(u)
+    assert abs(log_gamma_k(t, k) - ref) <= 4 * math.ulp(float(ref))
+
+
+@pytest.mark.parametrize("fn, args", [
+    (psi_p, (2e-313, 9)), (log_gamma_p, (1e308, 9)),
+    (psi_q, (1e-320, 0.5)), (log_gamma_q, (1.5e307, 0.9999999984102188)),
+    (gamma_q, (1.5e307, 0.9999999984102188)),
+    (log_gamma_k, (1e300, 1e-10)), (gamma_k, (1e300, 1e-10)), (log_gamma_k, (1.79e308, 700.0)),
+], ids=["psi_p", "log_gamma_p", "psi_q", "log_gamma_q", "gamma_q", "log_gamma_k", "gamma_k",
+        "log_gamma_k-sum"])
+def test_value_beyond_double_range_raises_overflow(fn, args):
+    # these returned -inf, inf or nan; at (1.79e308, 700) both terms of
+    # ln Gamma_k are finite and their sum is not
+    with pytest.raises(OverflowError, match="exceeds the double range"):
+        fn(*args)
 
 
 def test_psi_k_reduces_to_psi_at_k_one():
