@@ -3,9 +3,11 @@
 
 One row per routine and argument set: the arguments are the centres of the
 bands the benchmark's ``oracle_crossval`` workload draws from
-(benchmark/bench_workloads.py), and two extremes of the trapezoid rule: a
+(benchmark/bench_workloads.py); two extremes of the trapezoid rule: a
 tiny t, which the functional equation lifts by 32 integer factors of
-about 1,050 bits, and t/k = 1500, which widens the working precision.
+about 1,050 bits, and t/k = 1500, which widens the working precision; and
+the q oracles at q = 0.999, 0.9999 and 1 - 1e-6, where the head and the
+Lambert-series tail take about 2 sqrt(ln(1/T) / (1-q)) terms.
 Each row gives the median wall time of five calls (after one untimed
 call), the terms, factors or quadrature nodes the call took, and the
 digits it certifies.
@@ -27,6 +29,9 @@ CASES = [
     ("psi_q_hp", (15.025, 0.905)),
     ("psi_q_hp", (15.025, 0.9275)),
     ("psi_q_hp", (15.025, 0.9425)),
+    ("psi_q_hp", (2.5, 0.999)),
+    ("psi_q_hp", (2.5, 0.9999)),
+    ("psi_q_hp", (2.5, 1 - 1e-6)),
     ("psi_k_hp", (12.525, 5.25)),
     ("gamma_hp", (2.5,)),
     ("gamma_hp", (6.0,)),
@@ -37,6 +42,9 @@ CASES = [
     ("gamma_q_hp", (12.55, 0.6)),
     ("gamma_q_hp", (12.55, 0.905)),
     ("gamma_q_hp", (8.0, 0.9665)),
+    ("gamma_q_hp", (2.5, 0.999)),
+    ("gamma_q_hp", (2.5, 0.9999)),
+    ("gamma_q_hp", (2.5, 1 - 1e-6)),
     ("gamma_k_quad", (3.0, 5.5)),
     ("gamma_k_quad", (5.5, 5.5)),
     ("gamma_k_quad", (9.0, 5.5)),

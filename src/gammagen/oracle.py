@@ -1,23 +1,26 @@
 """Independent high-precision reference evaluators.
 
 Everything here is deliberately separate from the fast paths: the
-psi-family series are re-summed term by term with their own tail closure,
-the Gamma deformations are evaluated from their raw product definitions
-without log-space tricks, and Gamma and Gamma_k come from the trapezoid
-rule on the defining integral, with an a-priori error bound.  A bug shared
-with the fast evaluators would defeat cross-validation, so no evaluation
-code is shared with ``core_special`` or ``gen_gamma``.
+psi-family series are re-summed term by term with their own tail closure;
+Gamma_p is its raw finite product; psi_q and Gamma_q take the first terms
+or factors of their definitions one by one and sum the rest exactly as a
+Lambert series in powers of q^(t+N), about 2 sqrt(ln(1/T) / (1-q)) terms
+in all; and Gamma and Gamma_k come from the trapezoid rule on the defining
+integral, with an a-priori error bound.  A bug shared with the fast
+evaluators would defeat cross-validation, so no evaluation code is shared
+with ``core_special`` or ``gen_gamma``.
 
 The series and product loops, and the trapezoid rule's nodes, run on
 Python integers.  A value x in them is the fixed-point integer
 floor(x 2^W), W = mp.prec + _GUARD_BITS at the working precision (35
 digits for the series, 30 and more for the quadrature), and a product is a
-mantissa of W to 2W bits with a separate binary exponent.  mpmath does
-only the set-up (powers, logarithms, the stop index, the step), one
-exponential per quadrature node, and the final assembly.  Each routine's
-docstring derives a bound on the rounding of its loop, in units of 2^-W,
-and ``certified_digits`` counts that bound with the truncation error and
-a few mp.eps for the assembly.
+mantissa of W to 2W bits with a separate binary exponent; the q oracles
+add to W the bits their divisions by 1 - q^m need (``_q_split``).  mpmath
+does only the set-up (powers, logarithms, the step), one exponential per
+quadrature node, and the final assembly.  Each routine's docstring derives
+a bound on the rounding of its loop, in units of 2^-W, and
+``certified_digits`` counts that bound with the truncation error and a few
+mp.eps for the assembly.
 """
 
 from __future__ import annotations
@@ -62,6 +65,12 @@ _GUARD_BITS = 32
 _ASSEMBLY_EPS = 8
 _DPS_MARGIN = 10
 _LIFT_TO = 32
+# The q oracles evaluate their bounds and stop constants in double
+# precision: a few dozen operations on positive terms, each within 2^-53
+# relative, besides 1 - z for z < z* (``_q_split``), which is above 2^-24
+# as 1 - q >= 2^-53, so within 2^-29 relative.  This factor rounds the
+# result up past all of them.
+_FLOAT_ROUND_UP = 1 + 2.0**-20
 _QUAD_MAX_NODES = 10_000
 
 
@@ -114,15 +123,64 @@ def _assembly(*parts):
     return _ASSEMBLY_EPS * mp.eps * sum(abs(x) for x in parts)
 
 
-def _q_drift(q_) -> int:
-    """Units of 2^-W by which X_n can miss q^n x_0 2^W, for 0 <= x_0 <= 1.
+def _product(factors, w):
+    """The product of positive integers as a mantissa and a binary
+    exponent: once the mantissa passes 2W bits it is shifted down to W + 1,
+    which errs by less than 2^-W relative, at most once per factor."""
+    prod, exp, top = 1, 0, 2 * w
+    for f in factors:
+        prod *= f
+        if prod.bit_length() > top:
+            shift = prod.bit_length() - w - 1
+            prod >>= shift
+            exp += shift
+    return prod, exp
+
+
+def _one_minus_powers(x, big_q, n, w):
+    """2^W - X_j for j < n, X_0 = x and X_{j+1} = floor(X_j Q / 2^W)."""
+    one = 1 << w
+    for _ in range(n):
+        yield one - x
+        x = x * big_q >> w
+
+
+def _q_drift(q, n) -> int:
+    """Units of 2^-W by which X_j, j <= n, can miss q^j x_0 2^W, for
+    0 <= x_0 <= 1.
 
     X_0 is floor(x_0 2^W), x_0 rounded to W bits: within 3 units.  Then
-    X_{n+1} = floor(X_n Q / 2^W), Q = floor(q 2^W), errs by x_n (q 2^W - Q)
+    X_{j+1} = floor(X_j Q / 2^W), Q = floor(q 2^W), errs by x_j (q 2^W - Q)
     plus the floor, below 2 units, besides q (1 + 2^-W) times the error
-    X_n carries, so |e_n| <= max(3, 2 / (1 - q - 2^-W)) < 4 + floor(2/(1-q)).
+    X_j carries, so |e_j| <= min(3 + 2j, max(3, 2 / (1 - q - 2^-W))),
+    which is below min(3 + 2n, 4 + floor(2/(1-q))).
     """
-    return 4 + int(2 / (1 - q_))
+    return min(3 + 2 * n, 4 + int(2 / (1 - q)))
+
+
+def _q_split(a, q):
+    """The head length N and the fixed-point bits W of the q oracles, from
+    the doubles a and q.
+
+    Their series and products are summed term by term while x = q^(a+n)
+    is at least z* = exp(-sqrt(lam L)), lam = -ln q, L = ln(1/T), and the
+    rest by a Lambert series in powers of z = q^(a+N) < z*, whose M-th
+    term is about z^M: so M is near L / sqrt(lam L) = sqrt(L/lam), as N
+    is, against L/lam terms for the definition alone.  N is the least
+    n >= 0 with n > sqrt(L/lam) - a.  Neither needs care in rounding: the
+    bounds use the N and W the routine takes.
+
+    Beside the first term or factor, whose 1/(1 - q^t) the value itself
+    carries, the rounding bounds the routines derive grow like (N+1)/(1-q)
+    units of 2^-W, times logarithms: the divisors 1 - q^m and 1 - x of the
+    m-th and n-th terms are about m (1-q) and n (1-q), and each step adds
+    up to 2 units of drift.  So W adds the bits of (N+1)/(1-q) to
+    mp.prec + _GUARD_BITS, and the rounding stays below the 1e-31 left
+    beside the truncation however close q is to 1.
+    """
+    lam = -math.log(q)
+    n = max(0, math.floor(math.sqrt(-math.log(float(_TRUNCATION)) / lam) - a) + 1)
+    return n, mp.prec + _GUARD_BITS + int((n + 1) / (1 - q)).bit_length()
 
 
 # Bernoulli-number corrections B2..B10 for the Euler-Maclaurin closure of
@@ -184,54 +242,85 @@ def psi_p_hp(t, p) -> HPValue:
 
 
 def psi_q_hp(t, q) -> HPValue:
-    """psi_q(t) = -ln(1-q) + ln q sum_{n>=0} x_n / (1-x_n), x_n = q^(t+n),
-    summed term by term until the geometric tail, which grows with x_n, is
-    below T = _TRUNCATION: until x_n < c/(1+c), with
-    c = T (1-q)/(-ln q).
+    """psi_q(t) = -ln(1-q) + ln q S, S = sum_{n>=0} x_n / (1-x_n),
+    x_n = q^(t+n).
 
-    The x_n are W-bit fixed-point values, within D = ``_q_drift`` units of
-    2^-W; the stop test compares them with floor(2^W c/(1+c)) - D, so a
-    stop certifies the tail.  A term (X_n 2^W) // (2^W - X_n) errs by less
-    than one unit for the floor and 2 D / (1-x_n)^2 units for X_n's error,
-    while D 2^-W < (1-x_n)/2, which holds whenever the bound below is under
-    1/2.  With y = q^t and lam = -ln q, 2x/(1-x)^2 falls along n and
-    integrates to 2y / (lam (1-y)), so sum_{n<N} 1/(1-x_n)^2 is at most
-    A = N + 2y/(1-y)^2 + 2y/(lam (1-y)), and the sum errs by less than
-    N + 2 D A units, which ln q multiplies.  Where 1 - q^t < 2^-32, fixed
-    point would keep fewer than mp.prec bits of 1 - x_0 (none once q^t
-    rounds to 1): the j = 0 term is then formed from -expm1(t ln q), within
-    8 units of 2^-W relative, and y above is q^(t+1).
+    The first N terms, N from ``_q_split`` at a = t, are summed one by one.
+    The rest, with z = q^(t+N), is the Lambert series
+    sum_{m>=1} z^m / (1-q^m): expand each term geometrically and sum over
+    n first.  Its terms after the M-th sum to at most
+    z^(M+1) / ((1-q^(M+1)) (1-z)), and M is the least for which lam times
+    that is below T = _TRUNCATION, lam = -ln q.  terms_used is N + M.
+
+    Rounding, in units of 2^-W.  Head: the x_n are W-bit fixed-point
+    values, x_0 within 3 units and the rest within D = ``_q_drift(q, N)``.
+    A term (X_n 2^W) // (2^W - X_n) errs by less than one unit for the
+    floor and 2 e / (1-x_n)^2 for X_n's error e, while D 2^-W < (1-x_n)/2,
+    which holds whenever the bound below is under 1/2.  As
+    1/(1-x)^2 <= 1 + 2x/(1-x)^2 and 2x/(1-x)^2 falls along n and
+    integrates to 2y / (lam (1-y)), y = x_0, the head errs by less than
+    N + 6/(1-y)^2 + 2 D (N + 2y / (lam (1-y))) units.  Where
+    1 - q^t < 2^-32, fixed point would keep fewer than mp.prec bits of
+    1 - x_0 (none once q^t rounds to 1): the n = 0 term is then formed from
+    -expm1(t ln q), within 8 units of 2^-W relative, and y above is
+    q^(t+1).
+
+    Tail: Z = floor(z 2^W), z one mpmath power at W bits, is within 3
+    units, and Z_m = floor(Z_{m-1} Z / 2^W) within 4m: a step adds at most
+    3 z^(m-1) for Z's error and one unit for the floor to z times the error
+    carried.  Q_m, q^m by the same recurrence from Q = floor(q 2^W), is
+    within 2m.  With a_m = 1 - q^m >= m lam / (1 + m lam), the term
+    (Z_m 2^W) // (2^W - Q_m) errs by less than 1 + 8m/a_m + 4m z^m / a_m^2
+    units while 2m 2^-W <= a_m/2, which holds as lam > 2^-53 for a double
+    q.  Summed over m <= M, with m/a_m <= 1/lam + m and
+    m/a_m^2 <= 1/(m lam^2) + 2/lam + m, the tail errs by less than
+    M + 8 (M/lam + M(M+1)/2) + 4 (-ln(1-z)/lam^2 + 2z/(lam (1-z)) + z/(1-z)^2)
+    units.  The stop test multiplies Z_{M+1} + 4(M+1) by an integer
+    K >= lam / (T (1-z)) and compares it with 2^W - Q_{M+1} - 2(M+1), so a
+    stop certifies the tail.  ln q multiplies the errors of both sums.
+
+    K and the bounds are evaluated in doubles, with 1 - y taken as
+    (2^W - X_0 - 3) 2^-W and z as (Z + 3) 2^-W, and rounded up by
+    _FLOAT_ROUND_UP.
     """
     _require_positive("t", t)
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
         q_ = mpf(q)
-        trunc = mpf(_TRUNCATION)
-        lam = -mp.log(q_)
-        c = trunc * (1 - q_) / lam
+        trunc = float(_TRUNCATION)
+        n, w = _q_split(t, q)
         s = head = 0
         with mp.workprec(w):
-            y = q_**t_
+            y, z = q_**t_, q_ ** (t_ + n)
             if 1 - y < 2.0**-_GUARD_BITS:
                 head, y = y / -mp.expm1(t_ * mp.log(q_)), y * q_
                 s = _fixed(head, w)
-        drift = _q_drift(q_)
+        drift = _q_drift(q, n)
         one, big_q, x = 1 << w, _fixed(q_, w), _fixed(y, w)
-        stop = _fixed(c / (1 + c), w) - drift
-        for n in itertools.count(2 if head else 1):
+        gap, lam = (one - x - 3) / one, -math.log(q)  # 1 - y at least gap
+        for _ in range(1 if head else 0, n):
             s += (x << w) // (one - x)
             x = x * big_q >> w
-            if x < stop:
+        big_z = z_m = _fixed(z, w)
+        z = (big_z + 3) / one  # at least z
+        k = int(_FLOAT_ROUND_UP * lam / trunc * (one / (one - big_z - 3))) + 1
+        q_m = big_q
+        for m in itertools.count(1):
+            s += (z_m << w) // (one - q_m)
+            z_m = z_m * big_z >> w
+            q_m = q_m * big_q >> w
+            if (z_m + 4 * m + 4) * k < one - q_m - 2 * m - 2:
                 break
         s = mp.ldexp(s, -w)
-        log_1mq = mp.log(1 - q_)
-        v = -log_1mq - lam * s
-        amp = n + 2 * y / (1 - y) ** 2 + 2 * y / (lam * (1 - y))
-        err = (trunc + lam * mp.ldexp(n + 2 * drift * amp + 8 * head, -w)
-               + _assembly(log_1mq, lam * s))
-        return HPValue(v, _digits_from_error(v, err), n)
+        log_q, log_1mq = mp.log(q_), mp.log(1 - q_)
+        v = -log_1mq + log_q * s
+        units = _FLOAT_ROUND_UP * (
+            n + 6 / gap**2 + 2 * drift * (n + 2 * (1 - gap) / (lam * gap))
+            + m + 8 * (m / lam + m * (m + 1) / 2)
+            + 4 * (-math.log1p(-z) / lam**2 + 2 * z / (lam * (1 - z)) + z / (1 - z) ** 2))
+        err = trunc - log_q * mp.ldexp(units + 8 * head, -w) + _assembly(log_1mq, log_q * s)
+        return HPValue(v, _digits_from_error(v, err), n + m)
 
 
 def psi_k_hp(t, k) -> HPValue:
@@ -267,23 +356,16 @@ def gamma_p_hp(t, p) -> HPValue:
     """Gamma_p(t) as the raw finite product p! p^t / (t(t+1)...(t+p)).
 
     The double t is exactly m/d, d a power of two, so the denominator is
-    d^-(p+1) times the product of the integers m + n d.  That product is a
-    mantissa and a binary exponent: once the mantissa passes 2W bits it is
-    shifted down to W + 1, which errs by less than 2^-W relative, at most
-    once per factor.
+    d^-(p+1) times the product of the integers m + n d, which ``_product``
+    forms within p + 1 units of 2^-W relative.
     """
     _require_positive("t", t)
     p = _require_integer_p(p)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
         m, d = float(t).as_integer_ratio()
-        prod, exp, top = 1, (p + 1) * -(d.bit_length() - 1), 2 * w
-        for f in range(m, m + (p + 1) * d, d):
-            prod *= f
-            if prod.bit_length() > top:
-                shift = prod.bit_length() - w - 1
-                prod >>= shift
-                exp += shift
+        prod, exp = _product(range(m, m + (p + 1) * d, d), w)
+        exp -= (p + 1) * (d.bit_length() - 1)
         fact, power = mp.factorial(p), mpf(p) ** mpf(t)
         v = fact * power / mp.ldexp(prod, exp)
         err = abs(v) * mp.ldexp(p + 1, -w) + _assembly(v)
@@ -291,67 +373,108 @@ def gamma_p_hp(t, p) -> HPValue:
 
 
 def gamma_q_hp(t, q) -> HPValue:
-    """Gamma_q(t) = (1-q)^(1-t) prod_{j>=0} (1 - q^(j+1)) / (1 - q^(t+j)),
-    truncated after the first n factors, n >= 1 the least with
-    coeff q^n/(1-q) < T = _TRUNCATION, where coeff = |q - q^t|/(1-q): factor
-    j differs from 1 by q^j |q - q^t| / (1 - q^(t+j)), and every omitted
-    one, j >= n >= 1, has a denominator of at least 1 - q.
+    """Gamma_q(t) = (1-q)^(1-t) prod_{j>=0} (1 - q^(j+1)) / (1 - q^(t+j)).
 
-    The powers are W-bit fixed-point values within D = ``_q_drift`` units
-    of 2^-W, so the factor 1 - x errs by less than D 2^-W / (1-x) relative.
-    With x = y q^j and lam = -ln q, x/(1-x) falls along j and integrates to
-    -ln(1-y)/lam, so over n factors these sum to less than
-    D 2^-W (n + y/(1-y) - ln(1-y)/lam), for y = q and for y = q^t.  Each
-    product is a mantissa and a binary exponent: once the mantissa passes
-    2W bits it is shifted down to W + 1, which errs by less than 2^-W
-    relative, at most once per factor.  The relative errors e_a of the
-    numerator and e_b of the denominator are at most twice these sums,
-    and the quotient's at most 2 (e_a + e_b), while both sums are below
-    1/4, which holds whenever the bound is under 1/2.  Where 1 - q^t < 2^-32,
-    fixed point would keep fewer than mp.prec bits of it (none once q^t
-    rounds to 1): the product is then taken at t+1, with y = q^(t+1), and
-    Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last factor formed
-    from -expm1(t ln q) within 8 units of 2^-W relative.
+    The first N factors, N from ``_q_split`` at a = min(1, t), are
+    multiplied one by one.  The log of the rest is the Lambert series
+    sum_{m>=1} (z_b^m - z_a^m) / (m (1-q^m)), z_a = q^(N+1), z_b = q^(s+N)
+    with s = t (or t + 1, below), by ln prod_{j>=0} (1 - z q^j) = -sum_{m>=1} z^m / (m (1-q^m)) (Gasper
+    and Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.3).
+    With z = max(z_a, z_b), its terms after the M-th sum to at most
+    z^(M+1) / ((M+1) (1-q^(M+1)) (1-z)), and M is the least for which that
+    is below T = _TRUNCATION.  mpmath exponentiates the sum once, at W
+    bits.  terms_used is N + M.
+
+    Rounding, in units of 2^-W.  Head: the powers q^(j+1) and q^(t+j) are
+    W-bit fixed-point values, the first within 3 units and the rest within
+    D = ``_q_drift(q, N)``, so the factor 1 - x errs by less than e/(1-x)
+    relative for x's error e.  With x = y q^j and lam = -ln q, x/(1-x)
+    falls along j and integrates to -ln(1-y)/lam, so over the N factors
+    these sum to less than 3/(1-y) + D (N - ln(1-y)/lam), for y = q and for
+    y = q^t.  Each product is a mantissa and a binary exponent: once the
+    mantissa passes 2W bits it is shifted down to W + 1, which errs by less
+    than 2^-W relative, at most once per factor.  The relative errors e_a
+    of the numerator and e_b of the denominator are at most twice these
+    sums, and the quotient's at most 2 (e_a + e_b), while both sums are
+    below 1/4, which holds whenever the bound is under 1/2.  Where
+    1 - q^t < 2^-32, fixed point would keep fewer than mp.prec bits of it
+    (none once q^t rounds to 1): the product is then taken at s = t+1, with
+    y = q^(t+1), and Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last
+    factor formed from -expm1(t ln q) within 8 units of 2^-W relative.
+    Otherwise s = t.
+
+    Tail: Z_a and Z_b, floor(z 2^W) for z one mpmath power at W bits, are
+    within 3 units, and their m-th powers, by the recurrence
+    P_m = floor(P_{m-1} Z / 2^W), within 4m, as in ``psi_q_hp``; Q_m, q^m
+    from Q = floor(q 2^W), is within 2m.  With a_m = 1 - q^m >=
+    m lam / (1 + m lam), the term ((P_m^b - P_m^a) 2^W) // (m (2^W - Q_m))
+    errs by less than 1 + 16/a_m + 4 |z_b^m - z_a^m| / a_m^2 units while
+    2m 2^-W <= a_m/2.  Summed over m <= M, with 1/a_m <= 1/(m lam) + 1 and
+    |z_b^m - z_a^m| <= z^m min(1, m lam |s-1|), the log errs by less than
+    M + 16 ((1 + ln M)/lam + M) + 4 min(A, B) units, where
+    A = |s-1| (-ln(1-z)/lam + 2z/(1-z) + lam z/(1-z)^2) and
+    B = (pi^2/6) z/lam^2 - 2 ln(1-z)/lam + z/(1-z), and by |ln| + 2 more
+    for rounding it to an mpf and exponentiating it at W bits.  The stop
+    test multiplies max(P_{M+1}^a, P_{M+1}^b) + 4(M+1) by an integer
+    K >= 1/(T (1-z)) and compares it with (M+1) (2^W - Q_{M+1} - 2(M+1)),
+    so a stop certifies the tail.  So the log errs by at most x, T plus
+    these units, and the ratio by at most e^x - 1 <= x (1 + x) relative.
+
+    K and the bounds are evaluated in doubles, with 1 - y taken as
+    (2^W - Y - 3) 2^-W, Y = floor(y 2^W), and z as
+    (max(Z_a, Z_b) + 3) 2^-W, and rounded up by _FLOAT_ROUND_UP.  t is exact
+    as an mpf and 1 - t need not be, so the power of 1 - q is formed as
+    (1-q) (1-q)^-t.
     """
     _require_positive("t", t)
     _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
     with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
         t_ = mpf(t)
         q_ = mpf(q)
-        trunc = mpf(_TRUNCATION)
+        trunc = float(_TRUNCATION)
+        lift = -math.expm1(t * math.log(q)) < 2.0**-_GUARD_BITS  # take the product at t+1
+        n, w = _q_split(1 if lift else min(1, t), q)
         first = 0  # 1 - q^t, where the product is taken at t+1
         with mp.workprec(w):
             y = q_**t_
-            if 1 - y < 2.0**-_GUARD_BITS:
+            if lift:
                 first, y = -mp.expm1(t_ * mp.log(q_)), y * q_
-        coeff = abs(q_ - y) / (1 - q_)
-        n = max(1, int(mp.ceil(mp.log(trunc * (1 - q_) / coeff, q_)))) if coeff else 1
-        one, big_q, top = 1 << w, _fixed(q_, w), 2 * w
-        num, den = big_q, _fixed(y, w)  # q^(j+1) and q^(t+j)
-        prod_num = prod_den = 1         # mantissas of the products ...
-        exp_num = exp_den = 0           # ... and their binary exponents
-        for _ in range(n):
-            prod_num *= one - num
-            prod_den *= one - den
-            num = num * big_q >> w
-            den = den * big_q >> w
-            if prod_num.bit_length() > top:
-                shift = prod_num.bit_length() - w - 1
-                prod_num >>= shift
-                exp_num += shift
-            if prod_den.bit_length() > top:
-                shift = prod_den.bit_length() - w - 1
-                prod_den >>= shift
-                exp_den += shift
+            z_a, z_b = q_ ** (n + 1), q_ ** (t_ + (n + lift))
+        drift = _q_drift(q, n)
+        one, big_q, big_y = 1 << w, _fixed(q_, w), _fixed(y, w)
+        gaps = (1 - q, (one - big_y - 3) / one)  # at most 1 - q and 1 - y
+        # the factors 1 - q^(j+1) and 1 - q^(t+j), each times 2^W
+        prod_num, exp_num = _product(_one_minus_powers(big_q, big_q, n, w), w)
+        prod_den, exp_den = _product(_one_minus_powers(big_y, big_q, n, w), w)
+        big_a, big_b = _fixed(z_a, w), _fixed(z_b, w)
+        big_z = max(big_a, big_b)
+        z = (big_z + 3) / one  # at least max(z_a, z_b)
+        k = int(_FLOAT_ROUND_UP / trunc * (one / (one - big_z - 3))) + 1
+        pow_a, pow_b, q_m, log_tail = big_a, big_b, big_q, 0
+        for m in itertools.count(1):
+            log_tail += ((pow_b - pow_a) << w) // (m * (one - q_m))
+            pow_a = pow_a * big_a >> w
+            pow_b = pow_b * big_b >> w
+            q_m = q_m * big_q >> w
+            if (max(pow_a, pow_b) + 4 * m + 4) * k < (m + 1) * (one - q_m - 2 * m - 2):
+                break
+        with mp.workprec(w):  # the log can be large: exponentiate it at W bits
+            log_tail = mp.ldexp(log_tail, -w)
+            ratio_tail = mp.exp(log_tail)
         # both products carry the same factor 2^(nW), which cancels
-        ratio = mp.ldexp(mpf(prod_num) / prod_den, exp_num - exp_den)
-        v = (1 - q_) ** (1 - t_) * ratio / (first or 1)
-        lam = -mp.log(q_)
-        amp = sum(n + x / (1 - x) - mp.log1p(-x) / lam for x in (q_, y))
-        rel = 4 * mp.ldexp(2 * n + _q_drift(q_) * amp + (2 if first else 0), -w)
-        err = abs(v) * (trunc + rel) + _assembly(v)
-        return HPValue(v, _digits_from_error(v, err), n)
+        ratio = mp.ldexp(mpf(prod_num) / prod_den, exp_num - exp_den) * ratio_tail
+        v = (1 - q_) * (1 - q_) ** -t_ * ratio / (first or 1)
+        lam = -math.log(q)
+        amp = sum(3 / gap + drift * (n - math.log(gap) / lam) for gap in gaps)
+        a_sum = (t if lift else abs(t - 1)) * (  # |s - 1| times
+            -math.log1p(-z) / lam + 2 * z / (1 - z) + lam * z / (1 - z) ** 2)
+        b_sum = math.pi**2 / 6 * z / lam**2 - 2 * math.log1p(-z) / lam + z / (1 - z)
+        head = math.ldexp(4 * (2 * n + amp + (2 if first else 0)), -w)
+        tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * min(a_sum, b_sum)
+                          + abs(float(log_tail)) + 2, -w) + trunc
+        rel = _FLOAT_ROUND_UP * (head + (1 + head) * tail * (1 + tail))
+        err = abs(v) * rel + _assembly(v)
+        return HPValue(v, _digits_from_error(v, err), n + m)
 
 
 def gamma_k_quad(t, k) -> HPValue:
@@ -367,8 +490,10 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     u = t/k >= _LIFT_TO: the node count depends on u alone and falls as u
     grows, so a few multiplications save nodes.  The doubles t and k are
     exactly m/d and m_k/d_k, so t + ik = (m d_k + i m_k d)/(d d_k) and the
-    lift is a product of integers; it, the lifted t and u are each rounded
-    once, when they become mpfs.  With x = e^s and s = (ln t)/k + sigma,
+    lift is a product of integers, which ``_product`` forms within L units
+    of 2^-W relative for L lifts (a tiny t takes 32 factors of up to 1,075
+    bits); dividing by it errs by less than L + 1.  The lifted t and u are
+    each rounded once, when they become mpfs.  With x = e^s and s = (ln t)/k + sigma,
     which puts the integrand's peak at sigma = 0,
 
         Gamma_k(t) = exp(u (ln t - 1)) integral g(sigma) d sigma,
@@ -419,7 +544,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     2^13, and the two grow together with t/k, so the test moves by a
     relative 2^-34 or less.
     ``certified_digits`` counts the aliasing bound, both tails, the
-    rounding of the nodes and a few mp.eps for the mpmath set-up and
+    rounding of the nodes and of the lift, and a few mp.eps for the mpmath set-up and
     assembly, whose exponent has parts u ln t and u.
     Raises ConvergenceError if a side needs more than _QUAD_MAX_NODES nodes.
     """
@@ -430,12 +555,12 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     t_num, k_num = m * d_k, m_k * d  # t and k times d d_k = 2^e
     e = (d * d_k).bit_length() - 1
     lifts = max(0, -((t_num - _LIFT_TO * k_num) // k_num))
-    lift = math.prod(range(t_num, t_num + lifts * k_num, k_num))
-    t_num += lifts * k_num
     # the exponents are of size u = t/k and needed to _QUAD_DPS digits
     # after the point, so the working precision adds the digits of t/k
     with mp.workdps(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k)))):
         w = mp.prec + _GUARD_BITS
+        lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
+        t_num += lifts * k_num
         t_, target = mp.ldexp(t_num, -e), mpf(_SERIES_TAIL)
         u = mpf(from_rational(t_num, k_num, mp.prec, round_nearest))
         # the strip angle theta = kd that allows the longest step; it lies
@@ -471,8 +596,8 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
             nodes += j
         log_t = mp.log(t_)
         v = (mp.exp(u * (log_t - 1)) * mp.ldexp(big_kh, -w) / mpf(k)
-             * mp.ldexp(total, -w) / mp.ldexp(lift, -e * lifts))
-        err += mp.ldexp(units, -w) + _assembly(u * log_t, u, 1)
+             * mp.ldexp(total, -w) / mp.ldexp(lift, lift_exp - e * lifts))
+        err += mp.ldexp(units + lifts + 1, -w) + _assembly(u * log_t, u, 1)
     with mp.workdps(_QUAD_DPS):
         return HPValue(v, _digits_from_error(v, v * err), nodes)
 

@@ -175,6 +175,18 @@ def test_gamma_q_hp_product_length_below_t_one(t, q):
     assert oracle.gamma_q_hp(t, q).terms_used <= bound
 
 
+@pytest.mark.parametrize("t", [1e20, 1e300])
+def test_gamma_q_hp_at_huge_t(t):
+    # 1 - t rounds at the working precision beyond t ~ 2^67, so the power
+    # of 1 - q must be formed from t itself.  Here (q^t; q)_inf is 1 to far
+    # below 1e-25, so
+    # Gamma_q(t) = (1-q) (1-q)^-t (q; q)_inf, with t exact.
+    q = 0.5
+    _meets_its_certified_digits(
+        oracle.gamma_q_hp(t, q),
+        lambda: (1 - mpf(q)) * (1 - mpf(q)) ** -mpf(t) * mp.qp(mpf(q)))
+
+
 def _one_minus_q_power(t, q):
     """1 - q^t, without cancellation at tiny t."""
     return -mp.expm1(mpf(t) * mp.log(mpf(q)))
@@ -239,8 +251,8 @@ def test_trapezoid_node_budget_raises(monkeypatch):
     (oracle.psi_q_hp, (3.14, 0.9429), "0.92925280304561877805705026156703053"),
 ])
 def test_q_oracle_truncation_frozen(fn, args, frozen):
-    # 35-digit values of the step-by-step products and sums: the stop
-    # index and threshold computed up front must keep the same terms.
+    # 35-digit values of the products and sums taken term by term to the
+    # truncation; the Lambert-series tails must reproduce them.
     with mp.workdps(40):
         ref = mpf(frozen)
         assert abs(fn(*args).value - ref) <= mpf("1e-25") * max(abs(ref), 1)
@@ -267,14 +279,60 @@ def test_p_family_cross_validates_at_large_p():
         assert oracle.cross_validate(gamma_p(t, p), oracle.gamma_p_hp(t, p), 1e-12)
 
 
+NEAR_ONE = [1 - 1e-5, 1 - 1e-6]
+
+
 @pytest.mark.parametrize("t, q", [(0.3, 0.99), (2.5, 0.99), (17.9, 0.99), (2.5, 0.999),
-                                  (2.5, 0.9999)])
+                                  (2.5, 0.9999)]
+                         + [(t, q) for q in NEAR_ONE for t in (0.25, 2.5)])
 def test_q_family_cross_validates_near_q_one(t, q):
-    # The raw product and the term-by-term sum take about 65,000 and 58,000
-    # steps at q = 0.999 and ten times as many at q = 0.9999 (about 1 s
-    # together there), so only one point is checked at each.
+    # The oracles take about 2 sqrt(ln(1/T) / (1-q)) terms: some 1,500 at
+    # q = 0.9999 and 15,000 (10-30 ms) at q = 1 - 1e-6.
     assert oracle.cross_validate(psi_q(t, q).value, oracle.psi_q_hp(t, q), 1e-12)
     assert oracle.cross_validate(gamma_q(t, q).value, oracle.gamma_q_hp(t, q), 1e-12)
+
+
+def _certified_error(hp):
+    return mpf(10) ** -hp.certified_digits * max(abs(hp.value), 1)
+
+
+@pytest.mark.parametrize("q", NEAR_ONE)
+@pytest.mark.parametrize("t", [0.25, 2.5])
+def test_q_oracles_meet_their_functional_equations_near_q_one(t, q):
+    # No mpmath qgamma here: two oracle calls, at t and at t + 1 (exact at
+    # these t), checked against each other to their certified digits.
+    with mp.workdps(50):
+        q_, qt = mpf(q), mpf(q) ** t
+        g0, g1 = oracle.gamma_q_hp(t, q), oracle.gamma_q_hp(t + 1, q)
+        # Gamma_q(t+1) = (1 - q^t) / (1 - q) Gamma_q(t)
+        factor = (1 - qt) / (1 - q_)
+        assert (abs(g1.value - factor * g0.value)
+                <= _certified_error(g1) + factor * _certified_error(g0))
+        p0, p1 = oracle.psi_q_hp(t, q), oracle.psi_q_hp(t + 1, q)
+        # psi_q(t+1) = psi_q(t) - ln q q^t / (1 - q^t)
+        step = mp.log(q_) * qt / (1 - qt)
+        assert (abs(p1.value - (p0.value - step))
+                <= _certified_error(p1) + _certified_error(p0))
+
+
+def test_q_oracle_cost_grows_like_the_root_of_one_over_one_minus_q():
+    # Either definition summed term by term to the truncation takes over
+    # 500,000 terms here; head and Lambert-series tail take about 1,500.
+    assert oracle.psi_q_hp(2.5, 0.9999).terms_used < 2000
+    assert oracle.gamma_q_hp(2.5, 0.9999).terms_used < 2000
+
+
+@pytest.mark.parametrize("t, q", [(5.0, 0.02), (30.0, 0.02), (0.3, 1e-30), (2.5, 1e-30)])
+def test_q_oracles_where_the_tail_carries_the_value(t, q):
+    # The heads are empty or nearly so: psi_q sums no term one by one at
+    # q = 0.02 (q^t is already below the split point; Gamma_q takes three
+    # factors there), and at q = 1e-30 either routine takes at most one, so
+    # the Lambert series carries the value.
+    _meets_its_certified_digits(
+        oracle.psi_q_hp(t, q),
+        lambda: mp.diff(lambda x: mp.log(mp.qgamma(x, mpf(q))), mpf(t)))
+    _meets_its_certified_digits(oracle.gamma_q_hp(t, q),
+                                lambda: mp.qgamma(mpf(t), mpf(q)))
 
 
 ROUTINES_OF_T = [
