@@ -9,8 +9,10 @@ about 1,050 bits, and t/k = 1500, which widens the working precision; and
 the q oracles at q = 0.999, 0.9999 and 1 - 1e-6, where the head and the
 Lambert-series tail take about 2 sqrt(ln(1/T) / (1-q)) terms.
 Each row gives the median wall time of five calls (after one untimed
-call), the terms, factors or quadrature nodes the call took, and the
-digits it certifies.
+call), the terms, factors or quadrature nodes the call took, the
+microseconds per term (the time over the terms, so the cost of a series
+term, a product factor or a quadrature node shows directly) and the digits
+it certifies.
 
 Usage:
     python scripts/oracle_cost.py
@@ -55,7 +57,8 @@ REPEATS = 5
 
 
 def main() -> int:
-    print(f"{'routine':<13} {'arguments':<16} {'ms/call':>9} {'terms':>7} {'digits':>6}")
+    print(f"{'routine':<13} {'arguments':<16} {'ms/call':>9} {'terms':>7} {'us/term':>8} "
+          f"{'digits':>6}")
     total_ms = 0.0
     for name, args in CASES:
         routine = getattr(oracle, name)
@@ -68,7 +71,9 @@ def main() -> int:
         ms = 1e3 * statistics.median(times)
         total_ms += ms
         shown = ", ".join(f"{a:g}" for a in args)
-        print(f"{name:<13} {shown:<16} {ms:>9.3f} {hp.terms_used:>7} {hp.certified_digits:>6}")
+        per_term = 1e3 * ms / hp.terms_used
+        print(f"{name:<13} {shown:<16} {ms:>9.3f} {hp.terms_used:>7} {per_term:>8.2f} "
+              f"{hp.certified_digits:>6}")
     print(f"total {total_ms:.1f} ms for one call per row")
     return 0
 

@@ -15,22 +15,25 @@ Python integers.  A value x in them is the fixed-point integer
 floor(x 2^W), W = mp.prec + _GUARD_BITS at the working precision (35
 digits for the series, 30 and more for the quadrature), and a product is a
 mantissa of W to 2W bits with a separate binary exponent; the q oracles
-add to W the bits their divisions by 1 - q^m need (``_q_split``).  mpmath
-does only the set-up (powers, logarithms, the step), one exponential per
-quadrature node, and the final assembly.  Each routine's docstring derives
-a bound on the rounding of its loop, in units of 2^-W, and
-``certified_digits`` counts that bound with the truncation error and a few
-mp.eps for the assembly.
+add to W the bits their divisions by 1 - q^m need (``_q_split``), and the
+quadrature nodes' exponentials are integer too (``_fixed_exp``).  mpmath
+does only the set-up (powers, logarithms, the step, the exponential
+tables) and the final assembly.  Each routine's docstring derives a bound
+on the rounding of its loop, in units of 2^-W, and ``certified_digits``
+counts that bound with the truncation error and a few mp.eps for the
+assembly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_exp, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, from_rational, mpf_exp, mpf_ln2, round_nearest,
+                          to_fixed)
 
 from .core_special import DomainError
 
@@ -104,12 +107,25 @@ def _require_integer_p(p) -> int:
 
 def _digits_from_error(value, err) -> int:
     """Digits certified by the error bound err, never more than _DPS_MARGIN
-    below the working precision."""
+    below the working precision: d - 1, at least 1, for the d with
+    10^-(d+1) < err/scale <= 10^-d, scale = max(|value|, 1).
+
+    err/scale = man 2^e, man of bc bits, lies in [2^(e+bc-1), 2^(e+bc)), so
+    d is d0 = floor(-(e+bc-1) log10 2) or d0 - 1 (the double product is
+    nowhere near an integer but at 0), and err/scale <= 10^-d0 exactly
+    when the integer man 10^d0 is at most 2^-e.  Only 3 <= d0 <= cap + 1
+    needs the test: below, either d gives 1, and above, the cap.  So
+    e + bc - 1 is clamped to [-4 cap - 8, 0], where d0 is at most 0 or at
+    least cap + 2 at the ends, to fit a double however large the value.
+    """
     cap = mp.dps - _DPS_MARGIN
     if err <= 0:
         return cap
-    scale = max(abs(value), mpf(1))
-    return max(1, min(cap, int(-mp.log10(err / scale)) - 1))
+    _, man, e, bc = (err / max(abs(value), mpf(1)))._mpf_
+    d = math.floor(-min(0, max(e + bc - 1, -4 * cap - 8)) * math.log10(2))
+    if 3 <= d <= cap + 1 and man * 10**d > 1 << -e:
+        d -= 1
+    return max(1, min(cap, d - 1))
 
 
 def _fixed(x, w) -> int:
@@ -477,6 +493,68 @@ def gamma_q_hp(t, q) -> HPValue:
         return HPValue(v, _digits_from_error(v, err), n + m)
 
 
+@functools.lru_cache(maxsize=8)
+def _fixed_exp(w):
+    """The function of an integer E <= 0 that returns exp(E 2^-W) 2^W,
+    rounded down, within 1 + 2^-19 units of 2^-W, for W = w; E = 0 gives
+    2^W exactly.
+
+    It works in P = W + _GUARD_BITS bits, a unit being 2^-P until the last
+    step.  E is reduced by LN2, ln 2 within 2 units (one ulp of mpf_ln2,
+    and to_fixed's floor), to the integers n and R with
+    -E 2^-W = (n LN2 + R) 2^-P, 0 <= R < LN2.  Then
+    exp(-R 2^-P) = c(i) f(j) exp(-s) for the top 8 bits i <= 177, the next
+    8 bits j and the rest s < 2^-16 of R 2^-P, where c(i) = exp(-i 2^-8)
+    and f(j) = exp(-j 2^-16) are tables built once per W by repeated
+    multiplication from one mpf_exp each, within 2 units: a step adds at
+    most 3 units, so entry i is within 4i.
+
+    exp(-s) = sum_m s^(2m)/(2m)! - s sum_m s^(2m)/(2m+1)!.  Both sums take
+    their terms from one running term, floored at each division by m and
+    each multiplication by s^2 (itself within a unit), until it is 0, so
+    their length K <= P/32 + 1 follows W.  Each term is within 3 units and
+    the untaken ones sum to less than 4, so exp(-s) is within
+    3K + 6 < P/8 + 9 units.  All factors are at most 1, so their product
+    is within 4 (177 + 255) + 1 + P/8 + 9 units of exp(-R 2^-P) 2^P, and
+    scaling it by 2^-n keeps the reduction's relative error of at most
+    2n 2^-P below 2 units.  The result, the product shifted down by
+    P + n + _GUARD_BITS bits, is within 1 unit of 2^-W for the final floor
+    plus (1740 + P/8) 2^-32 < 2^-19 while P < 2^15 (the trapezoid takes W
+    below 2,300).  For n > W the result is 0 and exp(E 2^-W) 2^W is below
+    a unit.
+    """
+    g = _GUARD_BITS
+    p = w + g
+    one = 1 << p
+    ln2 = to_fixed(mpf_ln2(p), p)
+    coarse, fine = [one], [one]
+    step = to_fixed(mpf_exp(from_man_exp(-1, -8), p), p)
+    for _ in range(ln2 >> p - 8):
+        coarse.append(coarse[-1] * step >> p)
+    step = to_fixed(mpf_exp(from_man_exp(-1, -16), p), p)
+    for _ in range(255):
+        fine.append(fine[-1] * step >> p)
+    low = (1 << p - 16) - 1
+
+    def exp(e):
+        n, r = divmod(-e << g, ln2)
+        s = r & low
+        s2 = s * s >> p
+        even = odd = one
+        a, m = s2, 2
+        while a:
+            a //= m
+            even += a
+            a //= m + 1
+            odd += a
+            a = a * s2 >> p
+            m += 2
+        small = even - (s * odd >> p)  # exp(-s)
+        return (coarse[r >> p - 8] * fine[r >> p - 16 & 255] >> p) * small >> p + g + n
+
+    return exp
+
+
 def gamma_k_quad(t, k) -> HPValue:
     """Gamma_k(t) by ``_gamma_k_trapezoid``."""
     return _gamma_k_trapezoid(t, k)
@@ -507,9 +585,9 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     56 (2014), Thm 5.1); d and h are chosen to make that bound 1e-25/2.
 
     The nodes walk out from the peak in W = mp.prec + _GUARD_BITS bits of
-    fixed point, a unit being 2^-W, with one exponential per node, mpf_exp
-    at W bits.  The step taken is kh' = K 2^-W, K = floor(kh 2^W), at most
-    kh, so the aliasing bound still holds.  With U = floor(u 2^W), the
+    fixed point, a unit being 2^-W, with one integer exponential per node,
+    ``_fixed_exp``.  The step taken is kh' = K 2^-W, K = floor(kh 2^W), at
+    most kh, so the aliasing bound still holds.  With U = floor(u 2^W), the
     exact u's floor, and u' = U 2^-W, node j's exponent
     E = u (k sigma_j - e^(k sigma_j) + 1) is the integer A - X + U, where:
 
@@ -523,9 +601,8 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
       b > 1; as u' >= 32, that is below j (3 max(X, U) 2^-W);
     - U: the exact u is within a unit of u', which moves E by at most
       |E|/u' units and the node by at most |E| e^E/u' < 1/(32 e) unit;
-    - the node G = to_fixed(mpf_exp(E 2^-W, W), W) adds mpf_exp's one ulp,
-      at most a unit as g <= 1, and a unit for to_fixed's floor, besides
-      g times the units by which E errs.
+    - the node G = _fixed_exp(W)(E) adds less than 1 + 2^-19 units, below
+      2, besides g times the units by which E errs.
 
     So node j is within r = j ((3 max(X, U) >> W) + 2) + 4 units of
     g(sigma_j) 2^W.  r grows along a side, so a side of j nodes errs by at
@@ -574,6 +651,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
         err = 2 * sec_u / mp.expm1(2 * mp.pi * theta / kh)
         one, big_u, big_kh = 1 << w, (t_num << w) // k_num, _fixed(kh, w)
         da, stop = big_u * big_kh >> w, _fixed(target / 8, w)
+        exp = _fixed_exp(w)
         total, nodes, units = one, 1, 0
         for sign in (1, -1):
             b = to_fixed(mpf_exp(from_man_exp(sign * big_kh, -w), w), w)
@@ -581,7 +659,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
             for j in range(1, _QUAD_MAX_NODES + 1):
                 a += sign * da     # u k sigma_j
                 x = x * b >> w     # u e^(k sigma_j)
-                g = to_fixed(mpf_exp(from_man_exp(a - x + big_u, -w), w), w)
+                g = exp(a - x + big_u)
                 total += g
                 if 2 * g * g < stop * (g_prev - g):  # implied by the next test
                     r = j * ((3 * max(x, big_u) >> w) + 2) + 4

@@ -1,6 +1,9 @@
 import ast
 import math
 import pathlib
+import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,17 +107,110 @@ def test_gamma_hp_meets_its_certified_digits(t):
 
 
 # the last three widen the working precision by the digits of t/k
-@pytest.mark.parametrize("t, k", [(t, k) for t in (0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0)
-                                  for k in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
-                         + [(60.0, 0.2), (300.0, 0.2), (500.0, 1.0)])
+QUAD_CASES = ([(t, k) for t in (0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0)
+               for k in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
+              + [(60.0, 0.2), (300.0, 0.2), (500.0, 1.0)])
+# t/k from 1e-600 to 1e325: the working precision, and with it the width of
+# the nodes' integer exponential, grows to about 1,200 bits
+EXTREME_T = [1e-300, 1e-50, 1e-6, 0.3, 2.5, 40.0, 1e3, 1e5]
+EXTREME_K = [1e-320, 1e-300, 1e-10, 0.2, 1.0, 7.5, 1e10, 1e300]
+
+
+@pytest.mark.parametrize("t, k", QUAD_CASES + [(t, k) for t in EXTREME_T for k in EXTREME_K
+                                               if (t, k) not in QUAD_CASES])
 def test_gamma_k_quad_meets_its_certified_digits(t, k):
     # gamma_hp is the k = 1 case of the same routine, so this identity,
-    # evaluated by mpmath, is the independent check of both.
+    # evaluated by mpmath with 60 digits after the point of u = t/k, is the
+    # independent check of both.
     hp = oracle.gamma_k_quad(t, k)
     assert hp.certified_digits == QUAD_DIGITS_CAP
-    with mp.workdps(50):
-        ref = mpf(k) ** (mpf(t) / k - 1) * mp.gamma(mpf(t) / k)
+    with mp.workdps(60 + max(0, int(math.log10(t) - math.log10(k)))):
+        u = mpf(t) / k
+        ref = mpf(k) ** (u - 1) * mp.gamma(u)
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
+
+
+# the trapezoid's narrowest W, and its widest: t/k up to the largest double
+# over the least subnormal
+@pytest.mark.parametrize("dps", [
+    oracle._QUAD_DPS,
+    oracle._QUAD_DPS + int(math.log10(sys.float_info.max) - math.log10(5e-324))])
+def test_fixed_exp_matches_mpmath(dps):
+    with mp.workdps(dps):
+        w = mp.prec + oracle._GUARD_BITS
+    exp = oracle._fixed_exp(w)
+    assert exp(0) == 1 << w
+    rng = random.Random(18)
+    with mp.workprec(w + 64):
+        # exp(E 2^-W) 2^W falls below a unit at -E 2^-W = W ln 2
+        past = int(mp.ldexp((w + 2) * mp.ln2, w))
+        es = ([-1, -2, -past]
+              + [-rng.randrange(past) for _ in range(100)]
+              + [-rng.getrandbits(rng.randrange(1, w + 8)) for _ in range(100)])
+        for e in es:
+            ref = mp.ldexp(mp.exp(mp.ldexp(e, -w)), w)
+            assert abs(exp(e) - ref) < 1 + mpf(2) ** -19, e
+    assert exp(-past) == 0
+
+
+def _digits_by_log10(value, err):
+    """The digit count by mpmath's rounded log10, which the exact count
+    replaced."""
+    cap = mp.dps - oracle._DPS_MARGIN
+    if err <= 0:
+        return cap
+    scale = max(abs(value), mpf(1))
+    return max(1, min(cap, int(-mp.log10(err / scale)) - 1))
+
+
+def _digits_exact(value, err):
+    """d - 1 for 10^-(d+1) < err/scale <= 10^-d, in exact rationals,
+    clamped as the oracle clamps it."""
+    cap = mp.dps - oracle._DPS_MARGIN
+    if err <= 0:
+        return cap
+    ratio = err / max(abs(value), mpf(1))
+    ratio = Fraction(int(ratio.man)) * Fraction(2) ** int(ratio.exp)
+    d = 0
+    while d <= cap + 1 and ratio <= Fraction(1, 10 ** (d + 1)):
+        d += 1
+    return max(1, min(cap, d - 1))
+
+
+@pytest.mark.parametrize("dps", [oracle._QUAD_DPS, oracle._SERIES_DPS, 60])
+def test_digits_from_error_matches_log10_count(dps):
+    rng = random.Random(dps)
+    with mp.workdps(dps):
+        for _ in range(2000):
+            value = rng.choice([-1, 1]) * mpf(10) ** rng.uniform(-10, 40)
+            err = abs(value) * mpf(10) ** rng.uniform(-dps - 5, 2)
+            assert oracle._digits_from_error(value, err) == _digits_by_log10(value, err)
+        for value in (mpf(0), mpf(3), mpf(10) ** 10**30):
+            assert oracle._digits_from_error(value, mpf(0)) == dps - oracle._DPS_MARGIN
+            assert oracle._digits_from_error(value, -abs(value) - 1) == dps - oracle._DPS_MARGIN
+
+
+@pytest.mark.parametrize("dps", [oracle._QUAD_DPS, oracle._SERIES_DPS])
+def test_digits_from_error_near_powers_of_ten(dps):
+    # Within a few ulps of 10^-d the count is the exact one.  The rounded
+    # log10 reads -d for err/scale up to about 35 ulps above 10^-d, one
+    # digit more than the bound proves; the exact count is never above it.
+    with mp.workdps(dps):
+        cap = dps - oracle._DPS_MARGIN
+        for scale in (mpf(1), mpf(10) ** 12 * 7):
+            for d in range(0, cap + 4):
+                ratio = mpf(10) ** -d
+                ulp = mp.ldexp(1, mp.mag(ratio) - mp.prec)
+                for step in range(-2, 3):
+                    err = (ratio + step * ulp) * scale
+                    digits = oracle._digits_from_error(scale, err)
+                    assert digits == _digits_exact(scale, err)
+                    assert digits <= _digits_by_log10(scale, err)
+        # far outside the double range, where e + bc overflows a float
+        huge = mpf(10) ** 10**30
+        assert oracle._digits_from_error(huge, huge * mpf("1e-40")) == cap
+        assert oracle._digits_from_error(huge, huge * mpf(10) ** 10**20) == 1
+        assert oracle._digits_from_error(mpf(1), 1 / huge) == cap
 
 
 # The series and products certify at least the 24 digits of their 1e-25

@@ -81,7 +81,7 @@ def test_oracle_cost_times_every_routine(capsys):
     module = _load_script("oracle_cost")
     assert module.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["routine", "arguments", "ms/call", "terms", "digits"]
+    assert lines[0].split() == ["routine", "arguments", "ms/call", "terms", "us/term", "digits"]
     assert lines[-1].startswith("total ")
     rows = [line.split() for line in lines[1:-1]]
     assert len(rows) == len(module.CASES)
@@ -89,5 +89,7 @@ def test_oracle_cost_times_every_routine(capsys):
         "psi_hp", "psi_p_hp", "psi_q_hp", "psi_k_hp",
         "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad"}
     for row in rows:
-        ms, terms, digits = float(row[-3]), int(row[-2]), int(row[-1])
+        ms, terms, us_per_term, digits = float(row[-4]), int(row[-3]), float(row[-2]), int(row[-1])
         assert ms > 0 and terms >= 1 and digits >= 20
+        # the time over the terms, within the rounding of both printed columns
+        assert abs(us_per_term - 1e3 * ms / terms) <= 0.005 + 0.5 / terms
