@@ -89,10 +89,22 @@ def parse_grid_spec(spec: str) -> tuple:
 
 
 def _fmt17(x: float) -> str:
-    import numpy as np  # only `eval` prints this way; kept out of start-up
+    """x in positional notation: its exact decimal expansion rounded half to
+    even at 17 significant digits, less the zeros a round-up carry leaves,
+    with the fraction padded with zeros to 16 - max(e, 0) digits, e the
+    decimal exponent.  This is numpy's ``format_float_positional(x,
+    precision=17, unique=False, fractional=False)``, byte for byte.
+    """
+    from decimal import ROUND_HALF_EVEN, Context, Decimal  # only `eval` prints this way
 
-    return np.format_float_positional(x, precision=17, unique=False,
-                                      fractional=False)
+    if not math.isfinite(x):
+        return repr(x)
+    exact = Decimal(x)
+    digits = Context(prec=17, rounding=ROUND_HALF_EVEN).create_decimal(exact)
+    if abs(digits) > abs(exact):
+        digits = digits.normalize()
+    whole, _, fraction = format(digits, "f").partition(".")
+    return f"{whole}.{fraction.ljust(16 - max(digits.adjusted(), 0), '0')}"
 
 
 def _repr_num(x) -> str:

@@ -401,20 +401,34 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 # k-family
 # ---------------------------------------------------------------------------
 
+# Above this u = t/k, just short of the 2.56e305 where math.lgamma(u)
+# overflows, log_gamma_k takes Stirling's form; its first omitted term,
+# 1/(12 u), is below 4e-307.
+_LGAMMA_STIRLING_FROM = 2.5e305
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
 def log_gamma_k(t: float, k: float) -> float:
     """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k).
 
     Below the smallest normal u = t/k, whose bits are then lost, the value is
     t (ln k - gamma)/k - ln t, from ln Gamma(u) = -ln u - gamma u + O(u^2).
-    Raises OverflowError when t/k or the value exceeds the double range.
+    Above _LGAMMA_STIRLING_FROM, where t/k may be inf, it is Stirling's
+    u (ln t - 1) - (ln t + ln k)/2 + ln(2 pi)/2, with u (ln t - 1) formed as
+    t (ln t - 1)/k.  Raises OverflowError when the value exceeds the double
+    range.
     """
     _require_positive("t", t)
     _require_positive("k", k)
-    u = _require_finite(t / k, "t/k in log_gamma_k(t, k) at t = {0}, k = {1}", t, k)
+    u = t / k
     if u < _MIN_NORMAL:
         return t * (math.log(k) - EULER_GAMMA) / k - math.log(t)
-    return _require_finite((u - 1.0) * math.log(k) + math.lgamma(u),
-                           "log_gamma_k(t) at t = {0}, k = {1}", t, k)
+    if u > _LGAMMA_STIRLING_FROM:
+        ln_t, ln_k = math.log(t), math.log(k)
+        value = t * (ln_t - 1.0) / k - 0.5 * (ln_t + ln_k) + _HALF_LOG_2PI
+    else:
+        value = (u - 1.0) * math.log(k) + math.lgamma(u)
+    return _require_finite(value, "log_gamma_k(t) at t = {0}, k = {1}", t, k)
 
 
 def gamma_k(t: float, k: float) -> float:

@@ -10,10 +10,11 @@ generalized checkers at a = b = beta = 1.  Those reference bounds,
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 from . import core_special, oracle
-from .core_special import DEFAULT_TOL, gamma, psi
+from .core_special import DEFAULT_TOL, DomainError, gamma, psi
 from .gen_gamma import gamma_k, gamma_p, gamma_q, psi_k, psi_p, psi_q
 from .inequality_engine import GenParams, _converged_value, check_sandwich
 
@@ -50,10 +51,10 @@ def _oracle_suites(rng, n_series: int, n_quad: int) -> list[SuiteResult]:
             res.record(f"{name}{args}", ok)
         out.append(res)
 
-    t_any = lambda: (float(rng.uniform(0.05, 30.0)),)
-    t_p = lambda: (float(rng.uniform(0.05, 30.0)), int(rng.integers(1, 500)))
-    t_q = lambda: (float(rng.uniform(0.05, 30.0)), float(rng.uniform(0.05, 0.95)))
-    t_k = lambda: (float(rng.uniform(0.05, 20.0)), float(rng.uniform(0.5, 10.0)))
+    t_any = lambda: (rng.uniform(0.05, 30.0),)
+    t_p = lambda: (rng.uniform(0.05, 30.0), rng.randrange(1, 500))
+    t_q = lambda: (rng.uniform(0.05, 30.0), rng.uniform(0.05, 0.95))
+    t_k = lambda: (rng.uniform(0.05, 20.0), rng.uniform(0.5, 10.0))
 
     suite("gamma-vs-oracle", n_quad, t_any, gamma, oracle.gamma_hp, 1e-10)
     suite("psi-vs-oracle", n_series, t_any, psi,
@@ -74,10 +75,10 @@ def _oracle_suites(rng, n_series: int, n_quad: int) -> list[SuiteResult]:
 def _functional_equation_suite(rng, n: int) -> SuiteResult:
     res = SuiteResult("functional-equations")
     for _ in range(n):
-        t = float(rng.uniform(0.1, 20.0))
-        p = int(rng.integers(1, 300))
-        q = float(rng.uniform(0.05, 0.95))
-        k = float(rng.uniform(0.2, 8.0))
+        t = rng.uniform(0.1, 20.0)
+        p = rng.randrange(1, 300)
+        q = rng.uniform(0.05, 0.95)
+        k = rng.uniform(0.2, 8.0)
         ok_p = math.isclose(gamma_p(t + 1.0, p),
                             p * t / (t + p + 1.0) * gamma_p(t, p), rel_tol=1e-10)
         ok_q = math.isclose(gamma_q(t + 1.0, q).value,
@@ -142,7 +143,7 @@ def _reduction_suites(rng, n: int) -> list[SuiteResult]:
     def suite(family, sample_alpha, sample_param, classical):
         res = SuiteResult(f"reduction-{family}")
         for _ in range(n):
-            alpha, x, t = sample_alpha(), sample_param(), float(rng.uniform(0.05, 0.95))
+            alpha, x, t = sample_alpha(), sample_param(), rng.uniform(0.05, 0.95)
             rep = check_sandwich(family, GenParams(1.0, 1.0, alpha, 1.0), x, [t])[0]
             lo, mid, up = classical(alpha, x, t)
             res.record(f"(alpha={alpha:.4g},{family}={x:.4g},t={t:.4g})",
@@ -150,20 +151,24 @@ def _reduction_suites(rng, n: int) -> list[SuiteResult]:
                        and _close(rep.upper, up))
         out.append(res)
 
-    suite("p", lambda: float(rng.uniform(1.0, 3.0)), lambda: int(rng.integers(1, 50)),
+    suite("p", lambda: rng.uniform(1.0, 3.0), lambda: rng.randrange(1, 50),
           classical_bounds_p)
-    suite("q", lambda: float(rng.uniform(1.0, 3.0)), lambda: float(rng.uniform(0.05, 0.95)),
+    suite("q", lambda: rng.uniform(1.0, 3.0), lambda: rng.uniform(0.05, 0.95),
           classical_bounds_q)
-    suite("k", lambda: float(rng.uniform(0.2, 3.0)), lambda: float(rng.uniform(1.0, 8.0)),
+    suite("k", lambda: rng.uniform(0.2, 3.0), lambda: rng.uniform(1.0, 8.0),
           classical_bounds_k)
     return out
 
 
 def run(quick: bool = False, seed: int = DEFAULT_SEED, echo=print) -> int:
-    """Run every suite; print per-suite counts; return 0 iff all passed."""
-    import numpy as np  # the seeded stream the suites draw from; kept out of start-up
+    """Run every suite; print per-suite counts; return 0 iff all passed.
 
-    rng = np.random.default_rng(seed)
+    The points are drawn from ``random.Random(seed)``; a negative seed
+    raises DomainError.
+    """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
     n_series, n_quad, n_func, n_red = (8, 5, 12, 4) if quick else (30, 20, 50, 10)
 
     suites = _oracle_suites(rng, n_series, n_quad)

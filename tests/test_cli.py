@@ -2,15 +2,19 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import random
+import struct
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gammagen import (GenParams, gamma, gamma_k, gamma_p, gamma_q, omega, phi, psi_k,
                       psi_p, psi_q, psi_series, theta)
-from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
+from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, _fmt17, main, parse_grid_spec
 from gammagen.core_special import DomainError, EvalResult
 
 
@@ -71,7 +75,7 @@ def test_eval_psi_overflow_names_only_t(capsys):
     (["gamma_q", "--t", "1.5e307", "--q", "0.9999999984102188"],
      "log_gamma_q(t) at t = 1.5e+307, q = 0.9999999984102188"),
     (["gamma_k", "--t", "1e300", "--k", "1e-10"],
-     "t/k in log_gamma_k(t, k) at t = 1e+300, k = 1e-10"),
+     "log_gamma_k(t) at t = 1e+300, k = 1e-10"),
 ], ids=["psi_q", "psi_p", "gamma_q", "gamma_k"])
 def test_eval_beyond_double_range_is_exit_2(capsys, argv, named):
     # these printed -inf, inf (with err_bound inf) or nan, and exited 0
@@ -181,6 +185,46 @@ def test_eval_prints_the_library_value(fn, capsys):
                             f"terms_used {expected.terms_used}")
     else:
         assert len(lines) == 1
+
+
+FMT17_PINNED = {
+    0.5: "0.5000000000000000",
+    12.5: "12.500000000000000",
+    -0.0: "-0.0000000000000000",
+    1e16: "10000000000000000.",
+    # a round-up carry leaves no zeros; a 17th digit that is 0 stays
+    9.595207219134285e-86: "0." + "0" * 85 + "9595207219134285",
+    5.373075324429977e-28: "0." + "0" * 27 + "53730753244299770",
+}
+FMT17_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 9.999999999999999e15, 1e16, 1e17,
+    0.1, 0.5, 1.5e-10, 12.5, 9.595207219134285e-86, 5.373075324429977e-28,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _fmt17_sample():
+    """Seeded doubles: random bit patterns, log-uniform magnitudes over
+    [1e-320, 1e308], dyadic rationals and integers up to 2^62."""
+    rng = random.Random(1717)
+    sign = lambda: rng.choice((1.0, -1.0))
+    bits = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            for _ in range(20_000)]
+    magnitudes = [sign() * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(30_000)]
+    dyadic = [sign() * rng.getrandbits(rng.randint(1, 53)) / 2.0 ** rng.randint(0, 80)
+              for _ in range(30_000)]
+    integers = [sign() * float(rng.getrandbits(rng.randint(1, 62))) for _ in range(30_000)]
+    return FMT17_EDGES + bits + magnitudes + dyadic + integers
+
+
+def test_fmt17_matches_numpy_positional_format():
+    for x, text in FMT17_PINNED.items():
+        assert _fmt17(x) == text
+    mismatches = [x for x in _fmt17_sample()
+                  if _fmt17(x) != np.format_float_positional(
+                      x, precision=17, unique=False, fractional=False)]
+    assert mismatches == []
 
 
 def test_unknown_function_rejected():

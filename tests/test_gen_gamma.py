@@ -357,16 +357,31 @@ def test_log_gamma_k_below_normal_t_over_k_matches_mpmath(t, k):
     assert abs(log_gamma_k(t, k) - ref) <= 4 * math.ulp(float(ref))
 
 
+@pytest.mark.parametrize("t, k", [(1e6, 1e-300), (3.0, 1e-308), (2.4e305, 1.0), (2.55e305, 1.0)],
+                         ids=["lgamma-overflow", "t/k-inf", "below-switch", "above-switch"])
+def test_log_gamma_k_near_the_double_range_matches_mpmath(t, k):
+    # math.lgamma(t/k) overflows above u = 2.56e305, or t/k is inf, although
+    # ln Gamma_k(t) is finite; both raised.  The reference carries 40 digits
+    # beyond those of u; the rounding of ln t moves u (ln t - 1) by up to
+    # u ulp(ln t)/2.
+    with mp.workdps(40 + int(math.log10(t) - math.log10(k))):
+        u = mpf(t) / k
+        ref = (u - 1) * mp.log(k) + mp.loggamma(u)
+        tol = 4 * 2.0**-53 * abs(ref) + u * math.ulp(math.log(t))
+        assert abs(log_gamma_k(t, k) - ref) <= tol
+
+
 @pytest.mark.parametrize("fn, args", [
     (psi_p, (2e-313, 9)), (log_gamma_p, (1e308, 9)),
     (psi_q, (1e-320, 0.5)), (log_gamma_q, (1.5e307, 0.9999999984102188)),
     (gamma_q, (1.5e307, 0.9999999984102188)),
     (log_gamma_k, (1e300, 1e-10)), (gamma_k, (1e300, 1e-10)), (log_gamma_k, (1.79e308, 700.0)),
+    (log_gamma_k, (2.6e305, 1.0)),
 ], ids=["psi_p", "log_gamma_p", "psi_q", "log_gamma_q", "gamma_q", "log_gamma_k", "gamma_k",
-        "log_gamma_k-sum"])
+        "log_gamma_k-sum", "log_gamma_k-stirling"])
 def test_value_beyond_double_range_raises_overflow(fn, args):
     # these returned -inf, inf or nan; at (1.79e308, 700) both terms of
-    # ln Gamma_k are finite and their sum is not
+    # ln Gamma_k are finite and their sum is not; ln Gamma(2.6e305) is 1.83e308
     with pytest.raises(OverflowError, match="exceeds the double range"):
         fn(*args)
 

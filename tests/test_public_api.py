@@ -3,7 +3,9 @@ its module, the package exports nothing else, and every public function stays
 a function object of its own (a wrapper installed on one name, a profiler's
 say, must not reach another)."""
 
+import ast
 import inspect
+import pathlib
 import subprocess
 import sys
 
@@ -71,9 +73,30 @@ def test_public_functions_are_distinct():
 
 
 def test_import_does_not_load_numpy():
-    # numpy is needed only by `eval`'s number format and the selftest's
-    # random stream, which import it themselves.
+    # The package needs mpmath alone: `eval` formats its numbers and the
+    # selftest draws its points with the standard library.
     code = "import sys, gammagen, gammagen.cli; print('numpy' in sys.modules)"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+    code = ("import contextlib, io, sys\n"
+            "from gammagen import cli, selftest\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['eval', 'psi', '--t', '2.5']) == 0\n"
+            "    assert 'numpy' not in sys.modules\n"
+            "    assert selftest.run(quick=True) == 0\n"
+            "    assert 'numpy' not in sys.modules\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_no_source_file_imports_numpy():
+    for path in pathlib.Path(gammagen.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "numpy" for n in names), path.name

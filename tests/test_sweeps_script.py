@@ -93,3 +93,23 @@ def test_oracle_cost_times_every_routine(capsys):
         assert ms > 0 and terms >= 1 and digits >= 20
         # the time over the terms, within the rounding of both printed columns
         assert abs(us_per_term - 1e3 * ms / terms) <= 0.005 + 0.5 / terms
+
+
+def test_cli_cost_times_every_command(capsys):
+    module = _load_script("cli_cost")
+    module.REPEATS = 1
+    assert module.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["command", "family", "format", "build_parser",
+                                "parse_args", "main", "(ms)"]
+    assert lines[-1].startswith("total ")
+    assert lines[-1].endswith(" ms for one main call per row")
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[:3] for row in rows] == [
+        [command, family, fmt] for command in ("verify", "scan")
+        for fmt in ("csv", "json") for family in ("p", "q", "k")]
+    for row in rows:
+        assert all(float(ms) > 0 for ms in row[3:])
+    # the total is the sum of the main column, within the rounding of both
+    total = float(lines[-1].split()[1])
+    assert abs(total - sum(float(row[5]) for row in rows)) <= 0.05 + 12 * 0.0005
