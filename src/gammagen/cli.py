@@ -100,9 +100,10 @@ def _fmt17(x: float) -> str:
     if not math.isfinite(x):
         return repr(x)
     exact = Decimal(x)
-    digits = Context(prec=17, rounding=ROUND_HALF_EVEN).create_decimal(exact)
-    if abs(digits) > abs(exact):
-        digits = digits.normalize()
+    ctx = Context(prec=17, rounding=ROUND_HALF_EVEN)
+    digits = ctx.create_decimal(exact)
+    if digits.copy_abs() > exact.copy_abs():
+        digits = ctx.normalize(digits)
     whole, _, fraction = format(digits, "f").partition(".")
     return f"{whole}.{fraction.ljust(16 - max(digits.adjusted(), 0), '0')}"
 

@@ -413,10 +413,11 @@ def log_gamma_k(t: float, k: float) -> float:
 
     Below the smallest normal u = t/k, whose bits are then lost, the value is
     t (ln k - gamma)/k - ln t, from ln Gamma(u) = -ln u - gamma u + O(u^2).
-    Above _LGAMMA_STIRLING_FROM, where t/k may be inf, it is Stirling's
-    u (ln t - 1) - (ln t + ln k)/2 + ln(2 pi)/2, with u (ln t - 1) formed as
-    t (ln t - 1)/k.  Raises OverflowError when the value exceeds the double
-    range.
+    Above _LGAMMA_STIRLING_FROM it is Stirling's
+    u (ln t - 1) - (ln t + ln k)/2 + ln(2 pi)/2.  Where t/k is inf,
+    u (ln t - 1) is formed as t (ln t - 1)/k; the value is then finite only
+    if t < e^2, so t (ln t - 1) does not overflow.  Raises OverflowError
+    when the value exceeds the double range.
     """
     _require_positive("t", t)
     _require_positive("k", k)
@@ -425,7 +426,8 @@ def log_gamma_k(t: float, k: float) -> float:
         return t * (math.log(k) - EULER_GAMMA) / k - math.log(t)
     if u > _LGAMMA_STIRLING_FROM:
         ln_t, ln_k = math.log(t), math.log(k)
-        value = t * (ln_t - 1.0) / k - 0.5 * (ln_t + ln_k) + _HALF_LOG_2PI
+        lead = u * (ln_t - 1.0) if u < math.inf else t * (ln_t - 1.0) / k
+        value = lead - 0.5 * (ln_t + ln_k) + _HALF_LOG_2PI
     else:
         value = (u - 1.0) * math.log(k) + math.lgamma(u)
     return _require_finite(value, "log_gamma_k(t) at t = {0}, k = {1}", t, k)

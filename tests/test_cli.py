@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -225,6 +226,13 @@ def test_fmt17_matches_numpy_positional_format():
                   if _fmt17(x) != np.format_float_positional(
                       x, precision=17, unique=False, fractional=False)]
     assert mismatches == []
+
+
+def test_fmt17_ignores_the_ambient_decimal_context():
+    with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)):
+        for x, text in FMT17_PINNED.items():
+            assert _fmt17(x) == text
+        assert _fmt17(0.1) == "0.10000000000000001"
 
 
 def test_unknown_function_rejected():

@@ -357,11 +357,16 @@ def test_log_gamma_k_below_normal_t_over_k_matches_mpmath(t, k):
     assert abs(log_gamma_k(t, k) - ref) <= 4 * math.ulp(float(ref))
 
 
-@pytest.mark.parametrize("t, k", [(1e6, 1e-300), (3.0, 1e-308), (2.4e305, 1.0), (2.55e305, 1.0)],
-                         ids=["lgamma-overflow", "t/k-inf", "below-switch", "above-switch"])
+@pytest.mark.parametrize("t, k", [
+    (1e6, 1e-300), (3.0, 1e-308), (2.4e305, 1.0), (2.55e305, 1.0),
+    (5.02e305, 2.0), (2.51e307, 100.0),
+], ids=["lgamma-overflow", "t/k-inf", "below-switch", "above-switch",
+        "above-switch-k2", "above-switch-k100"])
 def test_log_gamma_k_near_the_double_range_matches_mpmath(t, k):
     # math.lgamma(t/k) overflows above u = 2.56e305, or t/k is inf, although
-    # ln Gamma_k(t) is finite; both raised.  The reference carries 40 digits
+    # ln Gamma_k(t) is finite; both raised.  At k > 1 above the switch,
+    # t (ln t - 1) alone passes the double range although u (ln t - 1) and
+    # the value do not.  The reference carries 40 digits
     # beyond those of u; the rounding of ln t moves u (ln t - 1) by up to
     # u ulp(ln t)/2.
     with mp.workdps(40 + int(math.log10(t) - math.log10(k))):
