@@ -193,7 +193,7 @@ def _cmd_eval(args) -> int:
 def _sweep(args):
     """What verify and scan share: (gp, family parameter, grid, and the
     JSON report's ``config`` with its keys in report order).  The engine
-    checks the parameters and the sandwich grid."""
+    checks the parameters, the tolerances and the sandwich grid."""
     gp = GenParams(args.a, args.b, args.alpha, args.beta)
     param = getattr(args, args.family)
     if param is None:
@@ -202,8 +202,6 @@ def _sweep(args):
     # the engine admits t = 0, where the sandwich evaluates aux; a scan does not
     if args.command == "scan" and any(t <= 0.0 for t in grid):
         raise DomainError("monotone grids must lie strictly in (0, inf)")
-    _require_positive("tol-report", args.tol_report)
-    _require_positive("tol", args.tol)
     return gp, param, grid, {
         "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
         "beta": gp.beta, args.family: param, "grid_spec": args.grid,
@@ -238,8 +236,8 @@ def _cmd_scan(args) -> int:
             "derivative_min": scan.derivative_min,
         }
         content = json.dumps(obj, indent=2) + "\n"
+    ok = scan_passes(scan, args.tol_report)  # checks tol_report before a report is written
     _emit(content, args.out)
-    ok = scan_passes(scan, args.tol_report)
     print(f"{'PASS' if ok else 'FAIL'} min_forward_diff={scan.min_forward_diff!r} "
           f"derivative_min={scan.derivative_min!r}")
     return EXIT_OK if ok else EXIT_NUMERIC_FAIL

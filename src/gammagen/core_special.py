@@ -18,6 +18,7 @@ target ``tol``, and sums at most _MAX_TERMS terms (see EvalResult).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -83,6 +84,22 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be > 0 (got {value})")
     if value == math.inf:  # not math.isfinite, which overflows on a huge int
         raise DomainError(f"{name} must be finite (got {value})")
+
+
+def _check_p(p) -> int:
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise DomainError(f"p must be an integer >= 1 (got {p!r})") from None
+    if p < 1:
+        raise DomainError(f"p must be an integer >= 1 (got {p})")
+    return p
+
+
+def _check_q(q) -> float:
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"q must lie strictly in (0, 1) (got {q})")
+    return q
 
 
 def _require_finite(value: float, what: str, *args) -> float:

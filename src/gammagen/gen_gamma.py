@@ -46,10 +46,11 @@ from .core_special import (
     BERNOULLI,
     DEFAULT_TOL,
     EULER_GAMMA,
-    DomainError,
     EvalResult,
     _ASYMPTOTIC_FROM,
     _MAX_TERMS,
+    _check_p,
+    _check_q,
     _odd_power_series,
     _psi_scaled,
     _psi_tail,
@@ -70,27 +71,17 @@ __all__ = [
 ]
 
 
-def _check_p(p) -> int:
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise DomainError(f"p must be an integer >= 1 (got {p!r})") from None
-    if p < 1:
-        raise DomainError(f"p must be an integer >= 1 (got {p})")
-    return p
-
-
-def _check_q(q) -> float:
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie strictly in (0, 1) (got {q})")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # p-family
 # ---------------------------------------------------------------------------
 
 _STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(BERNOULLI, 1))
+
+# Above this argument of ln Gamma, t in log_gamma_p and u = t/k in
+# log_gamma_k, just short of the 2.56e305 where math.lgamma overflows, both
+# take Stirling's form; its first omitted term, 1/(12 t), is below 4e-307.
+_LGAMMA_STIRLING_FROM = 2.5e305
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _stirling_tail(r: float) -> float:
@@ -121,6 +112,17 @@ def log_gamma_p(t: float, p: int) -> float:
     term, which is below 3.0e-17 at x >= 10, so B is exact to rounding.
     p enters only through 1/p, formed by integer true division, so p may
     exceed the double range.
+
+    Above _LGAMMA_STIRLING_FROM, where math.lgamma overflows and
+    (t+1/2) log1p(y), y = (t+1)/p, may too, ln Gamma(t) is Stirling's
+    (t-1/2) ln t - t + ln(2 pi)/2.  Its -t cancels the bracket's t, and its
+    (t+1/2) ln t is merged with the bracket's -(t+1/2) log1p(y).  Where
+    y > 1, p < t+1 fits in a double and the pair is
+    (t+1/2)(ln p - log1p((p+1)/t)), near the value when t >> p.  Elsewhere
+    the pair and the bracket's -(t+1) log1p(y)/y are grouped as
+    (t+1/2)(ln t - 1 - log1p(y)), near the value, plus
+    t + 1/2 - (t+1) log1p(y)/y, of size t y.  Raises OverflowError when
+    the value exceeds the double range.
     """
     _require_positive("t", t)
     p = _check_p(p)
@@ -130,6 +132,16 @@ def log_gamma_p(t: float, p: int) -> float:
                                "log_gamma_p(t) at t = {0}, p = {1}", t, p)
     x = 1 / p
     y = (t + 1.0) * x
+    if t > _LGAMMA_STIRLING_FROM:
+        if y > 1.0:
+            lead = ((t + 0.5) * (math.log(p) - math.log1p((p + 1) / t))
+                    - (t + 1.0) * _log1p_ratio(y))
+        else:
+            lead = ((t + 0.5) * (math.log(t) - 1.0 - math.log1p(y))
+                    + (t + 0.5 - (t + 1.0) * _log1p_ratio(y)))
+        value = (lead - math.log(t) + _HALF_LOG_2PI + _log1p_ratio(x) + 0.5 * math.log1p(x)
+                 + _stirling_tail(1 / (p + 1)) - _stirling_tail(x / (1.0 + y)))
+        return _require_finite(value, "log_gamma_p(t) at t = {0}, p = {1}", t, p)
     # p log1p(x) = log1p(x)/x and p log1p(y) = (t+1) log1p(y)/y
     bracket = (_log1p_ratio(x) + 0.5 * math.log1p(x)
                - (t + 1.0) * _log1p_ratio(y) - (t + 0.5) * math.log1p(y) + t
@@ -400,13 +412,6 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 # ---------------------------------------------------------------------------
 # k-family
 # ---------------------------------------------------------------------------
-
-# Above this u = t/k, just short of the 2.56e305 where math.lgamma(u)
-# overflows, log_gamma_k takes Stirling's form; its first omitted term,
-# 1/(12 u), is below 4e-307.
-_LGAMMA_STIRLING_FROM = 2.5e305
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def log_gamma_k(t: float, k: float) -> float:
     """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k).

@@ -31,6 +31,8 @@ from .core_special import (
     DEFAULT_TOL,
     DomainError,
     ToleranceNotMet,
+    _check_p,
+    _check_q,
     _require_positive,
     log_gamma,
     psi_series,
@@ -42,8 +44,6 @@ from .gen_gamma import (
     psi_k,
     psi_p,
     psi_q,
-    _check_p,
-    _check_q,
 )
 
 __all__ = [
@@ -406,6 +406,8 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
     ``param`` is the family's parameter, the integer p or the real q or k.
     Returns one report per grid point, in grid order.
     """
+    _require_positive("tol_report", tol_report)
+    _require_positive("tol", tol)
     fam, x = _resolve(family, gp.a, gp.b, param)
     note = _check_alpha_floor(gp, fam.s_floor)
     _check_unit_grid(grid)
@@ -476,6 +478,7 @@ def scan_monotone(fn: Callable[[float], float],
 def scan_passes(scan: MonotoneScan, tol_report: float = DEFAULT_TOL_REPORT) -> bool:
     """The scan verdict: neither a forward difference nor a log-derivative
     falls below -tol_report."""
+    _require_positive("tol_report", tol_report)
     return (scan.min_forward_diff >= -tol_report
             and scan.derivative_min >= -tol_report)
 
@@ -486,6 +489,7 @@ def family_callables(family: str, gp: GenParams, param,
     the auxiliary function and its log-derivative.  ``param`` is the
     family's parameter, the integer p or the real q or k.
     """
+    _require_positive("tol", tol)
     fam, x = _resolve(family, gp.a, gp.b, param)
     return (lambda t: math.exp(_log_aux(fam, x, t, gp, tol)),
             lambda t: _log_deriv(fam, x, t, gp, tol))

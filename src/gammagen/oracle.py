@@ -7,8 +7,9 @@ or factors of their definitions one by one and sum the rest exactly as a
 Lambert series in powers of q^(t+N), about 2 sqrt(ln(1/T) / (1-q)) terms
 in all; and Gamma and Gamma_k come from the trapezoid rule on the defining
 integral, with an a-priori error bound.  A bug shared with the fast
-evaluators would defeat cross-validation, so no evaluation code is shared
-with ``core_special`` or ``gen_gamma``.
+evaluators would defeat cross-validation, so the oracle shares no
+evaluation code with ``core_special`` or ``gen_gamma``, only their
+argument checks.
 
 The series and product loops, and the trapezoid rule's nodes, run on
 Python integers.  A value x in them is the fixed-point integer
@@ -35,7 +36,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, from_rational, mpf_exp, mpf_ln2, round_nearest,
                           to_fixed)
 
-from .core_special import DomainError
+from .core_special import _check_p, _check_q, _require_positive
 
 __all__ = [
     "HPValue",
@@ -88,21 +89,6 @@ class HPValue:
     value: object  # mpmath.mpf
     certified_digits: int
     terms_used: int = 0
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DomainError(msg)
-
-
-def _require_positive(name: str, value) -> None:
-    _require(value > 0, f"{name} must be > 0 (got {value})")
-    _require(value != math.inf, f"{name} must be finite (got {value})")
-
-
-def _require_integer_p(p) -> int:
-    _require(1 <= p < math.inf and p == int(p), f"p must be an integer >= 1 (got {p})")
-    return int(p)
 
 
 def _digits_from_error(value, err) -> int:
@@ -246,7 +232,7 @@ def psi_p_hp(t, p) -> HPValue:
     of 2^-W.
     """
     _require_positive("t", t)
-    p = _require_integer_p(p)
+    p = _check_p(p)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
         m, d = float(t).as_integer_ratio()
@@ -300,7 +286,7 @@ def psi_q_hp(t, q) -> HPValue:
     _FLOAT_ROUND_UP.
     """
     _require_positive("t", t)
-    _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
+    _check_q(q)
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
         q_ = mpf(q)
@@ -376,7 +362,7 @@ def gamma_p_hp(t, p) -> HPValue:
     forms within p + 1 units of 2^-W relative.
     """
     _require_positive("t", t)
-    p = _require_integer_p(p)
+    p = _check_p(p)
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
         m, d = float(t).as_integer_ratio()
@@ -443,7 +429,7 @@ def gamma_q_hp(t, q) -> HPValue:
     (1-q) (1-q)^-t.
     """
     _require_positive("t", t)
-    _require(0 < q < 1, f"q must lie strictly in (0, 1) (got {q})")
+    _check_q(q)
     with mp.workdps(_SERIES_DPS):
         t_ = mpf(t)
         q_ = mpf(q)
@@ -682,8 +668,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
 
 def cross_validate(fast_value: float, hp: HPValue, rel_tol: float) -> bool:
     """True iff |fast - hp| <= rel_tol * max(|hp|, 1)."""
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be > 0 (got {rel_tol})")
+    _require_positive("rel_tol", rel_tol)
     with mp.workdps(_SERIES_DPS):
         ref = hp.value
         return abs(mpf(fast_value) - ref) <= mpf(rel_tol) * max(abs(ref), mpf(1))

@@ -413,10 +413,19 @@ def test_max_terms_variable_is_ignored(monkeypatch, capsys, raw):
 ])
 @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
 def test_invalid_tol_is_exit_2(capsys, command, bad):
-    # gamma and the p-family's sandwich read tol in no series, so the CLI
-    # itself must check it.
+    # gamma and the p-family's sandwich read tol in no series: eval checks
+    # it itself, and check_sandwich and family_callables check theirs.
     assert main([*command, "--tol", bad]) == 2
     assert f"tol must be > 0 (got {float(bad)})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_invalid_tol_report_is_exit_2_and_writes_no_report(capsys, tmp_path, command):
+    out = tmp_path / "report.csv"
+    assert main([command, "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5,0.75",
+                 "--tol-report", "-1", "--out", str(out)]) == 2
+    assert "tol_report must be > 0 (got -1.0)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_inadmissible_point_exit_2():

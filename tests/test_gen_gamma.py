@@ -376,14 +376,29 @@ def test_log_gamma_k_near_the_double_range_matches_mpmath(t, k):
         assert abs(log_gamma_k(t, k) - ref) <= tol
 
 
+@pytest.mark.parametrize("t, p, value", [
+    (1e307, 50, 3.912023005428146e307), (1.83e306, 39, 6.70431781241725e306),
+    (2.6e305, 10, 5.98672124178452e305), (2.52e305, 10**400, 1.7695760349070624e308),
+])
+def test_log_gamma_p_above_the_range_of_lgamma_matches_mpmath(t, p, value):
+    # math.lgamma(t) overflows above t = 2.56e305 although ln Gamma_p(t) is
+    # finite: the first three raised "math range error".  p = 10**400 takes
+    # the grouping where p > t + 1.
+    with mp.workdps(50 + int(math.log10(t) + math.log10(p))):
+        t_ = mpf(t)
+        ref = mp.loggamma(p + 1) + t_ * mp.log(p) + mp.loggamma(t_) - mp.loggamma(t_ + p + 1)
+        assert abs(log_gamma_p(t, p) - ref) <= 4 * 2.0**-53 * abs(ref)
+    assert math.isclose(ref, value, rel_tol=1e-14)
+
+
 @pytest.mark.parametrize("fn, args", [
-    (psi_p, (2e-313, 9)), (log_gamma_p, (1e308, 9)),
+    (psi_p, (2e-313, 9)), (log_gamma_p, (1e308, 9)), (log_gamma_p, (1e308, 50)),
     (psi_q, (1e-320, 0.5)), (log_gamma_q, (1.5e307, 0.9999999984102188)),
     (gamma_q, (1.5e307, 0.9999999984102188)),
     (log_gamma_k, (1e300, 1e-10)), (gamma_k, (1e300, 1e-10)), (log_gamma_k, (1.79e308, 700.0)),
     (log_gamma_k, (2.6e305, 1.0)),
-], ids=["psi_p", "log_gamma_p", "psi_q", "log_gamma_q", "gamma_q", "log_gamma_k", "gamma_k",
-        "log_gamma_k-sum", "log_gamma_k-stirling"])
+], ids=["psi_p", "log_gamma_p", "log_gamma_p-stirling", "psi_q", "log_gamma_q", "gamma_q",
+        "log_gamma_k", "gamma_k", "log_gamma_k-sum", "log_gamma_k-stirling"])
 def test_value_beyond_double_range_raises_overflow(fn, args):
     # these returned -inf, inf or nan; at (1.79e308, 700) both terms of
     # ln Gamma_k are finite and their sum is not; ln Gamma(2.6e305) is 1.83e308

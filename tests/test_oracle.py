@@ -356,7 +356,7 @@ def test_q_oracle_truncation_frozen(fn, args, frozen):
 
 def test_oracle_imports_nothing_that_evaluates():
     # The oracle must never share evaluation code with the fast paths: the
-    # only name it takes from the package is the DomainError exception.
+    # only names it takes from the package are the argument checks.
     tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
     taken = set()
     for node in ast.walk(tree):
@@ -365,7 +365,8 @@ def test_oracle_imports_nothing_that_evaluates():
             taken |= {(node.module, alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
             assert not any("gammagen" in alias.name for alias in node.names)
-    assert taken == {("core_special", "DomainError")}
+    assert taken == {("core_special", name)
+                     for name in ("_check_p", "_check_q", "_require_positive")}
 
 
 def test_p_family_cross_validates_at_large_p():
