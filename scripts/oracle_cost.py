@@ -3,9 +3,11 @@
 
 One row per routine and argument set: the arguments are the centres of the
 bands the benchmark's ``oracle_crossval`` workload draws from
-(benchmark/bench_workloads.py); two extremes of the trapezoid rule: a
+(benchmark/bench_workloads.py); three extremes of the trapezoid rule: a
 tiny t, which the functional equation lifts by 32 integer factors of
-about 1,050 bits, and t/k = 1500, which widens the working precision; and
+about 1,050 bits, t/k = 1500, which widens the working precision, and
+t/k = 1e325, where u, the strip angle and the step leave the double range;
+psi at t = 1e100, whose series head is sized free of t; and
 the q oracles at q = 0.999, 0.9999 and 1 - 1e-6, where the head and the
 Lambert-series tail take about 2 sqrt(ln(1/T) / (1-q)) terms.
 Each row gives the median wall time of five calls (after one untimed
@@ -26,6 +28,7 @@ from gammagen import oracle
 
 CASES = [
     ("psi_hp", (15.025,)),
+    ("psi_hp", (1e100,)),
     ("psi_p_hp", (15.025, 900)),
     ("psi_q_hp", (15.025, 0.6)),
     ("psi_q_hp", (15.025, 0.905)),
@@ -52,6 +55,7 @@ CASES = [
     ("gamma_k_quad", (9.0, 5.5)),
     ("gamma_k_quad", (13.0, 5.5)),
     ("gamma_k_quad", (300.0, 0.2)),
+    ("gamma_k_quad", (1e5, 1e-320)),
 ]
 REPEATS = 5
 

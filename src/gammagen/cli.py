@@ -221,6 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     gp, param, grid, config = _sweep(args)
+    _require_positive("tol_report", args.tol_report)  # before the grid is evaluated
     scan = scan_monotone(*family_callables(args.family, gp, param, args.tol), grid)
     if args.format == "csv":
         lines = ["t,value"]
@@ -236,7 +237,7 @@ def _cmd_scan(args) -> int:
             "derivative_min": scan.derivative_min,
         }
         content = json.dumps(obj, indent=2) + "\n"
-    ok = scan_passes(scan, args.tol_report)  # checks tol_report before a report is written
+    ok = scan_passes(scan, args.tol_report)
     _emit(content, args.out)
     print(f"{'PASS' if ok else 'FAIL'} min_forward_diff={scan.min_forward_diff!r} "
           f"derivative_min={scan.derivative_min!r}")

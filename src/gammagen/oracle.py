@@ -18,11 +18,14 @@ digits for the series, 30 and more for the quadrature), and a product is a
 mantissa of W to 2W bits with a separate binary exponent; the q oracles
 add to W the bits their divisions by 1 - q^m need (``_q_split``), and the
 quadrature nodes' exponentials are integer too (``_fixed_exp``).  mpmath
-does only the set-up (powers, logarithms, the step, the exponential
-tables) and the final assembly.  Each routine's docstring derives a bound
-on the rounding of its loop, in units of 2^-W, and ``certified_digits``
-counts that bound with the truncation error and a few mp.eps for the
-assembly.
+does only the set-up that carries the value (powers, logarithms, the
+exponential tables) and the final assembly.  What only sizes a loop (the
+series' head lengths, the q oracles' stop constants, the trapezoid rule's
+strip angle and step) or bounds its truncation (the aliasing bound) is a
+double rounded outward or an exact integer, and costs no mpmath call.
+Each routine's docstring derives a bound on the rounding of its loop, in
+units of 2^-W, and ``certified_digits`` counts that bound with the
+truncation error and a few mp.eps for the assembly.
 """
 
 from __future__ import annotations
@@ -58,10 +61,11 @@ EULER_GAMMA_HP = "0.57721566490153286060651209008240243104215933593992"
 
 _SERIES_DPS = 35
 _QUAD_DPS = 30
-_SERIES_TAIL = "1e-25"
+# 1/T for the error target T = 1e-25 of every routine
+_INV_TAIL = 10**25
 # The series and products are truncated at _TRUNCATION and the rounding of
 # the integer loops has the remaining 1e-31, so both together stay within
-# _SERIES_TAIL and certify as many digits as the truncation alone would.
+# T and certify as many digits as the truncation alone would.
 _TRUNCATION = "0.999999e-25"
 _GUARD_BITS = 32
 # mp.eps per part that the mpmath set-up and assembly combine: each part
@@ -75,11 +79,20 @@ _LIFT_TO = 32
 # as 1 - q >= 2^-53, so within 2^-29 relative.  This factor rounds the
 # result up past all of them.
 _FLOAT_ROUND_UP = 1 + 2.0**-20
+# lam = ln(4/T): the trapezoid's step makes its aliasing bound at most
+# 2/(e^lam - 1), about T/2
+_QUAD_LAM = math.log(4 * _INV_TAIL)
+# The trapezoid's sizing rounds its double exponent u (-ln cos theta), within
+# 2^-38 relative, up by this factor, so the step stays short of the one the
+# bound allows while moving it by no more than about 2^-32 relative.
+_STEP_ROUND_UP = 1 + 2.0**-32
 _QUAD_MAX_NODES = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """The trapezoid rule ran out of nodes before its tails met their target."""
+    """An oracle routine would need more terms or nodes than it allows: the
+    trapezoid rule ran out of nodes before its tails met their target, or
+    the psi series needs a head longer than _PSI_MAX_TERMS (a tiny k)."""
 
 
 @dataclass(frozen=True)
@@ -185,14 +198,27 @@ def _q_split(a, q):
     return n, mp.prec + _GUARD_BITS + int((n + 1) / (1 - q)).bit_length()
 
 
-# Bernoulli-number corrections B2..B10 for the Euler-Maclaurin closure of
-# sum_{n>=a} (1/n - 1/(n+u)); the remainder is below (|B10|/10!)|f^(9)(a)|,
-# itself below (50/66) u / a^11.
-def _psi_sum_hp(u, target, w):
+# The Bernoulli numbers B2..B10 of the Euler-Maclaurin closure in
+# ``_psi_sum_hp``, as integer pairs, and the longest head it sums
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66))
+_PSI_MAX_TERMS = 100_000
+
+
+def _psi_sum_hp(u, log_u, log_target, w):
     """sum_{i>=1} u / (i (i+u)), the terms summed and a bound on their
-    rounding, for u an mpf of at most w bits: i = 1..n in W = w bits of
-    fixed point, the rest by the Euler-Maclaurin closure, which errs by
-    less than target.
+    rounding, for u an mpf of at most w bits, given ln u and ln target as
+    doubles: i = 1..n in W = w bits of fixed point, the rest by the
+    Euler-Maclaurin closure, which errs by less than target.
+
+    With f(x) = 1/x - 1/(x+u) and corrections B2..B10 at a = n + 1, the
+    closure's remainder is below (|B10|/10!) |f^(9)(a)|, as f^(10) > 0,
+    that is (5/660) (a^-10 - (a+u)^-10).  That is below (50/66) u / a^11,
+    small for small u, and below (5/660) / a^10, free of u; n is the least
+    (and at least 8) for which either is below target, so it stays near
+    195 at T = 1e-25 however large u is.  The doubles need no care in
+    rounding, as a = n + 1 exceeds the root it needs by a whole unit.
+    Raises ConvergenceError where n would pass _PSI_MAX_TERMS (k below
+    about 1e-25).
 
     Each term (U 2^W) // (i (i 2^W + U)), U = floor(u 2^W), is the exact
     rational term at U, floored: it errs by less than one unit (2^-W), and
@@ -202,8 +228,12 @@ def _psi_sum_hp(u, target, w):
     adds one unit for the rounding of u to w bits, which moves the whole
     series by at most u min(pi^2/6, 1/u) 2^-w.
     """
-    a_needed = (mpf(50) / 66 * u / target) ** (mpf(1) / 11)
-    n = max(8, int(mp.ceil(a_needed)))
+    a_needed = math.exp(min((math.log(50 / 66) + log_u - log_target) / 11,
+                            (math.log(5 / 660) - log_target) / 10))
+    if a_needed > _PSI_MAX_TERMS:
+        raise ConvergenceError(f"psi_k_hp: the series at u = t/k = {mp.nstr(u, 6)} needs "
+                               f"{a_needed:.3g} terms, more than {_PSI_MAX_TERMS}")
+    n = max(8, math.ceil(a_needed))
     one, big_u = 1 << w, _fixed(u, w)
     num = big_u << w
     s = sum(num // (i * (i * one + big_u)) for i in range(1, n + 1))
@@ -211,11 +241,9 @@ def _psi_sum_hp(u, target, w):
     ia = 1 / a
     ib = 1 / (a + u)
     tail = mp.log1p(u / a) + (ia - ib) / 2
-    bern = [(mpf(1) / 6, 2), (mpf(-1) / 30, 4), (mpf(1) / 42, 6),
-            (mpf(-1) / 30, 8), (mpf(5) / 66, 10)]
-    for b2j, two_j in bern:
-        deriv = -math.factorial(two_j - 1) * (ia**two_j - ib**two_j)
-        tail -= b2j / math.factorial(two_j) * deriv
+    # B_2j / (2j)! times -f^(2j-1)(a) = (2j-1)! (a^-2j - (a+u)^-2j)
+    for j, (b_num, b_den) in enumerate(_BERNOULLI, 1):
+        tail += b_num * (ia ** (2 * j) - ib ** (2 * j)) / (2 * j * b_den)
     return mp.ldexp(s, -w) + tail, n, mp.ldexp(n + 3, -w)
 
 
@@ -342,7 +370,8 @@ def _psi_k_hp(t, k) -> HPValue:
         trunc = mpf(_TRUNCATION)
         with mp.workprec(w):
             u = t_ / k_
-        s, n, rounding = _psi_sum_hp(u, trunc * k_, w)
+        s, n, rounding = _psi_sum_hp(u, math.log(t) - math.log(k),
+                                     math.log(float(_TRUNCATION)) + math.log(k), w)
         head = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_
         v = head - 1 / t_ + s / k_
         err = trunc + rounding / k_ + _assembly(head, 1 / t_, s / k_)
@@ -546,6 +575,53 @@ def gamma_k_quad(t, k) -> HPValue:
     return _gamma_k_trapezoid(t, k)
 
 
+def _trapezoid_sizing(t_num, k_num, w):
+    """The strip angle theta = kd, the step K = kh' 2^W, the aliasing bound
+    and the stop constant floor(2^W T/8) of ``_gamma_k_trapezoid`` at
+    u = t_num/k_num >= _LIFT_TO and W = w.
+
+    With Y = u (-ln cos theta), a step kh' <= 2 pi theta / X, X >= lam + Y,
+    makes the aliasing bound 2 cos(theta)^(-u) / (e^(2 pi theta/kh') - 1) at
+    most 2 e^Y / (e^(lam+Y) - 1) = 2 / (e^lam - e^-Y) < 2 / (e^lam - 1),
+    whatever theta and u: a shorter step only shrinks it.  The longest such
+    step is longest where theta / (lam + Y) is largest, so theta is the best
+    of theta_0 2^(-i/4), i < 12, theta_0 = min(1.55, sqrt(2 lam/u)), which
+    is the best for small theta, where Y is about u theta^2 / 2.
+
+    u, theta^2 and kh' 2^W leave the double range (u reaches about 4e631),
+    so all is done in doubles from ln u and in integers:
+
+    - ln u is math.log of the exact integers t_num and k_num, within 2^-39;
+    - Y = phi^2 g(theta), phi^2 = theta^2 u = exp(2 ln theta + ln u) and
+      g(theta) = -ln(cos theta) / theta^2 = -log1p(-2 sin^2(theta/2)) / theta^2,
+      which is taken as its limit 1/2 below theta = 2^-26 (it is
+      1/2 + theta^2/12 + ..., so 1/2 is within 2^-54); so the double Y is
+      within 2^-38 relative, and X = lam + _STEP_ROUND_UP Y exceeds lam + Y
+      by more than X's rounding and that of 2 pi / X, as X <= 250 and Y > 0.8
+      (phi >= 1.3 and g >= 1/2) and math.tau is below 2 pi;
+    - K = floor(theta (2 pi / X) 2^W) is formed exactly from the integer
+      ratios of the two doubles, so kh' = K 2^-W is at most 2 pi theta / X.
+
+    The bound is 2 / (e^lam - 1) rounded up by _FLOAT_ROUND_UP, and the
+    stop constant is exact.
+    """
+    log_u = math.log(t_num) - math.log(k_num)
+
+    def exponent(theta):
+        """u (-ln cos theta) as phi^2 g(theta)."""
+        g = 0.5 if theta < 2.0**-26 else -math.log1p(-2 * math.sin(theta / 2) ** 2) / theta**2
+        return math.exp(2 * math.log(theta) + log_u) * g
+
+    theta0 = min(1.55, math.sqrt(2 * _QUAD_LAM) * math.exp(-log_u / 2))
+    theta = max((theta0 * 2 ** (-i / 4) for i in range(12)),
+                key=lambda a: a / (_QUAD_LAM + exponent(a)))
+    n_theta, d_theta = theta.as_integer_ratio()
+    n_c, d_c = (math.tau / (_QUAD_LAM + _STEP_ROUND_UP * exponent(theta))).as_integer_ratio()
+    big_kh = (n_theta * n_c << w) // (d_theta * d_c)
+    bound = _FLOAT_ROUND_UP * 2 / math.expm1(_QUAD_LAM)
+    return theta, big_kh, bound, (1 << w) // (8 * _INV_TAIL)
+
+
 def _gamma_k_trapezoid(t, k) -> HPValue:
     """Gamma_k(t) = integral_0^inf x^(t-1) exp(-x^k/k) dx by the trapezoid
     rule, with an a-priori error bound.
@@ -568,23 +644,27 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     integral times cos(kd)^(-u).  So the trapezoid rule with step h errs by
     at most 2 cos(kd)^(-u) / (e^(2 pi d/h) - 1), relative (Trefethen and
     Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-    56 (2014), Thm 5.1); d and h are chosen to make that bound 1e-25/2.
+    56 (2014), Thm 5.1).  ``_trapezoid_sizing`` chooses d and the step
+    kh' = K 2^-W, K an integer, in doubles rounded outward and in integers,
+    so that the bound for the step taken is at most about T/2, T = 1e-25.
 
     The nodes walk out from the peak in W = mp.prec + _GUARD_BITS bits of
     fixed point, a unit being 2^-W, with one integer exponential per node,
-    ``_fixed_exp``.  The step taken is kh' = K 2^-W, K = floor(kh 2^W), at
-    most kh, so the aliasing bound still holds.  With U = floor(u 2^W), the
-    exact u's floor, and u' = U 2^-W, node j's exponent
+    ``_fixed_exp``.  With U = floor(u 2^W), the exact u's floor, and
+    u' = U 2^-W, node j's exponent
     E = u (k sigma_j - e^(k sigma_j) + 1) is the integer A - X + U, where:
 
     - A, u' k sigma_j, adds floor(U K 2^-W), negated on the - side, at
       each node, so it is within j units at node j;
     - X, u' e^(k sigma_j), starts at U and is floor(X B 2^-W) at each
-      node, B within 2 units of b 2^W, b = e^(+-kh') (one ulp of mpf_exp;
-      to_fixed is exact for b in (1/2, 2)).  A step multiplies X's error
-      by b and adds at most 2 X 2^-W + 1 units, so at node j it is at most
-      j max(1, b^j) (2u' + 1) units, which grows on the + side, where
-      b > 1; as u' >= 32, that is below j (3 max(X, U) 2^-W);
+      node, B within 2 units of b 2^W, b = e^(+-kh'): B = _fixed_exp(W)(-K)
+      is within 1 + 2^-19 units of e^(-kh') 2^W, and 2^(2W) / B, rounded
+      to the nearest integer, within 1/2 + e^(2kh') (1 + 2^-18) < 1.9
+      units of e^(kh') 2^W, as kh' <= 2 pi 1.55 / lam < 0.166.  A step
+      multiplies X's error by b and adds at most 2 X 2^-W + 1 units, so at
+      node j it is at most j max(1, b^j) (2u' + 1) units, which grows on
+      the + side, where b > 1; as u' >= 32, that is below
+      j (3 max(X, U) 2^-W);
     - U: the exact u is within a unit of u', which moves E by at most
       |E|/u' units and the node by at most |E| e^E/u' < 1/(32 e) unit;
     - the node G = _fixed_exp(W)(E) adds less than 1 + 2^-19 units, below
@@ -599,15 +679,18 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     exponent is concave), so once a node g is below its predecessor g'
     the rest of that side sums to at most g^2/(g' - g).  The stop test
     takes g at G + r and g' at G' - r, which enclose the exact nodes: a
-    side stops when 2 (G + r)^2 < floor(2^W T/8) (G' - G - 2r),
-    T = 1e-25, which proves twice its exact tail below T/8 (relative, as
-    the sum is at least 1).  So the argument holds for the rounded nodes,
-    and the widening moves no stop in practice: at the stop g is about
+    side stops when 2 (G + r)^2 < floor(2^W T/8) (G' - G - 2r), which
+    proves twice its exact tail below T/8 (relative, as the sum is at
+    least 1).  So the argument holds for the rounded nodes, and the
+    widening moves no stop in practice: at the stop g is about
     1e-26 or more, still at least 2^47 units at W = 135, where r is below
     2^13, and the two grow together with t/k, so the test moves by a
     relative 2^-34 or less.
+    mpmath takes only what carries the value: u and ln t at the working
+    precision, and exp(u (ln t - 1)) times one rational that folds in the
+    integers kh' 2^W, the node sum, 1/k and the lift.
     ``certified_digits`` counts the aliasing bound, both tails, the
-    rounding of the nodes and of the lift, and a few mp.eps for the mpmath set-up and
+    rounding of the nodes and of the lift, and a few mp.eps for the mpmath
     assembly, whose exponent has parts u ln t and u.
     Raises ConvergenceError if a side needs more than _QUAD_MAX_NODES nodes.
     """
@@ -624,23 +707,13 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
         w = mp.prec + _GUARD_BITS
         lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
         t_num += lifts * k_num
-        t_, target = mp.ldexp(t_num, -e), mpf(_SERIES_TAIL)
-        u = mpf(from_rational(t_num, k_num, mp.prec, round_nearest))
-        # the strip angle theta = kd that allows the longest step; it lies
-        # a little below sqrt(2 lam/u), where that is below pi/2
-        lam, uf = math.log(4 / float(target)), min(float(u), 1e300)
-        theta0 = min(1.55, math.sqrt(2 * lam) * math.exp(-float(mp.log(u)) / 2))
-        theta = mpf(max((theta0 * 2 ** (-i / 4) for i in range(12)),
-                        key=lambda a: a / (lam - uf * math.log(math.cos(a)))))
-        sec_u = mp.cos(theta) ** -u
-        kh = 2 * mp.pi * theta / (lam + mp.log(sec_u))  # k times the step h
-        err = 2 * sec_u / mp.expm1(2 * mp.pi * theta / kh)
-        one, big_u, big_kh = 1 << w, (t_num << w) // k_num, _fixed(kh, w)
-        da, stop = big_u * big_kh >> w, _fixed(target / 8, w)
+        _, big_kh, err, stop = _trapezoid_sizing(t_num, k_num, w)
+        one, big_u = 1 << w, (t_num << w) // k_num
+        da = big_u * big_kh >> w
         exp = _fixed_exp(w)
+        b_minus = exp(-big_kh)  # e^(-kh') 2^W, and e^(+kh') 2^W rounded to nearest
         total, nodes, units = one, 1, 0
-        for sign in (1, -1):
-            b = to_fixed(mpf_exp(from_man_exp(sign * big_kh, -w), w), w)
+        for sign, b in ((1, ((1 << 2 * w) + b_minus // 2) // b_minus), (-1, b_minus)):
             a, x, g_prev = 0, big_u, one
             for j in range(1, _QUAD_MAX_NODES + 1):
                 a += sign * da     # u k sigma_j
@@ -658,10 +731,14 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
             # the side's rounding and, rounded up, twice its tail
             units += j * r - (-2 * (g + r) ** 2 // (g_prev - g - 2 * r))
             nodes += j
-        log_t = mp.log(t_)
-        v = (mp.exp(u * (log_t - 1)) * mp.ldexp(big_kh, -w) / mpf(k)
-             * mp.ldexp(total, -w) / mp.ldexp(lift, lift_exp - e * lifts))
-        err += mp.ldexp(units + lifts + 1, -w) + _assembly(u * log_t, u, 1)
+        u = mpf(from_rational(t_num, k_num, mp.prec, round_nearest))
+        power = u * (mp.log(mp.ldexp(t_num, -e)) - 1)
+        # kh' times the node sum over k and the lift, one rational:
+        # K total 2^-2W d_k / (m_k lift 2^(lift_exp - e L))
+        ratio = mpf(from_rational(big_kh * total * d_k, m_k * lift, mp.prec, round_nearest))
+        v = mp.exp(power) * mp.ldexp(ratio, e * lifts - lift_exp - 2 * w)
+        # |u ln t| <= |power| + u
+        err += mp.ldexp(units + lifts + 1, -w) + _assembly(power, u, u, 1)
     with mp.workdps(_QUAD_DPS):
         return HPValue(v, _digits_from_error(v, v * err), nodes)
 

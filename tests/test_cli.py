@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import decimal
 import io
 import json
@@ -428,6 +429,20 @@ def test_invalid_tol_report_is_exit_2_and_writes_no_report(capsys, tmp_path, com
     assert not out.exists()
 
 
+def test_scan_rejects_tol_report_before_evaluating_the_grid(monkeypatch, capsys, tmp_path):
+    from gammagen import cli
+
+    def evaluated(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(cli, "family_callables", evaluated)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--family", "p", "--alpha", "1.5", "--p", "5", "--grid",
+                 "0.001:100:0.001", "--tol-report", "-1", "--out", str(out)]) == 2
+    assert "tol_report must be > 0 (got -1.0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_inadmissible_point_exit_2():
     r = run_cli("scan", "--family", "q", "--alpha", "0.5", "--q", "0.5",
                 "--grid", "0.1:1:0.1")
@@ -504,6 +519,28 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
                      "--grid", "0.25,0.75", "--out", str(out)])
     assert code == 1
     assert "FAIL 2/2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, flag", [("p", ["--p", "5"]), ("q", ["--q", "0.5"]),
+                                          ("k", ["--k", "2"])])
+def test_verify_fails_every_row_of_a_corrupted_lemma(monkeypatch, capsys, tmp_path,
+                                                     family, flag):
+    # Lowering the lemma's constant by 5 moves both bounds of the real
+    # sandwich past the middle, by margins of -0.5 to -7.9, far beyond the
+    # slack, so every row of the report must fail.
+    from gammagen import inequality_engine
+
+    record = inequality_engine.FAMILIES[family]
+    monkeypatch.setitem(inequality_engine.FAMILIES, family, dataclasses.replace(
+        record, lemma_const=lambda b, x: record.lemma_const(b, x) - 5))
+    out = tmp_path / "fail.json"
+    code = main(["verify", "--family", family, "--a", "2", "--b", "1", "--alpha", "1.5",
+                 "--beta", "1", "--grid", "0.25,0.5,0.75", *flag, "--format", "json",
+                 "--out", str(out)])
+    assert code == 1
+    assert "FAIL 3/3" in capsys.readouterr().out
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3 and not any(row["pass"] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from _hp_bounds import k_bounds, p_bounds, q_bounds
 from gammagen.core_special import EULER_GAMMA, DomainError
 from gammagen.inequality_engine import (
     GenParams,
+    _verdict,
     MonotoneScan,
     check_sandwich_k,
     check_sandwich_p,
@@ -269,6 +270,13 @@ def test_strict_flags_by_family():
     assert check_sandwich_p(gp, 3, [0.5])[0].strict
     assert check_sandwich_q(gp, 0.5, [0.5])[0].strict
     assert not check_sandwich_k(gp, 2.0, [0.5])[0].strict
+
+
+def test_strict_verdict_fails_an_exact_equality():
+    # lower = middle = 1 exactly: a strict bound met with equality fails,
+    # the same row passes where the claim is not strict
+    assert not _verdict(0.5, 0.0, 0.0, 1.0, True, 1e-9, "").passed
+    assert _verdict(0.5, 0.0, 0.0, 1.0, False, 1e-9, "").passed
 
 
 def test_sandwich_q_stress_near_one():

@@ -130,11 +130,42 @@ def test_gamma_k_quad_meets_its_certified_digits(t, k):
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
 
 
-# the trapezoid's narrowest W, and its widest: t/k up to the largest double
-# over the least subnormal
+# the widest W: t/k up to the largest double over the least subnormal
+WIDEST_T_K = (sys.float_info.max, 5e-324)
+_rng = random.Random(21)
+SIZING_CASES = ([(t, k) for t in EXTREME_T for k in EXTREME_K] + [WIDEST_T_K]
+                + [(_rng.uniform(0.01, 100.0), _rng.uniform(0.1, 20.0)) for _ in range(100)])
+
+
+@pytest.mark.parametrize("t, k", SIZING_CASES)
+def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
+    # The sizing runs in doubles and integers; recompute, at 60 digits after
+    # the point of u, the aliasing bound for the theta and the step it chose.
+    calls = []
+    sizing = oracle._trapezoid_sizing
+
+    def spy(t_num, k_num, w):
+        calls.append((t_num, k_num, w, sizing(t_num, k_num, w)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle, "_trapezoid_sizing", spy)
+    oracle.gamma_k_quad(t, k)
+    [(t_num, k_num, w, (theta, big_kh, bound, stop))] = calls
+    assert 0 < theta < math.pi / 2 and big_kh > 0
+    assert stop * 8 * oracle._INV_TAIL <= 1 << w < (stop + 1) * 8 * oracle._INV_TAIL
+    with mp.workdps(60 + max(0, int(math.log10(t_num) - math.log10(k_num)))):
+        u = mpf(t_num) / k_num
+        sec_u = mp.cos(mpf(theta)) ** -u
+        kh = 2 * mp.pi * theta / (mp.log(4 * mpf(oracle._INV_TAIL)) + mp.log(sec_u))
+        step = mp.ldexp(big_kh, -w)
+        assert step <= kh
+        assert bound >= 2 * sec_u / mp.expm1(2 * mp.pi * theta / step)
+
+
+# the trapezoid's narrowest W, and its widest
 @pytest.mark.parametrize("dps", [
     oracle._QUAD_DPS,
-    oracle._QUAD_DPS + int(math.log10(sys.float_info.max) - math.log10(5e-324))])
+    oracle._QUAD_DPS + int(math.log10(WIDEST_T_K[0]) - math.log10(WIDEST_T_K[1]))])
 def test_fixed_exp_matches_mpmath(dps):
     with mp.workdps(dps):
         w = mp.prec + oracle._GUARD_BITS
@@ -228,9 +259,16 @@ def _meets_its_certified_digits(hp, reference):
 EDGE_T = [0.05, 2.5, 30.0]
 
 
-@pytest.mark.parametrize("t", EDGE_T + [0.5, 15.0])
+# the series' head is sized free of u, so a huge t takes no more terms
+@pytest.mark.parametrize("t", EDGE_T + [0.5, 15.0, 1e100, 1e300])
 def test_psi_hp_meets_its_certified_digits(t):
     _meets_its_certified_digits(oracle.psi_hp(t), lambda: mp.digamma(mpf(t)))
+
+
+def test_psi_k_hp_at_a_tiny_k_raises():
+    # k T = 1e-325 would take about 2e32 terms of the series' head
+    with pytest.raises(oracle.ConvergenceError, match="psi_k_hp"):
+        oracle.psi_k_hp(1e5, 1e-300)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 10.0])
