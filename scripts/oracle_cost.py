@@ -16,6 +16,13 @@ microseconds per term (the time over the terms, so the cost of a series
 term, a product factor or a quadrature node shows directly) and the digits
 it certifies.
 
+The rows describe one tree; they cannot compare two commits run in
+separate processes.  On a shared 2-CPU host such processes drift by 30-40%
+between runs: psi_q_hp(2.5, 0.999) alone read 0.57-0.83 ms across nine
+back-to-back processes.  To compare two trees, import both in one process
+(one copy of the package under another name) and interleave their calls
+case by case; that put every unchanged row within 5%.
+
 Usage:
     python scripts/oracle_cost.py
 """

@@ -1,9 +1,10 @@
 """Command-line front end: evaluate functions, verify inequalities, scan
 monotonicity, and run the built-in selftest.
 
-Exit codes: 0 all pass, 1 numeric failure, 2 hypothesis/domain error,
-3 tolerance-not-met.  Report output is deterministic: identical
-configuration (including seed) produces byte-identical CSV/JSON.
+Exit codes: 0 all pass, 1 numeric failure, 2 hypothesis/domain error or
+a result beyond the double range, 3 tolerance-not-met.  Report output is
+deterministic: identical configuration produces byte-identical CSV/JSON.
+Every number is printed as its ``repr``, which round-trips.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .gen_gamma import (
     psi_q,
 )
 from .inequality_engine import (
-    DEFAULT_TOL_REPORT,
     GenParams,
     check_sandwich,
     family_callables,
@@ -86,26 +86,6 @@ def parse_grid_spec(spec: str) -> tuple:
     if any(t1 >= t2 for t1, t2 in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     return grid
-
-
-def _fmt17(x: float) -> str:
-    """x in positional notation: its exact decimal expansion rounded half to
-    even at 17 significant digits, less the zeros a round-up carry leaves,
-    with the fraction padded with zeros to 16 - max(e, 0) digits, e the
-    decimal exponent.  This is numpy's ``format_float_positional(x,
-    precision=17, unique=False, fractional=False)``, byte for byte.
-    """
-    from decimal import ROUND_HALF_EVEN, Context, Decimal  # only `eval` prints this way
-
-    if not math.isfinite(x):
-        return repr(x)
-    exact = Decimal(x)
-    ctx = Context(prec=17, rounding=ROUND_HALF_EVEN)
-    digits = ctx.create_decimal(exact)
-    if digits.copy_abs() > exact.copy_abs():
-        digits = ctx.normalize(digits)
-    whole, _, fraction = format(digits, "f").partition(".")
-    return f"{whole}.{fraction.ljust(16 - max(digits.adjusted(), 0), '0')}"
 
 
 def _repr_num(x) -> str:
@@ -179,14 +159,14 @@ def _cmd_eval(args) -> int:
     result = func(**kwargs)
 
     if isinstance(result, EvalResult):
-        print(_fmt17(result.value))
+        print(repr(result.value))
         print(f"err_bound {result.err_bound!r} terms_used {result.terms_used}")
         if not result.converged:
             print(f"tolerance not met: term cap reached short of tol={args.tol!r} "
                   f"(err_bound {result.err_bound!r})", file=sys.stderr)
             return EXIT_TOL
     else:
-        print(_fmt17(result))
+        print(repr(result))
     return EXIT_OK
 
 
@@ -205,13 +185,12 @@ def _sweep(args):
     return gp, param, grid, {
         "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
         "beta": gp.beta, args.family: param, "grid_spec": args.grid,
-        "grid": list(grid), "seed": args.seed, "tol": args.tol,
-        "tol_report": args.tol_report, "format": args.format}
+        "grid": list(grid), "tol": args.tol, "format": args.format}
 
 
 def _cmd_verify(args) -> int:
     gp, param, grid, config = _sweep(args)
-    rows = check_sandwich(args.family, gp, param, grid, args.tol_report, args.tol)
+    rows = check_sandwich(args.family, gp, param, grid, args.tol)
     _emit(render_reports_csv(rows) if args.format == "csv"
           else render_reports_json(config, rows), args.out)
     n_fail = sum(not r.passed for r in rows)
@@ -221,7 +200,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     gp, param, grid, config = _sweep(args)
-    _require_positive("tol_report", args.tol_report)  # before the grid is evaluated
     scan = scan_monotone(*family_callables(args.family, gp, param, args.tol), grid)
     if args.format == "csv":
         lines = ["t,value"]
@@ -237,7 +215,7 @@ def _cmd_scan(args) -> int:
             "derivative_min": scan.derivative_min,
         }
         content = json.dumps(obj, indent=2) + "\n"
-    ok = scan_passes(scan, args.tol_report)
+    ok = scan_passes(scan)
     _emit(content, args.out)
     print(f"{'PASS' if ok else 'FAIL'} min_forward_diff={scan.min_forward_diff!r} "
           f"derivative_min={scan.derivative_min!r}")
@@ -272,9 +250,6 @@ def _add_sweep_flags(sub):
     sub.add_argument("--family", choices=("p", "q", "k"), required=True)
     sub.add_argument("--grid", required=True,
                      help="start:stop:step or comma-separated values")
-    sub.add_argument("--tol-report", type=float, default=DEFAULT_TOL_REPORT,
-                     dest="tol_report")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="report file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -317,7 +292,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
+        print(f"out of double range: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ToleranceNotMet as exc:

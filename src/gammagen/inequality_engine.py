@@ -11,13 +11,13 @@ module exposes all three layers as checkable predicates that produce
 quantitative margins.
 
 A sandwich row passes when both margins, middle - lower and upper - middle,
-exceed -``tol_report`` (default 1e-9).  The margins are differences of the
-exponentiated values, so the slack is absolute: it is neither scaled to
-the values nor derived from the evaluators' err_bounds, and a verdict
-depends on the scale of what it compares.  Where all three values are
-below the slack, a violated bound still passes; where they are large,
-the rounding of exp alone can exceed it; and past the double range exp
-raises OverflowError.
+exceed -``DEFAULT_TOL_REPORT`` (1e-9), a fixed slack that no caller sets.
+The margins are differences of the exponentiated values, so the slack is
+absolute: it is neither scaled to the values nor derived from the
+evaluators' err_bounds, and a verdict depends on the scale of what it
+compares.  Where all three values are below the slack, a violated bound
+still passes; where they are large, the rounding of exp alone can exceed
+it; and past the double range exp raises OverflowError.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ class GenParams:
 class InequalityReport:
     """One grid point of a sandwich check.
 
-    ``passed`` applies the verdict rule
-    margin > -tol_report on both sides; under a strict claim a margin of
-    exactly zero fails, since rounding noise never produces an exact zero
-    while a structural equality does.  (The attribute is named ``passed``
+    ``passed`` applies the verdict rule margin > -DEFAULT_TOL_REPORT on
+    both sides; under a strict claim a margin of exactly zero fails, since
+    rounding noise never produces an exact zero while a structural equality
+    does.  (The attribute is named ``passed``
     only because ``pass`` is reserved in Python; it serializes as "pass".)
     """
 
@@ -117,7 +117,6 @@ class InequalityReport:
     upper_margin: float
     strict: bool
     passed: bool
-    tol_report: float
     note: str = ""
 
 
@@ -361,17 +360,17 @@ def log_deriv_theta(t: float, gp: GenParams, k: float,
 # Sandwich checkers
 # ---------------------------------------------------------------------------
 
-def _verdict(t, log_lower, log_middle, log_upper, strict, tol_report, note):
+def _verdict(t, log_lower, log_middle, log_upper, strict, note):
     lower = math.exp(log_lower)
     middle = math.exp(log_middle)
     upper = math.exp(log_upper)
     lower_margin = middle - lower
     upper_margin = upper - middle
-    ok = lower_margin > -tol_report and upper_margin > -tol_report
+    ok = lower_margin > -DEFAULT_TOL_REPORT and upper_margin > -DEFAULT_TOL_REPORT
     if strict and (lower_margin == 0.0 or upper_margin == 0.0):
         ok = False
     return InequalityReport(t, lower, middle, upper, lower_margin,
-                            upper_margin, strict, ok, tol_report, note)
+                            upper_margin, strict, ok, note)
 
 
 def _check_unit_grid(grid) -> None:
@@ -396,7 +395,6 @@ def _check_alpha_floor(gp: GenParams, floor: float) -> str:
 
 
 def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
-                   tol_report: float = DEFAULT_TOL_REPORT,
                    tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     """Check aux(0) <= aux(t) <= aux(1) at every grid point t in (0, 1), as
 
@@ -406,7 +404,6 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
     ``param`` is the family's parameter, the integer p or the real q or k.
     Returns one report per grid point, in grid order.
     """
-    _require_positive("tol_report", tol_report)
     _require_positive("tol", tol)
     fam, x = _resolve(family, gp.a, gp.b, param)
     note = _check_alpha_floor(gp, fam.s_floor)
@@ -417,12 +414,11 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
     for t in grid:
         ell, log_middle = _log_parts(fam, x, t, gp, tol)
         out.append(_verdict(t, log_at0 - ell, log_middle, log_at1 - ell,
-                            fam.strict, tol_report, note))
+                            fam.strict, note))
     return out
 
 
-def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float],
-                     tol_report: float = DEFAULT_TOL_REPORT) -> list[InequalityReport]:
+def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float]) -> list[InequalityReport]:
     """Check, at every grid point t in (0, 1),
 
         p^(-b beta t) e^(-a beta g t) G(alpha)^a / G_p(alpha)^b
@@ -431,18 +427,16 @@ def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float],
 
     (strict bounds).  Returns one report per grid point, in grid order.
     """
-    return check_sandwich("p", gp, p, grid, tol_report)
+    return check_sandwich("p", gp, p, grid)
 
 
 def check_sandwich_q(gp: GenParams, q: float, grid: Sequence[float],
-                     tol_report: float = DEFAULT_TOL_REPORT,
                      tol: float = DEFAULT_TOL) -> list[InequalityReport]:
     """q-family analogue of ``check_sandwich_p`` (strict bounds)."""
-    return check_sandwich("q", gp, q, grid, tol_report, tol)
+    return check_sandwich("q", gp, q, grid, tol)
 
 
-def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
-                     tol_report: float = DEFAULT_TOL_REPORT) -> list[InequalityReport]:
+def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float]) -> list[InequalityReport]:
     """k-family sandwich (non-strict bounds):
 
         alpha^(a-b) e^(-t C) G(alpha)^a / ((alpha+beta t)^(a-b) k^(b beta t/k) G_k(alpha)^b)
@@ -452,7 +446,7 @@ def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float],
 
     with C = beta gamma_E (k a - b)/k.  Requires a >= b > 0 and k >= 1.
     """
-    return check_sandwich("k", gp, k, grid, tol_report)
+    return check_sandwich("k", gp, k, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +469,11 @@ def scan_monotone(fn: Callable[[float], float],
     return MonotoneScan(grid, values, min_fwd, deriv_min)
 
 
-def scan_passes(scan: MonotoneScan, tol_report: float = DEFAULT_TOL_REPORT) -> bool:
+def scan_passes(scan: MonotoneScan) -> bool:
     """The scan verdict: neither a forward difference nor a log-derivative
-    falls below -tol_report."""
-    _require_positive("tol_report", tol_report)
-    return (scan.min_forward_diff >= -tol_report
-            and scan.derivative_min >= -tol_report)
+    falls below -DEFAULT_TOL_REPORT."""
+    return (scan.min_forward_diff >= -DEFAULT_TOL_REPORT
+            and scan.derivative_min >= -DEFAULT_TOL_REPORT)
 
 
 def family_callables(family: str, gp: GenParams, param,

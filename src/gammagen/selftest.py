@@ -160,7 +160,7 @@ def _reduction_suites(rng, n: int) -> list[SuiteResult]:
     return out
 
 
-def run(quick: bool = False, seed: int = DEFAULT_SEED, echo=print) -> int:
+def run(quick: bool = False, seed: int = DEFAULT_SEED) -> int:
     """Run every suite; print per-suite counts; return 0 iff all passed.
 
     The points are drawn from ``random.Random(seed)``; a negative seed
@@ -178,9 +178,9 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED, echo=print) -> int:
     any_failed = False
     for s in suites:
         status = "PASS" if s.failed == 0 else "FAIL"
-        echo(f"{s.name}: {status} {s.passed}/{s.total}")
+        print(f"{s.name}: {status} {s.passed}/{s.total}")
         for label in s.failures[:5]:
-            echo(f"  failing case: {label}")
+            print(f"  failing case: {label}")
         any_failed = any_failed or s.failed > 0
-    echo("selftest: " + ("PASS" if not any_failed else "FAIL"))
+    print("selftest: " + ("PASS" if not any_failed else "FAIL"))
     return 1 if any_failed else 0

@@ -271,7 +271,7 @@ def test_criterion_10_cli_contract(tmp_path):
 
     args = ("verify", "--family", "p", "--a", "1", "--b", "1", "--alpha", "1.5",
             "--beta", "1", "--p", "5", "--grid", "0.05:0.95:0.05",
-            "--format", "json", "--seed", "3")
+            "--format", "json")
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert _run_cli(*args, "--out", str(out1)).returncode == 0
     assert _run_cli(*args, "--out", str(out2)).returncode == 0

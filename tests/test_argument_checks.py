@@ -20,12 +20,9 @@ from gammagen.inequality_engine import (
     GenParams,
     check_sandwich,
     family_callables,
-    scan_monotone,
-    scan_passes,
 )
 
 GP = GenParams(1.0, 1.0, 1.5, 1.0)
-SCAN = scan_monotone(*family_callables("p", GP, 5), [0.25, 0.5])
 
 # (entry point, valid keyword arguments, the arguments it checks)
 ENTRY_POINTS = [
@@ -38,11 +35,10 @@ ENTRY_POINTS = [
     (log_gamma_q, dict(t=2.5, q=0.5, tol=1e-12), ("t", "q", "tol")),
     (psi_q, dict(t=2.5, q=0.5, tol=1e-12), ("t", "q", "tol")),
     # the p-family reads tol in no series, nor the k-family's sandwich
-    (check_sandwich, dict(family="p", gp=GP, param=5, grid=[0.5]), ("tol_report", "tol")),
+    (check_sandwich, dict(family="p", gp=GP, param=5, grid=[0.5]), ("tol",)),
     (check_sandwich, dict(family="k", gp=GenParams(2.0, 1.0, 1.5, 1.0), param=2.0,
-                          grid=[0.5]), ("tol_report", "tol")),
+                          grid=[0.5]), ("tol",)),
     (family_callables, dict(family="p", gp=GP, param=5), ("tol",)),
-    (scan_passes, dict(scan=SCAN), ("tol_report",)),
     (oracle.psi_hp, dict(t=2.5), ("t",)),
     (oracle.gamma_hp, dict(t=2.5), ("t",)),
     (oracle.psi_p_hp, dict(t=2.5, p=5), ("t", "p")),

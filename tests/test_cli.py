@@ -1,22 +1,19 @@
 import argparse
 import contextlib
 import dataclasses
-import decimal
 import io
 import json
-import math
-import random
-import struct
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gammagen import (GenParams, gamma, gamma_k, gamma_p, gamma_q, omega, phi, psi_k,
                       psi_p, psi_q, psi_series, theta)
-from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, _fmt17, main, parse_grid_spec
+from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
 from gammagen.core_special import DomainError, EvalResult
 
 
@@ -29,10 +26,10 @@ def run_cli(*args):
 # eval
 # ---------------------------------------------------------------------------
 
-def test_eval_gamma_k_prints_17_digits():
+def test_eval_gamma_k_prints_repr():
     r = run_cli("eval", "gamma_k", "--t", "2", "--k", "2")
     assert r.returncode == 0
-    assert r.stdout.splitlines()[0] == "1.0000000000000000"
+    assert r.stdout.splitlines()[0] == "1.0"
 
 
 def test_eval_psi_p():
@@ -53,7 +50,7 @@ def test_eval_psi_k_at_smallest_subnormal_k():
     # tol*k underflowed to 0 here and was rejected as an invalid tolerance
     r = run_cli("eval", "psi_k", "--t", "1", "--k", "1e-320")
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[0] == "-0.5000000000000000"
+    assert r.stdout.splitlines()[0] == "-0.5"
 
 
 def test_eval_psi_k_beyond_double_range_is_domain_error():
@@ -181,59 +178,12 @@ def test_eval_prints_the_library_value(fn, capsys):
     expected = call()
     lines = capsys.readouterr().out.splitlines()
     value = expected.value if isinstance(expected, EvalResult) else expected
-    assert float(lines[0]) == value
+    assert lines[0] == repr(value)
     if isinstance(expected, EvalResult):
         assert lines[1] == (f"err_bound {expected.err_bound!r} "
                             f"terms_used {expected.terms_used}")
     else:
         assert len(lines) == 1
-
-
-FMT17_PINNED = {
-    0.5: "0.5000000000000000",
-    12.5: "12.500000000000000",
-    -0.0: "-0.0000000000000000",
-    1e16: "10000000000000000.",
-    # a round-up carry leaves no zeros; a 17th digit that is 0 stays
-    9.595207219134285e-86: "0." + "0" * 85 + "9595207219134285",
-    5.373075324429977e-28: "0." + "0" * 27 + "53730753244299770",
-}
-FMT17_EDGES = [
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-    1.7976931348623157e308, 9.999999999999999e15, 1e16, 1e17,
-    0.1, 0.5, 1.5e-10, 12.5, 9.595207219134285e-86, 5.373075324429977e-28,
-    math.inf, -math.inf, math.nan,
-]
-
-
-def _fmt17_sample():
-    """Seeded doubles: random bit patterns, log-uniform magnitudes over
-    [1e-320, 1e308], dyadic rationals and integers up to 2^62."""
-    rng = random.Random(1717)
-    sign = lambda: rng.choice((1.0, -1.0))
-    bits = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
-            for _ in range(20_000)]
-    magnitudes = [sign() * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(30_000)]
-    dyadic = [sign() * rng.getrandbits(rng.randint(1, 53)) / 2.0 ** rng.randint(0, 80)
-              for _ in range(30_000)]
-    integers = [sign() * float(rng.getrandbits(rng.randint(1, 62))) for _ in range(30_000)]
-    return FMT17_EDGES + bits + magnitudes + dyadic + integers
-
-
-def test_fmt17_matches_numpy_positional_format():
-    for x, text in FMT17_PINNED.items():
-        assert _fmt17(x) == text
-    mismatches = [x for x in _fmt17_sample()
-                  if _fmt17(x) != np.format_float_positional(
-                      x, precision=17, unique=False, fractional=False)]
-    assert mismatches == []
-
-
-def test_fmt17_ignores_the_ambient_decimal_context():
-    with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)):
-        for x, text in FMT17_PINNED.items():
-            assert _fmt17(x) == text
-        assert _fmt17(0.1) == "0.10000000000000001"
 
 
 def test_unknown_function_rejected():
@@ -248,8 +198,6 @@ def test_unknown_flag_rejected():
 
 @pytest.mark.parametrize("args", [
     ("verify", "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "abc"),
-    ("verify", "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5",
-     "--tol-report", "-1"),
     ("selftest", "--quick", "--seed", "-1"),
 ])
 def test_adversarial_flags_never_panic(args):
@@ -300,11 +248,16 @@ def test_verify_k_equality_case(tmp_path):
 def test_verify_deterministic_output(tmp_path):
     args = ("verify", "--family", "q", "--a", "1.2", "--b", "0.7",
             "--alpha", "1.3", "--beta", "0.9", "--q", "0.45",
-            "--grid", "0.1:0.9:0.1", "--format", "json", "--seed", "7")
+            "--grid", "0.1:0.9:0.1", "--format", "json")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# the README's key lists: a row is the CSV columns plus note
+ROW_KEYS = {*CSV_COLUMNS, "note"}
+FAMILY_FLAGS = {"p": ["--p", "3"], "q": ["--q", "0.5"], "k": ["--k", "2"]}
 
 
 def test_verify_json_schema(tmp_path):
@@ -319,9 +272,25 @@ def test_verify_json_schema(tmp_path):
     assert obj["config"]["p"] == 3
     assert len(obj["rows"]) == 3
     for row in obj["rows"]:
-        assert set(row) >= {"t", "lower", "middle", "upper", "lower_margin",
-                            "upper_margin", "strict", "pass"}
+        assert set(row) == ROW_KEYS
     assert obj["summary"]["all_pass"] is True
+
+
+@pytest.mark.parametrize("family", FAMILY_FLAGS)
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_json_report_keys_are_the_readmes(tmp_path, capsys, command, family):
+    out = tmp_path / "r.json"
+    assert main([command, "--family", family, "--alpha", "1.5", *FAMILY_FLAGS[family],
+                 "--grid", "0.25,0.5", "--format", "json", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert list(obj["config"]) == ["family", "a", "b", "alpha", "beta", family,
+                                   "grid_spec", "grid", "tol", "format"]
+    if command == "verify":
+        assert list(obj) == ["config", "rows", "summary"]
+        assert all(set(row) == ROW_KEYS for row in obj["rows"])
+    else:
+        assert list(obj) == ["config", "grid", "values", "min_forward_diff",
+                             "derivative_min"]
 
 
 def test_verify_grid_outside_unit_interval_rejected():
@@ -420,27 +389,20 @@ def test_invalid_tol_is_exit_2(capsys, command, bad):
     assert f"tol must be > 0 (got {float(bad)})" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["verify", "scan"])
-def test_invalid_tol_report_is_exit_2_and_writes_no_report(capsys, tmp_path, command):
-    out = tmp_path / "report.csv"
-    assert main([command, "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5,0.75",
-                 "--tol-report", "-1", "--out", str(out)]) == 2
-    assert "tol_report must be > 0 (got -1.0)" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_scan_rejects_tol_report_before_evaluating_the_grid(monkeypatch, capsys, tmp_path):
-    from gammagen import cli
-
-    def evaluated(*args):
-        raise AssertionError("the grid was evaluated")
-
-    monkeypatch.setattr(cli, "family_callables", evaluated)
-    out = tmp_path / "scan.csv"
-    assert main(["scan", "--family", "p", "--alpha", "1.5", "--p", "5", "--grid",
-                 "0.001:100:0.001", "--tol-report", "-1", "--out", str(out)]) == 2
-    assert "tol_report must be > 0 (got -1.0)" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "gamma", "--t", "1e-320"], "out of double range: math range error"),
+    (["verify", "--family", "p", "--a", "200", "--b", "1", "--alpha", "50", "--beta", "1",
+      "--p", "5", "--grid", "0.5"], "out of double range: math range error"),
+    (["eval", "gamma", "--t", "-1"], "domain error: t must be > 0"),
+    (["verify", "--family", "q", "--q", "1.5", "--grid", "0.5"],
+     "domain error: q must lie strictly in (0, 1)"),
+], ids=["eval-overflow", "verify-overflow", "eval-domain", "verify-domain"])
+def test_error_message_names_its_kind(capsys, argv, message):
+    # an OverflowError was once reported as a "domain error" too
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message)
 
 
 def test_scan_inadmissible_point_exit_2():
@@ -466,10 +428,9 @@ def test_selftest_detects_corrupted_psi_coefficients(monkeypatch, capsys):
     from gammagen import core_special, selftest
     monkeypatch.setattr(core_special, "_PSI_ASYMPTOTIC",
                         tuple(1.01 * c for c in core_special._PSI_ASYMPTOTIC))
-    lines = []
-    code = selftest.run(quick=True, echo=lines.append)
+    code = selftest.run(quick=True)
     assert code == 1
-    failing = [ln for ln in lines if "FAIL" in ln]
+    failing = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
     assert any("psi-vs-oracle" in ln for ln in failing)
 
 
@@ -501,7 +462,7 @@ def test_main_returns_exit_codes_in_process(capsys):
     assert main(["eval", "gamma", "--t", "5"]) == 0
     assert main(["eval", "gamma", "--t", "-1"]) == 2
     captured = capsys.readouterr()
-    assert "24.000000000000000" in captured.out
+    assert captured.out.splitlines()[0] == "24.0"
     assert "t must be > 0" in captured.err
 
 
@@ -509,9 +470,9 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
     from gammagen import cli
     from gammagen.inequality_engine import InequalityReport
 
-    def fake_checker(family, gp, param, grid, tol_report, tol):
-        return [InequalityReport(t, 2.0, 1.0, 3.0, -1.0, 2.0, True, False,
-                                 tol_report) for t in grid]
+    def fake_checker(family, gp, param, grid, tol):
+        return [InequalityReport(t, 2.0, 1.0, 3.0, -1.0, 2.0, True, False)
+                for t in grid]
 
     monkeypatch.setattr(cli, "check_sandwich", fake_checker)
     out = tmp_path / "fail.csv"
@@ -605,3 +566,28 @@ def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
         assert main(argv) == 0
         assert main(["eval", "gamma", "--t", "5"]) == 0
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+# ---------------------------------------------------------------------------
+
+def _readme_cli_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [line.split()[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("gammagen ")]
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_has_seven_cli_examples():
+    assert len(README_EXAMPLES) == 7
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES,
+                         ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)])
+def test_readme_cli_example_exits_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

@@ -184,11 +184,21 @@ def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
     assert log_gamma_q(t, q, tol).terms_used == log_terms
 
 
+# log_gamma_q takes 77 terms at these (t, q), tol = 1e-20; 28.18... is
+# 10^1.45, a point of a 141 x 20 grid (t log-spaced on [1e-3, 1e4]).
+MOST_TERMS = 77
+AT_MOST_TERMS = [(40.0, 0.9), (28.18382931264455, 0.9)]
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-16, 1e-20])
 def test_term_cap_never_binds_at_realistic_tolerances(tol):
     # Every series is sized up front: across t in [1e-300, 1e12], q across
     # (0, 1 - 1e-12] and k in [1e-6, 1e6], the most terms any call takes is
-    # 76, far below the 10^4-term cap.
+    # 77, far below the 10^4-term cap.
+    for t, q in AT_MOST_TERMS:
+        r = log_gamma_q(t, q, tol)
+        assert r.converged and r.err_bound <= tol
+        assert r.terms_used == MOST_TERMS if tol == 1e-20 else r.terms_used <= MOST_TERMS
     rng = np.random.default_rng(int(-math.log10(tol)))
     for i in range(500):
         t = 10.0 ** rng.uniform(-300, 12)
@@ -198,7 +208,7 @@ def test_term_cap_never_binds_at_realistic_tolerances(tol):
         for r in (psi_series(t, tol), psi_q(t, q, tol), log_gamma_q(t, q, tol),
                   psi_k(t, k, tol)):
             assert r.converged and r.err_bound <= tol, (t, q, k)
-            assert r.terms_used <= 100, (t, q, k)
+            assert r.terms_used <= MOST_TERMS, (t, q, k)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.5, 7.3])

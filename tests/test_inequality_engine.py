@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from gammagen.inequality_engine import (
     GenParams,
     _verdict,
     MonotoneScan,
+    check_sandwich,
     check_sandwich_k,
     check_sandwich_p,
     check_sandwich_q,
@@ -28,6 +30,7 @@ from gammagen.inequality_engine import (
     omega,
     phi,
     scan_monotone,
+    scan_passes,
     theta,
 )
 from gammagen.selftest import classical_bounds_k, classical_bounds_p, classical_bounds_q
@@ -275,8 +278,25 @@ def test_strict_flags_by_family():
 def test_strict_verdict_fails_an_exact_equality():
     # lower = middle = 1 exactly: a strict bound met with equality fails,
     # the same row passes where the claim is not strict
-    assert not _verdict(0.5, 0.0, 0.0, 1.0, True, 1e-9, "").passed
-    assert _verdict(0.5, 0.0, 0.0, 1.0, False, 1e-9, "").passed
+    assert not _verdict(0.5, 0.0, 0.0, 1.0, True, "").passed
+    assert _verdict(0.5, 0.0, 0.0, 1.0, False, "").passed
+
+
+VERDICT_SIGNATURES = [
+    (check_sandwich, ["family", "gp", "param", "grid", "tol"]),
+    (check_sandwich_p, ["gp", "p", "grid"]),
+    (check_sandwich_q, ["gp", "q", "grid", "tol"]),
+    (check_sandwich_k, ["gp", "k", "grid"]),
+    (scan_passes, ["scan"]),
+]
+
+
+@pytest.mark.parametrize("fn, params", VERDICT_SIGNATURES,
+                         ids=[fn.__name__ for fn, _ in VERDICT_SIGNATURES])
+def test_verdicts_take_no_slack(fn, params):
+    # the slack is the constant DEFAULT_TOL_REPORT, so a fifth positional
+    # argument of check_sandwich is the series tol
+    assert list(inspect.signature(fn).parameters) == params
 
 
 def test_sandwich_q_stress_near_one():
