@@ -1,8 +1,10 @@
 """Command-line front end: evaluate functions, verify inequalities, scan
 monotonicity, and run the built-in selftest.
 
-Exit codes: 0 all pass, 1 numeric failure, 2 hypothesis/domain error or
-a result beyond the double range, 3 tolerance-not-met.  Report output is
+Exit codes: 0 all pass, 1 numeric failure, 2 hypothesis/domain error, a
+result beyond the double range or a report that cannot be written, 3
+tolerance-not-met.  Only ``eval`` takes ``--tol``; ``verify`` and ``scan``
+run the engine at its fixed series tolerance.  Report output is
 deterministic: identical configuration produces byte-identical CSV/JSON.
 Every number is printed as its ``repr``, which round-trips.
 """
@@ -130,12 +132,18 @@ def render_reports_json(config: dict, rows) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(content: str, path: str | None) -> None:
+def _emit(content: str, path: str | None) -> bool:
+    """Write a report to path or stdout; False, with the reason on stderr, if it can't."""
     if path is None:
         sys.stdout.write(content)
-    else:
+        return True
+    try:
         with open(path, "w", newline="") as fh:
             fh.write(content)
+    except OSError as exc:
+        print(f"cannot write report: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +181,7 @@ def _cmd_eval(args) -> int:
 def _sweep(args):
     """What verify and scan share: (gp, family parameter, grid, and the
     JSON report's ``config`` with its keys in report order).  The engine
-    checks the parameters, the tolerances and the sandwich grid."""
+    checks the parameters and the sandwich grid."""
     gp = GenParams(args.a, args.b, args.alpha, args.beta)
     param = getattr(args, args.family)
     if param is None:
@@ -185,14 +193,15 @@ def _sweep(args):
     return gp, param, grid, {
         "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
         "beta": gp.beta, args.family: param, "grid_spec": args.grid,
-        "grid": list(grid), "tol": args.tol, "format": args.format}
+        "grid": list(grid), "format": args.format}
 
 
 def _cmd_verify(args) -> int:
     gp, param, grid, config = _sweep(args)
-    rows = check_sandwich(args.family, gp, param, grid, args.tol)
-    _emit(render_reports_csv(rows) if args.format == "csv"
-          else render_reports_json(config, rows), args.out)
+    rows = check_sandwich(args.family, gp, param, grid)
+    if not _emit(render_reports_csv(rows) if args.format == "csv"
+                 else render_reports_json(config, rows), args.out):
+        return EXIT_DOMAIN
     n_fail = sum(not r.passed for r in rows)
     print(f"FAIL {n_fail}/{len(rows)}" if n_fail else f"PASS {len(rows)}/{len(rows)}")
     return EXIT_NUMERIC_FAIL if n_fail else EXIT_OK
@@ -200,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_scan(args) -> int:
     gp, param, grid, config = _sweep(args)
-    scan = scan_monotone(*family_callables(args.family, gp, param, args.tol), grid)
+    scan = scan_monotone(*family_callables(args.family, gp, param), grid)
     if args.format == "csv":
         lines = ["t,value"]
         lines += [f"{_repr_num(t)},{_repr_num(v)}"
@@ -215,8 +224,9 @@ def _cmd_scan(args) -> int:
             "derivative_min": scan.derivative_min,
         }
         content = json.dumps(obj, indent=2) + "\n"
+    if not _emit(content, args.out):
+        return EXIT_DOMAIN
     ok = scan_passes(scan)
-    _emit(content, args.out)
     print(f"{'PASS' if ok else 'FAIL'} min_forward_diff={scan.min_forward_diff!r} "
           f"derivative_min={scan.derivative_min!r}")
     return EXIT_OK if ok else EXIT_NUMERIC_FAIL
@@ -241,8 +251,6 @@ def _add_gen_param_flags(sub):
     sub.add_argument("--p", type=int, default=None)
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--k", type=float, default=None)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="series tail-bound target (default %(default)g)")
 
 
 def _add_sweep_flags(sub):
@@ -264,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("fn", choices=EVAL_FUNCTIONS)
     p_eval.add_argument("--t", type=float, default=None)
     _add_gen_param_flags(p_eval)
+    p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="series tail-bound target (default %(default)g)")
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_verify = subs.add_parser("verify", help="check a sandwich inequality on a grid")

@@ -10,6 +10,10 @@ function and the sandwich check are written once on top of it.  This
 module exposes all three layers as checkable predicates that produce
 quantitative margins.
 
+The engine takes no series tolerance: every lemma, auxiliary-function and
+sandwich evaluation runs the evaluators at ``DEFAULT_TOL`` (1e-12), a
+thousand times below the verdict slack.
+
 A sandwich row passes when both margins, middle - lower and upper - middle,
 exceed -``DEFAULT_TOL_REPORT`` (1e-9), a fixed slack that no caller sets.
 The margins are differences of the exponentiated values, so the slack is
@@ -24,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from . import core_special
 from .core_special import (
-    DEFAULT_TOL,
     DomainError,
     ToleranceNotMet,
     _check_p,
@@ -164,8 +167,8 @@ class Family:
 
     name: str              # "p", "q" or "k"; also the parameter's name
     hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
-    log_gamma: Callable    # (s, x, tol) -> ln Gamma_X(s)
-    psi: Callable          # (s, x, tol) -> psi_X(s)
+    log_gamma: Callable    # (s, x) -> ln Gamma_X(s)
+    psi: Callable          # (s, x) -> psi_X(s)
     lemma_const: Callable  # (b, x) -> c
     s_power: bool          # aux(t) carries the factor s^(a-b)
     s_floor: float         # the lemma holds for s > s_floor
@@ -174,19 +177,18 @@ class Family:
 
 FAMILIES = {fam.name: fam for fam in (
     Family("p", lambda a, b, p: _check_p(p),
-           log_gamma=lambda s, p, tol: log_gamma_p(s, p),
-           psi=lambda s, p, tol: psi_p(s, p),
+           log_gamma=lambda s, p: log_gamma_p(s, p),
+           psi=lambda s, p: psi_p(s, p),
            lemma_const=lambda b, p: b * math.log(p),
            s_power=False, s_floor=1.0, strict=True),
     Family("q", lambda a, b, q: _check_q(q),
-           log_gamma=lambda s, q, tol: _converged_value(log_gamma_q(s, q, tol),
-                                                        "log_gamma_q"),
-           psi=lambda s, q, tol: _converged_value(psi_q(s, q, tol), "psi_q"),
+           log_gamma=lambda s, q: _converged_value(log_gamma_q(s, q), "log_gamma_q"),
+           psi=lambda s, q: _converged_value(psi_q(s, q), "psi_q"),
            lemma_const=lambda b, q: -b * math.log1p(-q),
            s_power=False, s_floor=1.0, strict=True),
     Family("k", _k_hypotheses,
-           log_gamma=lambda s, k, tol: log_gamma_k(s, k),
-           psi=lambda s, k, tol: _converged_value(psi_k(s, k, tol), "psi_k"),
+           log_gamma=lambda s, k: log_gamma_k(s, k),
+           psi=lambda s, k: _converged_value(psi_k(s, k), "psi_k"),
            lemma_const=lambda b, k: b / k * (math.log(k) - core_special.EULER_GAMMA),
            s_power=True, s_floor=0.0, strict=False),
 )}
@@ -202,30 +204,27 @@ def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
 
 # The generic code below takes a resolved (family, parameter) pair first.
 
-def _lemma(fam: Family, x, a: float, b: float, s: float, tol: float) -> float:
+def _lemma(fam: Family, x, a: float, b: float, s: float) -> float:
     value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
     if fam.s_power:
         value += (a - b) / s
-    return value + a * _converged_value(psi_series(s, tol), "psi") - b * fam.psi(s, x, tol)
+    return value + a * _converged_value(psi_series(s), "psi") - b * fam.psi(s, x)
 
 
-def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float,
-                     tol: float) -> float:
+def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float) -> float:
     if not s > fam.s_floor:
         raise DomainError(f"t must be > {fam.s_floor:g} for the "
                           f"{fam.name}-family positivity (got {s})")
-    return _lemma(fam, x, a, b, s, tol)
+    return _lemma(fam, x, a, b, s)
 
 
-def _lemma_checked(family: str, a: float, b: float, s: float, x,
-                   tol: float = DEFAULT_TOL) -> float:
+def _lemma_checked(family: str, a: float, b: float, s: float, x) -> float:
     _require_positive("a", a)
     _require_positive("b", b)
-    return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s, tol)
+    return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s)
 
 
-def _log_parts(fam: Family, x, t: float, gp: GenParams,
-               tol: float) -> tuple[float, float]:
+def _log_parts(fam: Family, x, t: float, gp: GenParams) -> tuple[float, float]:
     """ln aux(t) as (ell(t), ln Gamma(s)^a / Gamma_X(s)^b)."""
     if not t >= 0:
         raise DomainError(f"t must be >= 0 (got {t})")
@@ -233,11 +232,11 @@ def _log_parts(fam: Family, x, t: float, gp: GenParams,
     ell = gp.beta * t * (gp.a * core_special.EULER_GAMMA + fam.lemma_const(gp.b, x))
     if fam.s_power:
         ell += (gp.a - gp.b) * math.log(s)
-    return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x, tol)
+    return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x)
 
 
-def _log_aux(fam: Family, x, t: float, gp: GenParams, tol: float = DEFAULT_TOL) -> float:
-    ell, log_ratio = _log_parts(fam, x, t, gp, tol)
+def _log_aux(fam: Family, x, t: float, gp: GenParams) -> float:
+    ell, log_ratio = _log_parts(fam, x, t, gp)
     return ell + log_ratio
 
 
@@ -245,9 +244,8 @@ def _log_aux(fam: Family, x, t: float, gp: GenParams, tol: float = DEFAULT_TOL) 
 # Positivity of the lemma expression on the hypothesis domain is what makes
 # the auxiliary functions increasing.
 
-def _log_deriv(fam: Family, x, t: float, gp: GenParams,
-               tol: float = DEFAULT_TOL) -> float:
-    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t, tol)
+def _log_deriv(fam: Family, x, t: float, gp: GenParams) -> float:
+    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,7 @@ def _log_deriv(fam: Family, x, t: float, gp: GenParams,
 
 def lemma_expr_p_unchecked(a: float, b: float, t: float, p: int) -> float:
     """a*gamma_E + b ln p + a psi(t) - b psi_p(t), with no hypothesis checks."""
-    return _lemma(FAMILIES["p"], p, a, b, t, DEFAULT_TOL)
+    return _lemma(FAMILIES["p"], p, a, b, t)
 
 
 def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
@@ -268,28 +266,24 @@ def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
     return _lemma_checked("p", a, b, t, p)
 
 
-def lemma_expr_q_unchecked(a: float, b: float, t: float, q: float,
-                           tol: float = DEFAULT_TOL) -> float:
+def lemma_expr_q_unchecked(a: float, b: float, t: float, q: float) -> float:
     """a*gamma_E - b ln(1-q) + a psi(t) - b psi_q(t), no hypothesis checks."""
-    return _lemma(FAMILIES["q"], q, a, b, t, tol)
+    return _lemma(FAMILIES["q"], q, a, b, t)
 
 
-def lemma_expr_q(a: float, b: float, t: float, q: float,
-                 tol: float = DEFAULT_TOL) -> float:
+def lemma_expr_q(a: float, b: float, t: float, q: float) -> float:
     """The q-family combined expression; strictly positive for t > 1."""
-    return _lemma_checked("q", a, b, t, q, tol)
+    return _lemma_checked("q", a, b, t, q)
 
 
-def lemma_expr_k_unchecked(a: float, b: float, t: float, k: float,
-                           tol: float = DEFAULT_TOL) -> float:
+def lemma_expr_k_unchecked(a: float, b: float, t: float, k: float) -> float:
     """The k-family combined expression, with no hypothesis checks."""
-    return _lemma(FAMILIES["k"], k, a, b, t, tol)
+    return _lemma(FAMILIES["k"], k, a, b, t)
 
 
-def lemma_expr_k(a: float, b: float, t: float, k: float,
-                 tol: float = DEFAULT_TOL) -> float:
+def lemma_expr_k(a: float, b: float, t: float, k: float) -> float:
     """The k-family combined expression; nonnegative for a >= b > 0, k >= 1, t > 0."""
-    return _lemma_checked("k", a, b, t, k, tol)
+    return _lemma_checked("k", a, b, t, k)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +306,17 @@ def omega(t: float, gp: GenParams, p: int) -> float:
     return math.exp(log_omega(t, gp, p))
 
 
-def log_phi(t: float, gp: GenParams, q: float,
-            tol: float = DEFAULT_TOL) -> float:
+def log_phi(t: float, gp: GenParams, q: float) -> float:
     """ln of the q-family auxiliary function
 
         phi(t) = (1-q)^(-b beta t) e^(a beta gamma_E t)
                  Gamma(alpha+beta t)^a / Gamma_q(alpha+beta t)^b.
     """
-    return _log_aux(*_resolve("q", gp.a, gp.b, q), t, gp, tol)
+    return _log_aux(*_resolve("q", gp.a, gp.b, q), t, gp)
 
 
-def phi(t: float, gp: GenParams, q: float,
-        tol: float = DEFAULT_TOL) -> float:
-    return math.exp(log_phi(t, gp, q, tol))
+def phi(t: float, gp: GenParams, q: float) -> float:
+    return math.exp(log_phi(t, gp, q))
 
 
 def log_theta(t: float, gp: GenParams, k: float) -> float:
@@ -346,14 +338,12 @@ def log_deriv_omega(t: float, gp: GenParams, p: int) -> float:
     return _log_deriv(*_resolve("p", gp.a, gp.b, p), t, gp)
 
 
-def log_deriv_phi(t: float, gp: GenParams, q: float,
-                  tol: float = DEFAULT_TOL) -> float:
-    return _log_deriv(*_resolve("q", gp.a, gp.b, q), t, gp, tol)
+def log_deriv_phi(t: float, gp: GenParams, q: float) -> float:
+    return _log_deriv(*_resolve("q", gp.a, gp.b, q), t, gp)
 
 
-def log_deriv_theta(t: float, gp: GenParams, k: float,
-                    tol: float = DEFAULT_TOL) -> float:
-    return _log_deriv(*_resolve("k", gp.a, gp.b, k), t, gp, tol)
+def log_deriv_theta(t: float, gp: GenParams, k: float) -> float:
+    return _log_deriv(*_resolve("k", gp.a, gp.b, k), t, gp)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +363,14 @@ def _verdict(t, log_lower, log_middle, log_upper, strict, note):
                             upper_margin, strict, ok, note)
 
 
-def _check_unit_grid(grid) -> None:
+def _unit_grid(grid) -> tuple:
+    """The grid as a tuple, so a one-shot iterable is read once."""
+    grid = tuple(grid)
     for t in grid:
         if not 0.0 < t < 1.0:
             raise DomainError(
                 f"sandwich grids must lie strictly in (0, 1) (got t={t})")
+    return grid
 
 
 def _check_alpha_floor(gp: GenParams, floor: float) -> str:
@@ -394,8 +387,8 @@ def _check_alpha_floor(gp: GenParams, floor: float) -> str:
     return ""
 
 
-def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
-                   tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+def check_sandwich(family: str, gp: GenParams, param,
+                   grid: Iterable[float]) -> list[InequalityReport]:
     """Check aux(0) <= aux(t) <= aux(1) at every grid point t in (0, 1), as
 
         ln aux(0) - ell(t)  <=  ln Gamma(s)^a / Gamma_X(s)^b  <=  ln aux(1) - ell(t)
@@ -404,21 +397,20 @@ def check_sandwich(family: str, gp: GenParams, param, grid: Sequence[float],
     ``param`` is the family's parameter, the integer p or the real q or k.
     Returns one report per grid point, in grid order.
     """
-    _require_positive("tol", tol)
     fam, x = _resolve(family, gp.a, gp.b, param)
     note = _check_alpha_floor(gp, fam.s_floor)
-    _check_unit_grid(grid)
-    log_at0 = _log_aux(fam, x, 0.0, gp, tol)
-    log_at1 = _log_aux(fam, x, 1.0, gp, tol)
+    grid = _unit_grid(grid)
+    log_at0 = _log_aux(fam, x, 0.0, gp)
+    log_at1 = _log_aux(fam, x, 1.0, gp)
     out = []
     for t in grid:
-        ell, log_middle = _log_parts(fam, x, t, gp, tol)
+        ell, log_middle = _log_parts(fam, x, t, gp)
         out.append(_verdict(t, log_at0 - ell, log_middle, log_at1 - ell,
                             fam.strict, note))
     return out
 
 
-def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float]) -> list[InequalityReport]:
+def check_sandwich_p(gp: GenParams, p: int, grid: Iterable[float]) -> list[InequalityReport]:
     """Check, at every grid point t in (0, 1),
 
         p^(-b beta t) e^(-a beta g t) G(alpha)^a / G_p(alpha)^b
@@ -430,13 +422,12 @@ def check_sandwich_p(gp: GenParams, p: int, grid: Sequence[float]) -> list[Inequ
     return check_sandwich("p", gp, p, grid)
 
 
-def check_sandwich_q(gp: GenParams, q: float, grid: Sequence[float],
-                     tol: float = DEFAULT_TOL) -> list[InequalityReport]:
+def check_sandwich_q(gp: GenParams, q: float, grid: Iterable[float]) -> list[InequalityReport]:
     """q-family analogue of ``check_sandwich_p`` (strict bounds)."""
-    return check_sandwich("q", gp, q, grid, tol)
+    return check_sandwich("q", gp, q, grid)
 
 
-def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float]) -> list[InequalityReport]:
+def check_sandwich_k(gp: GenParams, k: float, grid: Iterable[float]) -> list[InequalityReport]:
     """k-family sandwich (non-strict bounds):
 
         alpha^(a-b) e^(-t C) G(alpha)^a / ((alpha+beta t)^(a-b) k^(b beta t/k) G_k(alpha)^b)
@@ -455,7 +446,7 @@ def check_sandwich_k(gp: GenParams, k: float, grid: Sequence[float]) -> list[Ine
 
 def scan_monotone(fn: Callable[[float], float],
                   log_deriv: Callable[[float], float],
-                  grid: Sequence[float]) -> MonotoneScan:
+                  grid: Iterable[float]) -> MonotoneScan:
     """Evaluate fn over a strictly increasing grid (>= 2 points) and record
     the minimum forward difference and the minimum log-derivative."""
     grid = tuple(float(t) for t in grid)
@@ -476,13 +467,11 @@ def scan_passes(scan: MonotoneScan) -> bool:
             and scan.derivative_min >= -DEFAULT_TOL_REPORT)
 
 
-def family_callables(family: str, gp: GenParams, param,
-                     tol: float = DEFAULT_TOL):
+def family_callables(family: str, gp: GenParams, param):
     """(fn, log_deriv) closures for one family, with parameters bound:
     the auxiliary function and its log-derivative.  ``param`` is the
     family's parameter, the integer p or the real q or k.
     """
-    _require_positive("tol", tol)
     fam, x = _resolve(family, gp.a, gp.b, param)
-    return (lambda t: math.exp(_log_aux(fam, x, t, gp, tol)),
-            lambda t: _log_deriv(fam, x, t, gp, tol))
+    return (lambda t: math.exp(_log_aux(fam, x, t, gp)),
+            lambda t: _log_deriv(fam, x, t, gp))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import core_special, oracle
-from .core_special import DEFAULT_TOL, DomainError, gamma, psi
+from .core_special import DomainError, gamma, psi
 from .gen_gamma import gamma_k, gamma_p, gamma_q, psi_k, psi_p, psi_q
 from .inequality_engine import GenParams, _converged_value, check_sandwich
 
@@ -111,11 +111,10 @@ def classical_bounds_p(alpha: float, p: int, t: float) -> tuple[float, float, fl
     return lower, middle, upper
 
 
-def classical_bounds_q(alpha: float, q: float, t: float,
-                       tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def classical_bounds_q(alpha: float, q: float, t: float) -> tuple[float, float, float]:
     """Single-parameter q-bound, assembled directly."""
     g = core_special.EULER_GAMMA
-    gq = lambda x: _converged_value(gamma_q(x, q, tol), "gamma_q")
+    gq = lambda x: _converged_value(gamma_q(x, q), "gamma_q")
     lower = (1.0 - q) ** t * math.exp(-g * t) * gamma(alpha) / gq(alpha)
     middle = gamma(alpha + t) / gq(alpha + t)
     upper = ((1.0 - q) ** (t - 1.0) * math.exp(g * (1.0 - t))

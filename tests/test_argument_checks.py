@@ -16,13 +16,6 @@ from gammagen.gen_gamma import (
     psi_p,
     psi_q,
 )
-from gammagen.inequality_engine import (
-    GenParams,
-    check_sandwich,
-    family_callables,
-)
-
-GP = GenParams(1.0, 1.0, 1.5, 1.0)
 
 # (entry point, valid keyword arguments, the arguments it checks)
 ENTRY_POINTS = [
@@ -34,11 +27,6 @@ ENTRY_POINTS = [
     (psi_k, dict(t=2.5, k=2.0, tol=1e-12), ("t", "k", "tol")),
     (log_gamma_q, dict(t=2.5, q=0.5, tol=1e-12), ("t", "q", "tol")),
     (psi_q, dict(t=2.5, q=0.5, tol=1e-12), ("t", "q", "tol")),
-    # the p-family reads tol in no series, nor the k-family's sandwich
-    (check_sandwich, dict(family="p", gp=GP, param=5, grid=[0.5]), ("tol",)),
-    (check_sandwich, dict(family="k", gp=GenParams(2.0, 1.0, 1.5, 1.0), param=2.0,
-                          grid=[0.5]), ("tol",)),
-    (family_callables, dict(family="p", gp=GP, param=5), ("tol",)),
     (oracle.psi_hp, dict(t=2.5), ("t",)),
     (oracle.gamma_hp, dict(t=2.5), ("t",)),
     (oracle.psi_p_hp, dict(t=2.5, p=5), ("t", "p")),

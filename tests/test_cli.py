@@ -284,7 +284,7 @@ def test_json_report_keys_are_the_readmes(tmp_path, capsys, command, family):
                  "--grid", "0.25,0.5", "--format", "json", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert list(obj["config"]) == ["family", "a", "b", "alpha", "beta", family,
-                                   "grid_spec", "grid", "tol", "format"]
+                                   "grid_spec", "grid", "format"]
     if command == "verify":
         assert list(obj) == ["config", "rows", "summary"]
         assert all(set(row) == ROW_KEYS for row in obj["rows"])
@@ -357,15 +357,6 @@ def test_scan_q_family_converges_near_q_one():
     assert r.stdout.splitlines()[-1].startswith("PASS")
 
 
-def test_scan_p_family_flags_classical_psi_budget(capsys):
-    # The shift psi(s) needs for tol = 1e-100, about 1.7 million terms, is
-    # beyond the 10^4-term cap; the p-lemma's classical psi once summed it
-    # in every call, and exited 0.
-    assert main(["scan", "--family", "p", "--alpha", "1.5", "--p", "5",
-                 "--grid", "0.5:2:0.5", "--tol", "1e-100"]) == 3
-    assert "psi:" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("raw", ["2", "", "abc"])
 def test_max_terms_variable_is_ignored(monkeypatch, capsys, raw):
     # GAMMA_GEN_MAX_TERMS once set a term budget; 2 stopped this psi after
@@ -378,15 +369,55 @@ def test_max_terms_variable_is_ignored(monkeypatch, capsys, raw):
 
 @pytest.mark.parametrize("command", [
     ["eval", "gamma", "--t", "2"],
-    ["verify", "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5"],
-    ["scan", "--family", "k", "--alpha", "1.5", "--k", "2", "--grid", "0.5,1"],
 ])
 @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
 def test_invalid_tol_is_exit_2(capsys, command, bad):
-    # gamma and the p-family's sandwich read tol in no series: eval checks
-    # it itself, and check_sandwich and family_callables check theirs.
+    # gamma reads tol in no series, so eval checks it itself
     assert main([*command, "--tol", bad]) == 2
     assert f"tol must be > 0 (got {float(bad)})" in capsys.readouterr().err
+
+
+# one admissible call of each sweep command
+SWEEP_COMMANDS = {
+    "verify": ["verify", "--family", "p", "--alpha", "1.5", "--p", "3", "--grid", "0.5"],
+    "scan": ["scan", "--family", "k", "--alpha", "1.5", "--k", "2", "--grid", "0.5,1"],
+}
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS.values(), ids=list(SWEEP_COMMANDS))
+def test_sweeps_take_no_tol(capsys, command):
+    # the engine runs every series at DEFAULT_TOL; only eval takes --tol
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command[0], "-h"])
+    assert "--tol" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["eval", "-h"])
+    assert "--tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS.values(), ids=list(SWEEP_COMMANDS))
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_report_is_exit_2(tmp_path, capsys, command, target):
+    # a report that cannot be written is exit 2, not a numeric failure
+    out = tmp_path / "missing" / "r.csv" if target == "missing" else tmp_path
+    assert main([*command, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"cannot write report: {out}: ")
+    assert "PASS" not in stdout and "FAIL" not in stdout
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS.values(), ids=list(SWEEP_COMMANDS))
+def test_unwritable_report_is_exit_2_in_a_process(tmp_path, command):
+    # no traceback, no PASS/FAIL line: the one line on stderr says why
+    out = tmp_path / "missing" / "r.csv"
+    r = run_cli(*command, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr == f"cannot write report: {out}: No such file or directory\n"
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -470,7 +501,7 @@ def test_verify_exit_1_on_failed_grid_point(monkeypatch, capsys, tmp_path):
     from gammagen import cli
     from gammagen.inequality_engine import InequalityReport
 
-    def fake_checker(family, gp, param, grid, tol):
+    def fake_checker(family, gp, param, grid):
         return [InequalityReport(t, 2.0, 1.0, 3.0, -1.0, 2.0, True, False)
                 for t in grid]
 
@@ -529,10 +560,10 @@ def test_flag_value_does_not_carry_to_the_next_call(tmp_path, capsys):
     args = ["verify", "--family", "k", "--alpha", "1.5", "--k", "2",
             "--grid", "0.5", "--format", "json"]
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert main([*args, "--tol", "1e-14", "--out", str(first)]) == 0
+    assert main([*args, "--b", "0.5", "--out", str(first)]) == 0
     assert main([*args, "--out", str(second)]) == 0
-    assert json.loads(first.read_text())["config"]["tol"] == 1e-14
-    assert json.loads(second.read_text())["config"]["tol"] == 1e-12
+    assert json.loads(first.read_text())["config"]["b"] == 0.5
+    assert json.loads(second.read_text())["config"]["b"] == 1.0
 
 
 def test_rejected_call_leaves_the_next_call_unchanged(tmp_path, capsys):

@@ -5,8 +5,10 @@ import pytest
 from mpmath import mp, mpf
 
 from _hp_bounds import k_bounds, p_bounds, q_bounds
+from gammagen import inequality_engine
 from gammagen.core_special import EULER_GAMMA, DomainError
 from gammagen.inequality_engine import (
+    FAMILIES,
     GenParams,
     _verdict,
     MonotoneScan,
@@ -89,7 +91,7 @@ def test_lemma_p_near_one_limit():
 
 
 def test_lemma_q_value_at_simple_point():
-    got = lemma_expr_q(1.0, 1.0, 2.0, 0.5, 1e-14)
+    got = lemma_expr_q(1.0, 1.0, 2.0, 0.5)
     assert abs(got - 1.4205290343560458) < 1e-12
 
 
@@ -283,9 +285,9 @@ def test_strict_verdict_fails_an_exact_equality():
 
 
 VERDICT_SIGNATURES = [
-    (check_sandwich, ["family", "gp", "param", "grid", "tol"]),
+    (check_sandwich, ["family", "gp", "param", "grid"]),
     (check_sandwich_p, ["gp", "p", "grid"]),
-    (check_sandwich_q, ["gp", "q", "grid", "tol"]),
+    (check_sandwich_q, ["gp", "q", "grid"]),
     (check_sandwich_k, ["gp", "k", "grid"]),
     (scan_passes, ["scan"]),
 ]
@@ -294,9 +296,55 @@ VERDICT_SIGNATURES = [
 @pytest.mark.parametrize("fn, params", VERDICT_SIGNATURES,
                          ids=[fn.__name__ for fn, _ in VERDICT_SIGNATURES])
 def test_verdicts_take_no_slack(fn, params):
-    # the slack is the constant DEFAULT_TOL_REPORT, so a fifth positional
-    # argument of check_sandwich is the series tol
+    # the slack is the constant DEFAULT_TOL_REPORT
     assert list(inspect.signature(fn).parameters) == params
+
+
+# one role's p, q and k entry points, in that order
+ROLES = {
+    "lemma": (lemma_expr_p, lemma_expr_q, lemma_expr_k),
+    "unchecked_lemma": (lemma_expr_p_unchecked, lemma_expr_q_unchecked,
+                        lemma_expr_k_unchecked),
+    "log_aux": (log_omega, log_phi, log_theta),
+    "aux": (omega, phi, theta),
+    "log_deriv": (log_deriv_omega, log_deriv_phi, log_deriv_theta),
+    "sandwich": (check_sandwich_p, check_sandwich_q, check_sandwich_k),
+}
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_families_share_one_signature_per_role(role):
+    shapes = []
+    for family, fn in zip("pqk", ROLES[role]):
+        params = list(inspect.signature(fn).parameters)
+        assert family in params
+        shapes.append(["param" if name == family else name for name in params])
+    assert shapes[0] == shapes[1] == shapes[2]
+
+
+def test_engine_takes_no_series_tolerance():
+    fns = [fn for fn in vars(inequality_engine).values()
+           if inspect.isfunction(fn) and fn.__module__ == inequality_engine.__name__]
+    fns += [getattr(fam, role) for fam in FAMILIES.values() for role in ("log_gamma", "psi")]
+    fns.append(classical_bounds_q)
+    assert len(fns) > 40
+    for fn in fns:
+        assert "tol" not in inspect.signature(fn).parameters, fn.__qualname__
+
+
+@pytest.mark.parametrize("family, param, wrapper", [
+    ("p", 7, check_sandwich_p), ("q", 0.35, check_sandwich_q), ("k", 3.0, check_sandwich_k)])
+def test_sandwich_reads_a_one_shot_grid_once(family, param, wrapper):
+    # a one-shot grid is read once: a grid check that used it up would leave
+    # no rows, and an empty report passes vacuously
+    gp = GenParams(2.0, 1.0, 1.5, 0.5)
+    grid = [0.1 * i for i in range(1, 10)]
+    rows = check_sandwich(family, gp, param, grid)
+    assert len(rows) == 9
+    for one_shot in ((t for t in grid), iter(grid)):
+        assert check_sandwich(family, gp, param, one_shot) == rows
+    for one_shot in ((t for t in grid), iter(grid)):
+        assert wrapper(gp, param, one_shot) == rows
 
 
 def test_sandwich_q_stress_near_one():

@@ -6,13 +6,14 @@ say, must not reach another)."""
 import ast
 import inspect
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import gammagen
-from gammagen import core_special, gen_gamma, inequality_engine, selftest
+from gammagen import core_special, gen_gamma, inequality_engine, scan_passes, selftest
 
 CORE_SPECIAL = [
     "EULER_GAMMA", "DEFAULT_TOL", "DomainError", "ToleranceNotMet", "EvalResult",
@@ -100,3 +101,19 @@ def test_no_source_file_imports_numpy():
             else:
                 continue
             assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+
+
+def test_readme_library_block_runs_and_its_claims_hold():
+    # a changed signature fails here rather than leaving the README stale
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    exprs = [ast.unparse(node.value) for node in ast.parse(block).body
+             if isinstance(node, ast.Expr)]
+    claims = [e for e in exprs if e.startswith(("rows == ", "all("))]
+    assert len(claims) == 2
+    for claim in claims:
+        assert eval(claim, namespace) is True, claim
+    assert len(namespace["rows"]) == 9
+    assert scan_passes(namespace["scan"])
