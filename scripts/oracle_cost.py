@@ -7,9 +7,12 @@ bands the benchmark's ``oracle_crossval`` workload draws from
 tiny t, which the functional equation lifts by 32 integer factors of
 about 1,050 bits, t/k = 1500, which widens the working precision, and
 t/k = 1e325, where u, the strip angle and the step leave the double range;
-psi at t = 1e100, whose series head is sized free of t; and
-the q oracles at q = 0.999, 0.9999 and 1 - 1e-6, where the head and the
-Lambert-series tail take about 2 sqrt(ln(1/T) / (1-q)) terms.
+psi at t = 1e100, whose series head is sized free of t; psi_p at
+p = 10**6 and 10**12 and psi_k at k = 1e-30, where the Euler-Maclaurin
+closure keeps the head at about a dozen terms whatever p is and at about
+120 for the target k T = 1e-55; and the q oracles at q = 0.999, 0.9999 and
+1 - 1e-6, where the head and the Lambert-series tail take about
+2 sqrt(ln(1/T) / (1-q)) terms.
 Each row gives the median wall time of five calls (after one untimed
 call), the terms, factors or quadrature nodes the call took, the
 microseconds per term (the time over the terms, so the cost of a series
@@ -37,6 +40,8 @@ CASES = [
     ("psi_hp", (15.025,)),
     ("psi_hp", (1e100,)),
     ("psi_p_hp", (15.025, 900)),
+    ("psi_p_hp", (2.5, 10**6)),
+    ("psi_p_hp", (2.5, 10**12)),
     ("psi_q_hp", (15.025, 0.6)),
     ("psi_q_hp", (15.025, 0.905)),
     ("psi_q_hp", (15.025, 0.9275)),
@@ -45,6 +50,7 @@ CASES = [
     ("psi_q_hp", (2.5, 0.9999)),
     ("psi_q_hp", (2.5, 1 - 1e-6)),
     ("psi_k_hp", (12.525, 5.25)),
+    ("psi_k_hp", (2.5, 1e-30)),
     ("gamma_hp", (2.5,)),
     ("gamma_hp", (6.0,)),
     ("gamma_hp", (11.5,)),

@@ -12,10 +12,12 @@ Every number is printed as its ``repr``, which round-trips.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
 import math
+import os
 import sys
 
 from .core_special import (
@@ -301,7 +303,18 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # stdout was closed under the report (``| head``).  The interpreter
+        # flushes stdout again at exit, so what is left goes to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write report: <stdout>: {exc.strerror}", file=sys.stderr)
+        return EXIT_DOMAIN
     except OverflowError as exc:
         print(f"out of double range: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

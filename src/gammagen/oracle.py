@@ -1,13 +1,16 @@
 """Independent high-precision reference evaluators.
 
-Everything here is deliberately separate from the fast paths: the
-psi-family series are re-summed term by term with their own tail closure;
-Gamma_p is its raw finite product; psi_q and Gamma_q take the first terms
-or factors of their definitions one by one and sum the rest exactly as a
+Everything here is deliberately separate from the fast paths: psi, psi_k
+and psi_p sum a short head of their series term by term and close the
+rest with one Euler-Maclaurin closure of fifteen Bernoulli corrections
+(``_psi_diff``), so psi_p is summed term by term only where p is below
+the head length, and costs the same at every p; Gamma_p is still its raw
+finite product, p + 1 factors; psi_q and Gamma_q take the first terms or
+factors of their definitions one by one and sum the rest exactly as a
 Lambert series in powers of q^(t+N), about 2 sqrt(ln(1/T) / (1-q)) terms
-in all; and Gamma and Gamma_k come from the trapezoid rule on the defining
-integral, with an a-priori error bound.  A bug shared with the fast
-evaluators would defeat cross-validation, so the oracle shares no
+in all; and Gamma and Gamma_k come from the trapezoid rule on the
+defining integral, with an a-priori error bound.  A bug shared with the
+fast evaluators would defeat cross-validation, so the oracle shares no
 evaluation code with ``core_special`` or ``gen_gamma``, only their
 argument checks.
 
@@ -68,9 +71,9 @@ _INV_TAIL = 10**25
 # T and certify as many digits as the truncation alone would.
 _TRUNCATION = "0.999999e-25"
 _GUARD_BITS = 32
-# mp.eps per part that the mpmath set-up and assembly combine: each part
-# takes a few correctly rounded operations
-_ASSEMBLY_EPS = 8
+# The mpmath set-up and assembly err by at most 8 mp.eps = 2^(4 - mp.prec)
+# per part they combine: each part takes a few correctly rounded operations
+_ASSEMBLY_BITS = 4
 _DPS_MARGIN = 10
 _LIFT_TO = 32
 # The q oracles evaluate their bounds and stop constants in double
@@ -92,7 +95,7 @@ _QUAD_MAX_NODES = 10_000
 class ConvergenceError(RuntimeError):
     """An oracle routine would need more terms or nodes than it allows: the
     trapezoid rule ran out of nodes before its tails met their target, or
-    the psi series needs a head longer than _PSI_MAX_TERMS (a tiny k)."""
+    the psi_k series needs a head longer than _PSI_MAX_TERMS (a tiny k)."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ def _fixed(x, w) -> int:
 def _assembly(*parts):
     """Error bound of the mpmath set-up and assembly that combine parts
     (a sum of them, or one product)."""
-    return _ASSEMBLY_EPS * mp.eps * sum(abs(x) for x in parts)
+    return mp.ldexp(sum(map(abs, parts)), _ASSEMBLY_BITS - mp.prec)
 
 
 def _product(factors, w):
@@ -198,53 +201,107 @@ def _q_split(a, q):
     return n, mp.prec + _GUARD_BITS + int((n + 1) / (1 - q)).bit_length()
 
 
-# The Bernoulli numbers B2..B10 of the Euler-Maclaurin closure in
-# ``_psi_sum_hp``, as integer pairs, and the longest head it sums
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66))
+# The Bernoulli numbers B_2..B_2K, K = 15, of ``_psi_diff``'s
+# Euler-Maclaurin closure, as exact integer pairs.  15 corrections take the
+# head to N + x >= 12 at T = 1e-25; K = 12 and 18 (N + x >= 15.5 and 10.4)
+# time the same within 5%, interleaved, as the mpmath set-up and assembly
+# outweigh a head term or a Horner step.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+              (8615841276005, 14322))
+# ln(|B_2K| / 2K), the last correction's coefficient, and 2K
+_PSI_LOG_C = math.log(abs(_BERNOULLI[-1][0]) / (2 * len(_BERNOULLI) * _BERNOULLI[-1][1]))
+_PSI_2K = 2 * len(_BERNOULLI)
+# The closure's least N + x (at 1/(N+x)^2 <= 1/64 its Horner sums err by
+# less than 2 units) and its longest head
+_PSI_MIN_A = 8
 _PSI_MAX_TERMS = 100_000
+_LOG_TRUNCATION = math.log(float(_TRUNCATION))
 
 
-def _psi_sum_hp(u, log_u, log_target, w):
-    """sum_{i>=1} u / (i (i+u)), the terms summed and a bound on their
-    rounding, for u an mpf of at most w bits, given ln u and ln target as
-    doubles: i = 1..n in W = w bits of fixed point, the rest by the
-    Euler-Maclaurin closure, which errs by less than target.
+@functools.lru_cache(maxsize=8)
+def _series_constants(prec):
+    """EULER_GAMMA_HP and _TRUNCATION as mpfs at the precision prec."""
+    with mp.workprec(prec):
+        return mpf(EULER_GAMMA_HP), mpf(_TRUNCATION)
 
-    With f(x) = 1/x - 1/(x+u) and corrections B2..B10 at a = n + 1, the
-    closure's remainder is below (|B10|/10!) |f^(9)(a)|, as f^(10) > 0,
-    that is (5/660) (a^-10 - (a+u)^-10).  That is below (50/66) u / a^11,
-    small for small u, and below (5/660) / a^10, free of u; n is the least
-    (and at least 8) for which either is below target, so it stays near
-    195 at T = 1e-25 however large u is.  The doubles need no care in
-    rounding, as a = n + 1 exceeds the root it needs by a whole unit.
-    Raises ConvergenceError where n would pass _PSI_MAX_TERMS (k below
-    about 1e-25).
 
-    Each term (U 2^W) // (i (i 2^W + U)), U = floor(u 2^W), is the exact
-    rational term at U, floored: it errs by less than one unit (2^-W), and
-    as the term's derivative in u is 1/(i+u)^2, whose sum is below pi^2/6,
-    U's error of less than one unit moves the sum by less than 2.  So the
-    integer sum errs by less than n + 2 units; the rounding bound returned
-    adds one unit for the rounding of u to w bits, which moves the whole
-    series by at most u min(pi^2/6, 1/u) 2^-w.
+@functools.lru_cache(maxsize=8)
+def _bernoulli_fixed(w):
+    """floor(B_2j / (2j) 2^W) for j = K down to 1, at W = w."""
+    return tuple((b_num << w) // (2 * j * b_den)
+                 for j, (b_num, b_den) in reversed(tuple(enumerate(_BERNOULLI, 1))))
+
+
+def _psi_head(x, log_gap, log_target) -> int:
+    """The head length N of ``_psi_diff`` for S(x, x + g), from the doubles
+    x, ln g and ln target: the least N >= 1 with a = N + x >= _PSI_MIN_A
+    for which the closure's remainder bound c (a^-2K - (a+g)^-2K),
+    c = |B_2K| / 2K, is at most target.  (One term at least, so that
+    ``terms_used`` never reads 0.)
+
+    That bound is below c a^-2K, free of g, and below 2K c g a^(-2K-1),
+    small for small g; a is at least the lesser root of the two, rounded up
+    by _FLOAT_ROUND_UP, which exceeds the rounding of the few double
+    logarithms and the exp that form it.
     """
-    a_needed = math.exp(min((math.log(50 / 66) + log_u - log_target) / 11,
-                            (math.log(5 / 660) - log_target) / 10))
-    if a_needed > _PSI_MAX_TERMS:
-        raise ConvergenceError(f"psi_k_hp: the series at u = t/k = {mp.nstr(u, 6)} needs "
-                               f"{a_needed:.3g} terms, more than {_PSI_MAX_TERMS}")
-    n = max(8, math.ceil(a_needed))
-    one, big_u = 1 << w, _fixed(u, w)
-    num = big_u << w
-    s = sum(num // (i * (i * one + big_u)) for i in range(1, n + 1))
-    a = mpf(n + 1)
-    ia = 1 / a
-    ib = 1 / (a + u)
-    tail = mp.log1p(u / a) + (ia - ib) / 2
-    # B_2j / (2j)! times -f^(2j-1)(a) = (2j-1)! (a^-2j - (a+u)^-2j)
-    for j, (b_num, b_den) in enumerate(_BERNOULLI, 1):
-        tail += b_num * (ia ** (2 * j) - ib ** (2 * j)) / (2 * j * b_den)
-    return mp.ldexp(s, -w) + tail, n, mp.ldexp(n + 3, -w)
+    root = math.exp(min((_PSI_LOG_C - log_target) / _PSI_2K,
+                        (math.log(_PSI_2K) + _PSI_LOG_C + log_gap - log_target) / (_PSI_2K + 1)))
+    return max(1, math.ceil(max(_PSI_MIN_A, _FLOAT_ROUND_UP * root) - x))
+
+
+def _psi_diff(x_num, y_num, den, n, w):
+    """S(x, y) = sum_{i>=0} [1/(i+x) - 1/(i+y)] = psi(y) - psi(x) for the
+    exact rationals 0 < x = x_num/den < y = y_num/den, and a bound on its
+    error besides the truncation, for the head length N = n from
+    ``_psi_head``.
+
+    The head i < N is summed in W = w bits of fixed point, and the rest,
+    with a = N + x, b = N + y, g = y - x, by the Euler-Maclaurin closure
+    ln(b/a) + (1/a - 1/b)/2 + sum_{j<=K} (B_2j / 2j) (a^-2j - b^-2j)
+    (DLMF 2.10.1; the Bernoulli numbers of DLMF 24.2 in _BERNOULLI).  The
+    summand f(s) = 1/(s+x) - 1/(s+y) is completely monotone, so the
+    remainder after j corrections, an integral of f^(2j+2) against
+    B_(2j+2) minus a periodic Bernoulli function, has the sign of B_(2j+2),
+    which alternates in j: the remainders after K - 1 and after K
+    corrections have opposite signs and differ by the K-th correction, so
+    the remainder after K is below it, and ``_psi_head`` sizes N so that
+    the K-th is below the target.  (It is below the first omitted one too,
+    by the same argument one step on.)
+
+    Rounding, in units of 2^-W.  A head term is the exact rational
+    den g / ((i den + x_num) (i den + y_num)), g = y_num - x_num, floored:
+    the head errs by less than N.  (1/a - 1/b)/2 is one such floor, and so
+    are z = 1/a^2 and 1/b^2.  Each correction sum
+    h(z) = sum_j c_j z^j, c_j = B_2j / 2j, is the integer Horner scheme
+    A_K = C_K, A_j = C_j + floor(A_(j+1) Z 2^-W), h = floor(A_1 Z 2^-W) over
+    C_j = floor(c_j 2^W) and Z, z's floor.  Against the exact partial sums
+    a_j = c_j + z a_(j+1), each below d_j = sum_(i>=j) |c_i| z^(i-j), a step
+    adds less than 2 units (C_j's floor and its own) and d_(j+1) (Z's error
+    times a_(j+1)) to z' = z + 2^-W times the error carried, so h errs by
+    less than 1 + d_1 + sum_(j<K) z'^j (2 + d_(j+1)) + z'^K units, which
+    grows with z and is below 1.12 at z <= 1/64 (a >= _PSI_MIN_A).  So the
+    fixed-point part errs by less than N + 5 units.  mpmath takes
+    ln(b/a) as one log of the rational b/a rounded once (a log, at half the
+    cost of a log1p): the rounding moves the log by at most mp.eps,
+    absolutely, which ``_assembly`` counts as a part of size 1.
+    """
+    gap = y_num - x_num
+    num = den * gap << w
+    s = sum(num // ((i * den + x_num) * (i * den + y_num)) for i in range(n))
+    a, b = n * den + x_num, n * den + y_num  # N + x and N + y, times den
+    s += num // (2 * a * b)
+    table = _bernoulli_fixed(w)
+    for big, sign in ((a, 1), (b, -1)):
+        z = (den * den << w) // (big * big)
+        h = 0
+        for c in table:
+            h = c + (h * z >> w)
+        s += sign * (h * z >> w)
+    fixed = mp.ldexp(s, -w)
+    log = mp.log(mpf(from_rational(b, a, mp.prec, round_nearest)))
+    return fixed + log, mp.ldexp(n + 5, -w) + _assembly(fixed, log, 1)
 
 
 def psi_hp(t) -> HPValue:
@@ -253,22 +310,33 @@ def psi_hp(t) -> HPValue:
 
 
 def psi_p_hp(t, p) -> HPValue:
-    """psi_p(t) as the exact finite sum ln p - sum_{n=0}^{p} 1/(n+t).
+    """psi_p(t) = ln p - sum_{n=0}^{p} 1/(n+t) = ln p - S(t, t + p + 1).
 
-    The double t is exactly m/d, so each term is the rational d / (m + n d),
-    floored in W bits of fixed point: the sum errs by less than p + 1 units
-    of 2^-W.
+    The double t is exactly m/d.  Where p + 1 <= N, the head length of
+    ``_psi_diff`` at T/10 (T = _TRUNCATION), the finite sum is taken as
+    defined, each term the rational d / (m + n d) floored in W bits of fixed
+    point, so it errs by less than p + 1 units of 2^-W.  Otherwise
+    ``_psi_diff`` sums N terms and closes the rest, so the cost is flat in
+    p.  The target T/10 keeps the error within 10^-26, where the definition
+    certifies as many digits as the working precision allows.
     """
     _require_positive("t", t)
     p = _check_p(p)
+    n = _psi_head(t, math.log(p + 1), _LOG_TRUNCATION - math.log(10))
+    m, d = float(t).as_integer_ratio()
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
-        m, d = float(t).as_integer_ratio()
-        num = d << w
-        s = mp.ldexp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
-        v = mp.log(p) - s
-        err = mp.ldexp(p + 1, -w) + _assembly(mp.log(p), s)
-        return HPValue(v, _digits_from_error(v, err), p + 1)
+        log_p = mp.log(p)
+        if p < n:
+            num = d << w
+            s = mp.ldexp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
+            err, n = mp.ldexp(p + 1, -w), p + 1
+        else:
+            s, err = _psi_diff(m, m + (p + 1) * d, d, n, w)
+            err += _series_constants(mp.prec)[1] / 10
+        v = log_p - s
+        err += _assembly(log_p, s)
+        return HPValue(v, _digits_from_error(v, err), n)
 
 
 def psi_q_hp(t, q) -> HPValue:
@@ -359,22 +427,30 @@ def psi_k_hp(t, k) -> HPValue:
 
 
 def _psi_k_hp(t, k) -> HPValue:
-    """psi_k(t) = (ln k - gamma)/k - 1/t + (1/k) sum_{i>=1} u / (i (i+u)),
-    u = t/k, the sum by ``_psi_sum_hp`` to within k T."""
+    """psi_k(t) = (ln k - gamma + S(1, 1 + u)) / k - 1/t, u = t/k, where
+    S(1, 1 + u) = sum_{i>=1} u / (i (i+u)) by ``_psi_diff`` to within k T.
+
+    The doubles t and k are exactly m/d and m_k/d_k, so u is the exact
+    rational m d_k / (d m_k).  Raises ConvergenceError where the head would
+    pass _PSI_MAX_TERMS (k below about 2e-118).
+    """
     _require_positive("t", t)
     _require_positive("k", k)
+    n = _psi_head(1, math.log(t) - math.log(k), _LOG_TRUNCATION + math.log(k))
+    if n > _PSI_MAX_TERMS:
+        raise ConvergenceError(f"psi_k_hp: the series at t = {t!r}, k = {k!r} needs a head "
+                               f"of {n:.3g} terms, more than {_PSI_MAX_TERMS}")
+    m, d = float(t).as_integer_ratio()
+    m_k, d_k = float(k).as_integer_ratio()
+    den = d * m_k
     with mp.workdps(_SERIES_DPS):
         w = mp.prec + _GUARD_BITS
-        t_ = mpf(t)
+        euler, trunc = _series_constants(mp.prec)
+        s, rounding = _psi_diff(den, den + m * d_k, den, n, w)
         k_ = mpf(k)
-        trunc = mpf(_TRUNCATION)
-        with mp.workprec(w):
-            u = t_ / k_
-        s, n, rounding = _psi_sum_hp(u, math.log(t) - math.log(k),
-                                     math.log(float(_TRUNCATION)) + math.log(k), w)
-        head = (mp.log(k_) - mpf(EULER_GAMMA_HP)) / k_
-        v = head - 1 / t_ + s / k_
-        err = trunc + rounding / k_ + _assembly(head, 1 / t_, s / k_)
+        head, inv_t, s = (mp.log(k_) - euler) / k_, 1 / mpf(t), s / k_
+        v = head - inv_t + s
+        err = trunc + rounding / k_ + _assembly(head, inv_t, s)
         return HPValue(v, _digits_from_error(v, err), n)
 
 

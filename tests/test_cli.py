@@ -420,6 +420,28 @@ def test_unwritable_report_is_exit_2_in_a_process(tmp_path, command):
     assert r.stdout == ""
 
 
+CLOSED_STDOUT_COMMANDS = {
+    "verify": ["verify", "--family", "p", "--alpha", "1", "--p", "2",
+               "--grid", "0.0001:0.9999:0.0001"],
+    "scan": ["scan", "--family", "p", "--alpha", "1", "--p", "2", "--grid", "0.001:5:0.001"],
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_STDOUT_COMMANDS.values(),
+                         ids=list(CLOSED_STDOUT_COMMANDS))
+def test_closed_stdout_is_exit_2_without_a_traceback(command):
+    # `| head -1`: the reader takes one line and closes the pipe under a
+    # report of some 200 KB or more, more than the pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "gammagen", *command],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("t,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "cannot write report: <stdout>: Broken pipe\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "gamma", "--t", "1e-320"], "out of double range: math range error"),
     (["verify", "--family", "p", "--a", "200", "--b", "1", "--alpha", "50", "--beta", "1",

@@ -162,6 +162,60 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
         assert bound >= 2 * sec_u / mp.expm1(2 * mp.pi * theta / step)
 
 
+def test_bernoulli_table_is_exact():
+    for j, (num, den) in enumerate(oracle._BERNOULLI, 1):
+        assert (num, den) == mp.bernfrac(2 * j)
+        with mp.workdps(60):
+            assert abs(mpf(num) / den - mp.bernoulli(2 * j)) <= mp.eps * abs(mpf(num) / den)
+
+
+def _psi_sizing_cases(rng):
+    """(routine, arguments, the target its closure is sized for over T)"""
+    ts = [1e-300, 1e-6, 0.05, 2.5, 30.0, 1e5, 1e300] + [rng.uniform(0.01, 100.0)
+                                                       for _ in range(30)]
+    tks = [(2.5, 1e-30), (1e-3, 1e-20), (40.0, 1e6)] + [
+        (rng.uniform(0.01, 100.0), 10 ** rng.uniform(-30, 6)) for _ in range(30)]
+    tps = [(2.5, 12), (0.01, 10**300)] + [
+        (rng.uniform(0.01, 40.0), int(10 ** rng.uniform(1.2, 12))) for _ in range(30)]
+    return ([(oracle.psi_hp, (t,), Fraction(1)) for t in ts]
+            + [(oracle.psi_k_hp, (t, k), Fraction(k)) for t, k in tks]
+            + [(oracle.psi_p_hp, (t, p), Fraction(1, 10)) for t, p in tps])
+
+
+@pytest.mark.parametrize("fn, args, scale", _psi_sizing_cases(random.Random(24)))
+def test_psi_closure_sizing_is_sound(monkeypatch, fn, args, scale):
+    # The head length is sized in doubles from the last retained correction;
+    # recompute at 60 digits the bound it was sized by and the remainder
+    # the closure leaves, against psi(y) - psi(x).
+    calls = []
+    diff = oracle._psi_diff
+
+    def spy(*a):
+        calls.append((a, diff(*a)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracle, "_psi_diff", spy)
+    fn(*args)
+    [((x_num, y_num, den, n, w), (s, err))] = calls
+    k = len(oracle._BERNOULLI)
+    with mp.workdps(60):
+        target = mpf(oracle._TRUNCATION) * scale.numerator / scale.denominator
+        x, y = mpf(x_num) / den, mpf(y_num) / den
+        a, b = n + x, n + y
+
+        def bound(j, a, b):
+            """The j-th correction, |B_2j| / 2j (a^-2j - b^-2j)."""
+            return abs(mp.bernoulli(2 * j)) / (2 * j) * (a ** (-2 * j) - b ** (-2 * j))
+
+        assert n >= 1 and a >= oracle._PSI_MIN_A
+        assert bound(k, a, b) <= target
+        # the least such head
+        assert n == 1 or a - 1 < oracle._PSI_MIN_A or bound(k, a - 1, b - 1) > target
+        # the remainder is below the first omitted correction
+        exact = mp.digamma(y) - mp.digamma(x)
+        assert abs(s - exact) <= bound(k + 1, a, b) + err
+
+
 # the trapezoid's narrowest W, and its widest
 @pytest.mark.parametrize("dps", [
     oracle._QUAD_DPS,
@@ -271,7 +325,9 @@ def test_psi_k_hp_at_a_tiny_k_raises():
         oracle.psi_k_hp(1e5, 1e-300)
 
 
-@pytest.mark.parametrize("k", [0.5, 1.0, 10.0])
+# k T = 1e-55 at k = 1e-30: fifteen Bernoulli corrections reach it with a
+# head of about 120 terms, where five needed 2e5 and raised
+@pytest.mark.parametrize("k", [1e-30, 0.5, 1.0, 10.0, 1e6])
 @pytest.mark.parametrize("t", EDGE_T)
 def test_psi_k_hp_meets_its_certified_digits(t, k):
     # psi_k(t) = (ln k + psi(t/k)) / k
@@ -345,13 +401,31 @@ def test_q_oracles_at_tiny_t(t, q):
     assert oracle.cross_validate(gamma_q(t, q).value, gamma_hp, 1e-12)
 
 
-@pytest.mark.parametrize("p", [1, 1000])
+# the closure's head is the same at every p: the definition would take
+# p + 1 terms
+@pytest.mark.parametrize("p", [1, 1000] + [pytest.param(10**e, id=f"1e{e}")
+                                            for e in (6, 12, 300)])
 @pytest.mark.parametrize("t", EDGE_T)
 def test_psi_p_hp_meets_its_certified_digits(t, p):
     # sum_{n=0}^{p} 1/(n+t) = psi(t+p+1) - psi(t)
     _meets_its_certified_digits(
         oracle.psi_p_hp(t, p),
         lambda: mp.log(p) + mp.digamma(mpf(t)) - mp.digamma(mpf(t) + p + 1))
+
+
+@pytest.mark.parametrize("t", [0.05, 2.5, 11.7])
+def test_psi_p_hp_matches_its_definition_at_the_seam(t):
+    # N is the head length of the closure: p + 1 <= N sums the definition,
+    # p + 1 > N closes the tail.  Both sides of the seam against the finite
+    # sum itself, exact to 60 digits.
+    head = oracle.psi_p_hp(t, 1000).terms_used
+    for p in sorted({1, head - 1, head, head + 1, 1000} - {0}):
+        hp = oracle.psi_p_hp(t, p)
+        assert hp.terms_used == min(p + 1, head)
+        assert hp.certified_digits == SERIES_DIGITS[1]
+        with mp.workdps(60):
+            ref = mp.log(p) - mp.fsum(1 / (n + mpf(t)) for n in range(p + 1))
+            assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
 
 
 @pytest.mark.parametrize("p", [1, 1000])
@@ -369,6 +443,18 @@ def test_gamma_p_hp_meets_its_certified_digits(t, p):
 def test_trapezoid_node_counts_frozen(t, k, nodes):
     # the node count follows from the step and the stop test alone
     assert oracle.gamma_k_quad(t, k).terms_used == nodes
+
+
+@pytest.mark.parametrize("fn, args, terms", [
+    (oracle.psi_hp, (2.5,), 11), (oracle.psi_hp, (1e-300,), 7), (oracle.psi_hp, (1e300,), 11),
+    (oracle.psi_k_hp, (12.525, 5.25), 11), (oracle.psi_k_hp, (2.5, 1e-30), 119),
+    (oracle.psi_p_hp, (2.5, 10), 11), (oracle.psi_p_hp, (2.5, 900), 11),
+    (oracle.psi_p_hp, (15.025, 900), 1), (oracle.psi_p_hp, (0.05, 10**12), 13),
+])
+def test_psi_head_lengths_frozen(fn, args, terms):
+    # the head length follows from the last Bernoulli correction's bound
+    # alone (psi_p_hp(2.5, 10) is the definition's eleven terms)
+    assert fn(*args).terms_used == terms
 
 
 def test_trapezoid_node_budget_raises(monkeypatch):
@@ -410,7 +496,8 @@ def test_oracle_imports_nothing_that_evaluates():
 def test_p_family_cross_validates_at_large_p():
     p = 10**6
     for t in (0.5, 2.5, 11.7):
-        assert oracle.cross_validate(psi_p(t, p), oracle.psi_p_hp(t, p), 1e-12)
+        for big_p in (p, 10**12, 10**300):
+            assert oracle.cross_validate(psi_p(t, big_p), oracle.psi_p_hp(t, big_p), 1e-12)
         assert oracle.cross_validate(gamma_p(t, p), oracle.gamma_p_hp(t, p), 1e-12)
 
 
