@@ -16,19 +16,27 @@ argument checks.
 
 The series and product loops, and the trapezoid rule's nodes, run on
 Python integers.  A value x in them is the fixed-point integer
-floor(x 2^W), W = mp.prec + _GUARD_BITS at the working precision (35
-digits for the series, 30 and more for the quadrature), and a product is a
-mantissa of W to 2W bits with a separate binary exponent; the q oracles
+floor(x 2^W), W = P + _GUARD_BITS at the working precision of P bits (35
+digits for the series, 30 and more for the quadrature), and a product is
+a mantissa of W to 2W bits with a separate binary exponent; the q oracles
 add to W the bits their divisions by 1 - q^m need (``_q_split``), and the
-quadrature nodes' exponentials are integer too (``_fixed_exp``).  mpmath
+quadrature nodes' exponentials are integer too (``_fixed_exp``).
+
+mpmath computes through ``mpmath.libmp`` alone, on raw (sign, mantissa,
+exponent, bit count) tuples at an explicit precision and rounding; no
+routine reads or sets the precision of the global context ``mp``.  libmp
 does only the set-up that carries the value (powers, logarithms, the
-exponential tables) and the final assembly.  What only sizes a loop (the
+exponential tables) and the final assembly, and the result becomes an mpf
+once, by ``mp.make_mpf``, which rounds nothing.  So no result depends on
+the caller's mp.prec, and none changes it.  What only sizes a loop (the
 series' head lengths, the q oracles' stop constants, the trapezoid rule's
 strip angle and step) or bounds its truncation (the aliasing bound) is a
-double rounded outward or an exact integer, and costs no mpmath call.
-Each routine's docstring derives a bound on the rounding of its loop, in
-units of 2^-W, and ``certified_digits`` counts that bound with the
-truncation error and a few mp.eps for the assembly.
+double rounded outward or an exact integer.  The error bounds are raw
+tuples, summed at 53 bits and rounded up, as they can leave the double
+range with the values.  Each routine's docstring derives a bound on the
+rounding of its loop, in units of 2^-W, and ``certified_digits`` counts
+that bound with the truncation error and 2^(4-P) of each part the
+assembly combines (``_assembly``).
 """
 
 from __future__ import annotations
@@ -38,8 +46,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, from_rational, mpf_exp, mpf_ln2, round_nearest,
+from mpmath import mp
+from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_rational,
+                          from_str, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_factorial,
+                          mpf_gt, mpf_le, mpf_ln2, mpf_log, mpf_mul, mpf_pow_int, mpf_rdiv_int,
+                          mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest,
                           to_fixed)
 
 from .core_special import _check_p, _check_q, _require_positive
@@ -71,11 +82,22 @@ _INV_TAIL = 10**25
 # T and certify as many digits as the truncation alone would.
 _TRUNCATION = "0.999999e-25"
 _GUARD_BITS = 32
-# The mpmath set-up and assembly err by at most 8 mp.eps = 2^(4 - mp.prec)
-# per part they combine: each part takes a few correctly rounded operations
+# The series' working precision P and fixed-point bits W
+_SERIES_PREC = dps_to_prec(_SERIES_DPS)
+_SERIES_W = _SERIES_PREC + _GUARD_BITS
+# The libmp set-up and assembly err by at most 2^(4-P) = 8 ulps of 1 at P
+# bits per part they combine: each part takes a few correctly rounded
+# operations
 _ASSEMBLY_BITS = 4
+# Error bounds are raw mpfs of this many bits, rounded up
+_ERR_PREC = 53
+_NEAR, _UP = round_nearest, round_ceiling
 _DPS_MARGIN = 10
+_LOG10_2 = math.log10(2)
 _LIFT_TO = 32
+# 1 - 2^-32: where q^t exceeds it, the q oracles keep fewer than
+# _SERIES_PREC bits of 1 - q^t in fixed point
+_ONE_LESS_GUARD = from_man_exp((1 << _GUARD_BITS) - 1, -_GUARD_BITS)
 # The q oracles evaluate their bounds and stop constants in double
 # precision: a few dozen operations on positive terms, each within 2^-53
 # relative, besides 1 - z for z < z* (``_q_split``), which is above 2^-24
@@ -93,9 +115,8 @@ _QUAD_MAX_NODES = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """An oracle routine would need more terms or nodes than it allows: the
-    trapezoid rule ran out of nodes before its tails met their target, or
-    the psi_k series needs a head longer than _PSI_MAX_TERMS (a tiny k)."""
+    """The trapezoid rule ran out of nodes before its tails met their
+    target."""
 
 
 @dataclass(frozen=True)
@@ -107,38 +128,91 @@ class HPValue:
     terms_used: int = 0
 
 
-def _digits_from_error(value, err) -> int:
-    """Digits certified by the error bound err, never more than _DPS_MARGIN
-    below the working precision: d - 1, at least 1, for the d with
-    10^-(d+1) < err/scale <= 10^-d, scale = max(|value|, 1).
+def _digits_from_error(value, err, dps) -> int:
+    """Digits certified by the error bound err on value, both raw mpfs,
+    never more than cap = dps - _DPS_MARGIN: d - 1, at least 1, for the d
+    with 10^-(d+1) < err/scale <= 10^-d, scale = max(|value|, 1).
 
-    err/scale = man 2^e, man of bc bits, lies in [2^(e+bc-1), 2^(e+bc)), so
-    d is d0 = floor(-(e+bc-1) log10 2) or d0 - 1 (the double product is
-    nowhere near an integer but at 0), and err/scale <= 10^-d0 exactly
-    when the integer man 10^d0 is at most 2^-e.  Only 3 <= d0 <= cap + 1
-    needs the test: below, either d gives 1, and above, the cap.  So
-    e + bc - 1 is clamped to [-4 cap - 8, 0], where d0 is at most 0 or at
-    least cap + 2 at the ends, to fit a double however large the value.
+    With err = man 2^e of bc bits and scale = s 2^f of c bits (1 = 1 2^0
+    where |value| < 1), r = err/scale lies in (2^(g-1), 2^(g+1)),
+    g = e + bc - f - c.  So -log10 r lies in an interval of width
+    2 log10 2 < 1 below (1 - g) log10 2, d is d0 = floor((1 - g) log10 2)
+    or d0 - 1 (the double product is nowhere near an integer), and it is
+    d0 exactly when r <= 10^-d0, that is when the integer man 10^d0 is at
+    most s 2^(f-e), one side shifted by the bit counts' difference.  Only
+    3 <= d0 <= cap + 1 needs the test: below, either d gives 1, and above,
+    the cap; g > 0 gives 1 and g < -4 cap - 8 the cap at once.  All of it
+    is integer work, however far the exponents lie outside the double
+    range.
     """
-    cap = mp.dps - _DPS_MARGIN
-    if err <= 0:
+    cap = dps - _DPS_MARGIN
+    sign, man, e, bc = err
+    if sign or not man:
         return cap
-    _, man, e, bc = (err / max(abs(value), mpf(1)))._mpf_
-    d = math.floor(-min(0, max(e + bc - 1, -4 * cap - 8)) * math.log10(2))
-    if 3 <= d <= cap + 1 and man * 10**d > 1 << -e:
-        d -= 1
+    _, s, f, c = value
+    if f + c <= 0:  # |value| < 1
+        s, f, c = 1, 0, 1
+    g = e + bc - f - c
+    if g > 0:
+        return 1
+    if g < -4 * cap - 8:
+        return cap
+    d = math.floor((1 - g) * _LOG10_2)
+    if 3 <= d <= cap + 1:
+        lhs = man * 10**d
+        if e >= f:
+            lhs <<= e - f
+        else:
+            s <<= f - e
+        if lhs > s:
+            d -= 1
     return max(1, min(cap, d - 1))
 
 
-def _fixed(x, w) -> int:
-    """floor(x 2^w), for x >= 0."""
-    return int(mp.ldexp(x, w))
+def _hp(value, err, dps, terms) -> HPValue:
+    """The HPValue of the raw mpf value with the error bound err."""
+    return HPValue(mp.make_mpf(value), _digits_from_error(value, err, dps), terms)
 
 
-def _assembly(*parts):
-    """Error bound of the mpmath set-up and assembly that combine parts
-    (a sum of them, or one product)."""
-    return mp.ldexp(sum(map(abs, parts)), _ASSEMBLY_BITS - mp.prec)
+def _err_sum(*bounds):
+    """An upper bound on the sum of nonnegative raw mpfs: each addition is
+    rounded up at _ERR_PREC bits."""
+    total = bounds[0]
+    for b in bounds[1:]:
+        total = mpf_add(total, b, _ERR_PREC, _UP)
+    return total
+
+
+def _assembly(prec, *parts):
+    """Error bound of the libmp set-up and assembly at prec bits that
+    combine parts (a sum of them, or one product): 2^(_ASSEMBLY_BITS - prec)
+    times the sum of their absolute values, rounded up."""
+    return mpf_shift(_err_sum(*map(mpf_abs, parts)), _ASSEMBLY_BITS - prec)
+
+
+def _exp_t_log(t, base, log_base, prec, shift=fzero):
+    """exp(shift + t ln base) for the double t, the raw mpf base > 0 and the
+    exact raw mpf shift, within half an ulp at prec bits and 2^-(prec+3)
+    relative.
+
+    |t ln base| < 2^(a+b+1) for the binary exponents a of t and b of the
+    double log_base, a rounded ln base, so ln base at prec + a + b + 5 bits,
+    rounded to nearest, moves the exact product t ln base by less than
+    2^-(prec+4), and the exponential by less than 2^-(prec+3) relative.
+    """
+    bits = max(0, math.frexp(t)[1] + math.frexp(log_base)[1] + 1) + 4
+    c = mpf_mul(from_float(t), mpf_log(base, prec + bits, _NEAR))
+    return mpf_exp(mpf_add(shift, c), prec, _NEAR)
+
+
+def _one_minus_exp(x, prec):
+    """1 - e^x for a raw mpf -1 <= x < 0, within 2^-prec relative.
+
+    1 - e^x >= |x|/2 >= 2^(m-2), m = mag x, so e^x at prec + 4 - m bits,
+    within 2^(m-4-prec), moves it by less than 2^-(prec+2) relative, and the
+    subtraction rounds once.
+    """
+    return mpf_sub(fone, mpf_exp(x, prec + 4 - x[2] - x[3], _NEAR), prec, _NEAR)
 
 
 def _product(factors, w):
@@ -193,12 +267,12 @@ def _q_split(a, q):
     units of 2^-W, times logarithms: the divisors 1 - q^m and 1 - x of the
     m-th and n-th terms are about m (1-q) and n (1-q), and each step adds
     up to 2 units of drift.  So W adds the bits of (N+1)/(1-q) to
-    mp.prec + _GUARD_BITS, and the rounding stays below the 1e-31 left
-    beside the truncation however close q is to 1.
+    _SERIES_W, and the rounding stays below the 1e-31 left beside the
+    truncation however close q is to 1.
     """
     lam = -math.log(q)
     n = max(0, math.floor(math.sqrt(-math.log(float(_TRUNCATION)) / lam) - a) + 1)
-    return n, mp.prec + _GUARD_BITS + int((n + 1) / (1 - q)).bit_length()
+    return n, _SERIES_W + int((n + 1) / (1 - q)).bit_length()
 
 
 # The Bernoulli numbers B_2..B_2K, K = 15, of ``_psi_diff``'s
@@ -214,17 +288,22 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 _PSI_LOG_C = math.log(abs(_BERNOULLI[-1][0]) / (2 * len(_BERNOULLI) * _BERNOULLI[-1][1]))
 _PSI_2K = 2 * len(_BERNOULLI)
 # The closure's least N + x (at 1/(N+x)^2 <= 1/64 its Horner sums err by
-# less than 2 units) and its longest head
+# less than 2 units)
 _PSI_MIN_A = 8
-_PSI_MAX_TERMS = 100_000
 _LOG_TRUNCATION = math.log(float(_TRUNCATION))
+# psi_k's head target never falls below 2^-(W+4), a sixteenth of a unit of
+# the rounding its result carries anyway
+_LOG_HEAD_FLOOR = -(_SERIES_W + 4) * math.log(2)
 
 
-@functools.lru_cache(maxsize=8)
-def _series_constants(prec):
-    """EULER_GAMMA_HP and _TRUNCATION as mpfs at the precision prec."""
-    with mp.workprec(prec):
-        return mpf(EULER_GAMMA_HP), mpf(_TRUNCATION)
+@functools.cache
+def _series_constants():
+    """EULER_GAMMA_HP at _SERIES_PREC bits, the double T = _TRUNCATION the
+    series are sized with, T/10 rounded up, and psi_k's head floor
+    2^-(W+4), as raw mpfs."""
+    trunc = from_float(float(_TRUNCATION))
+    return (from_str(EULER_GAMMA_HP, _SERIES_PREC, _NEAR), trunc,
+            mpf_div(trunc, from_int(10), _ERR_PREC, _UP), from_man_exp(1, -_SERIES_W - 4))
 
 
 @functools.lru_cache(maxsize=8)
@@ -282,10 +361,14 @@ def _psi_diff(x_num, y_num, den, n, w):
     times a_(j+1)) to z' = z + 2^-W times the error carried, so h errs by
     less than 1 + d_1 + sum_(j<K) z'^j (2 + d_(j+1)) + z'^K units, which
     grows with z and is below 1.12 at z <= 1/64 (a >= _PSI_MIN_A).  So the
-    fixed-point part errs by less than N + 5 units.  mpmath takes
-    ln(b/a) as one log of the rational b/a rounded once (a log, at half the
-    cost of a log1p): the rounding moves the log by at most mp.eps,
-    absolutely, which ``_assembly`` counts as a part of size 1.
+    fixed-point part errs by less than N + 5 units, exactly 2^-W (N + 5) as
+    a raw mpf.  ln(b/a) is one libmp log at P = W - _GUARD_BITS bits of the
+    rational b/a rounded once to P bits (a log, at half the cost of a
+    log1p).  Rounding b/a moves the log by at most 2^-P, absolutely, the
+    log's own rounding by 2^-P |log|, and the sum with the fixed-point
+    part rounds once, by 2^-P (|fixed| + |log|) at most; ``_assembly``
+    counts 2^(4-P) for each of fixed, log and a part of size 1.  Both
+    results are raw mpfs.
     """
     gap = y_num - x_num
     num = den * gap << w
@@ -299,9 +382,11 @@ def _psi_diff(x_num, y_num, den, n, w):
         for c in table:
             h = c + (h * z >> w)
         s += sign * (h * z >> w)
-    fixed = mp.ldexp(s, -w)
-    log = mp.log(mpf(from_rational(b, a, mp.prec, round_nearest)))
-    return fixed + log, mp.ldexp(n + 5, -w) + _assembly(fixed, log, 1)
+    prec = w - _GUARD_BITS
+    fixed = from_man_exp(s, -w)
+    log = mpf_log(from_rational(b, a, prec, _NEAR), prec, _NEAR)
+    return (mpf_add(fixed, log, prec, _NEAR),
+            _err_sum(from_man_exp(n + 5, -w), _assembly(prec, fixed, log, fone)))
 
 
 def psi_hp(t) -> HPValue:
@@ -319,24 +404,28 @@ def psi_p_hp(t, p) -> HPValue:
     ``_psi_diff`` sums N terms and closes the rest, so the cost is flat in
     p.  The target T/10 keeps the error within 10^-26, where the definition
     certifies as many digits as the working precision allows.
+
+    Assembly, at P = _SERIES_PREC bits: ln p is one libmp log of the exact
+    p, and ln p - S one subtraction, each rounded once, so they err by at
+    most 2^-P |ln p| and 2^-P (|ln p| + |S|), which ``_assembly`` counts
+    (S is exact in the definition's branch, and carries its own bound
+    from ``_psi_diff`` otherwise).
     """
     _require_positive("t", t)
     p = _check_p(p)
     n = _psi_head(t, math.log(p + 1), _LOG_TRUNCATION - math.log(10))
     m, d = float(t).as_integer_ratio()
-    with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
-        log_p = mp.log(p)
-        if p < n:
-            num = d << w
-            s = mp.ldexp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
-            err, n = mp.ldexp(p + 1, -w), p + 1
-        else:
-            s, err = _psi_diff(m, m + (p + 1) * d, d, n, w)
-            err += _series_constants(mp.prec)[1] / 10
-        v = log_p - s
-        err += _assembly(log_p, s)
-        return HPValue(v, _digits_from_error(v, err), n)
+    prec, w = _SERIES_PREC, _SERIES_W
+    log_p = mpf_log(from_int(p), prec, _NEAR)
+    if p < n:
+        num = d << w
+        s = from_man_exp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
+        err, n = from_man_exp(p + 1, -w), p + 1
+    else:
+        s, err = _psi_diff(m, m + (p + 1) * d, d, n, w)
+        err = _err_sum(err, _series_constants()[2])
+    v = mpf_sub(log_p, s, prec, _NEAR)
+    return _hp(v, _err_sum(err, _assembly(prec, log_p, s)), _SERIES_DPS, n)
 
 
 def psi_q_hp(t, q) -> HPValue:
@@ -350,6 +439,13 @@ def psi_q_hp(t, q) -> HPValue:
     z^(M+1) / ((1-q^(M+1)) (1-z)), and M is the least for which lam times
     that is below T = _TRUNCATION, lam = -ln q.  terms_used is N + M.
 
+    Set-up: L = ln q is one libmp log at W bits, and y = q^t and
+    z = q^(t+N) are e^(t L) and e^((t+N) L), t + N and both products
+    rounded to W bits: their exponents err by at most 1.5 2^-W of their
+    size, so y and z by at most 1.5 x |ln x| 2^-W <= 0.56 units of 2^-W for
+    x = y, z, and by half a unit for their own rounding.  So X_0 and Z,
+    their fixed-point floors, are within 3 units.
+
     Rounding, in units of 2^-W.  Head: the x_n are W-bit fixed-point
     values, x_0 within 3 units and the rest within D = ``_q_drift(q, N)``.
     A term (X_n 2^W) // (2^W - X_n) errs by less than one unit for the
@@ -358,13 +454,15 @@ def psi_q_hp(t, q) -> HPValue:
     1/(1-x)^2 <= 1 + 2x/(1-x)^2 and 2x/(1-x)^2 falls along n and
     integrates to 2y / (lam (1-y)), y = x_0, the head errs by less than
     N + 6/(1-y)^2 + 2 D (N + 2y / (lam (1-y))) units.  Where
-    1 - q^t < 2^-32, fixed point would keep fewer than mp.prec bits of
-    1 - x_0 (none once q^t rounds to 1): the n = 0 term is then formed from
-    -expm1(t ln q), within 8 units of 2^-W relative, and y above is
-    q^(t+1).
+    1 - q^t < 2^-32, fixed point would keep fewer than _SERIES_PREC bits of
+    1 - x_0 (none once q^t rounds to 1): the n = 0 term is then
+    e^(tL) / (1 - e^(tL)), the denominator by ``_one_minus_exp``, which
+    the exponent's error moves by at most 2^-W relative; with the three
+    roundings it is within 8 units of 2^-W relative, and y above is
+    q^(t+1), e^(tL) q rounded to W bits.
 
-    Tail: Z = floor(z 2^W), z one mpmath power at W bits, is within 3
-    units, and Z_m = floor(Z_{m-1} Z / 2^W) within 4m: a step adds at most
+    Tail: Z = floor(z 2^W) is within 3 units, and
+    Z_m = floor(Z_{m-1} Z / 2^W) within 4m: a step adds at most
     3 z^(m-1) for Z's error and one unit for the floor to z times the error
     carried.  Q_m, q^m by the same recurrence from Q = floor(q 2^W), is
     within 2m.  With a_m = 1 - q^m >= m lam / (1 + m lam), the term
@@ -375,50 +473,60 @@ def psi_q_hp(t, q) -> HPValue:
     M + 8 (M/lam + M(M+1)/2) + 4 (-ln(1-z)/lam^2 + 2z/(lam (1-z)) + z/(1-z)^2)
     units.  The stop test multiplies Z_{M+1} + 4(M+1) by an integer
     K >= lam / (T (1-z)) and compares it with 2^W - Q_{M+1} - 2(M+1), so a
-    stop certifies the tail.  ln q multiplies the errors of both sums.
+    stop certifies the tail.  |L| multiplies the errors of both sums; it
+    is within 2^-W of |ln q|, which the margin of _FLOAT_ROUND_UP covers.
 
     K and the bounds are evaluated in doubles, with 1 - y taken as
     (2^W - X_0 - 3) 2^-W and z as (Z + 3) 2^-W, and rounded up by
     _FLOAT_ROUND_UP.
+
+    Assembly, at P = _SERIES_PREC bits: ln(1-q) is one log of the exact
+    1 - q, L S one product and v their difference, each rounded once, so
+    they err by at most 2^-P |ln(1-q)|, 2^-P |L S| (L's own error adds
+    2^-(W+1) |L S|) and 2^-P (|ln(1-q)| + |L S|), which ``_assembly``
+    counts.
     """
     _require_positive("t", t)
     _check_q(q)
-    with mp.workdps(_SERIES_DPS):
-        t_ = mpf(t)
-        q_ = mpf(q)
-        trunc = float(_TRUNCATION)
-        n, w = _q_split(t, q)
-        s = head = 0
-        with mp.workprec(w):
-            y, z = q_**t_, q_ ** (t_ + n)
-            if 1 - y < 2.0**-_GUARD_BITS:
-                head, y = y / -mp.expm1(t_ * mp.log(q_)), y * q_
-                s = _fixed(head, w)
-        drift = _q_drift(q, n)
-        one, big_q, x = 1 << w, _fixed(q_, w), _fixed(y, w)
-        gap, lam = (one - x - 3) / one, -math.log(q)  # 1 - y at least gap
-        for _ in range(1 if head else 0, n):
-            s += (x << w) // (one - x)
-            x = x * big_q >> w
-        big_z = z_m = _fixed(z, w)
-        z = (big_z + 3) / one  # at least z
-        k = int(_FLOAT_ROUND_UP * lam / trunc * (one / (one - big_z - 3))) + 1
-        q_m = big_q
-        for m in itertools.count(1):
-            s += (z_m << w) // (one - q_m)
-            z_m = z_m * big_z >> w
-            q_m = q_m * big_q >> w
-            if (z_m + 4 * m + 4) * k < one - q_m - 2 * m - 2:
-                break
-        s = mp.ldexp(s, -w)
-        log_q, log_1mq = mp.log(q_), mp.log(1 - q_)
-        v = -log_1mq + log_q * s
-        units = _FLOAT_ROUND_UP * (
-            n + 6 / gap**2 + 2 * drift * (n + 2 * (1 - gap) / (lam * gap))
-            + m + 8 * (m / lam + m * (m + 1) / 2)
-            + 4 * (-math.log1p(-z) / lam**2 + 2 * z / (lam * (1 - z)) + z / (1 - z) ** 2))
-        err = trunc - log_q * mp.ldexp(units + 8 * head, -w) + _assembly(log_1mq, log_q * s)
-        return HPValue(v, _digits_from_error(v, err), n + m)
+    trunc = float(_TRUNCATION)
+    n, w = _q_split(t, q)
+    t_, q_ = from_float(t), from_float(q)
+    log_q = mpf_log(q_, w, _NEAR)
+    x_t = mpf_mul(t_, log_q, w, _NEAR)
+    y = mpf_exp(x_t, w, _NEAR)
+    z = mpf_exp(mpf_mul(mpf_add(t_, from_int(n), w, _NEAR), log_q, w, _NEAR), w, _NEAR)
+    s, head = 0, fzero
+    if mpf_gt(y, _ONE_LESS_GUARD):  # 1 - q^t < 2^-32
+        head = mpf_div(y, _one_minus_exp(x_t, w), w, _NEAR)
+        y, s = mpf_mul(y, q_, w, _NEAR), to_fixed(head, w)
+    drift = _q_drift(q, n)
+    one, big_q, x = 1 << w, to_fixed(q_, w), to_fixed(y, w)
+    gap, lam = (one - x - 3) / one, -math.log(q)  # 1 - y at least gap
+    for _ in range(1 if s else 0, n):  # s holds the n = 0 term already, or 0
+        s += (x << w) // (one - x)
+        x = x * big_q >> w
+    big_z = z_m = to_fixed(z, w)
+    z = (big_z + 3) / one  # at least z
+    k = int(_FLOAT_ROUND_UP * lam / trunc * (one / (one - big_z - 3))) + 1
+    q_m = big_q
+    for m in itertools.count(1):
+        s += (z_m << w) // (one - q_m)
+        z_m = z_m * big_z >> w
+        q_m = q_m * big_q >> w
+        if (z_m + 4 * m + 4) * k < one - q_m - 2 * m - 2:
+            break
+    prec = _SERIES_PREC
+    log_s = mpf_mul(log_q, from_man_exp(s, -w), prec, _NEAR)
+    log_1mq = mpf_log(mpf_sub(fone, q_), prec, _NEAR)
+    v = mpf_sub(log_s, log_1mq, prec, _NEAR)
+    units = _FLOAT_ROUND_UP * (
+        n + 6 / gap**2 + 2 * drift * (n + 2 * (1 - gap) / (lam * gap))
+        + m + 8 * (m / lam + m * (m + 1) / 2)
+        + 4 * (-math.log1p(-z) / lam**2 + 2 * z / (lam * (1 - z)) + z / (1 - z) ** 2))
+    rounding = mpf_mul(mpf_abs(log_q), _err_sum(from_float(units), mpf_shift(head, 3)),
+                       _ERR_PREC, _UP)
+    err = _err_sum(from_float(trunc), mpf_shift(rounding, -w), _assembly(prec, log_1mq, log_s))
+    return _hp(v, err, _SERIES_DPS, n + m)
 
 
 def psi_k_hp(t, k) -> HPValue:
@@ -428,30 +536,47 @@ def psi_k_hp(t, k) -> HPValue:
 
 def _psi_k_hp(t, k) -> HPValue:
     """psi_k(t) = (ln k - gamma + S(1, 1 + u)) / k - 1/t, u = t/k, where
-    S(1, 1 + u) = sum_{i>=1} u / (i (i+u)) by ``_psi_diff`` to within k T.
+    S(1, 1 + u) = sum_{i>=1} u / (i (i+u)) by ``_psi_diff`` to within
+    max(k T, 2^-(W+4)).
 
     The doubles t and k are exactly m/d and m_k/d_k, so u is the exact
-    rational m d_k / (d m_k).  Raises ConvergenceError where the head would
-    pass _PSI_MAX_TERMS (k below about 2e-118).
+    rational m d_k / (d m_k).  The sum itself carries N + 5 units of 2^-W,
+    so a target k T below 2^-(W+4) would buy nothing but a longer head
+    (25,708 terms at t = 1e300, k = 1e-100): the floor keeps the head at
+    64 terms or fewer for every double k, and the truncation, divided by k
+    with S, counts as T or as 2^-(W+4)/k.
+
+    Assembly, at P = _SERIES_PREC bits: ln k, gamma (EULER_GAMMA_HP), their
+    difference and its quotient by k are each rounded once, so the head
+    (ln k - gamma)/k errs by at most 2^-P h, h = (|ln k| + gamma)/k, which
+    ln k - gamma can cancel; 1/t and S/k are rounded once, and the two
+    additions by 2^-P (h + |1/t| + |S/k|) at most.  ``_assembly`` counts
+    h, 1/t and S/k; dividing S's own bound by the exact k keeps it a
+    bound.
     """
     _require_positive("t", t)
     _require_positive("k", k)
-    n = _psi_head(1, math.log(t) - math.log(k), _LOG_TRUNCATION + math.log(k))
-    if n > _PSI_MAX_TERMS:
-        raise ConvergenceError(f"psi_k_hp: the series at t = {t!r}, k = {k!r} needs a head "
-                               f"of {n:.3g} terms, more than {_PSI_MAX_TERMS}")
+    log_k = math.log(k)
+    at_floor = _LOG_TRUNCATION + log_k < _LOG_HEAD_FLOOR
+    n = _psi_head(1, math.log(t) - log_k,
+                  _LOG_HEAD_FLOOR if at_floor else _LOG_TRUNCATION + log_k)
     m, d = float(t).as_integer_ratio()
     m_k, d_k = float(k).as_integer_ratio()
     den = d * m_k
-    with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
-        euler, trunc = _series_constants(mp.prec)
-        s, rounding = _psi_diff(den, den + m * d_k, den, n, w)
-        k_ = mpf(k)
-        head, inv_t, s = (mp.log(k_) - euler) / k_, 1 / mpf(t), s / k_
-        v = head - inv_t + s
-        err = trunc + rounding / k_ + _assembly(head, inv_t, s)
-        return HPValue(v, _digits_from_error(v, err), n)
+    prec = _SERIES_PREC
+    euler, trunc, _, head_floor = _series_constants()
+    s, rounding = _psi_diff(den, den + m * d_k, den, n, _SERIES_W)
+    k_ = from_float(k)
+    log_k_ = mpf_log(k_, prec, _NEAR)
+    head = mpf_div(mpf_sub(log_k_, euler, prec, _NEAR), k_, prec, _NEAR)
+    inv_t = mpf_rdiv_int(1, from_float(t), prec, _NEAR)
+    s = mpf_div(s, k_, prec, _NEAR)
+    v = mpf_add(mpf_sub(head, inv_t, prec, _NEAR), s, prec, _NEAR)
+    if at_floor:
+        trunc = mpf_div(head_floor, k_, _ERR_PREC, _UP)
+    h = mpf_div(mpf_add(mpf_abs(log_k_), euler, _ERR_PREC, _UP), k_, _ERR_PREC, _UP)
+    err = _err_sum(trunc, mpf_div(rounding, k_, _ERR_PREC, _UP), _assembly(prec, h, inv_t, s))
+    return _hp(v, err, _SERIES_DPS, n)
 
 
 def gamma_hp(t) -> HPValue:
@@ -465,18 +590,25 @@ def gamma_p_hp(t, p) -> HPValue:
     The double t is exactly m/d, d a power of two, so the denominator is
     d^-(p+1) times the product of the integers m + n d, which ``_product``
     forms within p + 1 units of 2^-W relative.
+
+    Assembly, at P = _SERIES_PREC bits: p! is one libmp factorial, p^t one
+    ``_exp_t_log``, within half an ulp and 2^-(P+3), and their product and
+    its quotient by the exact integer product are rounded once each, so v
+    errs by less than 3 2^-P relative besides, which ``_assembly`` counts
+    as 2^(4-P) |v|.
     """
     _require_positive("t", t)
     p = _check_p(p)
-    with mp.workdps(_SERIES_DPS):
-        w = mp.prec + _GUARD_BITS
-        m, d = float(t).as_integer_ratio()
-        prod, exp = _product(range(m, m + (p + 1) * d, d), w)
-        exp -= (p + 1) * (d.bit_length() - 1)
-        fact, power = mp.factorial(p), mpf(p) ** mpf(t)
-        v = fact * power / mp.ldexp(prod, exp)
-        err = abs(v) * mp.ldexp(p + 1, -w) + _assembly(v)
-        return HPValue(v, _digits_from_error(v, err), p + 1)
+    prec, w = _SERIES_PREC, _SERIES_W
+    m, d = float(t).as_integer_ratio()
+    prod, exp = _product(range(m, m + (p + 1) * d, d), w)
+    exp -= (p + 1) * (d.bit_length() - 1)
+    p_ = from_int(p)
+    fact, power = mpf_factorial(p_, prec, _NEAR), _exp_t_log(float(t), p_, math.log(p), prec)
+    v = mpf_div(mpf_mul(fact, power, prec, _NEAR), from_man_exp(prod, exp), prec, _NEAR)
+    err = _err_sum(mpf_mul(mpf_abs(v), from_man_exp(p + 1, -w), _ERR_PREC, _UP),
+                   _assembly(prec, v))
+    return _hp(v, err, _SERIES_DPS, p + 1)
 
 
 def gamma_q_hp(t, q) -> HPValue:
@@ -489,8 +621,8 @@ def gamma_q_hp(t, q) -> HPValue:
     and Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.3).
     With z = max(z_a, z_b), its terms after the M-th sum to at most
     z^(M+1) / ((M+1) (1-q^(M+1)) (1-z)), and M is the least for which that
-    is below T = _TRUNCATION.  mpmath exponentiates the sum once, at W
-    bits.  terms_used is N + M.
+    is below T = _TRUNCATION.  The sum is exponentiated once, with the
+    power of 1 - q (below).  terms_used is N + M.
 
     Rounding, in units of 2^-W.  Head: the powers q^(j+1) and q^(t+j) are
     W-bit fixed-point values, the first within 3 units and the rest within
@@ -504,14 +636,15 @@ def gamma_q_hp(t, q) -> HPValue:
     of the numerator and e_b of the denominator are at most twice these
     sums, and the quotient's at most 2 (e_a + e_b), while both sums are
     below 1/4, which holds whenever the bound is under 1/2.  Where
-    1 - q^t < 2^-32, fixed point would keep fewer than mp.prec bits of it
-    (none once q^t rounds to 1): the product is then taken at s = t+1, with
-    y = q^(t+1), and Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last
-    factor formed from -expm1(t ln q) within 8 units of 2^-W relative.
-    Otherwise s = t.
+    1 - q^t < 2^-32, fixed point would keep fewer than _SERIES_PREC bits of
+    it (none once q^t rounds to 1): the product is then taken at s = t+1,
+    with y = q^(t+1), and Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the
+    last factor formed by ``_one_minus_exp`` of t L within 8 units of 2^-W
+    relative, as in ``psi_q_hp``.  Otherwise s = t.
 
-    Tail: Z_a and Z_b, floor(z 2^W) for z one mpmath power at W bits, are
-    within 3 units, and their m-th powers, by the recurrence
+    Tail: Z_a and Z_b are the floors of z_a, one libmp integer power at W
+    bits, and of z_b = e^((s+N) L), formed as z is in ``psi_q_hp``, and
+    within 3 units; their m-th powers, by the recurrence
     P_m = floor(P_{m-1} Z / 2^W), within 4m, as in ``psi_q_hp``; Q_m, q^m
     from Q = floor(q 2^W), is within 2m.  With a_m = 1 - q^m >=
     m lam / (1 + m lam), the term ((P_m^b - P_m^a) 2^W) // (m (2^W - Q_m))
@@ -520,8 +653,7 @@ def gamma_q_hp(t, q) -> HPValue:
     |z_b^m - z_a^m| <= z^m min(1, m lam |s-1|), the log errs by less than
     M + 16 ((1 + ln M)/lam + M) + 4 min(A, B) units, where
     A = |s-1| (-ln(1-z)/lam + 2z/(1-z) + lam z/(1-z)^2) and
-    B = (pi^2/6) z/lam^2 - 2 ln(1-z)/lam + z/(1-z), and by |ln| + 2 more
-    for rounding it to an mpf and exponentiating it at W bits.  The stop
+    B = (pi^2/6) z/lam^2 - 2 ln(1-z)/lam + z/(1-z).  The stop
     test multiplies max(P_{M+1}^a, P_{M+1}^b) + 4(M+1) by an integer
     K >= 1/(T (1-z)) and compares it with (M+1) (2^W - Q_{M+1} - 2(M+1)),
     so a stop certifies the tail.  So the log errs by at most x, T plus
@@ -529,59 +661,68 @@ def gamma_q_hp(t, q) -> HPValue:
 
     K and the bounds are evaluated in doubles, with 1 - y taken as
     (2^W - Y - 3) 2^-W, Y = floor(y 2^W), and z as
-    (max(Z_a, Z_b) + 3) 2^-W, and rounded up by _FLOAT_ROUND_UP.  t is exact
-    as an mpf and 1 - t need not be, so the power of 1 - q is formed as
-    (1-q) (1-q)^-t.
+    (max(Z_a, Z_b) + 3) 2^-W, and rounded up by _FLOAT_ROUND_UP.
+
+    Assembly, at P = _SERIES_PREC bits.  1 - t need not be exact, so the
+    power of 1 - q is (1-q) (1-q)^-t, and the log tail, exact as a raw mpf,
+    joins its exponent: (1-q)^-t e^tail is one ``_exp_t_log`` of the exact
+    1 - q, within half an ulp and 2^-(P+3) however large t is.  The head's
+    ratio is one rational rounded once, and the two products and the
+    quotient by 1 - q^t (where lifted) are rounded once each, so v errs by
+    less than 3 2^-P relative besides the bounds above, which
+    ``_assembly`` counts as 2^(4-P) |v|.
     """
     _require_positive("t", t)
     _check_q(q)
-    with mp.workdps(_SERIES_DPS):
-        t_ = mpf(t)
-        q_ = mpf(q)
-        trunc = float(_TRUNCATION)
-        lift = -math.expm1(t * math.log(q)) < 2.0**-_GUARD_BITS  # take the product at t+1
-        n, w = _q_split(1 if lift else min(1, t), q)
-        first = 0  # 1 - q^t, where the product is taken at t+1
-        with mp.workprec(w):
-            y = q_**t_
-            if lift:
-                first, y = -mp.expm1(t_ * mp.log(q_)), y * q_
-            z_a, z_b = q_ ** (n + 1), q_ ** (t_ + (n + lift))
-        drift = _q_drift(q, n)
-        one, big_q, big_y = 1 << w, _fixed(q_, w), _fixed(y, w)
-        gaps = (1 - q, (one - big_y - 3) / one)  # at most 1 - q and 1 - y
-        # the factors 1 - q^(j+1) and 1 - q^(t+j), each times 2^W
-        prod_num, exp_num = _product(_one_minus_powers(big_q, big_q, n, w), w)
-        prod_den, exp_den = _product(_one_minus_powers(big_y, big_q, n, w), w)
-        big_a, big_b = _fixed(z_a, w), _fixed(z_b, w)
-        big_z = max(big_a, big_b)
-        z = (big_z + 3) / one  # at least max(z_a, z_b)
-        k = int(_FLOAT_ROUND_UP / trunc * (one / (one - big_z - 3))) + 1
-        pow_a, pow_b, q_m, log_tail = big_a, big_b, big_q, 0
-        for m in itertools.count(1):
-            log_tail += ((pow_b - pow_a) << w) // (m * (one - q_m))
-            pow_a = pow_a * big_a >> w
-            pow_b = pow_b * big_b >> w
-            q_m = q_m * big_q >> w
-            if (max(pow_a, pow_b) + 4 * m + 4) * k < (m + 1) * (one - q_m - 2 * m - 2):
-                break
-        with mp.workprec(w):  # the log can be large: exponentiate it at W bits
-            log_tail = mp.ldexp(log_tail, -w)
-            ratio_tail = mp.exp(log_tail)
-        # both products carry the same factor 2^(nW), which cancels
-        ratio = mp.ldexp(mpf(prod_num) / prod_den, exp_num - exp_den) * ratio_tail
-        v = (1 - q_) * (1 - q_) ** -t_ * ratio / (first or 1)
-        lam = -math.log(q)
-        amp = sum(3 / gap + drift * (n - math.log(gap) / lam) for gap in gaps)
-        a_sum = (t if lift else abs(t - 1)) * (  # |s - 1| times
-            -math.log1p(-z) / lam + 2 * z / (1 - z) + lam * z / (1 - z) ** 2)
-        b_sum = math.pi**2 / 6 * z / lam**2 - 2 * math.log1p(-z) / lam + z / (1 - z)
-        head = math.ldexp(4 * (2 * n + amp + (2 if first else 0)), -w)
-        tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * min(a_sum, b_sum)
-                          + abs(float(log_tail)) + 2, -w) + trunc
-        rel = _FLOAT_ROUND_UP * (head + (1 + head) * tail * (1 + tail))
-        err = abs(v) * rel + _assembly(v)
-        return HPValue(v, _digits_from_error(v, err), n + m)
+    trunc = float(_TRUNCATION)
+    lift = -math.expm1(t * math.log(q)) < 2.0**-_GUARD_BITS  # take the product at t+1
+    n, w = _q_split(1 if lift else min(1, t), q)
+    t_, q_ = from_float(t), from_float(q)
+    log_q = mpf_log(q_, w, _NEAR)
+    x_t = mpf_mul(t_, log_q, w, _NEAR)
+    y = mpf_exp(x_t, w, _NEAR)
+    first = None  # 1 - q^t, where the product is taken at t+1
+    if lift:
+        first, y = _one_minus_exp(x_t, w), mpf_mul(y, q_, w, _NEAR)
+    z_a = mpf_pow_int(q_, n + 1, w, _NEAR)
+    z_b = mpf_exp(mpf_mul(mpf_add(t_, from_int(n + lift), w, _NEAR), log_q, w, _NEAR), w, _NEAR)
+    drift = _q_drift(q, n)
+    one, big_q, big_y = 1 << w, to_fixed(q_, w), to_fixed(y, w)
+    gaps = (1 - q, (one - big_y - 3) / one)  # at most 1 - q and 1 - y
+    # the factors 1 - q^(j+1) and 1 - q^(t+j), each times 2^W
+    prod_num, exp_num = _product(_one_minus_powers(big_q, big_q, n, w), w)
+    prod_den, exp_den = _product(_one_minus_powers(big_y, big_q, n, w), w)
+    big_a, big_b = to_fixed(z_a, w), to_fixed(z_b, w)
+    big_z = max(big_a, big_b)
+    z = (big_z + 3) / one  # at least max(z_a, z_b)
+    k = int(_FLOAT_ROUND_UP / trunc * (one / (one - big_z - 3))) + 1
+    pow_a, pow_b, q_m, log_tail = big_a, big_b, big_q, 0
+    for m in itertools.count(1):
+        log_tail += ((pow_b - pow_a) << w) // (m * (one - q_m))
+        pow_a = pow_a * big_a >> w
+        pow_b = pow_b * big_b >> w
+        q_m = q_m * big_q >> w
+        if (max(pow_a, pow_b) + 4 * m + 4) * k < (m + 1) * (one - q_m - 2 * m - 2):
+            break
+    prec = _SERIES_PREC
+    one_minus_q = mpf_sub(fone, q_)
+    power = _exp_t_log(-t, one_minus_q, math.log1p(-q), prec, from_man_exp(log_tail, -w))
+    # both products carry the same factor 2^(nW), which cancels
+    ratio = mpf_shift(from_rational(prod_num, prod_den, prec, _NEAR), exp_num - exp_den)
+    v = mpf_mul(mpf_mul(one_minus_q, power, prec, _NEAR), ratio, prec, _NEAR)
+    if first:
+        v = mpf_div(v, first, prec, _NEAR)
+    lam = -math.log(q)
+    amp = sum(3 / gap + drift * (n - math.log(gap) / lam) for gap in gaps)
+    a_sum = (t if lift else abs(t - 1)) * (  # |s - 1| times
+        -math.log1p(-z) / lam + 2 * z / (1 - z) + lam * z / (1 - z) ** 2)
+    b_sum = math.pi**2 / 6 * z / lam**2 - 2 * math.log1p(-z) / lam + z / (1 - z)
+    head = math.ldexp(4 * (2 * n + amp + (2 if first else 0)), -w)
+    tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * min(a_sum, b_sum),
+                      -w) + trunc
+    rel = _FLOAT_ROUND_UP * (head + (1 + head) * tail * (1 + tail))
+    err = _err_sum(mpf_mul(mpf_abs(v), from_float(rel), _ERR_PREC, _UP), _assembly(prec, v))
+    return _hp(v, err, _SERIES_DPS, n + m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -724,9 +865,9 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     kh' = K 2^-W, K an integer, in doubles rounded outward and in integers,
     so that the bound for the step taken is at most about T/2, T = 1e-25.
 
-    The nodes walk out from the peak in W = mp.prec + _GUARD_BITS bits of
-    fixed point, a unit being 2^-W, with one integer exponential per node,
-    ``_fixed_exp``.  With U = floor(u 2^W), the exact u's floor, and
+    The nodes walk out from the peak in W = P + _GUARD_BITS bits of fixed
+    point, P the working precision below, a unit being 2^-W, with one
+    integer exponential per node, ``_fixed_exp``.  With U = floor(u 2^W), the exact u's floor, and
     u' = U 2^-W, node j's exponent
     E = u (k sigma_j - e^(k sigma_j) + 1) is the integer A - X + U, where:
 
@@ -762,12 +903,17 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     1e-26 or more, still at least 2^47 units at W = 135, where r is below
     2^13, and the two grow together with t/k, so the test moves by a
     relative 2^-34 or less.
-    mpmath takes only what carries the value: u and ln t at the working
-    precision, and exp(u (ln t - 1)) times one rational that folds in the
-    integers kh' 2^W, the node sum, 1/k and the lift.
-    ``certified_digits`` counts the aliasing bound, both tails, the
-    rounding of the nodes and of the lift, and a few mp.eps for the mpmath
-    assembly, whose exponent has parts u ln t and u.
+
+    libmp takes only what carries the value, at the working precision P
+    (W = P + _GUARD_BITS): u and ln t, and exp(u (ln t - 1)) times one
+    rational that folds in the integers kh' 2^W, the node sum, 1/k and the
+    lift.  u, ln t, ln t - 1 and their product are each rounded once, so
+    the exponent errs by at most 2^-P (2 |u (ln t - 1)| + u), as
+    |u ln t| <= |u (ln t - 1)| + u; the exponential, the rational and
+    their product add 1.5 2^-P relative.  ``certified_digits`` counts the
+    aliasing bound, both tails, the rounding of the nodes and of the lift,
+    and, for this assembly, ``_assembly`` of the exponent, u twice and 1,
+    all relative to the value.
     Raises ConvergenceError if a side needs more than _QUAD_MAX_NODES nodes.
     """
     _require_positive("t", t)
@@ -779,49 +925,61 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     lifts = max(0, -((t_num - _LIFT_TO * k_num) // k_num))
     # the exponents are of size u = t/k and needed to _QUAD_DPS digits
     # after the point, so the working precision adds the digits of t/k
-    with mp.workdps(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k)))):
-        w = mp.prec + _GUARD_BITS
-        lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
-        t_num += lifts * k_num
-        _, big_kh, err, stop = _trapezoid_sizing(t_num, k_num, w)
-        one, big_u = 1 << w, (t_num << w) // k_num
-        da = big_u * big_kh >> w
-        exp = _fixed_exp(w)
-        b_minus = exp(-big_kh)  # e^(-kh') 2^W, and e^(+kh') 2^W rounded to nearest
-        total, nodes, units = one, 1, 0
-        for sign, b in ((1, ((1 << 2 * w) + b_minus // 2) // b_minus), (-1, b_minus)):
-            a, x, g_prev = 0, big_u, one
-            for j in range(1, _QUAD_MAX_NODES + 1):
-                a += sign * da     # u k sigma_j
-                x = x * b >> w     # u e^(k sigma_j)
-                g = exp(a - x + big_u)
-                total += g
-                if 2 * g * g < stop * (g_prev - g):  # implied by the next test
-                    r = j * ((3 * max(x, big_u) >> w) + 2) + 4
-                    if 2 * (g + r) ** 2 < stop * (g_prev - g - 2 * r):
-                        break
-                g_prev = g
-            else:
-                raise ConvergenceError(f"Gamma_k(t={t}, k={k}) needs more than "
-                                       f"{_QUAD_MAX_NODES} nodes on one side")
-            # the side's rounding and, rounded up, twice its tail
-            units += j * r - (-2 * (g + r) ** 2 // (g_prev - g - 2 * r))
-            nodes += j
-        u = mpf(from_rational(t_num, k_num, mp.prec, round_nearest))
-        power = u * (mp.log(mp.ldexp(t_num, -e)) - 1)
-        # kh' times the node sum over k and the lift, one rational:
-        # K total 2^-2W d_k / (m_k lift 2^(lift_exp - e L))
-        ratio = mpf(from_rational(big_kh * total * d_k, m_k * lift, mp.prec, round_nearest))
-        v = mp.exp(power) * mp.ldexp(ratio, e * lifts - lift_exp - 2 * w)
-        # |u ln t| <= |power| + u
-        err += mp.ldexp(units + lifts + 1, -w) + _assembly(power, u, u, 1)
-    with mp.workdps(_QUAD_DPS):
-        return HPValue(v, _digits_from_error(v, v * err), nodes)
+    prec = dps_to_prec(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k))))
+    w = prec + _GUARD_BITS
+    lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
+    t_num += lifts * k_num
+    _, big_kh, err, stop = _trapezoid_sizing(t_num, k_num, w)
+    one, big_u = 1 << w, (t_num << w) // k_num
+    da = big_u * big_kh >> w
+    exp = _fixed_exp(w)
+    b_minus = exp(-big_kh)  # e^(-kh') 2^W, and e^(+kh') 2^W rounded to nearest
+    total, nodes, units = one, 1, 0
+    for sign, b in ((1, ((1 << 2 * w) + b_minus // 2) // b_minus), (-1, b_minus)):
+        a, x, g_prev = 0, big_u, one
+        for j in range(1, _QUAD_MAX_NODES + 1):
+            a += sign * da     # u k sigma_j
+            x = x * b >> w     # u e^(k sigma_j)
+            g = exp(a - x + big_u)
+            total += g
+            if 2 * g * g < stop * (g_prev - g):  # implied by the next test
+                r = j * ((3 * max(x, big_u) >> w) + 2) + 4
+                if 2 * (g + r) ** 2 < stop * (g_prev - g - 2 * r):
+                    break
+            g_prev = g
+        else:
+            raise ConvergenceError(f"Gamma_k(t={t}, k={k}) needs more than "
+                                   f"{_QUAD_MAX_NODES} nodes on one side")
+        # the side's rounding and, rounded up, twice its tail
+        units += j * r - (-2 * (g + r) ** 2 // (g_prev - g - 2 * r))
+        nodes += j
+    u = from_rational(t_num, k_num, prec, _NEAR)
+    power = mpf_mul(u, mpf_sub(mpf_log(from_man_exp(t_num, -e), prec, _NEAR), fone, prec, _NEAR),
+                    prec, _NEAR)
+    # kh' times the node sum over k and the lift, one rational:
+    # K total 2^-2W d_k / (m_k lift 2^(lift_exp - e L))
+    ratio = from_rational(big_kh * total * d_k, m_k * lift, prec, _NEAR)
+    v = mpf_mul(mpf_exp(power, prec, _NEAR), mpf_shift(ratio, e * lifts - lift_exp - 2 * w),
+                prec, _NEAR)
+    rel = _err_sum(from_float(err), from_man_exp(units + lifts + 1, -w),
+                   _assembly(prec, power, u, u, fone))
+    return _hp(v, mpf_mul(v, rel, _ERR_PREC, _UP), _QUAD_DPS, nodes)
 
 
 def cross_validate(fast_value: float, hp: HPValue, rel_tol: float) -> bool:
-    """True iff |fast - hp| <= rel_tol * max(|hp|, 1)."""
+    """True iff |fast - hp| <= rel_tol * max(|hp|, 1), decided exactly; False
+    for a fast value that is not finite.
+
+    With v = hp.value and B = rel_tol max(|v|, 1), an exact product of two
+    mantissas, the test is v - B <= fast <= v + B.  fast is a double, 53
+    bits, so fast <= x exactly when fast <= x rounded down to 53 bits, and
+    x <= fast exactly when x rounded up is: two correctly rounded libmp
+    additions and two exact comparisons, whatever the exponents.
+    """
     _require_positive("rel_tol", rel_tol)
-    with mp.workdps(_SERIES_DPS):
-        ref = hp.value
-        return abs(mpf(fast_value) - ref) <= mpf(rel_tol) * max(abs(ref), mpf(1))
+    if not math.isfinite(fast_value):
+        return False
+    fast, v = from_float(fast_value), hp.value._mpf_
+    bound = mpf_mul(from_float(rel_tol), mpf_abs(v) if v[2] + v[3] > 0 else fone)
+    return (mpf_le(mpf_sub(v, bound, 53, round_ceiling), fast)
+            and mpf_le(fast, mpf_add(v, bound, 53, round_floor)))

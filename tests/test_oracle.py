@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fone
 
 from gammagen import oracle
 from gammagen.core_special import DomainError, gamma, psi
@@ -72,6 +73,101 @@ def test_cross_validate_basics():
     assert not oracle.cross_validate(1.0 + 1e-6, one, 1e-12)
     with pytest.raises(ValueError):
         oracle.cross_validate(1.0, one, 0.0)
+
+
+def _decision_at_80_digits(fast, hp, rel_tol):
+    """The test cross_validate makes, in 80-digit (265-bit) mpmath: exact
+    for these values of at most 120 bits wherever fast and hp.value lie
+    within a factor of 2^90 of each other, or either is 0."""
+    with mp.workdps(80):
+        return abs(mpf(fast) - hp.value) <= mpf(rel_tol) * max(abs(hp.value), 1)
+
+
+def _around_the_thresholds(hp, rel_tol):
+    """The doubles nearest hp.value -+ rel_tol max(|hp.value|, 1), and the
+    doubles 1 and 2 ulps either side of each."""
+    with mp.workdps(80):
+        reach = mpf(rel_tol) * max(abs(hp.value), 1)
+        edges = (float(hp.value - reach), float(hp.value + reach))
+    for edge in edges:
+        below = above = edge
+        yield edge
+        for _ in range(2):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            yield below
+            yield above
+
+
+_rng_cv = random.Random(25)
+CROSSVAL_HP = ([oracle.psi_hp(2.5), oracle.psi_hp(1.4616321449683622), oracle.gamma_hp(3.0),
+                oracle.gamma_p_hp(2.5, 10), oracle.psi_q_hp(2.0, 0.5), oracle.psi_k_hp(2.5, 3.0),
+                oracle.gamma_q_hp(7.19, 0.9667), oracle.psi_p_hp(0.05, 10**12),
+                oracle.HPValue(mpf(0), 25), oracle.HPValue(mpf("-3.5e-7"), 25),
+                oracle.HPValue(mpf(1), 25)]
+               + [oracle.psi_hp(_rng_cv.uniform(0.01, 60.0)) for _ in range(20)])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-10, 0.5])
+@pytest.mark.parametrize("hp", CROSSVAL_HP)
+def test_cross_validate_is_exact(hp, rel_tol):
+    fast_values = list(_around_the_thresholds(hp, rel_tol))
+    assert any(_decision_at_80_digits(f, hp, rel_tol) for f in fast_values)
+    assert not all(_decision_at_80_digits(f, hp, rel_tol) for f in fast_values)
+    for fast in fast_values + [0.0, -0.0, 1.0, float(hp.value)]:
+        assert oracle.cross_validate(fast, hp, rel_tol) == _decision_at_80_digits(
+            fast, hp, rel_tol), fast
+
+
+# gamma_k_quad(1e5, 1e-320) is about e^(1e326), psi_k_hp(1e-300, 5e-324)
+# about -1.4e326: both beyond the double range
+@pytest.mark.parametrize("hp", [oracle.gamma_k_quad(1e5, 1e-320),
+                                oracle.psi_k_hp(1e-300, 5e-324)])
+def test_cross_validate_beyond_the_double_range(hp):
+    top = sys.float_info.max
+    for rel_tol in (1e-12, 1e-10, 0.5):
+        for fast in (top, -top, 0.0, 1.0):
+            assert not oracle.cross_validate(fast, hp, rel_tol)
+    # |v - f| <= |v| exactly when f has v's sign or is 0, which 80 digits
+    # cannot tell apart at these sizes
+    sign = 1.0 if hp.value > 0 else -1.0
+    assert oracle.cross_validate(sign * top, hp, 1.0)
+    assert oracle.cross_validate(-0.0, hp, 1.0)
+    assert not oracle.cross_validate(-sign * 5e-324, hp, 1.0)
+    assert oracle.cross_validate(-sign * top, hp, 2.0)
+
+
+@pytest.mark.parametrize("fast", [math.nan, math.inf, -math.inf])
+def test_cross_validate_rejects_a_fast_value_that_is_not_finite(fast):
+    for hp in (oracle.HPValue(mpf(0), 25), oracle.psi_hp(2.5),
+               oracle.gamma_k_quad(1e5, 1e-320)):
+        assert not oracle.cross_validate(fast, hp, 0.5)
+
+
+AMBIENT_CASES = [
+    (oracle.psi_hp, (2.5,)), (oracle.psi_hp, (1e-300,)),
+    (oracle.psi_p_hp, (2.5, 10)), (oracle.psi_p_hp, (0.05, 10**12)),
+    (oracle.psi_q_hp, (2.5, 0.9)), (oracle.psi_q_hp, (1e-50, 0.5)),
+    (oracle.psi_k_hp, (12.525, 5.25)), (oracle.psi_k_hp, (1e5, 1e-300)),
+    (oracle.gamma_hp, (2.5,)), (oracle.gamma_hp, (1e-300,)),
+    (oracle.gamma_p_hp, (2.5, 10)), (oracle.gamma_p_hp, (4e15 + 0.5, 10)),
+    (oracle.gamma_q_hp, (7.19, 0.9667)), (oracle.gamma_q_hp, (1e-50, 0.9)),
+    (oracle.gamma_k_quad, (3.0, 5.5)), (oracle.gamma_k_quad, (1e5, 1e-320)),
+]
+
+
+@pytest.mark.parametrize("fn, args", AMBIENT_CASES)
+def test_results_do_not_depend_on_the_ambient_precision(fn, args):
+    seen = set()
+    for dps in (15, 50, 100):
+        with mp.workdps(dps):
+            prec = mp.prec
+            hp = fn(*args)
+            assert mp.prec == prec
+            verdicts = tuple(oracle.cross_validate(fast, hp, 1e-10)
+                             for fast in (float(hp.value), 1.0))
+            assert mp.prec == prec
+        seen.add((hp.value._mpf_, hp.certified_digits, hp.terms_used, verdicts))
+    assert len(seen) == 1
 
 
 def test_certified_digits_floor():
@@ -169,6 +265,17 @@ def test_bernoulli_table_is_exact():
             assert abs(mpf(num) / den - mp.bernoulli(2 * j)) <= mp.eps * abs(mpf(num) / den)
 
 
+# psi_k's head target never falls below 2^-(W+4), beneath the rounding its
+# result carries: at these k, k T lies far below it
+TINY_K = [(1e5, 1e-300), (1e300, 1e-100), (1e-300, 5e-324)]
+PSI_K_HEAD_FLOOR = Fraction(1, 2 ** (oracle._SERIES_W + 4))
+
+
+def _psi_k_target(k):
+    """psi_k_hp's head target over T: k, or the floor over T."""
+    return max(Fraction(k), PSI_K_HEAD_FLOOR / Fraction(oracle._TRUNCATION))
+
+
 def _psi_sizing_cases(rng):
     """(routine, arguments, the target its closure is sized for over T)"""
     ts = [1e-300, 1e-6, 0.05, 2.5, 30.0, 1e5, 1e300] + [rng.uniform(0.01, 100.0)
@@ -178,8 +285,9 @@ def _psi_sizing_cases(rng):
     tps = [(2.5, 12), (0.01, 10**300)] + [
         (rng.uniform(0.01, 40.0), int(10 ** rng.uniform(1.2, 12))) for _ in range(30)]
     return ([(oracle.psi_hp, (t,), Fraction(1)) for t in ts]
-            + [(oracle.psi_k_hp, (t, k), Fraction(k)) for t, k in tks]
-            + [(oracle.psi_p_hp, (t, p), Fraction(1, 10)) for t, p in tps])
+            + [(oracle.psi_k_hp, (t, k), _psi_k_target(k)) for t, k in tks]
+            + [(oracle.psi_p_hp, (t, p), Fraction(1, 10)) for t, p in tps]
+            + [(oracle.psi_k_hp, (t, k), _psi_k_target(k)) for t, k in TINY_K])
 
 
 @pytest.mark.parametrize("fn, args, scale", _psi_sizing_cases(random.Random(24)))
@@ -197,6 +305,7 @@ def test_psi_closure_sizing_is_sound(monkeypatch, fn, args, scale):
     monkeypatch.setattr(oracle, "_psi_diff", spy)
     fn(*args)
     [((x_num, y_num, den, n, w), (s, err))] = calls
+    s, err = mp.make_mpf(s), mp.make_mpf(err)
     k = len(oracle._BERNOULLI)
     with mp.workdps(60):
         target = mpf(oracle._TRUNCATION) * scale.numerator / scale.denominator
@@ -248,18 +357,27 @@ def _digits_by_log10(value, err):
     return max(1, min(cap, int(-mp.log10(err / scale)) - 1))
 
 
+def _fraction(x):
+    """The exact value of a finite mpf."""
+    return Fraction(int(x.man) * (-1 if x < 0 else 1)) * Fraction(2) ** int(x.exp)
+
+
 def _digits_exact(value, err):
     """d - 1 for 10^-(d+1) < err/scale <= 10^-d, in exact rationals,
     clamped as the oracle clamps it."""
     cap = mp.dps - oracle._DPS_MARGIN
     if err <= 0:
         return cap
-    ratio = err / max(abs(value), mpf(1))
-    ratio = Fraction(int(ratio.man)) * Fraction(2) ** int(ratio.exp)
+    ratio = _fraction(err) / max(abs(_fraction(value)), 1)
     d = 0
     while d <= cap + 1 and ratio <= Fraction(1, 10 ** (d + 1)):
         d += 1
     return max(1, min(cap, d - 1))
+
+
+def _digits(value, err, dps):
+    """The oracle's count for two mpfs, the cap from dps."""
+    return oracle._digits_from_error(value._mpf_, err._mpf_, dps)
 
 
 @pytest.mark.parametrize("dps", [oracle._QUAD_DPS, oracle._SERIES_DPS, 60])
@@ -269,10 +387,10 @@ def test_digits_from_error_matches_log10_count(dps):
         for _ in range(2000):
             value = rng.choice([-1, 1]) * mpf(10) ** rng.uniform(-10, 40)
             err = abs(value) * mpf(10) ** rng.uniform(-dps - 5, 2)
-            assert oracle._digits_from_error(value, err) == _digits_by_log10(value, err)
+            assert _digits(value, err, dps) == _digits_by_log10(value, err)
         for value in (mpf(0), mpf(3), mpf(10) ** 10**30):
-            assert oracle._digits_from_error(value, mpf(0)) == dps - oracle._DPS_MARGIN
-            assert oracle._digits_from_error(value, -abs(value) - 1) == dps - oracle._DPS_MARGIN
+            assert _digits(value, mpf(0), dps) == dps - oracle._DPS_MARGIN
+            assert _digits(value, -abs(value) - 1, dps) == dps - oracle._DPS_MARGIN
 
 
 @pytest.mark.parametrize("dps", [oracle._QUAD_DPS, oracle._SERIES_DPS])
@@ -288,14 +406,44 @@ def test_digits_from_error_near_powers_of_ten(dps):
                 ulp = mp.ldexp(1, mp.mag(ratio) - mp.prec)
                 for step in range(-2, 3):
                     err = (ratio + step * ulp) * scale
-                    digits = oracle._digits_from_error(scale, err)
+                    digits = _digits(scale, err, dps)
                     assert digits == _digits_exact(scale, err)
                     assert digits <= _digits_by_log10(scale, err)
         # far outside the double range, where e + bc overflows a float
         huge = mpf(10) ** 10**30
-        assert oracle._digits_from_error(huge, huge * mpf("1e-40")) == cap
-        assert oracle._digits_from_error(huge, huge * mpf(10) ** 10**20) == 1
-        assert oracle._digits_from_error(mpf(1), 1 / huge) == cap
+        assert _digits(huge, huge * mpf("1e-40"), dps) == cap
+        assert _digits(huge, huge * mpf(10) ** 10**20, dps) == 1
+        assert _digits(mpf(1), 1 / huge, dps) == cap
+
+
+@pytest.mark.parametrize("dps", [oracle._QUAD_DPS, oracle._SERIES_DPS])
+@pytest.mark.parametrize("shift", [2**70, 10**30, 10**400])
+def test_digits_from_error_on_tuples_beyond_the_double_range(dps, shift):
+    # The count reads the tuples' integers alone.  Scaled up together by
+    # 2^shift, a value of at least 1 and its error keep their ratio and so
+    # their count; scaled down, the value falls below 1 and the scale to 1.
+    rng = random.Random(shift)
+    cap = dps - oracle._DPS_MARGIN
+    with mp.workdps(dps):
+        for _ in range(200):
+            value = rng.choice([-1, 1]) * mpf(10) ** rng.uniform(0, 40)
+            err = abs(value) * mpf(10) ** rng.uniform(-dps - 5, 2)
+            sign, man, exp, bc = value._mpf_
+            e_sign, e_man, e_exp, e_bc = err._mpf_
+            expected = _digits(value, err, dps)
+            up = oracle._digits_from_error((sign, man, exp + shift, bc),
+                                           (e_sign, e_man, e_exp + shift, e_bc), dps)
+            assert up == expected
+            # below 1, the count is the absolute one: err against 1
+            down = oracle._digits_from_error((sign, man, exp - shift, bc), err._mpf_, dps)
+            assert down == _digits(mpf(1), err, dps)
+        tiny, vast = (0, 1, -shift, 1), (0, 1, shift, 1)
+        for value in (tiny, fone, vast):
+            assert oracle._digits_from_error(value, tiny, dps) == cap
+        for value in (tiny, fone):
+            assert oracle._digits_from_error(value, vast, dps) == 1
+        # err = value 2^-60, about 8.7e-19: 17 digits
+        assert oracle._digits_from_error(vast, (0, 1, shift - 60, 1), dps) == 17
 
 
 # The series and products certify at least the 24 digits of their 1e-25
@@ -319,14 +467,17 @@ def test_psi_hp_meets_its_certified_digits(t):
     _meets_its_certified_digits(oracle.psi_hp(t), lambda: mp.digamma(mpf(t)))
 
 
-def test_psi_k_hp_at_a_tiny_k_raises():
-    # k T = 1e-325 would take about 2e32 terms of the series' head
-    with pytest.raises(oracle.ConvergenceError, match="psi_k_hp"):
-        oracle.psi_k_hp(1e5, 1e-300)
+@pytest.mark.parametrize("t, k", TINY_K)
+def test_psi_k_hp_at_a_tiny_k_meets_its_certified_digits(t, k):
+    # k T lies far below 2^-(W+4) here (1e-325 at k = 1e-300 would take
+    # about 2e32 head terms); the head is sized for the floor instead
+    hp = oracle.psi_k_hp(t, k)
+    assert hp.terms_used <= 64
+    _meets_its_certified_digits(hp, lambda: (mp.log(mpf(k)) + mp.digamma(mpf(t) / k)) / k)
 
 
-# k T = 1e-55 at k = 1e-30: fifteen Bernoulli corrections reach it with a
-# head of about 120 terms, where five needed 2e5 and raised
+# k T = 1e-55 at k = 1e-30 lies below the head floor 2^-156: fifteen
+# Bernoulli corrections reach the floor with a head of 64 terms
 @pytest.mark.parametrize("k", [1e-30, 0.5, 1.0, 10.0, 1e6])
 @pytest.mark.parametrize("t", EDGE_T)
 def test_psi_k_hp_meets_its_certified_digits(t, k):
@@ -375,6 +526,21 @@ def test_gamma_q_hp_at_huge_t(t):
     _meets_its_certified_digits(
         oracle.gamma_q_hp(t, q),
         lambda: (1 - mpf(q)) * (1 - mpf(q)) ** -mpf(t) * mp.qp(mpf(q)))
+
+
+# Below 2^52 a large t is no integer, and p^t and (1-q)^-t are
+# exponentials of t ln p and -t ln(1-q), up to 2^55 in size here: their
+# logarithms need that many bits beyond the working precision.
+@pytest.mark.parametrize("t", [1e12 + 0.5, 4e15 + 0.5])
+def test_powers_at_a_large_fractional_t(t):
+    for q in (0.5, 0.9):
+        _meets_its_certified_digits(
+            oracle.gamma_q_hp(t, q),
+            lambda: (1 - mpf(q)) * (1 - mpf(q)) ** -mpf(t) * mp.qp(mpf(q)))
+    p = 10
+    _meets_its_certified_digits(
+        oracle.gamma_p_hp(t, p),
+        lambda: mp.factorial(p) * mpf(p) ** mpf(t) / mp.fprod(mpf(t) + n for n in range(p + 1)))
 
 
 def _one_minus_q_power(t, q):
@@ -447,7 +613,7 @@ def test_trapezoid_node_counts_frozen(t, k, nodes):
 
 @pytest.mark.parametrize("fn, args, terms", [
     (oracle.psi_hp, (2.5,), 11), (oracle.psi_hp, (1e-300,), 7), (oracle.psi_hp, (1e300,), 11),
-    (oracle.psi_k_hp, (12.525, 5.25), 11), (oracle.psi_k_hp, (2.5, 1e-30), 119),
+    (oracle.psi_k_hp, (12.525, 5.25), 11), (oracle.psi_k_hp, (2.5, 1e-30), 64),
     (oracle.psi_p_hp, (2.5, 10), 11), (oracle.psi_p_hp, (2.5, 900), 11),
     (oracle.psi_p_hp, (15.025, 900), 1), (oracle.psi_p_hp, (0.05, 10**12), 13),
 ])

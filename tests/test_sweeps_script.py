@@ -87,10 +87,12 @@ def test_oracle_cost_times_every_routine(capsys):
     assert len(rows) == len(module.CASES)
     assert {row[0] for row in rows} == {
         "psi_hp", "psi_p_hp", "psi_q_hp", "psi_k_hp",
-        "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad"}
+        "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad", "cross_validate"}
     for row in rows:
-        ms, terms, us_per_term, digits = float(row[-4]), int(row[-3]), float(row[-2]), int(row[-1])
-        assert ms > 0 and terms >= 1 and digits >= 20
+        ms, terms, us_per_term = float(row[-4]), int(row[-3]), float(row[-2])
+        assert ms > 0 and terms >= 1
+        # the cross_validate row certifies nothing; the routines 20 digits
+        assert row[-1] == "-" if row[0] == "cross_validate" else int(row[-1]) >= 20
         # the time over the terms, within the rounding of both printed columns
         assert abs(us_per_term - 1e3 * ms / terms) <= 0.005 + 0.5 / terms
 
