@@ -67,12 +67,18 @@ def parse_grid_spec(spec: str) -> tuple:
     """Parse 'start:stop:step' (inclusive endpoints, within float slack) or a
     comma-separated explicit list; the result must be strictly increasing.
     A start:stop:step grid must be finite and hold at most MAX_GRID_POINTS
-    points, which is checked before any point is built."""
+    points, which is checked before any point is built.  Each piece must
+    parse as a float, so neither form can give an empty grid: str.split
+    yields at least one piece, and a colon spec at least one point."""
+    try:
+        numbers = tuple(map(float, spec.split(":" if ":" in spec else ",")))
+    except ValueError:
+        raise DomainError(f"grid spec holds a piece that is not a number "
+                          f"(got {spec!r})") from None
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+        if len(numbers) != 3:
             raise DomainError(f"grid spec must be start:stop:step (got {spec!r})")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = numbers
         if not all(map(math.isfinite, (start, stop, step))):
             raise DomainError(f"grid spec must be finite (got {spec!r})")
         if not step > 0 or stop < start:
@@ -84,9 +90,7 @@ def parse_grid_spec(spec: str) -> tuple:
         count = int(intervals) + 1
         grid = tuple(start + i * step for i in range(count))
     else:
-        grid = tuple(float(x) for x in spec.split(","))
-    if not grid:
-        raise DomainError("grid spec produced no points")
+        grid = numbers
     if any(t1 >= t2 for t1, t2 in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     return grid

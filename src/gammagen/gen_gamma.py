@@ -121,8 +121,13 @@ def log_gamma_p(t: float, p: int) -> float:
     (t+1/2)(ln p - log1p((p+1)/t)), near the value when t >> p.  Elsewhere
     the pair and the bracket's -(t+1) log1p(y)/y are grouped as
     (t+1/2)(ln t - 1 - log1p(y)), near the value, plus
-    t + 1/2 - (t+1) log1p(y)/y, of size t y.  Raises OverflowError when
-    the value exceeds the double range.
+    t + 1/2 - (t+1) log1p(y)/y, of size t y.  That lead is the value, as
+    the rest, -ln t + ln(2 pi)/2 + (p+1/2) log1p(1/p) + S(p+1) - S(p+t+1),
+    is below 712 < 2^962, half an ulp of any double above 2^1015: for
+    t >= 1, ln Gamma_p(t) grows with p (by t log1p(1/p) - log1p(t/(p+1))
+    >= 0, as (1 + 1/p)^t >= 1 + t/p), so it is at least ln Gamma_10(t) >=
+    t ln 10 - 11 ln(t+10) > 5.7e305 > 2^1015 here.  Raises OverflowError
+    when the value exceeds the double range.
     """
     _require_positive("t", t)
     p = _check_p(p)
@@ -139,9 +144,7 @@ def log_gamma_p(t: float, p: int) -> float:
         else:
             lead = ((t + 0.5) * (math.log(t) - 1.0 - math.log1p(y))
                     + (t + 0.5 - (t + 1.0) * _log1p_ratio(y)))
-        value = (lead - math.log(t) + _HALF_LOG_2PI + _log1p_ratio(x) + 0.5 * math.log1p(x)
-                 + _stirling_tail(1 / (p + 1)) - _stirling_tail(x / (1.0 + y)))
-        return _require_finite(value, "log_gamma_p(t) at t = {0}, p = {1}", t, p)
+        return _require_finite(lead, "log_gamma_p(t) at t = {0}, p = {1}", t, p)
     # p log1p(x) = log1p(x)/x and p log1p(y) = (t+1) log1p(y)/y
     bracket = (_log1p_ratio(x) + 0.5 * math.log1p(x)
                - (t + 1.0) * _log1p_ratio(y) - (t + 0.5) * math.log1p(y) + t

@@ -237,17 +237,17 @@ def _one_minus_powers(x, big_q, n, w):
         x = x * big_q >> w
 
 
-def _q_drift(q, n) -> int:
+def _q_drift(n) -> int:
     """Units of 2^-W by which X_j, j <= n, can miss q^j x_0 2^W, for
     0 <= x_0 <= 1.
 
     X_0 is floor(x_0 2^W), x_0 rounded to W bits: within 3 units.  Then
     X_{j+1} = floor(X_j Q / 2^W), Q = floor(q 2^W), errs by x_j (q 2^W - Q)
-    plus the floor, below 2 units, besides q (1 + 2^-W) times the error
-    X_j carries, so |e_j| <= min(3 + 2j, max(3, 2 / (1 - q - 2^-W))),
-    which is below min(3 + 2n, 4 + floor(2/(1-q))).
+    plus the floor, below 2 units, besides q (1 + 2^-W) < 1 times the
+    error X_j carries, so |e_j| <= 3 + 2j for every q (and below
+    4 + 2/(1-q), less where q < 0.98, which ``_q_split`` makes harmless).
     """
-    return min(3 + 2 * n, 4 + int(2 / (1 - q)))
+    return 3 + 2 * n
 
 
 def _q_split(a, q):
@@ -268,7 +268,12 @@ def _q_split(a, q):
     m-th and n-th terms are about m (1-q) and n (1-q), and each step adds
     up to 2 units of drift.  So W adds the bits of (N+1)/(1-q) to
     _SERIES_W, and the rounding stays below the 1e-31 left beside the
-    truncation however close q is to 1.
+    truncation however close q is to 1.  So the routines take the simpler
+    of two valid bounds where the other is only sometimes less: the drift
+    3 + 2N, and gamma_q_hp's tail term B.  Over every double q, the share
+    of either in the error bound stays below 1e-35 of max(|value|, 1),
+    which moves a bound of at least T by 1e-10 of itself, and a digit
+    count only where err/scale lies that close to a power of ten.
     """
     lam = -math.log(q)
     n = max(0, math.floor(math.sqrt(-math.log(float(_TRUNCATION)) / lam) - a) + 1)
@@ -294,23 +299,16 @@ _LOG_TRUNCATION = math.log(float(_TRUNCATION))
 # psi_k's head target never falls below 2^-(W+4), a sixteenth of a unit of
 # the rounding its result carries anyway
 _LOG_HEAD_FLOOR = -(_SERIES_W + 4) * math.log(2)
-
-
-@functools.cache
-def _series_constants():
-    """EULER_GAMMA_HP at _SERIES_PREC bits, the double T = _TRUNCATION the
-    series are sized with, T/10 rounded up, and psi_k's head floor
-    2^-(W+4), as raw mpfs."""
-    trunc = from_float(float(_TRUNCATION))
-    return (from_str(EULER_GAMMA_HP, _SERIES_PREC, _NEAR), trunc,
-            mpf_div(trunc, from_int(10), _ERR_PREC, _UP), from_man_exp(1, -_SERIES_W - 4))
-
-
-@functools.lru_cache(maxsize=8)
-def _bernoulli_fixed(w):
-    """floor(B_2j / (2j) 2^W) for j = K down to 1, at W = w."""
-    return tuple((b_num << w) // (2 * j * b_den)
-                 for j, (b_num, b_den) in reversed(tuple(enumerate(_BERNOULLI, 1))))
+# floor(B_2j / (2j) 2^W) for j = K down to 1, at W = _SERIES_W
+_BERNOULLI_FIXED = tuple((b_num << _SERIES_W) // (2 * j * b_den)
+                         for j, (b_num, b_den) in reversed(tuple(enumerate(_BERNOULLI, 1))))
+# As raw mpfs: EULER_GAMMA_HP at _SERIES_PREC bits, the double T =
+# _TRUNCATION the series are sized with, T/10 rounded up, and psi_k's head
+# floor 2^-(W+4)
+_EULER_MPF = from_str(EULER_GAMMA_HP, _SERIES_PREC, _NEAR)
+_TRUNCATION_MPF = from_float(float(_TRUNCATION))
+_TRUNCATION_TENTH = mpf_div(_TRUNCATION_MPF, from_int(10), _ERR_PREC, _UP)
+_HEAD_FLOOR_MPF = from_man_exp(1, -_SERIES_W - 4)
 
 
 def _psi_head(x, log_gap, log_target) -> int:
@@ -330,14 +328,14 @@ def _psi_head(x, log_gap, log_target) -> int:
     return max(1, math.ceil(max(_PSI_MIN_A, _FLOAT_ROUND_UP * root) - x))
 
 
-def _psi_diff(x_num, y_num, den, n, w):
+def _psi_diff(x_num, y_num, den, n):
     """S(x, y) = sum_{i>=0} [1/(i+x) - 1/(i+y)] = psi(y) - psi(x) for the
     exact rationals 0 < x = x_num/den < y = y_num/den, and a bound on its
     error besides the truncation, for the head length N = n from
     ``_psi_head``.
 
-    The head i < N is summed in W = w bits of fixed point, and the rest,
-    with a = N + x, b = N + y, g = y - x, by the Euler-Maclaurin closure
+    The head i < N is summed in W = _SERIES_W bits of fixed point, and the
+    rest, with a = N + x, b = N + y, g = y - x, by the Euler-Maclaurin closure
     ln(b/a) + (1/a - 1/b)/2 + sum_{j<=K} (B_2j / 2j) (a^-2j - b^-2j)
     (DLMF 2.10.1; the Bernoulli numbers of DLMF 24.2 in _BERNOULLI).  The
     summand f(s) = 1/(s+x) - 1/(s+y) is completely monotone, so the
@@ -362,7 +360,7 @@ def _psi_diff(x_num, y_num, den, n, w):
     less than 1 + d_1 + sum_(j<K) z'^j (2 + d_(j+1)) + z'^K units, which
     grows with z and is below 1.12 at z <= 1/64 (a >= _PSI_MIN_A).  So the
     fixed-point part errs by less than N + 5 units, exactly 2^-W (N + 5) as
-    a raw mpf.  ln(b/a) is one libmp log at P = W - _GUARD_BITS bits of the
+    a raw mpf.  ln(b/a) is one libmp log at P = _SERIES_PREC bits of the
     rational b/a rounded once to P bits (a log, at half the cost of a
     log1p).  Rounding b/a moves the log by at most 2^-P, absolutely, the
     log's own rounding by 2^-P |log|, and the sum with the fixed-point
@@ -370,19 +368,18 @@ def _psi_diff(x_num, y_num, den, n, w):
     counts 2^(4-P) for each of fixed, log and a part of size 1.  Both
     results are raw mpfs.
     """
+    w, prec = _SERIES_W, _SERIES_PREC
     gap = y_num - x_num
     num = den * gap << w
     s = sum(num // ((i * den + x_num) * (i * den + y_num)) for i in range(n))
     a, b = n * den + x_num, n * den + y_num  # N + x and N + y, times den
     s += num // (2 * a * b)
-    table = _bernoulli_fixed(w)
     for big, sign in ((a, 1), (b, -1)):
         z = (den * den << w) // (big * big)
         h = 0
-        for c in table:
+        for c in _BERNOULLI_FIXED:
             h = c + (h * z >> w)
         s += sign * (h * z >> w)
-    prec = w - _GUARD_BITS
     fixed = from_man_exp(s, -w)
     log = mpf_log(from_rational(b, a, prec, _NEAR), prec, _NEAR)
     return (mpf_add(fixed, log, prec, _NEAR),
@@ -422,8 +419,8 @@ def psi_p_hp(t, p) -> HPValue:
         s = from_man_exp(sum(num // f for f in range(m, m + (p + 1) * d, d)), -w)
         err, n = from_man_exp(p + 1, -w), p + 1
     else:
-        s, err = _psi_diff(m, m + (p + 1) * d, d, n, w)
-        err = _err_sum(err, _series_constants()[2])
+        s, err = _psi_diff(m, m + (p + 1) * d, d, n)
+        err = _err_sum(err, _TRUNCATION_TENTH)
     v = mpf_sub(log_p, s, prec, _NEAR)
     return _hp(v, _err_sum(err, _assembly(prec, log_p, s)), _SERIES_DPS, n)
 
@@ -447,7 +444,7 @@ def psi_q_hp(t, q) -> HPValue:
     their fixed-point floors, are within 3 units.
 
     Rounding, in units of 2^-W.  Head: the x_n are W-bit fixed-point
-    values, x_0 within 3 units and the rest within D = ``_q_drift(q, N)``.
+    values, x_0 within 3 units and the rest within D = ``_q_drift(N)``.
     A term (X_n 2^W) // (2^W - X_n) errs by less than one unit for the
     floor and 2 e / (1-x_n)^2 for X_n's error e, while D 2^-W < (1-x_n)/2,
     which holds whenever the bound below is under 1/2.  As
@@ -499,7 +496,7 @@ def psi_q_hp(t, q) -> HPValue:
     if mpf_gt(y, _ONE_LESS_GUARD):  # 1 - q^t < 2^-32
         head = mpf_div(y, _one_minus_exp(x_t, w), w, _NEAR)
         y, s = mpf_mul(y, q_, w, _NEAR), to_fixed(head, w)
-    drift = _q_drift(q, n)
+    drift = _q_drift(n)
     one, big_q, x = 1 << w, to_fixed(q_, w), to_fixed(y, w)
     gap, lam = (one - x - 3) / one, -math.log(q)  # 1 - y at least gap
     for _ in range(1 if s else 0, n):  # s holds the n = 0 term already, or 0
@@ -564,17 +561,15 @@ def _psi_k_hp(t, k) -> HPValue:
     m_k, d_k = float(k).as_integer_ratio()
     den = d * m_k
     prec = _SERIES_PREC
-    euler, trunc, _, head_floor = _series_constants()
-    s, rounding = _psi_diff(den, den + m * d_k, den, n, _SERIES_W)
+    s, rounding = _psi_diff(den, den + m * d_k, den, n)
     k_ = from_float(k)
     log_k_ = mpf_log(k_, prec, _NEAR)
-    head = mpf_div(mpf_sub(log_k_, euler, prec, _NEAR), k_, prec, _NEAR)
+    head = mpf_div(mpf_sub(log_k_, _EULER_MPF, prec, _NEAR), k_, prec, _NEAR)
     inv_t = mpf_rdiv_int(1, from_float(t), prec, _NEAR)
     s = mpf_div(s, k_, prec, _NEAR)
     v = mpf_add(mpf_sub(head, inv_t, prec, _NEAR), s, prec, _NEAR)
-    if at_floor:
-        trunc = mpf_div(head_floor, k_, _ERR_PREC, _UP)
-    h = mpf_div(mpf_add(mpf_abs(log_k_), euler, _ERR_PREC, _UP), k_, _ERR_PREC, _UP)
+    trunc = mpf_div(_HEAD_FLOOR_MPF, k_, _ERR_PREC, _UP) if at_floor else _TRUNCATION_MPF
+    h = mpf_div(mpf_add(mpf_abs(log_k_), _EULER_MPF, _ERR_PREC, _UP), k_, _ERR_PREC, _UP)
     err = _err_sum(trunc, mpf_div(rounding, k_, _ERR_PREC, _UP), _assembly(prec, h, inv_t, s))
     return _hp(v, err, _SERIES_DPS, n)
 
@@ -626,7 +621,7 @@ def gamma_q_hp(t, q) -> HPValue:
 
     Rounding, in units of 2^-W.  Head: the powers q^(j+1) and q^(t+j) are
     W-bit fixed-point values, the first within 3 units and the rest within
-    D = ``_q_drift(q, N)``, so the factor 1 - x errs by less than e/(1-x)
+    D = ``_q_drift(N)``, so the factor 1 - x errs by less than e/(1-x)
     relative for x's error e.  With x = y q^j and lam = -ln q, x/(1-x)
     falls along j and integrates to -ln(1-y)/lam, so over the N factors
     these sum to less than 3/(1-y) + D (N - ln(1-y)/lam), for y = q and for
@@ -650,10 +645,11 @@ def gamma_q_hp(t, q) -> HPValue:
     m lam / (1 + m lam), the term ((P_m^b - P_m^a) 2^W) // (m (2^W - Q_m))
     errs by less than 1 + 16/a_m + 4 |z_b^m - z_a^m| / a_m^2 units while
     2m 2^-W <= a_m/2.  Summed over m <= M, with 1/a_m <= 1/(m lam) + 1 and
-    |z_b^m - z_a^m| <= z^m min(1, m lam |s-1|), the log errs by less than
-    M + 16 ((1 + ln M)/lam + M) + 4 min(A, B) units, where
-    A = |s-1| (-ln(1-z)/lam + 2z/(1-z) + lam z/(1-z)^2) and
-    B = (pi^2/6) z/lam^2 - 2 ln(1-z)/lam + z/(1-z).  The stop
+    |z_b^m - z_a^m| <= z^m, the log errs by less than
+    M + 16 ((1 + ln M)/lam + M) + 4 B units, where
+    B = (pi^2/6) z/lam^2 - 2 ln(1-z)/lam + z/(1-z).  (z^m m lam |s-1|
+    bounds |z_b^m - z_a^m| too, less near s = 1, which ``_q_split`` makes
+    harmless.)  The stop
     test multiplies max(P_{M+1}^a, P_{M+1}^b) + 4(M+1) by an integer
     K >= 1/(T (1-z)) and compares it with (M+1) (2^W - Q_{M+1} - 2(M+1)),
     so a stop certifies the tail.  So the log errs by at most x, T plus
@@ -686,7 +682,7 @@ def gamma_q_hp(t, q) -> HPValue:
         first, y = _one_minus_exp(x_t, w), mpf_mul(y, q_, w, _NEAR)
     z_a = mpf_pow_int(q_, n + 1, w, _NEAR)
     z_b = mpf_exp(mpf_mul(mpf_add(t_, from_int(n + lift), w, _NEAR), log_q, w, _NEAR), w, _NEAR)
-    drift = _q_drift(q, n)
+    drift = _q_drift(n)
     one, big_q, big_y = 1 << w, to_fixed(q_, w), to_fixed(y, w)
     gaps = (1 - q, (one - big_y - 3) / one)  # at most 1 - q and 1 - y
     # the factors 1 - q^(j+1) and 1 - q^(t+j), each times 2^W
@@ -714,12 +710,9 @@ def gamma_q_hp(t, q) -> HPValue:
         v = mpf_div(v, first, prec, _NEAR)
     lam = -math.log(q)
     amp = sum(3 / gap + drift * (n - math.log(gap) / lam) for gap in gaps)
-    a_sum = (t if lift else abs(t - 1)) * (  # |s - 1| times
-        -math.log1p(-z) / lam + 2 * z / (1 - z) + lam * z / (1 - z) ** 2)
     b_sum = math.pi**2 / 6 * z / lam**2 - 2 * math.log1p(-z) / lam + z / (1 - z)
     head = math.ldexp(4 * (2 * n + amp + (2 if first else 0)), -w)
-    tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * min(a_sum, b_sum),
-                      -w) + trunc
+    tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * b_sum, -w) + trunc
     rel = _FLOAT_ROUND_UP * (head + (1 + head) * tail * (1 + tail))
     err = _err_sum(mpf_mul(mpf_abs(v), from_float(rel), _ERR_PREC, _UP), _assembly(prec, v))
     return _hp(v, err, _SERIES_DPS, n + m)

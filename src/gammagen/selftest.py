@@ -91,8 +91,8 @@ def _functional_equation_suite(rng, n: int) -> SuiteResult:
     return res
 
 
-def _close(x, y, tol=1e-12):
-    return math.isclose(x, y, rel_tol=tol, abs_tol=tol)
+def _close(x, y):
+    return math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def classical_bounds_p(alpha: float, p: int, t: float) -> tuple[float, float, float]:

@@ -449,7 +449,9 @@ def test_closed_stdout_is_exit_2_without_a_traceback(command):
     (["eval", "gamma", "--t", "-1"], "domain error: t must be > 0"),
     (["verify", "--family", "q", "--q", "1.5", "--grid", "0.5"],
      "domain error: q must lie strictly in (0, 1)"),
-], ids=["eval-overflow", "verify-overflow", "eval-domain", "verify-domain"])
+    (["verify", "--family", "q", "--q", "0.5", "--grid", "1,"],
+     "domain error: grid spec holds a piece that is not a number (got '1,')"),
+], ids=["eval-overflow", "verify-overflow", "eval-domain", "verify-domain", "grid-domain"])
 def test_error_message_names_its_kind(capsys, argv, message):
     # an OverflowError was once reported as a "domain error" too
     assert main(argv) == 2
@@ -498,10 +500,12 @@ def test_parse_grid_spec_list():
     assert parse_grid_spec("0.1,0.2,0.7") == (0.1, 0.2, 0.7)
 
 
-# 0:1:1e-6 is 1,000,001 points, one more than a grid may hold
+# 0:1:1e-6 is 1,000,001 points, one more than a grid may hold; the last
+# four once raised a bare ValueError that did not name the spec
 @pytest.mark.parametrize("bad", ["1:0:0.1", "0.1:1:-0.5", "0.5,0.5", "0.7,0.2",
                                  "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf",
-                                 "0:1:1e-6", "-1e308:1e308:1e-300"])
+                                 "0:1:1e-6", "-1e308:1e308:1e-300",
+                                 "", ",", "1,", "a:1:0.1"])
 def test_parse_grid_spec_rejects(bad):
     with pytest.raises(DomainError):
         parse_grid_spec(bad)

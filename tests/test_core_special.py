@@ -100,6 +100,16 @@ def test_psi_series_unreachable_tol_stops_at_x_ten():
 _T_LOG_SPACED = [10.0 ** (e / 4.0) for e in range(-12, 49)]  # 1e-3 .. 1e12
 
 
+def test_psi_series_err_bound_is_the_first_omitted_term():
+    # err_bound is |B_16| / (16 x^16) at x = t + terms_used, to rounding
+    b16 = abs(mp.bernoulli(16)) / 16
+    for t in _T_LOG_SPACED:
+        for tol in (1e-12, 1e-20):
+            r = psi_series(t, tol)
+            x = mpf(t) + r.terms_used
+            assert r.err_bound == pytest.approx(float(b16 / x**16), rel=1e-14, abs=0), (t, tol)
+
+
 def test_psi_series_terms_bounded():
     # The recurrence shift reaches x >= 10 in at most ten steps, whatever t.
     with mp.workdps(30):

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 
@@ -399,6 +400,35 @@ def test_log_gamma_p_above_the_range_of_lgamma_matches_mpmath(t, p, value):
         ref = mp.loggamma(p + 1) + t_ * mp.log(p) + mp.loggamma(t_) - mp.loggamma(t_ + p + 1)
         assert abs(log_gamma_p(t, p) - ref) <= 4 * 2.0**-53 * abs(ref)
     assert math.isclose(ref, value, rel_tol=1e-14)
+
+
+def _huge_t_draws(count, seed=26):
+    """Seeded (t, p): t log-uniform on (2.5e305, 1.79e308), p log-uniform on
+    [10, 1e300], or on [10, 1e8] for every other draw, where more values
+    are finite."""
+    rng = random.Random(seed)
+    return [(math.exp(rng.uniform(math.log(2.5000001e305), math.log(1.79e308))),
+             int(math.exp(rng.uniform(math.log(10), math.log(1e300 if i % 2 else 1e8)))))
+            for i in range(count)]
+
+
+def test_log_gamma_p_huge_t_within_two_ulp_of_mpmath():
+    # Above 2.5e305 log_gamma_p returns its lead term alone: what it leaves
+    # out is below 712, and the value above 5.7e305.  Each value must lie
+    # within 2 ulp of the identity at 60 digits, and overflow exactly where
+    # the identity leaves the double range.
+    finite = 0
+    for t, p in _huge_t_draws(1000):
+        with mp.workdps(60):
+            t_ = mpf(t)
+            ref = mp.loggamma(p + 1) + t_ * mp.log(p) + mp.loggamma(t_) - mp.loggamma(t_ + p + 1)
+        if ref > sys.float_info.max:
+            with pytest.raises(OverflowError, match="exceeds the double range"):
+                log_gamma_p(t, p)
+        else:
+            assert abs(log_gamma_p(t, p) - ref) <= 2 * math.ulp(float(ref)), (t, p)
+            finite += 1
+    assert finite >= 300
 
 
 @pytest.mark.parametrize("fn, args", [

@@ -449,6 +449,30 @@ def test_scan_monotone_rejects_bad_grid():
         scan_monotone(fn, ld, [0.7, 0.5])
 
 
+def test_scan_monotone_takes_a_two_point_grid():
+    fn, ld = family_callables("p", GenParams(1.0, 1.0, 1.5, 1.0), 2)
+    scan = scan_monotone(fn, ld, [0.5, 0.7])
+    assert scan.grid == (0.5, 0.7) and scan.min_forward_diff == scan.values[1] - scan.values[0]
+
+
+def test_verdicts_at_the_slack():
+    # A scan passes while no margin falls below -DEFAULT_TOL_REPORT, which
+    # README gives as 1e-9, so one exactly at the slack passes and the next
+    # double below fails.
+    slack = 1e-9
+    below = math.nextafter(-slack, -1.0)
+    grid, values = (1.0, 2.0), (0.0, 0.0)
+    assert scan_passes(MonotoneScan(grid, values, -slack, 0.0))
+    assert scan_passes(MonotoneScan(grid, values, 0.0, -slack))
+    assert not scan_passes(MonotoneScan(grid, values, below, 0.0))
+    assert not scan_passes(MonotoneScan(grid, values, 0.0, below))
+    # A sandwich row passes while its margins exceed it: with middle = 0 the
+    # lower margin is -lower, just inside the slack or just outside it.
+    for lower, passed in ((slack * (1 - 5e-7), True), (slack * (1 + 5e-7), False)):
+        row = _verdict(0.5, math.log(lower), -math.inf, 0.0, False, "")
+        assert row.lower_margin == -row.lower and row.passed is passed
+
+
 def test_scan_rejects_inadmissible_point():
     # alpha + beta*t <= 1 at some grid point: the q-lemma hypothesis fails
     gp = GenParams(1.0, 1.0, 0.5, 1.0)

@@ -304,7 +304,7 @@ def test_psi_closure_sizing_is_sound(monkeypatch, fn, args, scale):
 
     monkeypatch.setattr(oracle, "_psi_diff", spy)
     fn(*args)
-    [((x_num, y_num, den, n, w), (s, err))] = calls
+    [((x_num, y_num, den, n), (s, err))] = calls
     s, err = mp.make_mpf(s), mp.make_mpf(err)
     k = len(oracle._BERNOULLI)
     with mp.workdps(60):
@@ -604,11 +604,105 @@ def test_gamma_p_hp_meets_its_certified_digits(t, p):
                        - mp.loggamma(mpf(t) + p + 1)))
 
 
-@pytest.mark.parametrize("t, k, nodes", [(2.5, 1.0, 53), (3.89, 6.43, 53),
-                                         (60.0, 0.2, 40), (500.0, 1.0, 39)])
+@pytest.mark.parametrize("t, k, nodes", [
+    (2.5, 1.0, 53), (3.89, 6.43, 53), (60.0, 0.2, 40), (500.0, 1.0, 39),
+    # seeded: t and k log-uniform on [1e-3, 100] (random.Random(11)); twelve
+    # of them take one node more, or two, if the stop test's cheap prefilter
+    # 2 g^2 < stop (g' - g) is weakened to 3 g^2
+    (0.006130141166780987, 0.0011885123112626154, 53),
+    (0.3654298257724839, 0.0011942308915418596, 39),
+    (2.932192055318021, 0.0016195773029195216, 38),
+    (1.1372553825308238, 0.0019621247779545363, 39),
+    (0.43843612515446306, 0.0019849772143683353, 40),
+    (4.103663775380607, 0.002252984860503314, 38),
+    (3.7226720359828596, 0.007861294114117404, 39),
+    (0.008933904670119569, 0.01620746410092771, 53),
+    (3.5028550504347895, 0.018379628287085288, 40),
+    (0.19348593834147976, 0.02459316923363179, 53),
+    (0.0029554068878188872, 0.032885641126313515, 53),
+    (19.35207558394161, 0.0329587371358514, 39),
+    (10.357314193932876, 0.033405864260141215, 39),
+    (6.701093621216009, 0.10683844026748092, 45),
+    (81.31722115530982, 0.1829728663666282, 39),
+    (0.0014138812856340868, 0.20877202615815788, 53),
+    (41.78812836643108, 0.21293661724720717, 40),
+    (12.179850871181971, 0.24972133163059768, 47),
+    (0.008381113446153093, 0.36269635846450754, 53),
+    (0.18276699339767863, 0.6293060839510294, 53),
+    (0.3461037981776937, 0.864816852935323, 53),
+    (1.8604271454612413, 1.1962267858712075, 53),
+    (0.39411283058619523, 1.590224863996411, 53),
+    (0.31540295727399115, 2.052332201913323, 53),
+    (15.888311559352683, 3.4597770020309255, 53),
+    (1.4106315762883328, 9.223258114170537, 53),
+    (0.00284022461834556, 11.174360336813242, 53),
+    (0.1594614038910384, 16.298049878843692, 53),
+    (81.46425758867683, 66.64827380347388, 53),
+    (97.33768257725352, 95.16082714047853, 53),
+])
 def test_trapezoid_node_counts_frozen(t, k, nodes):
     # the node count follows from the step and the stop test alone
     assert oracle.gamma_k_quad(t, k).terms_used == nodes
+
+
+# (t, q, psi_q_hp's certified_digits and terms_used, gamma_q_hp's), at
+# seeded points (random.Random(26)): q = 0.001, 1 - 1e-6 and 1 - q
+# log-uniform on [1e-6, 0.999]; t = 1e-300, 60 and log-uniform on
+# [1e-300, 60] or [0.01, 60]; the last 14 in the window
+# 1 - q^t in (2^-33, 2^-31) about the q oracles' lift at 2^-32.  The
+# digits follow from the rounding bounds, so a looser or tighter bound
+# that moved one would show here.
+Q_ORACLE_FROZEN = [
+    (1e-300, 0.001, 25, 5, 24, 4),
+    (60.0, 0.999999, 24, 14590, 24, 15279),
+    (0.058348555831632905, 0.9695615249678871, 25, 84, 24, 84),
+    (1.9741259748684721e-119, 0.9999829837921902, 25, 3552, 24, 3660),
+    (8.572092977537174, 0.9999978096220385, 24, 9890, 24, 10290),
+    (3.936384730971116e-288, 0.961440202949305, 25, 74, 24, 73),
+    (0.7932647889594558, 0.9874086377986844, 24, 130, 24, 130),
+    (6.541472868546082e-13, 0.9935078861772453, 25, 182, 24, 182),
+    (0.35139479275176166, 0.16801322769399318, 24, 11, 24, 10),
+    (1.9475943814210464e-63, 0.8839904024127117, 25, 42, 24, 41),
+    (0.012846330492203137, 0.323749137867012, 25, 14, 24, 14),
+    (1.201597789604597e-233, 0.57639643528405, 25, 20, 24, 19),
+    (1.8083655099949032, 0.9999940239812478, 24, 5991, 24, 6203),
+    (5.049566794073702e-12, 0.8921575798921446, 25, 44, 24, 42),
+    (13.40096070401423, 0.9998467098763373, 24, 1170, 24, 1208),
+    (1.8792262729775855e-08, 0.9999984698619744, 25, 11843, 24, 12330),
+    (1.1309845859353278, 0.9999423722569051, 24, 1929, 24, 1978),
+    (1.683676900555263e-287, 0.9999944285809812, 25, 6207, 24, 6427),
+    (1.8513373869874412, 0.9999988879211227, 24, 13890, 24, 14482),
+    (1.7161808164467726e-54, 0.9976746104801016, 25, 304, 24, 306),
+    (0.3979878512062415, 0.8722181896316568, 24, 40, 24, 39),
+    (3.7705818429649575e-240, 0.8787489394394629, 25, 41, 24, 40),
+    (0.08842825705257512, 0.807267723750139, 25, 32, 24, 32),
+    (9.458968156645891e-185, 0.5653846898087275, 25, 20, 24, 18),
+    (0.9084303183288928, 0.9996300084998654, 24, 761, 24, 774),
+    (3.984993654521768e-278, 0.999997743291932, 25, 9752, 24, 10136),
+    (1.6832296512053625e-07, 0.9981405305798559, 25, 340, 24, 343),
+    (0.00011026181452130398, 0.9999981444478377, 25, 10755, 24, 11188),
+    (2.0731387506119485e-06, 0.9998341758972987, 25, 1138, 24, 1162),
+    (6.338479454342595e-11, 0.12463047711776853, 25, 10, 24, 9),
+    (7.352706051046439e-08, 0.9981723564290927, 25, 343, 24, 346),
+    (8.317794489648655e-09, 0.9496382782877225, 25, 65, 24, 65),
+    (1.4921092278771117e-08, 0.9826801544542032, 25, 111, 24, 111),
+    (7.60045181346722e-05, 0.999998249643777, 25, 11073, 24, 11522),
+    (4.756274637669438e-06, 0.9999725875860488, 25, 2799, 24, 2878),
+    (6.932946017492066e-05, 0.9999936517318457, 25, 5815, 24, 6018),
+    (3.3464132487023335e-06, 0.9998777109679822, 25, 1325, 24, 1355),
+    (9.121668337954609e-09, 0.9632988628236816, 25, 76, 24, 76),
+    (8.597244698040589e-10, 0.7002515561761276, 25, 25, 24, 24),
+    (1.8324211014580036e-06, 0.9998781772505607, 25, 1328, 24, 1356),
+]
+
+
+@pytest.mark.parametrize("t, q, psi_digits, psi_terms, gamma_digits, gamma_terms",
+                         Q_ORACLE_FROZEN)
+def test_q_oracle_digits_and_terms_frozen(t, q, psi_digits, psi_terms, gamma_digits,
+                                          gamma_terms):
+    psi, gamma = oracle.psi_q_hp(t, q), oracle.gamma_q_hp(t, q)
+    assert (psi.certified_digits, psi.terms_used) == (psi_digits, psi_terms)
+    assert (gamma.certified_digits, gamma.terms_used) == (gamma_digits, gamma_terms)
 
 
 @pytest.mark.parametrize("fn, args, terms", [

@@ -1,6 +1,7 @@
 """The scripts under scripts/, run in-process (the sweeps into a temporary
 directory)."""
 
+import ast
 import importlib.util
 import json
 import pathlib
@@ -115,3 +116,22 @@ def test_cli_cost_times_every_command(capsys):
     # the total is the sum of the main column, within the rounding of both
     total = float(lines[-1].split()[1])
     assert abs(total - sum(float(row[5]) for row in rows)) <= 0.05 + 12 * 0.0005
+
+
+def test_mutation_sites_are_fixed_and_each_mutant_changes_one_node():
+    # runs no pytest: only the site list and the mutants of core_special
+    module = _load_script("mutation_score")
+    source = (SCRIPTS.parent / "src" / "gammagen" / "core_special.py").read_text()
+    found = module.sites(source)
+    assert found == module.sites(source) and len(found) >= 40
+
+    def fields(node):
+        return type(node), [v for _, v in ast.iter_fields(node)
+                            if not isinstance(v, (ast.AST, list))]
+
+    original = [fields(node) for node in ast.walk(ast.parse(source))]
+    for site in found:
+        mutant = [fields(node) for node in ast.walk(ast.parse(module.mutate(source, site)))]
+        assert len(mutant) == len(original)
+        assert sum(a != b for a, b in zip(original, mutant)) == 1, site
+    assert module.main(["no_such_module"]) == 2
