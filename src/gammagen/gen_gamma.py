@@ -25,8 +25,10 @@ ln Gamma_q sum a short direct block (about ten terms at tol = 1e-12, each
 formed from expm1, never from 1 - q^x by subtraction) and close the rest
 by Euler-Maclaurin, in the manner of Moak's q-Stirling formula.  The
 closure's integrals are -ln(1 - e^(-ca))/c and a difference of two
-dilogarithms, whose zeta(2)/c parts cancel analytically; its err_bound is
-the last retained Bernoulli correction.  Gamma_k uses the closed identity
+dilogarithms, whose zeta(2)/c parts cancel analytically.  Its Bernoulli
+corrections are Horner passes in w = 1/(e^(ca) - 1) over polynomials with
+their weights B_2k/(2k)! multiplied in at import, and its err_bound is
+the last retained correction.  Gamma_k uses the closed identity
 Gamma_k(t) = k^(t/k - 1) Gamma(t/k), combined in log space.  The oracle
 module keeps the raw products and the defining integral as independent
 cross-checks.
@@ -38,9 +40,7 @@ strict: q = 0, q = 1, t = 0, k = 0 are rejected, never clamped.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 
 from .core_special import (
     BERNOULLI,
@@ -81,7 +81,6 @@ _STIRLING = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(BERNOULLI, 1
 # log_gamma_k, just short of the 2.56e305 where math.lgamma overflows, both
 # take Stirling's form; its first omitted term, 1/(12 t), is below 4e-307.
 _LGAMMA_STIRLING_FROM = 2.5e305
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _stirling_tail(r: float) -> float:
@@ -201,9 +200,6 @@ def psi_p(t: float, p: int) -> float:
 # A_j(w(z)) = Li_{-j}(e^(-z)).  As c -> 0, c^(j+1) A_j(w(cy)) -> j!/y^(j+1),
 # so the block length the closure needs does not depend on q.
 
-_EM_WEIGHTS = tuple(b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI, 1))
-
-
 #: Bernoulli corrections of the q-family closures (B_2 .. B_10).
 _Q_CORRECTIONS = 5
 
@@ -224,27 +220,28 @@ def _negative_polylogs(count):
 
 
 _A = _negative_polylogs(2 * _Q_CORRECTIONS)
+# B_2k/(2k)! A_(2k-1-order) for k = 1 .. K, per order, highest power first.
+_WEIGHTED = tuple(tuple(tuple(b / math.factorial(2 * k) * a for a in reversed(coeffs))
+                        for k, (b, coeffs) in enumerate(zip(BERNOULLI, _A[1 - order::2]), 1))
+                  for order in (0, 1))
 
 
-def _powers(w: float, count: int) -> list:
-    """[w, w^2, ..., w^count]."""
-    return list(itertools.accumulate(itertools.repeat(w, count), operator.mul))
-
-
-def _em_corrections(powers, c: float, order: int) -> tuple[float, float]:
+def _em_corrections(w: float, c: float, order: int) -> tuple[float, float]:
     """Bernoulli corrections of the Euler-Maclaurin closure
 
         sum_{n>=0} F(a+n) = int_a^inf F + F(a)/2 - sum_{k<=K} B_2k/(2k)! F^(2k-1)(a) + R,
 
-    K = _Q_CORRECTIONS, F = f (order 0) or g (order 1), from the powers
-    [w, w^2, ...] of w = w(ca), 2K - order of them.  F^(2k-1)(a) is
-    -c^(2k-1) A_(2k-1-order)(w), linear in the powers, so a difference of
-    power lists gives the difference of the corrections.  Returns their sum
-    and the magnitude of the last, which bounds |R| when +-F is completely monotone."""
+    K = _Q_CORRECTIONS, F = f (order 0) or g (order 1), at w = w(ca).
+    F^(2k-1)(a) is -c^(2k-1) A_(2k-1-order)(w), and each term is a Horner
+    pass in w over B_2k/(2k)! A_(2k-1-order), from _WEIGHTED.  Returns their
+    sum and the magnitude of the last, which bounds |R| when +-F is completely monotone."""
     total = 0.0
     scale = -c
-    for weight, coeffs in zip(_EM_WEIGHTS, _A[1 - order::2]):
-        last = weight * (scale * sum(map(operator.mul, coeffs, powers)))
+    for coeffs in _WEIGHTED[order]:
+        poly = 0.0
+        for coeff in coeffs:
+            poly = (poly + coeff) * w
+        last = scale * poly
         total -= last
         scale *= c * c
     return total, abs(last)
@@ -351,11 +348,11 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     c = -math.log(q)
 
     def closure(n):
-        # derivatives of h(x) = g(x+t) - g(x+1) at x = n
-        count = 2 * _Q_CORRECTIONS - 1
-        powers = map(operator.sub, _powers(_bose(c * (n + t)), count),
-                     _powers(_bose(c * (n + 1.0)), count))
-        return _em_corrections(list(powers), c, 1)
+        # corrections of h(x) = g(x+t) - g(x+1) at x = n; the two last
+        # corrections share their sign, so |last| of h is |b_t - b_1|
+        corr_t, b_t = _em_corrections(_bose(c * (n + t)), c, 1)
+        corr_1, b_1 = _em_corrections(_bose(c * (n + 1.0)), c, 1)
+        return corr_t - corr_1, abs(b_t - b_1)
 
     n, corr, bound = _q_block(1, min(t, 1.0), c, tol, closure)
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
@@ -399,7 +396,7 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 
     def closure(n):
         w = _bose(c * (t + n))
-        corr, bound = _em_corrections(_powers(w, 2 * _Q_CORRECTIONS), c, 0)
+        corr, bound = _em_corrections(w, c, 0)
         return 0.5 * w + corr, c * bound
 
     n, tail, bound = _q_block(0, t, c, tol, closure)
@@ -416,16 +413,34 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
 # k-family
 # ---------------------------------------------------------------------------
 
+# math.e is e rounded down; e = math.e + _E_LO to about 1e-32.
+_E_LO = 1.4456468917292502e-16
+
+
+def _log_over_e(t: float) -> float:
+    """ln t - 1 = ln(t/e), without the cancellation of ln t - 1 near t = e.
+    Where |ln t - 1| < 1/2, t lies within a factor 2 of math.e, so
+    t - math.e is exact (Sterbenz) and (t - math.e) - _E_LO is t - e to one
+    rounding; its log1p over e is then within a few ulp."""
+    d = math.log(t) - 1.0
+    if abs(d) < 0.5:
+        return math.log1p(((t - math.e) - _E_LO) / math.e)
+    return d
+
+
 def log_gamma_k(t: float, k: float) -> float:
     """ln Gamma_k(t) via the closed identity Gamma_k(t) = k^(t/k-1) Gamma(t/k).
 
     Below the smallest normal u = t/k, whose bits are then lost, the value is
     t (ln k - gamma)/k - ln t, from ln Gamma(u) = -ln u - gamma u + O(u^2).
-    Above _LGAMMA_STIRLING_FROM it is Stirling's
-    u (ln t - 1) - (ln t + ln k)/2 + ln(2 pi)/2.  Where t/k is inf,
-    u (ln t - 1) is formed as t (ln t - 1)/k; the value is then finite only
-    if t < e^2, so t (ln t - 1) does not overflow.  Raises OverflowError
-    when the value exceeds the double range.
+    Above _LGAMMA_STIRLING_FROM it is the lead u (ln t - 1) of Stirling's
+    form, with ln t - 1 from ``_log_over_e``.  The rest,
+    -(ln t + ln k)/2 + ln(2 pi)/2 + O(1/u), is below 400 in magnitude, as
+    ln t - ln k > 703 and both logarithms lie in [-745, 710].  No double t
+    lies within 1.4e-16 of e, so |ln t - 1| > 5.3e-17, and the lead exceeds
+    2.5e305 * 5.3e-17 > 2^960: the rest is below half an ulp of it.  Where t/k is inf, the lead is formed as t (ln t - 1)/k; the value is
+    then finite only if t < e^2, so t (ln t - 1) does not overflow.  Raises
+    OverflowError when the value exceeds the double range.
     """
     _require_positive("t", t)
     _require_positive("k", k)
@@ -433,9 +448,8 @@ def log_gamma_k(t: float, k: float) -> float:
     if u < _MIN_NORMAL:
         return t * (math.log(k) - EULER_GAMMA) / k - math.log(t)
     if u > _LGAMMA_STIRLING_FROM:
-        ln_t, ln_k = math.log(t), math.log(k)
-        lead = u * (ln_t - 1.0) if u < math.inf else t * (ln_t - 1.0) / k
-        value = lead - 0.5 * (ln_t + ln_k) + _HALF_LOG_2PI
+        ln_t_1 = _log_over_e(t)
+        value = u * ln_t_1 if u < math.inf else t * ln_t_1 / k
     else:
         value = (u - 1.0) * math.log(k) + math.lgamma(u)
     return _require_finite(value, "log_gamma_k(t) at t = {0}, k = {1}", t, k)

@@ -21,7 +21,9 @@ absolute: it is neither scaled to the values nor derived from the
 evaluators' err_bounds, and a verdict depends on the scale of what it
 compares.  Where all three values are below the slack, a violated bound
 still passes; where they are large, the rounding of exp alone can exceed
-it; and past the double range exp raises OverflowError.
+it; and past the double range exp raises OverflowError.  So does a lemma
+value, a logarithm of an auxiliary function or a logarithm of a sandwich
+bound that is not finite: the engine returns no inf or nan.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .core_special import (
     ToleranceNotMet,
     _check_p,
     _check_q,
+    _require_finite,
     _require_positive,
     log_gamma,
     psi_series,
@@ -208,7 +211,9 @@ def _lemma(fam: Family, x, a: float, b: float, s: float) -> float:
     value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
     if fam.s_power:
         value += (a - b) / s
-    return value + a * _converged_value(psi_series(s), "psi") - b * fam.psi(s, x)
+    value += a * _converged_value(psi_series(s), "psi") - b * fam.psi(s, x)
+    return _require_finite(value, "lemma_expr_{0} at a = {1}, b = {2}, t = {3}, {0} = {4}",
+                           fam.name, a, b, s, x)
 
 
 def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float) -> float:
@@ -237,7 +242,7 @@ def _log_parts(fam: Family, x, t: float, gp: GenParams) -> tuple[float, float]:
 
 def _log_aux(fam: Family, x, t: float, gp: GenParams) -> float:
     ell, log_ratio = _log_parts(fam, x, t, gp)
-    return ell + log_ratio
+    return _require_finite(ell + log_ratio, "ln aux_{0}(t) at t = {1}", fam.name, t)
 
 
 # Log-derivatives, exactly as the factored forms beta * lemma_expr(...).
@@ -405,8 +410,10 @@ def check_sandwich(family: str, gp: GenParams, param,
     out = []
     for t in grid:
         ell, log_middle = _log_parts(fam, x, t, gp)
-        out.append(_verdict(t, log_at0 - ell, log_middle, log_at1 - ell,
-                            fam.strict, note))
+        logs = (log_at0 - ell, log_middle, log_at1 - ell)
+        if not all(map(math.isfinite, logs)):
+            raise OverflowError(f"ln of the {family}-sandwich at t = {t} exceeds the double range")
+        out.append(_verdict(t, *logs, fam.strict, note))
     return out
 
 

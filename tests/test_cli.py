@@ -446,14 +446,29 @@ def test_closed_stdout_is_exit_2_without_a_traceback(command):
     (["eval", "gamma", "--t", "1e-320"], "out of double range: math range error"),
     (["verify", "--family", "p", "--a", "200", "--b", "1", "--alpha", "50", "--beta", "1",
       "--p", "5", "--grid", "0.5"], "out of double range: math range error"),
+    (["verify", "--family", "p", "--a", "1e308", "--b", "1", "--alpha", "10", "--beta", "1",
+      "--p", "5", "--grid", "0.5"], "out of double range: ln aux_p(t) at t = 0.0"),
+    (["verify", "--family", "p", "--a", "1e308", "--b", "1", "--alpha", "10", "--beta", "1",
+      "--p", "5", "--grid", "0.5", "--format", "json"],
+     "out of double range: ln aux_p(t) at t = 0.0"),
+    (["scan", "--family", "k", "--a", "1e308", "--b", "1", "--alpha", "10", "--k", "2",
+      "--grid", "1:3:1"], "out of double range: ln aux_k(t) at t = 1.0"),
+    (["verify", "--family", "p", "--a", "2e302", "--b", "4.8e306", "--alpha", "16.2",
+      "--beta", "1.4", "--p", "172790", "--grid", "0.7"],
+     "out of double range: ln of the p-sandwich at t = 0.7"),
     (["eval", "gamma", "--t", "-1"], "domain error: t must be > 0"),
     (["verify", "--family", "q", "--q", "1.5", "--grid", "0.5"],
      "domain error: q must lie strictly in (0, 1)"),
     (["verify", "--family", "q", "--q", "0.5", "--grid", "1,"],
      "domain error: grid spec holds a piece that is not a number (got '1,')"),
-], ids=["eval-overflow", "verify-overflow", "eval-domain", "verify-domain", "grid-domain"])
+], ids=["eval-overflow", "verify-overflow", "verify-inf-log", "verify-inf-log-json",
+        "scan-inf-log", "verify-inf-bound", "eval-domain", "verify-domain", "grid-domain"])
 def test_error_message_names_its_kind(capsys, argv, message):
-    # an OverflowError was once reported as a "domain error" too
+    # an OverflowError was once reported as a "domain error" too.  a ln Gamma(10.5)
+    # at a = 1e308 is inf: the inf-log cases printed inf and nan rows (JSON
+    # Infinity and NaN) and exited 1.  In the inf-bound case ln aux(0) and
+    # ln aux(1) are finite but the lower bound's log, ln aux(0) - ell(t), is
+    # -inf: it printed a FAIL row of zeros and exited 1
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from gammagen import core_special
+from gammagen import core_special, gen_gamma
 from gammagen.core_special import DomainError
 from gammagen.gen_gamma import (
     gamma_k,
@@ -183,6 +185,41 @@ def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
     # smaller lead or a larger power would shorten it.
     assert psi_q(t, q, tol).terms_used == psi_terms
     assert log_gamma_q(t, q, tol).terms_used == log_terms
+
+
+def _em_corrections_power_sum(powers, c, order):
+    """The power-sum form of gen_gamma._em_corrections, the reference for
+    its Horner form: each correction B_2k/(2k)! (-c^(2k-1)) A_(2k-1-order)
+    is a dot product of A's coefficients with the powers [w, w^2, ...].
+    Returns (sum, |last|) and, for each, the sum of the magnitudes of the
+    terms it adds."""
+    total, total_terms, scale = 0.0, 0.0, -c
+    for k, coeffs in enumerate(gen_gamma._A[1 - order::2], 1):
+        weight = core_special.BERNOULLI[k - 1] / math.factorial(2 * k)
+        dot = sum(map(operator.mul, coeffs, powers))
+        last = weight * (scale * dot)
+        last_terms = abs(weight * scale) * dot
+        total -= last
+        total_terms += last_terms
+        scale *= c * c
+    return (total, abs(last)), (total_terms, last_terms)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_em_corrections_horner_matches_the_power_sum(order):
+    # The tolerance, fixed before any run: 8 units of 2^-53 of the terms the
+    # reference adds, plus 8 units of the smallest subnormal, since at
+    # c w < 2^-1022 the leading correction is subnormal and rounds absolutely.
+    rng = random.Random(27 + order)
+    count = 2 * gen_gamma._Q_CORRECTIONS - order
+    for _ in range(2000):
+        c = 10.0 ** rng.uniform(-16, math.log10(700.0))
+        w = 10.0 ** rng.uniform(-300, 15)
+        powers = list(itertools.accumulate(itertools.repeat(w, count), operator.mul))
+        reference, terms = _em_corrections_power_sum(powers, c, order)
+        got = gen_gamma._em_corrections(w, c, order)
+        for value, ref, size in zip(got, reference, terms):
+            assert abs(value - ref) <= 8 * 2.0**-53 * size + 8 * 2.0**-1074, (c, w)
 
 
 # log_gamma_q takes 77 terms at these (t, q), tol = 1e-20; 28.18... is
@@ -385,6 +422,19 @@ def test_log_gamma_k_near_the_double_range_matches_mpmath(t, k):
         ref = (u - 1) * mp.log(k) + mp.loggamma(u)
         tol = 4 * 2.0**-53 * abs(ref) + u * math.ulp(math.log(t))
         assert abs(log_gamma_k(t, k) - ref) <= tol
+
+
+@pytest.mark.parametrize("t, k", [
+    (math.e, 1e-306), (2.7182818284590446, 1e-306), (math.e, 5e-324), (2.718281828459046, 5e-324),
+])
+def test_log_gamma_k_above_the_switch_near_t_e_matches_mpmath(t, k):
+    # u (ln t - 1) with ln t - 1 formed by subtraction cancels near t = e:
+    # these returned 352.7, -6.036e290, 372.6 and 1.2217e308.  The last two
+    # take the u = inf branch.
+    with mp.workdps(60):
+        u = mpf(t) / k
+        ref = (u - 1) * mp.log(k) + mp.loggamma(u)
+    assert abs(log_gamma_k(t, k) - ref) <= 4 * math.ulp(float(ref))
 
 
 @pytest.mark.parametrize("t, p, value", [

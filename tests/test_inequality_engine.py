@@ -90,6 +90,13 @@ def test_lemma_p_near_one_limit():
     assert abs(lemma_expr_p(1.0, 1.0, 1.0 + 1e-9, 2) - expected) < 1e-6
 
 
+def test_lemma_beyond_the_double_range_raises_overflow():
+    # a gamma_E + b ln p alone passes the double range; the value, 2.59e308
+    # (mpmath), lies beyond it.  This returned inf.
+    with pytest.raises(OverflowError, match=r"lemma_expr_p at .* exceeds the double range"):
+        lemma_expr_p(1e308, 1e308, 2.0, 5)
+
+
 def test_lemma_q_value_at_simple_point():
     got = lemma_expr_q(1.0, 1.0, 2.0, 0.5)
     assert abs(got - 1.4205290343560458) < 1e-12

@@ -118,6 +118,22 @@ def test_cli_cost_times_every_command(capsys):
     assert abs(total - sum(float(row[5]) for row in rows)) <= 0.05 + 12 * 0.0005
 
 
+def test_evaluator_cost_times_every_evaluator(capsys):
+    module = _load_script("evaluator_cost")
+    module.REPEATS = 1
+    assert module.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["evaluator", "one-shot", "sweep", "terms", "(us/call)"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["psi_series", "psi_p", "log_gamma_p", "psi_q",
+                                        "log_gamma_q", "psi_k", "log_gamma_k"]
+    for name, one_shot, sweep, terms in rows:
+        assert float(one_shot) > 0 and float(sweep) > 0
+        # the EvalResult evaluators report a median term count, the rest "-"
+        assert (terms == "-") == (name in ("psi_p", "log_gamma_p", "log_gamma_k"))
+        assert terms == "-" or 1 <= float(terms) <= 77
+
+
 def test_mutation_sites_are_fixed_and_each_mutant_changes_one_node():
     # runs no pytest: only the site list and the mutants of core_special
     module = _load_script("mutation_score")
