@@ -8,8 +8,8 @@ t > 0) and then taken from the asymptotic series
 
 through B_14, whose first omitted term bounds the remainder for real x > 0
 and is the reported error bound.  The same routine, scaled by k, is
-gen_gamma's psi_k, and at k = 1 it gives the psi(t) of gen_gamma's
-psi_p(t) = psi(t) - (psi(t+p+1) - ln p).
+gen_gamma's psi_k; at k = 1 it is psi_series, which gen_gamma's
+psi_p(t) = psi(t) - (psi(t+p+1) - ln p) calls for its psi(t).
 
 Every series here and in gen_gamma has one setting, the absolute tail-bound
 target ``tol``, and sums at most _MAX_TERMS terms (see EvalResult).
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "EULER_GAMMA",
@@ -60,24 +60,37 @@ class ToleranceNotMet(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class _EvalFields(NamedTuple):
+    value: float
+    err_bound: float
+    terms_used: int
+    converged: bool = True
+
+
+class EvalResult(_EvalFields):
     """Value of a truncated series/product plus its a-posteriori tail bound.
 
     ``converged`` is False when no length within the _MAX_TERMS cap meets
     the requested tolerance.  The value is then the estimate at the length
     the evaluator stopped at, the cap or, where no length within it meets
     tol (psi), a short one; ``err_bound`` bounds its truncation error.
+
+    An immutable named tuple, which costs less than half as much to build
+    as a frozen dataclass; the constructor rejects a negative or nan
+    ``err_bound``.
     """
 
-    value: float
-    err_bound: float
-    terms_used: int
-    converged: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.err_bound >= 0.0:
-            raise ValueError(f"err_bound must be >= 0 (got {self.err_bound})")
+    def __new__(cls, value: float, err_bound: float, terms_used: int,
+                converged: bool = True):
+        if not err_bound >= 0.0:
+            raise ValueError(f"err_bound must be >= 0 (got {err_bound})")
+        return tuple.__new__(cls, (value, err_bound, terms_used, converged))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here; keep the check
+        return cls(*iterable)
 
 
 def _require_positive(name: str, value) -> None:
@@ -148,6 +161,11 @@ _ASYMPTOTIC_FROM = 10
 _PSI_ASYMPTOTIC = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
 _PSI_OMITTED = 3617 / 510 / 16  # |B_16|/16: T(x) omits _PSI_OMITTED/x^16 (4.5e-17 at 10)
 _LOG_PSI_OMITTED = math.log(_PSI_OMITTED)
+# Where tol k is at least this, the shift tol asks for, x_needed in
+# _psi_scaled, is at most _ASYMPTOTIC_FROM: exactly so at _PSI_OMITTED/10^16
+# (times e^(1.6e-8) for the sizing's margin), and the factor 2 covers the
+# rounding of the product and of the sizing's logs and exp.
+_PSI_TOL_K_SHORT = 2 * _PSI_OMITTED / _ASYMPTOTIC_FROM ** 16
 
 
 def _psi_tail(r: float) -> float:
@@ -173,18 +191,24 @@ def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
     x >= 10.  Summing up to the cap instead would still miss tol; at k = 1
     the bound at x >= 10 is already below the rounding error of the sum.
     Tolerance and k enter the sizing as logs, so a tiny one can neither
-    overflow nor underflow.  At a subnormal k, t/k may overflow to inf,
+    overflow nor underflow; where tol k >= _PSI_TOL_K_SHORT (tol = 1e-12
+    at k >= 8.9e-5) the sizing is skipped, as it would ask for no more
+    than x >= 10, and an overflowing or underflowing product still
+    decides that test right.  At a subnormal k, t/k may overflow to inf,
     which asks for no shift, and what underflows (1/x and err_bound) lies
     far below the rounding of the value.  Raises OverflowError when the
     value exceeds the double range.
     """
     _require_positive("tol", tol)
     u = t / k
-    # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
-    x_needed = math.exp((_LOG_PSI_OMITTED - math.log(tol) - math.log(k)) / 16.0 + 1e-9)
-    n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u))
-    if n > _MAX_TERMS:
+    if tol * k >= _PSI_TOL_K_SHORT:  # x_needed <= 10: x >= 10 meets tol
         n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u))
+    else:
+        # the relative margin of 1e-9 keeps rounding from leaving the bound just above tol
+        x_needed = math.exp((_LOG_PSI_OMITTED - math.log(tol) - math.log(k)) / 16.0 + 1e-9)
+        n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u, x_needed - u))
+        if n > _MAX_TERMS:
+            n = math.ceil(max(0.0, _ASYMPTOTIC_FROM - u))
     y = t + n * k
     r = k / y  # 1/x
     bound = _PSI_OMITTED * r**15 / y

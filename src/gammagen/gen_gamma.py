@@ -56,6 +56,7 @@ from .core_special import (
     _psi_tail,
     _require_finite,
     _require_positive,
+    psi_series,
 )
 
 __all__ = [
@@ -160,28 +161,31 @@ def gamma_p(t: float, p: int) -> float:
     return math.exp(log_gamma_p(t, p))
 
 
+def _psi_p_gap(t: float, p: int) -> float:
+    """D = psi(t+p+1) - ln p, the gap psi(t) - psi_p(t), for an integer
+    p >= 10 that ``psi_p`` has checked: log1p((t+1)/p) - 1/(2 x2) - T(x2) at
+    x2 = t+p+1, with T the asymptotic series of psi through B_14, exact to
+    rounding at x2 >= 10.  p enters only through 1/p."""
+    x = 1 / p
+    y = (t + 1.0) * x
+    r2 = x / (1.0 + y)  # 1/x2
+    return math.log1p(y) - 0.5 * r2 - _psi_tail(r2)
+
+
 def psi_p(t: float, p: int) -> float:
     """psi_p(t) = ln p - sum_{n=0}^{p} 1/(n + t), at a cost independent of p.
 
     For p <= 9 the p+1 terms are summed directly.  For larger p the identity
-    psi_p(t) = psi(t) - D with D = psi(x2) - ln p, x2 = t+p+1, gives
-
-        psi_p(t) = psi(t) - log1p((t+1)/p) + 1/(2 x2) + T(x2),
-
-    with T the asymptotic series of psi through B_14, exact to rounding at
-    x2 >= 10, and psi(t) from core_special's psi routine at the default
-    tolerance.  As in ``log_gamma_p``, p enters only through 1/p.
+    psi_p(t) = psi(t) - D with D = psi(t+p+1) - ln p from ``_psi_p_gap``
+    and psi(t) from core_special's psi_series at the default tolerance.  As
+    in ``log_gamma_p``, p enters only through 1/p.
     """
     _require_positive("t", t)
     p = _check_p(p)
     if p < _ASYMPTOTIC_FROM:
         return _require_finite(math.log(p) - math.fsum(1.0 / (t + n) for n in range(p + 1)),
                                "psi_p(t) at t = {0}, p = {1}", t, p)
-    x = 1 / p
-    y = (t + 1.0) * x
-    r2 = x / (1.0 + y)  # 1/x2
-    d = math.log1p(y) - 0.5 * r2 - _psi_tail(r2)  # psi(x2) - ln p
-    return _psi_scaled(t, 1.0, DEFAULT_TOL).value - d
+    return psi_series(t).value - _psi_p_gap(t, p)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,10 @@ def _negative_polylogs(count):
 
 
 _A = _negative_polylogs(2 * _Q_CORRECTIONS)
+# ln lead per order for _q_block: lead = |B_K2| (K2-1-order)!/K2!, K2 = 2 _Q_CORRECTIONS
+_Q_LOG_LEAD = tuple(math.log(abs(BERNOULLI[_Q_CORRECTIONS - 1])
+                             / (2 * _Q_CORRECTIONS * (2 * _Q_CORRECTIONS - 1) ** order))
+                    for order in (0, 1))
 # B_2k/(2k)! A_(2k-1-order) for k = 1 .. K, per order, highest power first.
 _WEIGHTED = tuple(tuple(tuple(b / math.factorial(2 * k) * a for a in reversed(coeffs))
                         for k, (b, coeffs) in enumerate(zip(BERNOULLI, _A[1 - order::2]), 1))
@@ -274,10 +282,9 @@ def _q_block(order: int, x0: float, c: float, tol: float, closure):
     the bound.
     """
     _require_positive("tol", tol)
-    k2 = 2 * _Q_CORRECTIONS
-    lead = abs(BERNOULLI[_Q_CORRECTIONS - 1]) / (k2 * (k2 - 1) ** order)
-    estimate = min(math.exp((math.log(lead) - math.log(tol)) / (k2 - order)),
-                   -math.log(tol) / c) - x0
+    log_tol = math.log(tol)
+    estimate = min(math.exp((_Q_LOG_LEAD[order] - log_tol) / (2 * _Q_CORRECTIONS - order)),
+                   -log_tol / c) - x0
     n = max(1, math.ceil(min(estimate, _MAX_TERMS)))
     tail, bound = closure(n)
     while bound > tol and n < _MAX_TERMS:

@@ -36,6 +36,7 @@ from . import core_special
 from .core_special import (
     DomainError,
     ToleranceNotMet,
+    _ASYMPTOTIC_FROM,
     _check_p,
     _check_q,
     _require_finite,
@@ -44,6 +45,7 @@ from .core_special import (
     psi_series,
 )
 from .gen_gamma import (
+    _psi_p_gap,
     log_gamma_k,
     log_gamma_p,
     log_gamma_q,
@@ -147,6 +149,19 @@ def _converged_value(result, what: str) -> float:
     return result.value
 
 
+def _psi(s: float) -> float:
+    return _converged_value(psi_series(s), "psi")
+
+
+def _psi_pair_p(s: float, p: int) -> tuple[float, float]:
+    # psi_p checks p before the gap is formed; at p >= 10 psi_p is
+    # psi(s) - gap, so psi(s) is taken back from it, not summed again
+    psi_ps = psi_p(s, p)
+    if p < _ASYMPTOTIC_FROM:
+        return _psi(s), psi_ps
+    return psi_ps + _psi_p_gap(s, p), psi_ps
+
+
 def _k_hypotheses(a: float, b: float, k: float) -> float:
     if not a >= b:
         raise DomainError(f"a >= b required for family k (got a={a}, b={b})")
@@ -164,6 +179,10 @@ class Family:
 
         lemma(s) = a gamma_E + c [+ (a - b)/s] + a psi(s) - b psi_X(s).
 
+    ``psi_pair`` returns both digammas of the lemma, so that a family whose
+    psi_X already holds psi(s) need not sum it again: the p record calls
+    psi_p once and, at p >= 10, takes psi(s) back as psi_p(s) plus the gap
+    psi(s+p+1) - ln p; below that, and for q and k, psi(s) is psi_series'.
     The callables look evaluators up by module-global name when called, so
     a wrapper installed on this module (a profiler's, say) sees every call.
     """
@@ -171,7 +190,7 @@ class Family:
     name: str              # "p", "q" or "k"; also the parameter's name
     hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
     log_gamma: Callable    # (s, x) -> ln Gamma_X(s)
-    psi: Callable          # (s, x) -> psi_X(s)
+    psi_pair: Callable     # (s, x) -> (psi(s), psi_X(s))
     lemma_const: Callable  # (b, x) -> c
     s_power: bool          # aux(t) carries the factor s^(a-b)
     s_floor: float         # the lemma holds for s > s_floor
@@ -181,17 +200,17 @@ class Family:
 FAMILIES = {fam.name: fam for fam in (
     Family("p", lambda a, b, p: _check_p(p),
            log_gamma=lambda s, p: log_gamma_p(s, p),
-           psi=lambda s, p: psi_p(s, p),
+           psi_pair=_psi_pair_p,
            lemma_const=lambda b, p: b * math.log(p),
            s_power=False, s_floor=1.0, strict=True),
     Family("q", lambda a, b, q: _check_q(q),
            log_gamma=lambda s, q: _converged_value(log_gamma_q(s, q), "log_gamma_q"),
-           psi=lambda s, q: _converged_value(psi_q(s, q), "psi_q"),
+           psi_pair=lambda s, q: (_psi(s), _converged_value(psi_q(s, q), "psi_q")),
            lemma_const=lambda b, q: -b * math.log1p(-q),
            s_power=False, s_floor=1.0, strict=True),
     Family("k", _k_hypotheses,
            log_gamma=lambda s, k: log_gamma_k(s, k),
-           psi=lambda s, k: _converged_value(psi_k(s, k), "psi_k"),
+           psi_pair=lambda s, k: (_psi(s), _converged_value(psi_k(s, k), "psi_k")),
            lemma_const=lambda b, k: b / k * (math.log(k) - core_special.EULER_GAMMA),
            s_power=True, s_floor=0.0, strict=False),
 )}
@@ -211,7 +230,8 @@ def _lemma(fam: Family, x, a: float, b: float, s: float) -> float:
     value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
     if fam.s_power:
         value += (a - b) / s
-    value += a * _converged_value(psi_series(s), "psi") - b * fam.psi(s, x)
+    psi_s, psi_x = fam.psi_pair(s, x)
+    value += a * psi_s - b * psi_x
     return _require_finite(value, "lemma_expr_{0} at a = {1}, b = {2}, t = {3}, {0} = {4}",
                            fam.name, a, b, s, x)
 

@@ -139,6 +139,55 @@ def test_series_control_rejects_bad_tol(bad):
 def test_eval_result_rejects_negative_bound():
     with pytest.raises(ValueError):
         EvalResult(1.0, -1e-16, 10)
+    with pytest.raises(ValueError):
+        EvalResult(1.0, math.nan, 10)
+    with pytest.raises(ValueError):
+        EvalResult(1.0, 0.0, 10)._replace(err_bound=-1.0)
+
+
+def test_eval_result_is_an_immutable_record():
+    r = EvalResult(1.5, 2e-13, 7)
+    assert r._fields == ("value", "err_bound", "terms_used", "converged")
+    assert (r.value, r.err_bound, r.terms_used, r.converged) == (1.5, 2e-13, 7, True)
+    assert r == EvalResult(value=1.5, err_bound=2e-13, terms_used=7, converged=True)
+    assert repr(r) == "EvalResult(value=1.5, err_bound=2e-13, terms_used=7, converged=True)"
+    assert r._replace(converged=False).converged is False
+    with pytest.raises(AttributeError):
+        r.value = 2.0
+
+
+def _psi_scaled_fully_sized(t, k, tol):
+    """_psi_scaled with its shift always sized from tol, never skipped."""
+    u = t / k
+    x_needed = math.exp((core_special._LOG_PSI_OMITTED - math.log(tol) - math.log(k)) / 16.0
+                        + 1e-9)
+    n = math.ceil(max(0.0, 10 - u, x_needed - u))
+    if n > core_special._MAX_TERMS:
+        n = math.ceil(max(0.0, 10 - u))
+    y = t + n * k
+    r = k / y
+    bound = core_special._PSI_OMITTED * r**15 / y
+    value = (math.log(y) / k - (0.5 / y + core_special._psi_tail(r) / k)
+             - math.fsum([1.0 / (t + j * k) for j in range(n)]))
+    return EvalResult(value, bound, n, bound <= tol)
+
+
+def test_psi_scaled_skips_only_a_sizing_that_asks_for_nothing():
+    # where tol k >= _PSI_TOL_K_SHORT the shift is not sized from tol; the
+    # result must be the one the full sizing gives, bit for bit, on both
+    # sides of that threshold and across it
+    rng = np.random.default_rng(28)
+    log_edge = math.log10(core_special._PSI_TOL_K_SHORT)
+    sides = [0, 0]
+    for _ in range(4000):
+        t = float(10 ** rng.uniform(-3, 4))
+        k = float(10 ** rng.uniform(-12, 3))
+        tol = float(10 ** (log_edge + rng.uniform(-3, 3))) / k
+        if not 0.0 < tol < math.inf:
+            continue
+        sides[tol * k >= core_special._PSI_TOL_K_SHORT] += 1
+        assert core_special._psi_scaled(t, k, tol) == _psi_scaled_fully_sized(t, k, tol), (t, k, tol)
+    assert min(sides) > 1000
 
 
 def test_psi_domain_error():

@@ -1,12 +1,14 @@
 import inspect
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
 
 from _hp_bounds import k_bounds, p_bounds, q_bounds
-from gammagen import inequality_engine
-from gammagen.core_special import EULER_GAMMA, DomainError
+from gammagen import gen_gamma, inequality_engine
+from gammagen.core_special import EULER_GAMMA, DomainError, psi_series
+from gammagen.gen_gamma import psi_k, psi_p, psi_q
 from gammagen.inequality_engine import (
     FAMILIES,
     GenParams,
@@ -125,6 +127,73 @@ def test_lemma_k_positive_cases():
     assert lemma_expr_k(1.0, 1.0, 2.0, 2.0) > 0.0
     assert lemma_expr_k(3.0, 1.0, 0.5, 4.0) >= 0.0
     assert lemma_expr_p(2.0, 0.5, 5.0, 10) > 0.0
+
+
+def _composed_lemma(family, a, b, s, x):
+    """The lemma a gamma_E + c [+ (a - b)/s] + a psi(s) - b psi_X(s), formed
+    from the public evaluators in the engine's order, and the magnitudes of
+    its four parts a gamma_E, c, a psi(s) and b psi_X(s)."""
+    if family == "p":
+        const, psi_x = b * math.log(x), psi_p(s, x)
+    elif family == "q":
+        const, psi_x = -b * math.log1p(-x), psi_q(s, x).value
+    else:
+        const, psi_x = b / x * (math.log(x) - EULER_GAMMA), psi_k(s, x).value
+    psi_s = psi_series(s).value
+    value = a * EULER_GAMMA + const
+    if family == "k":
+        value += (a - b) / s
+    value += a * psi_s - b * psi_x
+    return value, abs(a * EULER_GAMMA) + abs(const) + abs(a * psi_s) + abs(b * psi_x)
+
+
+def test_lemma_q_and_k_are_the_composition_bit_for_bit():
+    rng = random.Random(28)
+    for _ in range(500):
+        a, b = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        s = 1.0 + 10 ** rng.uniform(-4, 1.7)
+        q = rng.choice([rng.uniform(0.01, 0.99), 1.0 - 10 ** rng.uniform(-6, -1)])
+        assert lemma_expr_q(a, b, s, q) == _composed_lemma("q", a, b, s, q)[0], (a, b, s, q)
+        a, s, k = max(a, b), 10 ** rng.uniform(-3, 1.7), 10 ** rng.uniform(0, 3)
+        assert lemma_expr_k(a, b, s, k) == _composed_lemma("k", a, b, s, k)[0], (a, b, s, k)
+
+
+@pytest.mark.parametrize("p", [1, 9, 10, 11, 500, 10**7, 10**300])
+def test_lemma_p_is_the_composition_to_rounding(p):
+    # at p >= 10 the lemma takes psi(s) back as psi_p(s) plus the gap, which
+    # may round differently from psi_series(s) by an ulp of the larger
+    u = 2.0 ** -53
+    rng = random.Random(p % 1009)
+    for _ in range(300):
+        a, b = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+        s = 1.0 + 10 ** rng.uniform(-4, 1.7)
+        want, scale = _composed_lemma("p", a, b, s, p)
+        assert abs(lemma_expr_p(a, b, s, p) - want) <= 4 * u * scale, (a, b, s)
+
+
+def test_lemma_p_sums_psi_once_and_checks_p_first(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gen_gamma, "psi_series", counted("psi_series", psi_series))
+    monkeypatch.setattr(inequality_engine, "psi_series", counted("psi_series", psi_series))
+    monkeypatch.setattr(inequality_engine, "_psi_p_gap",
+                        counted("gap", inequality_engine._psi_p_gap))
+    lemma_expr_p(2.0, 1.0, 2.5, 30)
+    assert calls == ["psi_series", "gap"]
+    calls.clear()
+    lemma_expr_p(2.0, 1.0, 2.5, 9)
+    assert calls == ["psi_series"]
+    calls.clear()
+    # a non-integer p is psi_p's to reject, before any gap is formed
+    with pytest.raises(DomainError, match="p must be an integer"):
+        lemma_expr_p_unchecked(2.0, 1.0, 2.5, 10.5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +401,7 @@ def test_families_share_one_signature_per_role(role):
 def test_engine_takes_no_series_tolerance():
     fns = [fn for fn in vars(inequality_engine).values()
            if inspect.isfunction(fn) and fn.__module__ == inequality_engine.__name__]
-    fns += [getattr(fam, role) for fam in FAMILIES.values() for role in ("log_gamma", "psi")]
+    fns += [getattr(fam, role) for fam in FAMILIES.values() for role in ("log_gamma", "psi_pair")]
     fns.append(classical_bounds_q)
     assert len(fns) > 40
     for fn in fns:
