@@ -445,8 +445,9 @@ def log_gamma_k(t: float, k: float) -> float:
     -(ln t + ln k)/2 + ln(2 pi)/2 + O(1/u), is below 400 in magnitude, as
     ln t - ln k > 703 and both logarithms lie in [-745, 710].  No double t
     lies within 1.4e-16 of e, so |ln t - 1| > 5.3e-17, and the lead exceeds
-    2.5e305 * 5.3e-17 > 2^960: the rest is below half an ulp of it.  Where t/k is inf, the lead is formed as t (ln t - 1)/k; the value is
-    then finite only if t < e^2, so t (ln t - 1) does not overflow.  Raises
+    2.5e305 * 5.3e-17 > 2^960: the rest is below half an ulp of it.  Where
+    t/k is inf, the lead is formed as t (ln t - 1)/k; the value is then
+    finite only if t < e^2, so t (ln t - 1) does not overflow.  Raises
     OverflowError when the value exceeds the double range.
     """
     _require_positive("t", t)

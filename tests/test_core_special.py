@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,25 @@ def test_psi_scaled_skips_only_a_sizing_that_asks_for_nothing():
         sides[tol * k >= core_special._PSI_TOL_K_SHORT] += 1
         assert core_special._psi_scaled(t, k, tol) == _psi_scaled_fully_sized(t, k, tol), (t, k, tol)
     assert min(sides) > 1000
+
+
+def test_psi_scaled_sizing_margin_keeps_rounding_from_settling_short():
+    # tol makes the needed x = u + n lie just past u + m, so n must be m + 1;
+    # without the sizing's relative margin of 1e-9, the rounding of its logs
+    # and exp settles for n = m, whose bound misses tol
+    t, k = 5e-10, 1e-10
+    u = t / k
+    for m in range(11, 40):
+        for eps in (1e-12, 1e-11, 1e-10):
+            tol = core_special._PSI_OMITTED / (k * ((u + m) * (1 + eps)) ** 16)
+            assert tol * k < core_special._PSI_TOL_K_SHORT  # the sizing runs
+            r = core_special._psi_scaled(t, k, tol)
+            assert r.converged and r.err_bound <= tol, (m, eps)
+
+
+def test_bernoulli_table_is_b2_to_b14():
+    assert core_special.BERNOULLI == tuple(
+        float(Fraction(*mp.bernfrac(n))) for n in range(2, 16, 2))
 
 
 def test_psi_domain_error():

@@ -78,14 +78,44 @@ def test_convergence_study_gap_shrinks_along_p_and_q(capsys):
     assert max(int(row[3]) for row in rows) <= 12
 
 
-def test_oracle_cost_times_every_routine(capsys):
-    module = _load_script("oracle_cost")
+def test_layer_cost_times_every_layer(capsys):
+    module = _load_script("layer_cost")
+    module.REPEATS = dict.fromkeys(module.REPEATS, 1)
     assert module.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["routine", "arguments", "ms/call", "terms", "us/term", "digits"]
-    assert lines[-1].startswith("total ")
-    rows = [line.split() for line in lines[1:-1]]
-    assert len(rows) == len(module.CASES)
+    evaluators, commands, routines = (
+        table.splitlines() for table in capsys.readouterr().out.split("\n\n"))
+
+    assert evaluators[0].split() == ["evaluator", "one-shot", "sweep", "terms", "(us/call)"]
+    rows = [line.split() for line in evaluators[1:]]
+    lemmas = ["lemma_expr_p", "lemma_expr_q", "lemma_expr_k"]
+    assert [row[0] for row in rows] == ["psi_series", "psi_p", "log_gamma_p", "psi_q",
+                                        "log_gamma_q", "psi_k", "log_gamma_k", *lemmas]
+    for name, one_shot, sweep, terms in rows:
+        assert float(one_shot) > 0 and float(sweep) > 0
+        # the EvalResult evaluators report a median term count, the rest "-"
+        assert (terms == "-") == (name in ("psi_p", "log_gamma_p", "log_gamma_k", *lemmas))
+        assert terms == "-" or 1 <= float(terms) <= 77
+
+    assert commands[0].split() == ["command", "family", "format", "build_parser",
+                                   "parse_args", "main", "(ms)"]
+    assert commands[-1].startswith("total ")
+    assert commands[-1].endswith(" ms for one main call per row")
+    rows = [line.split() for line in commands[1:-1]]
+    assert [row[:3] for row in rows] == [
+        [command, family, fmt] for command in ("verify", "scan")
+        for fmt in ("csv", "json") for family in ("p", "q", "k")]
+    for row in rows:
+        assert all(float(ms) > 0 for ms in row[3:])
+    # the total is the sum of the main column, within the rounding of both
+    total = float(commands[-1].split()[1])
+    assert abs(total - sum(float(row[5]) for row in rows)) <= 0.05 + 12 * 0.0005
+
+    assert routines[0].split() == ["routine", "arguments", "ms/call", "terms", "us/term",
+                                   "digits"]
+    assert routines[-1].startswith("total ")
+    assert routines[-1].endswith(" ms for one call per row")
+    rows = [line.split() for line in routines[1:-1]]
+    assert len(rows) == 34
     assert {row[0] for row in rows} == {
         "psi_hp", "psi_p_hp", "psi_q_hp", "psi_k_hp",
         "gamma_hp", "gamma_p_hp", "gamma_q_hp", "gamma_k_quad", "cross_validate"}
@@ -96,43 +126,19 @@ def test_oracle_cost_times_every_routine(capsys):
         assert row[-1] == "-" if row[0] == "cross_validate" else int(row[-1]) >= 20
         # the time over the terms, within the rounding of both printed columns
         assert abs(us_per_term - 1e3 * ms / terms) <= 0.005 + 0.5 / terms
-
-
-def test_cli_cost_times_every_command(capsys):
-    module = _load_script("cli_cost")
-    module.REPEATS = 1
-    assert module.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["command", "family", "format", "build_parser",
-                                "parse_args", "main", "(ms)"]
-    assert lines[-1].startswith("total ")
-    assert lines[-1].endswith(" ms for one main call per row")
-    rows = [line.split() for line in lines[1:-1]]
-    assert [row[:3] for row in rows] == [
-        [command, family, fmt] for command in ("verify", "scan")
-        for fmt in ("csv", "json") for family in ("p", "q", "k")]
-    for row in rows:
-        assert all(float(ms) > 0 for ms in row[3:])
-    # the total is the sum of the main column, within the rounding of both
-    total = float(lines[-1].split()[1])
-    assert abs(total - sum(float(row[5]) for row in rows)) <= 0.05 + 12 * 0.0005
-
-
-def test_evaluator_cost_times_every_evaluator(capsys):
-    module = _load_script("evaluator_cost")
-    module.REPEATS = 1
-    assert module.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["evaluator", "one-shot", "sweep", "terms", "(us/call)"]
-    rows = [line.split() for line in lines[1:]]
-    lemmas = ["lemma_expr_p", "lemma_expr_q", "lemma_expr_k"]
-    assert [row[0] for row in rows] == ["psi_series", "psi_p", "log_gamma_p", "psi_q",
-                                        "log_gamma_q", "psi_k", "log_gamma_k", *lemmas]
-    for name, one_shot, sweep, terms in rows:
-        assert float(one_shot) > 0 and float(sweep) > 0
-        # the EvalResult evaluators report a median term count, the rest "-"
-        assert (terms == "-") == (name in ("psi_p", "log_gamma_p", "log_gamma_k", *lemmas))
-        assert terms == "-" or 1 <= float(terms) <= 77
+    total = float(routines[-1].split()[1])
+    assert abs(total - sum(float(row[-4]) for row in rows)) <= 0.05 + 34 * 0.0005
+    # all but the extremes: each oracle_crossval slot's centre once, in the
+    # benchmark's order, and cross_validate last
+    shown = [(row[0], " ".join(row[1:-4])) for row in rows]
+    extremes = [(name, ", ".join(f"{a:g}" for a in args))
+                for name, cases in module.EXTREMES.items() for args in cases]
+    centres = list(dict.fromkeys(
+        (name, ", ".join(f"{sum(band) / 2:g}" for band in slot if band is not None))
+        for name, slots in module.bw._CROSSVAL_SLOTS.items() for slot in slots))
+    assert len(centres) == 19 and len(extremes) == 14
+    assert [row for row in shown if row not in extremes] == [
+        *centres, ("cross_validate", "psi_hp(15.025)")]
 
 
 def test_mutation_sites_are_fixed_and_each_mutant_changes_one_node():
