@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import inspect
 import json
 import math
 import os
@@ -106,7 +105,7 @@ def _bool_str(b: bool) -> str:
 
 def _report_row_dict(r) -> dict:
     # the report's fields in order; ``passed`` serializes as "pass"
-    return {("pass" if k == "passed" else k): v for k, v in vars(r).items()}
+    return {("pass" if k == "passed" else k): v for k, v in r._asdict().items()}
 
 
 def render_reports_csv(rows) -> str:
@@ -157,6 +156,8 @@ def _emit(content: str, path: str | None) -> bool:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
+    import inspect  # only eval reads signatures; kept out of start-up
+
     _require_positive("tol", args.tol)
     # Each evaluator names its arguments t, p, q, k, gp or tol, so it gets
     # the flags its signature asks for.  It is looked up in this module when

@@ -17,9 +17,9 @@ target ``tol``, and sums at most _MAX_TERMS terms (see EvalResult).
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
-from typing import NamedTuple
 
 __all__ = [
     "EULER_GAMMA",
@@ -60,14 +60,8 @@ class ToleranceNotMet(RuntimeError):
     """
 
 
-class _EvalFields(NamedTuple):
-    value: float
-    err_bound: float
-    terms_used: int
-    converged: bool = True
-
-
-class EvalResult(_EvalFields):
+class EvalResult(collections.namedtuple("EvalResult", "value err_bound terms_used converged",
+                                        defaults=(True,))):
     """Value of a truncated series/product plus its a-posteriori tail bound.
 
     ``converged`` is False when no length within the _MAX_TERMS cap meets

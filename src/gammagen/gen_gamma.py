@@ -28,10 +28,23 @@ closure's integrals are -ln(1 - e^(-ca))/c and a difference of two
 dilogarithms, whose zeta(2)/c parts cancel analytically.  Its Bernoulli
 corrections are Horner passes in w = 1/(e^(ca) - 1) over polynomials with
 their weights B_2k/(2k)! multiplied in at import, and its err_bound is
-the last retained correction.  Gamma_k uses the closed identity
-Gamma_k(t) = k^(t/k - 1) Gamma(t/k), combined in log space.  The oracle
-module keeps the raw products and the defining integral as independent
-cross-checks.
+the last retained correction.
+
+ln Gamma_q keeps the one per-parameter cache of the fast path.  Half of
+its work at block size n does not depend on t: the numerators
+q^(j+1) - 1 of the direct block, the closure's corrections at c(n+1) and
+one dilogarithm there.  ``_log_gamma_q_fixed`` forms that half, cached
+by functools.lru_cache under (c, n), in at most _Q_FIXED_CACHE entries of
+n + 4 <= _MAX_TERMS + 4 floats each.  A sweep over t at one q forms it
+once per block size and pays only the t-dependent half at each point.
+The cached values come from the same floating-point operations on the
+same values as the uncached evaluation, so every result is bit for bit
+the same with or without the cache.  psi_q, the p- and k-families and the
+lemma layer cache nothing.
+
+Gamma_k uses the closed identity Gamma_k(t) = k^(t/k - 1) Gamma(t/k),
+combined in log space.  The oracle module keeps the raw products and the
+defining integral as independent cross-checks.
 
 Each deformation parameter is a plain number, an integer p or a real q
 or k, checked by the function that takes it.  Domain boundaries are
@@ -40,6 +53,7 @@ strict: q = 0, q = 1, t = 0, k = 0 are rejected, never clamped.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .core_special import (
@@ -267,13 +281,14 @@ _MIN_NORMAL = 2.0 ** -1022
 
 def _q_block(order: int, x0: float, c: float, tol: float, closure):
     """Direct block n, capped at _MAX_TERMS, whose Euler-Maclaurin closure
-    of f (order 0) or g (order 1) meets tol; returns (n, *closure(n)).
+    of f (order 0) or g (order 1) meets tol; returns (n, closure(n)).
 
-    closure(n) returns (tail, err_bound).  The search starts at the smaller
-    of two sizes, both computed in log space, and walks up from there: where
-    lead/(x0 + n)^power, the size of the last correction as c -> 0, falls to
-    tol (power = K2 - order and lead = |B_K2| (K2-1-order)!/K2!, with
-    K2 = 2 _Q_CORRECTIONS), and where e^(-c(x0 + n)) does.  Once
+    closure(n) returns a tuple (tail, err_bound, ...).  The search starts
+    at the smaller of two sizes, both computed in log space, and walks up
+    from there: where lead/(x0 + n)^power, the size of the last correction
+    as c -> 0, falls to tol (power = K2 - order and
+    lead = |B_K2| (K2-1-order)!/K2!, with K2 = 2 _Q_CORRECTIONS), and
+    where e^(-c(x0 + n)) does.  Once
     e^(-c(x0 + n)) is small the correction falls like the summands, as that
     factor times about 2e-8 c^10, so at the second size it is below tol
     when c < 5.8 (q > 0.003); at smaller q each further term shrinks it by
@@ -286,11 +301,11 @@ def _q_block(order: int, x0: float, c: float, tol: float, closure):
     estimate = min(math.exp((_Q_LOG_LEAD[order] - log_tol) / (2 * _Q_CORRECTIONS - order)),
                    -log_tol / c) - x0
     n = max(1, math.ceil(min(estimate, _MAX_TERMS)))
-    tail, bound = closure(n)
-    while bound > tol and n < _MAX_TERMS:
+    parts = closure(n)
+    while parts[1] > tol and n < _MAX_TERMS:
         n += 1
-        tail, bound = closure(n)
-    return n, tail, bound
+        parts = closure(n)
+    return n, parts
 
 
 _LN2 = math.log(2.0)
@@ -317,9 +332,12 @@ def _dilog_exp(z: float) -> float:
     return u - 0.25 * u * u + u * u * _odd_power_series(_LI2_SERIES, u)
 
 
-def _log_gamma_q_integral(t: float, q: float, c: float, a: float) -> float:
+def _log_gamma_q_integral(t: float, q: float, c: float, a: float, dilog_1: float) -> float:
     """(1-t) ln(1-q) + int_a^inf [g(x+t) - g(x+1)] dx, where the integral is
-    [Li_2(e^(-c(a+t))) - Li_2(e^(-c(a+1)))]/c.
+    [Li_2(e^(-c(a+t))) - Li_2(e^(-c(a+1)))]/c.  dilog_1 is the t-free term
+    at z2 = c(a+1) in the form its own side of ln 2 takes, _dilog_exp(z2)
+    above and _dilog_regular(z2) below; where z2 <= ln 2 < c(a+t), the
+    _dilog_exp form is formed here.
 
     Each dilogarithm is close to zeta(2) when c(a+t) and c(a+1) are small,
     so there the zeta(2)/c terms are cancelled analytically, and so are the
@@ -330,12 +348,48 @@ def _log_gamma_q_integral(t: float, q: float, c: float, a: float) -> float:
     """
     z1 = c * (a + t)
     z2 = c * (a + 1.0)
-    if max(z1, z2) > _LN2:
-        return (1.0 - t) * math.log1p(-q) + (_dilog_exp(z1) - _dilog_exp(z2)) / c
+    if z1 > _LN2 or z2 > _LN2:
+        if z2 <= _LN2:
+            dilog_1 = _dilog_exp(z2)
+        return (1.0 - t) * math.log1p(-q) + (_dilog_exp(z1) - dilog_1) / c
     s = t - 1.0
     return (-s * math.log((1.0 - q) / c) + s * math.log(a + t)
             + (a + 1.0) * math.log1p(s / (a + 1.0)) - s
-            - (_dilog_regular(z1) - _dilog_regular(z2)) / c)
+            - (_dilog_regular(z1) - dilog_1) / c)
+
+
+#: Entries kept by ``_log_gamma_q_fixed``: a sweep at one q needs one or two.
+_Q_FIXED_CACHE = 8
+
+
+@functools.lru_cache(maxsize=_Q_FIXED_CACHE)
+def _log_gamma_q_fixed(c: float, n: int) -> tuple:
+    """What ``log_gamma_q`` needs at block n and that does not depend on t,
+    as (corr_1, b_1, numerators, dilog_1):
+
+    - corr_1, b_1: ``_em_corrections`` of g at w(c(n+1)), the g(x+1) half
+      of the closure's corrections;
+    - numerators: expm1(-c(j+1)) for j = 0 .. n, the n+1 numerators of the
+      direct block's ratios;
+    - dilog_1: the closure integral's dilogarithm term at c(n+1), as
+      ``_log_gamma_q_integral`` takes it.
+
+    Cached under (c, n), c = -ln q: they are the only inputs these
+    expressions read, so a sweep at one q forms them once per block size
+    (once or twice in all).  Each is formed by the same floating-point
+    operations on the same values as in the uncached evaluation (-c is
+    ln q exactly, negation being exact), so every result is bit for bit
+    what it was without the cache.  The cache keeps at most
+    _Q_FIXED_CACHE entries of n + 4 floats each, n <= _MAX_TERMS, so at
+    most _Q_FIXED_CACHE (_MAX_TERMS + 4) floats.
+    """
+    z = c * (n + 1.0)
+    expm1, ln_q = math.expm1, -c
+    numerators = tuple([expm1(ln_q * (j + 1.0)) for j in range(n + 1)])
+    # w(z) as _bose forms it; ln_q (n+1) is -z exactly, so the last
+    # numerator is its expm1(-z)
+    corr_1, b_1 = _em_corrections(math.exp(-z) / -numerators[n], c, 1)
+    return corr_1, b_1, numerators, _dilog_exp(z) if z > _LN2 else _dilog_regular(z)
 
 
 def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
@@ -349,25 +403,35 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     summand is, up to sign, completely monotone in n.  n is the block size
     ``_q_block`` finds; if its _MAX_TERMS cap stops it, ``converged`` is
     False.  Raises OverflowError when the value exceeds the double range.
+
+    The half of each block that does not depend on t, the numerators
+    q^(j+1) - 1, the g(x+1) corrections and one dilogarithm, comes from
+    ``_log_gamma_q_fixed``, cached under (-ln q, n) in at most
+    _Q_FIXED_CACHE entries: a sweep over t at one q forms it once, and
+    every value, err_bound, terms_used and error is bit for bit what the
+    uncached evaluation gives.
     """
     _require_positive("t", t)
     _check_q(q)
-    c = -math.log(q)
+    ln_q = math.log(q)
+    c = -ln_q
 
     def closure(n):
         # corrections of h(x) = g(x+t) - g(x+1) at x = n; the two last
         # corrections share their sign, so |last| of h is |b_t - b_1|
         corr_t, b_t = _em_corrections(_bose(c * (n + t)), c, 1)
-        corr_1, b_1 = _em_corrections(_bose(c * (n + 1.0)), c, 1)
-        return corr_t - corr_1, abs(b_t - b_1)
+        fixed = _log_gamma_q_fixed(c, n)
+        return corr_t - fixed[0], abs(b_t - fixed[1]), fixed
 
-    n, corr, bound = _q_block(1, min(t, 1.0), c, tol, closure)
-    # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))) for j = 0 .. n
+    n, (corr, bound, (_, _, numerators, dilog_1)) = _q_block(1, min(t, 1.0), c, tol, closure)
+    # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))); h(0) .. h(n-1) in any order,
+    # as fsum rounds their exact sum once, and h(n) at half weight
     log, expm1 = math.log, math.expm1
-    h = [log(expm1(-c) / expm1(-c * t)) if c * t >= _MIN_NORMAL
-         else log(-expm1(-c)) - log(c) - log(t)]
-    h += [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(1, n + 1)]
-    value = _log_gamma_q_integral(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
+    h = [log(numerators[j] / expm1(ln_q * (j + t))) for j in range(1, n)]
+    h.append(log(numerators[0] / expm1(ln_q * t)) if c * t >= _MIN_NORMAL
+             else log(-numerators[0]) - log(c) - log(t))
+    h_n = log(numerators[n] / expm1(ln_q * (n + t)))
+    value = _log_gamma_q_integral(t, q, c, n, dilog_1) + math.fsum(h) + 0.5 * h_n + corr
     what = "log_gamma_q(t) at t = {0}, q = {1}"
     return EvalResult(_require_finite(value, what, t, q), bound, n, bound <= tol)
 
@@ -406,7 +470,7 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
         corr, bound = _em_corrections(w, c, 0)
         return 0.5 * w + corr, c * bound
 
-    n, tail, bound = _q_block(0, t, c, tol, closure)
+    n, (tail, bound) = _q_block(0, t, c, tol, closure)
     first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
     rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written

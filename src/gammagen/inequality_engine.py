@@ -28,9 +28,9 @@ bound that is not finite: the engine returns no inf or nan.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import core_special
 from .core_special import (
@@ -88,26 +88,30 @@ __all__ = [
 DEFAULT_TOL_REPORT = 1e-9
 
 
-@dataclass(frozen=True)
-class GenParams:
+# The records below are immutable named tuples, like EvalResult.
+
+class GenParams(collections.namedtuple("GenParams", "a b alpha beta")):
     """The shared parameter tuple (a, b, alpha, beta), all positive and finite.
 
     Theorem-specific admissibility (a >= b for the k-family, alpha bounds
     for the p/q sandwiches) is checked by the individual operations.
     """
 
-    a: float
-    b: float
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "alpha", "beta"):
-            _require_positive(name, getattr(self, name))
+    def __new__(cls, a: float, b: float, alpha: float, beta: float):
+        for name, value in zip(cls._fields, (a, b, alpha, beta)):
+            _require_positive(name, value)
+        return tuple.__new__(cls, (a, b, alpha, beta))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here; keep the check
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(collections.namedtuple(
+        "InequalityReport", "t lower middle upper lower_margin upper_margin strict passed note",
+        defaults=("",))):
     """One grid point of a sandwich check.
 
     ``passed`` applies the verdict rule margin > -DEFAULT_TOL_REPORT on
@@ -117,25 +121,16 @@ class InequalityReport:
     only because ``pass`` is reserved in Python; it serializes as "pass".)
     """
 
-    t: float
-    lower: float
-    middle: float
-    upper: float
-    lower_margin: float
-    upper_margin: float
-    strict: bool
-    passed: bool
-    note: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonotoneScan:
-    """Grid scan of an auxiliary function and its log-derivative."""
+class MonotoneScan(collections.namedtuple(
+        "MonotoneScan", "grid values min_forward_diff derivative_min")):
+    """Grid scan of an auxiliary function and its log-derivative: the grid
+    and the values as tuples, the least forward difference and the least
+    log-derivative."""
 
-    grid: tuple
-    values: tuple
-    min_forward_diff: float
-    derivative_min: float
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +165,8 @@ def _k_hypotheses(a: float, b: float, k: float) -> float:
     return k
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(collections.namedtuple(
+        "Family", "name hypotheses log_gamma psi_pair lemma_const s_power s_floor strict")):
     """One deformation, as the lemma, aux and sandwich code needs it.
 
     The prefactor is ell(t) = beta t (a gamma_E + c), plus (a - b) ln s when
@@ -185,16 +180,19 @@ class Family:
     psi(s+p+1) - ln p; below that, and for q and k, psi(s) is psi_series'.
     The callables look evaluators up by module-global name when called, so
     a wrapper installed on this module (a profiler's, say) sees every call.
+
+    Fields:
+        name         "p", "q" or "k"; also the parameter's name
+        hypotheses   (a, b, x) -> x, or DomainError off the theorem's domain
+        log_gamma    (s, x) -> ln Gamma_X(s)
+        psi_pair     (s, x) -> (psi(s), psi_X(s))
+        lemma_const  (b, x) -> c
+        s_power      aux(t) carries the factor s^(a-b)
+        s_floor      the lemma holds for s > s_floor
+        strict       the sandwich bounds are strict
     """
 
-    name: str              # "p", "q" or "k"; also the parameter's name
-    hypotheses: Callable   # (a, b, x) -> x, or DomainError off the theorem's domain
-    log_gamma: Callable    # (s, x) -> ln Gamma_X(s)
-    psi_pair: Callable     # (s, x) -> (psi(s), psi_X(s))
-    lemma_const: Callable  # (b, x) -> c
-    s_power: bool          # aux(t) carries the factor s^(a-b)
-    s_floor: float         # the lemma holds for s > s_floor
-    strict: bool           # the sandwich bounds are strict
+    __slots__ = ()
 
 
 FAMILIES = {fam.name: fam for fam in (

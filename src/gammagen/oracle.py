@@ -41,10 +41,10 @@ assembly combines (``_assembly``).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_rational,
@@ -119,13 +119,12 @@ class ConvergenceError(RuntimeError):
     target."""
 
 
-@dataclass(frozen=True)
-class HPValue:
-    """Extended-precision value, the digits it certifies, the terms it took."""
+class HPValue(collections.namedtuple("HPValue", "value certified_digits terms_used",
+                                     defaults=(0,))):
+    """Extended-precision value (an mpmath mpf), the digits it certifies,
+    the terms it took; an immutable named tuple."""
 
-    value: object  # mpmath.mpf
-    certified_digits: int
-    terms_used: int = 0
+    __slots__ = ()
 
 
 def _digits_from_error(value, err, dps) -> int:

@@ -178,13 +178,24 @@ def test_q_family_tiny_tol_at_q_half_sums_a_short_block():
 
 @pytest.mark.parametrize("t, q, tol, psi_terms, log_terms", [
     (2.5, 0.5, 1e-12, 8, 9), (2.5, 0.5, 1e-16, 22, 27), (0.3, 0.999, 1e-12, 10, 10),
-    (2.5, 1.0 - 1e-12, 1e-16, 22, 27), (40.0, 0.9, 1e-20, 22, 77)])
+    (2.5, 1.0 - 1e-12, 1e-16, 22, 27), (40.0, 0.9, 1e-20, 22, 77),
+    (2.5, 0.5, 7.957218127125474e-17, 23, 28)])
 def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
     # The block size follows from _q_block's start estimate and walk alone.
     # At q = 0.5, tol = 1e-16 the start overshoots the shortest block, so a
-    # smaller lead or a larger power would shorten it.
+    # smaller lead or a larger power would shorten it.  At tol = 7.957e-17
+    # log_gamma_q's start, the small-c size less x0 = min(t, 1), lies 1e-7
+    # above 27, so a larger x0 would start, and stop, at 27.
     assert psi_q(t, q, tol).terms_used == psi_terms
     assert log_gamma_q(t, q, tol).terms_used == log_terms
+
+
+@pytest.mark.parametrize("fn, t, q", [(log_gamma_q, 10.0, 0.5), (psi_q, 2.5, 0.5)])
+def test_q_block_stops_at_a_bound_equal_to_tol(fn, t, q):
+    # A bound equal to tol meets it, as converged means err_bound <= tol:
+    # asked for the bound it reached, the block stops at the same size.
+    r = fn(t, q)
+    assert fn(t, q, r.err_bound) == r
 
 
 def _em_corrections_power_sum(powers, c, order):
@@ -220,6 +231,143 @@ def test_em_corrections_horner_matches_the_power_sum(order):
         got = gen_gamma._em_corrections(w, c, order)
         for value, ref, size in zip(got, reference, terms):
             assert abs(value - ref) <= 8 * 2.0**-53 * size + 8 * 2.0**-1074, (c, w)
+
+
+def _log_gamma_q_uncached(t, q, tol=core_special.DEFAULT_TOL):
+    """log_gamma_q as it was before its t-free half was cached: every block
+    forms its numerators, its g(x+1) corrections and both dilogarithms at
+    each call.  The reference for the bit-identity of the cached form."""
+    core_special._require_positive("t", t)
+    core_special._check_q(q)
+    core_special._require_positive("tol", tol)
+    g = gen_gamma
+    c = -math.log(q)
+
+    def closure(n):
+        corr_t, b_t = g._em_corrections(g._bose(c * (n + t)), c, 1)
+        corr_1, b_1 = g._em_corrections(g._bose(c * (n + 1.0)), c, 1)
+        return corr_t - corr_1, abs(b_t - b_1)
+
+    log_tol = math.log(tol)
+    estimate = min(math.exp((g._Q_LOG_LEAD[1] - log_tol) / (2 * g._Q_CORRECTIONS - 1)),
+                   -log_tol / c) - min(t, 1.0)
+    n = max(1, math.ceil(min(estimate, g._MAX_TERMS)))
+    corr, bound = closure(n)
+    while bound > tol and n < g._MAX_TERMS:
+        n += 1
+        corr, bound = closure(n)
+    log, expm1 = math.log, math.expm1
+    h = [log(expm1(-c) / expm1(-c * t)) if c * t >= g._MIN_NORMAL
+         else log(-expm1(-c)) - log(c) - log(t)]
+    h += [log(expm1(-c * (j + 1.0)) / expm1(-c * (j + t))) for j in range(1, n + 1)]
+    value = _log_gamma_q_integral_uncached(t, q, c, n) + math.fsum(h[:-1]) + 0.5 * h[-1] + corr
+    what = "log_gamma_q(t) at t = {0}, q = {1}"
+    return core_special.EvalResult(core_special._require_finite(value, what, t, q),
+                                   bound, n, bound <= tol)
+
+
+def _log_gamma_q_integral_uncached(t, q, c, a):
+    """gen_gamma._log_gamma_q_integral with both dilogarithms formed here."""
+    g = gen_gamma
+    z1, z2 = c * (a + t), c * (a + 1.0)
+    if max(z1, z2) > g._LN2:
+        return (1.0 - t) * math.log1p(-q) + (g._dilog_exp(z1) - g._dilog_exp(z2)) / c
+    s = t - 1.0
+    return (-s * math.log((1.0 - q) / c) + s * math.log(a + t)
+            + (a + 1.0) * math.log1p(s / (a + 1.0)) - s
+            - (g._dilog_regular(z1) - g._dilog_regular(z2)) / c)
+
+
+def _gamma_q_uncached(t, q, tol):
+    r = _log_gamma_q_uncached(t, q, tol)
+    value = math.exp(r.value)
+    return core_special.EvalResult(value, abs(value) * math.expm1(r.err_bound),
+                                   r.terms_used, r.converged)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_log_gamma_q_cache_is_bit_identical_to_the_uncached_form():
+    # 20,000 seeded points: sweeps of 40 t at one q, which hit the cache,
+    # alternate with single calls at a fresh q, which miss it.  t runs from
+    # subnormal to 1e300 and q from 1e-300 to 1 - 1e-12, at tol 1e-8 to
+    # 1e-20.  Values, bounds, block sizes, flags and raised errors must all
+    # match the uncached form exactly, for log_gamma_q and gamma_q.
+    rng = random.Random(30)
+
+    def draw_t():
+        kind = rng.random()
+        if kind < 0.05:
+            return 10.0 ** rng.uniform(-320, -300)
+        if kind < 0.2:
+            return 10.0 ** rng.uniform(-12, 0)
+        if kind < 0.3:
+            return 10.0 ** rng.uniform(1, 300)
+        return rng.uniform(0.01, 10.0)
+
+    def draw_q():
+        kind = rng.random()
+        if kind < 0.1:
+            return 1.0 - 10.0 ** rng.uniform(-12, -3)
+        if kind < 0.2:
+            return 10.0 ** rng.uniform(-300, -2)
+        if kind < 0.25:
+            return rng.choice([1.0 - 1e-12, 1e-30])
+        return rng.uniform(0.001, 0.999)
+
+    points = 0
+    while points < 20_000:
+        q, tol = draw_q(), rng.choice([1e-12, 1e-12, 1e-8, 1e-16, 1e-20])
+        ts = [draw_t() for _ in range(40)] if points % 80 == 0 else [draw_t()]
+        for t in ts:
+            assert (_outcome(log_gamma_q, t, q, tol)
+                    == _outcome(_log_gamma_q_uncached, t, q, tol)), (t, q, tol)
+            assert (_outcome(gamma_q, t, q, tol)
+                    == _outcome(_gamma_q_uncached, t, q, tol)), (t, q, tol)
+            points += 1
+
+
+def test_log_gamma_q_cache_forms_the_t_free_half_once_per_sweep():
+    # A 100-point sweep at one q needs the t-free half of at most two block
+    # sizes (below t = 1 the start of the block search moves with t), and
+    # the cache never holds more than its maxsize.
+    cached = gen_gamma._log_gamma_q_fixed
+    maxsize = cached.cache_info().maxsize
+    assert maxsize == gen_gamma._Q_FIXED_CACHE
+    for q in (1e-30, 0.05, 0.5, 0.95, 0.999, 1.0 - 1e-12):
+        for grid in ([0.05 * i for i in range(1, 101)],
+                     [1.775 + 0.85 * 0.05 * i for i in range(1, 101)]):
+            before = cached.cache_info().misses
+            for s in grid:
+                log_gamma_q(s, q)
+            assert cached.cache_info().misses - before <= 2, (q, grid[0])
+            assert cached.cache_info().currsize <= maxsize
+    for i in range(3 * maxsize):  # a fresh q per call evicts, never grows
+        q = 0.1 + 0.02 * i
+        r = log_gamma_q(2.5, q)
+        assert cached.cache_info().currsize <= maxsize
+        # an entry holds n + 1 numerators besides its three other floats
+        assert len(cached(-math.log(q), r.terms_used)[2]) == r.terms_used + 1
+
+
+@pytest.mark.parametrize("n, t", [(7, 0.5), (7, 2.5), (6, 2.0)])
+def test_log_gamma_q_cached_dilogarithm_at_the_ln2_seam(n, t):
+    # c = ln(2)/8 puts c (n+1) at n = 7, and c (n+t) at n = 6, t = 2,
+    # exactly on ln 2, where the integral's two forms meet.  At n = 7 the
+    # cached dilogarithm takes its form below ln 2, and the integral takes
+    # the other form when c (n+t) > ln 2 (t = 2.5) and this one when not
+    # (t = 0.5).  At n = 6, t = 2 neither argument exceeds ln 2.
+    c = gen_gamma._LN2 / 8
+    assert c * 8.0 == gen_gamma._LN2
+    q = math.exp(-c)
+    dilog_1 = gen_gamma._log_gamma_q_fixed(c, n)[3]
+    assert (gen_gamma._log_gamma_q_integral(t, q, c, n, dilog_1)
+            == _log_gamma_q_integral_uncached(t, q, c, n))
 
 
 # log_gamma_q takes 77 terms at these (t, q), tol = 1e-20; 28.18... is

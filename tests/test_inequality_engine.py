@@ -55,6 +55,17 @@ def test_gen_params_must_be_positive(kwargs):
         GenParams(**kwargs)
 
 
+def test_gen_params_is_an_immutable_record_checked_on_replace():
+    gp = GenParams(1.0, 2.0, 1.5, 0.5)
+    assert gp == (1.0, 2.0, 1.5, 0.5) and gp._fields == ("a", "b", "alpha", "beta")
+    assert gp._replace(beta=2.0) == GenParams(1.0, 2.0, 1.5, 2.0)
+    for name in gp._fields:
+        with pytest.raises(DomainError, match=name):
+            gp._replace(**{name: -1.0})
+    with pytest.raises(AttributeError):
+        gp.a = 3.0
+
+
 def test_lemma_p_requires_t_above_one():
     with pytest.raises(DomainError):
         lemma_expr_p(1.0, 1.0, 1.0, 3)
