@@ -2,28 +2,29 @@
 """Seeded mutation sample: how many small changes to a module do its
 tests notice?
 
-For each module named (by default core_special, gen_gamma,
-inequality_engine and oracle) the script lists every mutation site of
-src/gammagen/<module>.py and draws SAMPLE of them at the fixed SEED, or
-takes all of them where there are fewer.  A site is one node of the
-module's syntax tree, and its mutant changes that node alone:
+For each module named (by default every module of SUBSETS: core_special,
+gen_gamma, inequality_engine, oracle, cli and selftest) the script lists
+every mutation site of src/gammagen/<module>.py and draws SAMPLE of them
+at the fixed SEED, or takes all of them where there are fewer.  A site
+is one node of the module's syntax tree, and its mutant changes that
+node alone:
 
 - + and - swap, and so do * and / (binary operators);
 - < and <= swap, and so do > and >= (each operator of a comparison);
 - an integer constant gains 1;
 - a non-zero float constant is scaled by 1 + 1e-6.
 
-The module and its tests are copied to a temporary directory, and
-nothing is written under src/.  Each mutant, written there by
-ast.unparse, runs the module's test subset (SUBSETS) with pytest -x.  A
-mutant is killed when the subset fails, or runs past TIMEOUT_S seconds.
-The unmutated module, unparsed the same way, must pass its subset first.
-Bytecode caching is off, because a mutant can match its predecessor's
-size and modification second.
+The module, its tests and README.md (which some tests read) are copied
+to a temporary directory, and nothing is written under src/.  Each
+mutant, written there by ast.unparse, runs the module's test subset
+(SUBSETS) with pytest -x.  A mutant is killed when the subset fails, or
+runs past TIMEOUT_S seconds.  The unmutated module, unparsed the same
+way, must pass its subset first.  Bytecode caching is off, because a
+mutant can match its predecessor's size and modification second.
 
 It prints each survivor (line, column and change) and, per module,
 "killed K of N (S sites)".  One mutant takes a few seconds; the default
-run takes about ten minutes on a 2-CPU host.
+run takes about a quarter of an hour on a 2-CPU host.
 
 Usage:
     python scripts/mutation_score.py [MODULE ...]
@@ -49,6 +50,9 @@ SUBSETS = {
     "gen_gamma": ["tests/test_gen_gamma.py", "tests/test_double_range.py"],
     "inequality_engine": ["tests/test_inequality_engine.py", "tests/test_acceptance.py"],
     "oracle": ["tests/test_oracle.py"],
+    "cli": ["tests/test_cli.py"],
+    "selftest": ["tests/test_cli.py", "tests/test_inequality_engine.py",
+                 "tests/test_public_api.py"],
 }
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
@@ -131,7 +135,8 @@ def main(argv=None) -> int:
         ignore = shutil.ignore_patterns("__pycache__")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         for module in modules:
             score(module, work)
     return 0

@@ -55,8 +55,11 @@ EXIT_TOL = 3
 EVAL_FUNCTIONS = ("gamma", "psi", "gamma_p", "psi_p", "gamma_q", "psi_q",
                   "gamma_k", "psi_k", "omega", "phi", "theta")
 
+# a verify row's fields in order, ``passed`` written as "pass"; CSV leaves out the note
 CSV_COLUMNS = ("t", "lower", "middle", "upper",
                "lower_margin", "upper_margin", "strict", "pass")
+_ROW_KEYS = (*CSV_COLUMNS, "note")
+_FLAG = ("false", "true")
 
 
 MAX_GRID_POINTS = 10**6
@@ -65,21 +68,21 @@ MAX_GRID_POINTS = 10**6
 def parse_grid_spec(spec: str) -> tuple:
     """Parse 'start:stop:step' (inclusive endpoints, within float slack) or a
     comma-separated explicit list; the result must be strictly increasing.
-    A start:stop:step grid must be finite and hold at most MAX_GRID_POINTS
-    points, which is checked before any point is built.  Each piece must
-    parse as a float, so neither form can give an empty grid: str.split
-    yields at least one piece, and a colon spec at least one point."""
+    Each piece must parse as a finite float, so neither form can give an
+    empty grid: str.split yields at least one piece, and a colon spec at
+    least one point.  A start:stop:step grid holds at most MAX_GRID_POINTS
+    points, which is checked before any point is built."""
     try:
         numbers = tuple(map(float, spec.split(":" if ":" in spec else ",")))
     except ValueError:
         raise DomainError(f"grid spec holds a piece that is not a number "
                           f"(got {spec!r})") from None
+    if not all(map(math.isfinite, numbers)):
+        raise DomainError(f"grid spec must be finite (got {spec!r})")
     if ":" in spec:
         if len(numbers) != 3:
             raise DomainError(f"grid spec must be start:stop:step (got {spec!r})")
         start, stop, step = numbers
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise DomainError(f"grid spec must be finite (got {spec!r})")
         if not step > 0 or stop < start:
             raise DomainError(f"grid spec needs step > 0 and stop >= start (got {spec!r})")
         intervals = (stop - start) / step + 1e-9
@@ -95,46 +98,17 @@ def parse_grid_spec(spec: str) -> tuple:
     return grid
 
 
-def _repr_num(x) -> str:
-    return repr(float(x))
+def _csv(header, rows) -> str:
+    """A CSV report: the header line, then one line per row of cells the
+    caller has already formatted.  Every number is printed as its ``repr``,
+    which round-trips (as ``json.dumps`` prints floats), and a flag as
+    true or false."""
+    return "\n".join(map(",".join, (header, *rows))) + "\n"
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _report_row_dict(r) -> dict:
-    # the report's fields in order; ``passed`` serializes as "pass"
-    return {("pass" if k == "passed" else k): v for k, v in r._asdict().items()}
-
-
-def render_reports_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join([
-            _repr_num(r.t), _repr_num(r.lower), _repr_num(r.middle),
-            _repr_num(r.upper), _repr_num(r.lower_margin),
-            _repr_num(r.upper_margin), _bool_str(r.strict),
-            _bool_str(r.passed),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def render_reports_json(config: dict, rows) -> str:
-    n_pass = sum(1 for r in rows if r.passed)
-    obj = {
-        "config": config,
-        "rows": [_report_row_dict(r) for r in rows],
-        "summary": {
-            "total": len(rows),
-            "passed": n_pass,
-            "failed": len(rows) - n_pass,
-            "all_pass": n_pass == len(rows),
-            "min_lower_margin": min((r.lower_margin for r in rows), default=None),
-            "min_upper_margin": min((r.upper_margin for r in rows), default=None),
-        },
-    }
-    return json.dumps(obj, indent=2) + "\n"
+def _json(config, **payload) -> str:
+    """A JSON report: ``config`` first, then the payload keys in order."""
+    return json.dumps({"config": config, **payload}, indent=2) + "\n"
 
 
 def _emit(content: str, path: str | None) -> bool:
@@ -194,9 +168,6 @@ def _sweep(args):
     if param is None:
         raise DomainError(f"--{args.family} is required for family {args.family}")
     grid = parse_grid_spec(args.grid)
-    # the engine admits t = 0, where the sandwich evaluates aux; a scan does not
-    if args.command == "scan" and any(t <= 0.0 for t in grid):
-        raise DomainError("monotone grids must lie strictly in (0, inf)")
     return gp, param, grid, {
         "family": args.family, "a": gp.a, "b": gp.b, "alpha": gp.alpha,
         "beta": gp.beta, args.family: param, "grid_spec": args.grid,
@@ -206,31 +177,38 @@ def _sweep(args):
 def _cmd_verify(args) -> int:
     gp, param, grid, config = _sweep(args)
     rows = check_sandwich(args.family, gp, param, grid)
-    if not _emit(render_reports_csv(rows) if args.format == "csv"
-                 else render_reports_json(config, rows), args.out):
+    n_pass = sum(r.passed for r in rows)
+    if args.format == "csv":
+        # a row's first six fields are numbers, then its two flags
+        content = _csv(CSV_COLUMNS, ([*map(repr, map(float, r[:6])), _FLAG[r.strict],
+                                      _FLAG[r.passed]] for r in rows))
+    else:
+        content = _json(config, rows=[dict(zip(_ROW_KEYS, r)) for r in rows], summary={
+            "total": len(rows),
+            "passed": n_pass,
+            "failed": len(rows) - n_pass,
+            "all_pass": n_pass == len(rows),
+            "min_lower_margin": min((r.lower_margin for r in rows), default=None),
+            "min_upper_margin": min((r.upper_margin for r in rows), default=None),
+        })
+    if not _emit(content, args.out):
         return EXIT_DOMAIN
-    n_fail = sum(not r.passed for r in rows)
+    n_fail = len(rows) - n_pass
     print(f"FAIL {n_fail}/{len(rows)}" if n_fail else f"PASS {len(rows)}/{len(rows)}")
     return EXIT_NUMERIC_FAIL if n_fail else EXIT_OK
 
 
 def _cmd_scan(args) -> int:
     gp, param, grid, config = _sweep(args)
+    # the engine admits t = 0, where the sandwich evaluates aux; a scan does not
+    if any(t <= 0.0 for t in grid):
+        raise DomainError("monotone grids must lie strictly in (0, inf)")
     scan = scan_monotone(*family_callables(args.family, gp, param), grid)
     if args.format == "csv":
-        lines = ["t,value"]
-        lines += [f"{_repr_num(t)},{_repr_num(v)}"
-                  for t, v in zip(scan.grid, scan.values)]
-        content = "\n".join(lines) + "\n"
+        content = _csv(("t", "value"), ([repr(float(t)), repr(float(v))]
+                                        for t, v in zip(scan.grid, scan.values)))
     else:
-        obj = {
-            "config": config,
-            "grid": list(scan.grid),
-            "values": list(scan.values),
-            "min_forward_diff": scan.min_forward_diff,
-            "derivative_min": scan.derivative_min,
-        }
-        content = json.dumps(obj, indent=2) + "\n"
+        content = _json(config, **scan._asdict())
     if not _emit(content, args.out):
         return EXIT_DOMAIN
     ok = scan_passes(scan)

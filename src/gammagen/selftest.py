@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from . import core_special, oracle
 from .core_special import DomainError, gamma, psi
@@ -20,36 +19,17 @@ from .inequality_engine import GenParams, _converged_value, check_sandwich
 
 DEFAULT_SEED = 20250802
 
-
-@dataclass
-class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
-
-    def record(self, label: str, ok: bool):
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.failures.append(label)
-
-    @property
-    def total(self):
-        return self.passed + self.failed
+# A suite is its name and its cases, each a (label, ok) pair in the order drawn.
 
 
-def _oracle_suites(rng, n_series: int, n_quad: int) -> list[SuiteResult]:
+def _oracle_suites(rng, n_series: int, n_quad: int) -> list:
     out = []
 
     def suite(name, n, sample, fast, ref, rel_tol):
-        res = SuiteResult(name)
-        for _ in range(n):
-            args = sample()
-            ok = oracle.cross_validate(fast(*args), ref(*args), rel_tol)
-            res.record(f"{name}{args}", ok)
-        out.append(res)
+        cases = [sample() for _ in range(n)]
+        out.append((name, [(f"{name}{args}",
+                            oracle.cross_validate(fast(*args), ref(*args), rel_tol))
+                           for args in cases]))
 
     t_any = lambda: (rng.uniform(0.05, 30.0),)
     t_p = lambda: (rng.uniform(0.05, 30.0), rng.randrange(1, 500))
@@ -72,8 +52,8 @@ def _oracle_suites(rng, n_series: int, n_quad: int) -> list[SuiteResult]:
     return out
 
 
-def _functional_equation_suite(rng, n: int) -> SuiteResult:
-    res = SuiteResult("functional-equations")
+def _functional_equation_suite(rng, n: int) -> tuple:
+    cases = []
     for _ in range(n):
         t = rng.uniform(0.1, 20.0)
         p = rng.randrange(1, 300)
@@ -85,10 +65,9 @@ def _functional_equation_suite(rng, n: int) -> SuiteResult:
                             (1.0 - q**t) / (1.0 - q) * gamma_q(t, q).value,
                             rel_tol=1e-10)
         ok_k = math.isclose(gamma_k(t + k, k), t * gamma_k(t, k), rel_tol=1e-10)
-        res.record(f"p(t={t:.4g},p={p})", ok_p)
-        res.record(f"q(t={t:.4g},q={q:.4g})", ok_q)
-        res.record(f"k(t={t:.4g},k={k:.4g})", ok_k)
-    return res
+        cases += [(f"p(t={t:.4g},p={p})", ok_p), (f"q(t={t:.4g},q={q:.4g})", ok_q),
+                  (f"k(t={t:.4g},k={k:.4g})", ok_k)]
+    return "functional-equations", cases
 
 
 def _close(x, y):
@@ -134,21 +113,21 @@ def classical_bounds_k(alpha: float, k: float, t: float) -> tuple[float, float, 
     return lower, middle, upper
 
 
-def _reduction_suites(rng, n: int) -> list[SuiteResult]:
+def _reduction_suites(rng, n: int) -> list:
     """At a = b = beta = 1 the generalized bounds must coincide termwise
     with the directly assembled single-parameter bounds."""
     out = []
 
     def suite(family, sample_alpha, sample_param, classical):
-        res = SuiteResult(f"reduction-{family}")
+        cases = []
         for _ in range(n):
             alpha, x, t = sample_alpha(), sample_param(), rng.uniform(0.05, 0.95)
             rep = check_sandwich(family, GenParams(1.0, 1.0, alpha, 1.0), x, [t])[0]
             lo, mid, up = classical(alpha, x, t)
-            res.record(f"(alpha={alpha:.4g},{family}={x:.4g},t={t:.4g})",
-                       _close(rep.lower, lo) and _close(rep.middle, mid)
-                       and _close(rep.upper, up))
-        out.append(res)
+            cases.append((f"(alpha={alpha:.4g},{family}={x:.4g},t={t:.4g})",
+                          _close(rep.lower, lo) and _close(rep.middle, mid)
+                          and _close(rep.upper, up)))
+        out.append((f"reduction-{family}", cases))
 
     suite("p", lambda: rng.uniform(1.0, 3.0), lambda: rng.randrange(1, 50),
           classical_bounds_p)
@@ -175,11 +154,12 @@ def run(quick: bool = False, seed: int = DEFAULT_SEED) -> int:
     suites.extend(_reduction_suites(rng, n_red))
 
     any_failed = False
-    for s in suites:
-        status = "PASS" if s.failed == 0 else "FAIL"
-        print(f"{s.name}: {status} {s.passed}/{s.total}")
-        for label in s.failures[:5]:
+    for name, cases in suites:
+        failures = [label for label, ok in cases if not ok]
+        print(f"{name}: {'FAIL' if failures else 'PASS'} "
+              f"{len(cases) - len(failures)}/{len(cases)}")
+        for label in failures[:5]:
             print(f"  failing case: {label}")
-        any_failed = any_failed or s.failed > 0
-    print("selftest: " + ("PASS" if not any_failed else "FAIL"))
+        any_failed = any_failed or bool(failures)
+    print("selftest: " + ("FAIL" if any_failed else "PASS"))
     return 1 if any_failed else 0

@@ -14,6 +14,8 @@ from gammagen import (GenParams, gamma, gamma_k, gamma_p, gamma_q, omega, phi, p
                       psi_p, psi_q, psi_series, theta)
 from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
 from gammagen.core_special import DomainError, EvalResult
+from gammagen.inequality_engine import (InequalityReport, MonotoneScan, check_sandwich,
+                                        family_callables, scan_monotone)
 
 
 def run_cli(*args):
@@ -284,12 +286,69 @@ def test_json_report_keys_are_the_readmes(tmp_path, capsys, command, family):
     obj = json.loads(out.read_text())
     assert list(obj["config"]) == ["family", "a", "b", "alpha", "beta", family,
                                    "grid_spec", "grid", "format"]
+    assert [obj["config"][name] for name in ("a", "b", "beta")] == [1.0] * 3  # defaults
     if command == "verify":
         assert list(obj) == ["config", "rows", "summary"]
         assert all(set(row) == ROW_KEYS for row in obj["rows"])
     else:
         assert list(obj) == ["config", "grid", "values", "min_forward_diff",
                              "derivative_min"]
+
+
+def _cell(text):
+    return {"true": True, "false": False}[text] if text in ("true", "false") else float(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family", FAMILY_FLAGS)
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_report_cells_round_trip_to_the_engine_records(tmp_path, capsys, command, family,
+                                                       fmt):
+    # alpha = 1 puts the p and q rows on the hypothesis boundary, so their
+    # note is not empty
+    out = tmp_path / "r"
+    assert main([command, "--family", family, "--a", "2", "--b", "1", "--alpha", "1",
+                 "--beta", "0.5", *FAMILY_FLAGS[family], "--grid", "0.1,0.35,0.9",
+                 "--format", fmt, "--out", str(out)]) == 0
+    gp, param = GenParams(2.0, 1.0, 1.0, 0.5), float(FAMILY_FLAGS[family][1])
+    grid = (0.1, 0.35, 0.9)
+    if command == "verify":
+        records = check_sandwich(family, gp, int(param) if family == "p" else param, grid)
+        assert all(r.note for r in records) == (family != "k")
+    else:
+        scan = scan_monotone(*family_callables(
+            family, gp, int(param) if family == "p" else param), grid)
+    text = out.read_text()
+    if fmt == "csv":
+        lines = [line.split(",") for line in text.splitlines()]
+        if command == "verify":
+            assert lines[0] == list(CSV_COLUMNS)
+            names = ["passed" if c == "pass" else c for c in CSV_COLUMNS]
+            expected = [[getattr(r, name) for name in names] for r in records]
+        else:
+            assert lines[0] == ["t", "value"]
+            expected = [list(pair) for pair in zip(scan.grid, scan.values)]
+        got = [[_cell(c) for c in line] for line in lines[1:]]
+        assert got == expected
+        assert [[type(c) for c in row] for row in got] == [
+            [bool if type(v) is bool else float for v in row] for row in expected]
+        return
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    if command == "verify":
+        keys = ["pass" if f == "passed" else f for f in InequalityReport._fields]
+        assert [list(row) for row in obj["rows"]] == [keys] * len(records)
+        assert [list(row.values()) for row in obj["rows"]] == [list(r) for r in records]
+        n_pass = sum(r.passed for r in records)
+        assert obj["summary"] == {
+            "total": len(records), "passed": n_pass, "failed": len(records) - n_pass,
+            "all_pass": n_pass == len(records),
+            "min_lower_margin": min(r.lower_margin for r in records),
+            "min_upper_margin": min(r.upper_margin for r in records)}
+    else:
+        assert [obj[f] for f in MonotoneScan._fields] == [list(scan.grid), list(scan.values),
+                                                          scan.min_forward_diff,
+                                                          scan.derivative_min]
 
 
 def test_verify_grid_outside_unit_interval_rejected():
@@ -460,8 +519,14 @@ def test_closed_stdout_is_exit_2_without_a_traceback(command):
      "domain error: q must lie strictly in (0, 1)"),
     (["verify", "--family", "q", "--q", "0.5", "--grid", "1,"],
      "domain error: grid spec holds a piece that is not a number (got '1,')"),
+    (["scan", "--family", "q", "--q", "0.5", "--grid", "nan,0.5"],
+     "domain error: grid spec must be finite (got 'nan,0.5')"),
+    # the k engine admits s = alpha + beta t at t = 0; the scan's own rule does not
+    (["scan", "--family", "k", "--k", "2", "--alpha", "0.5", "--grid", "0,0.5"],
+     "domain error: monotone grids must lie strictly in (0, inf)"),
 ], ids=["eval-overflow", "verify-overflow", "verify-inf-log", "verify-inf-log-json",
-        "scan-inf-log", "verify-inf-bound", "eval-domain", "verify-domain", "grid-domain"])
+        "scan-inf-log", "verify-inf-bound", "eval-domain", "verify-domain", "grid-domain",
+        "grid-non-finite", "scan-grid-at-zero"])
 def test_error_message_names_its_kind(capsys, argv, message):
     # an OverflowError was once reported as a "domain error" too.  a ln Gamma(10.5)
     # at a = 1e308 is inf: the inf-log cases printed inf and nan rows (JSON
@@ -499,8 +564,26 @@ def test_selftest_detects_corrupted_psi_coefficients(monkeypatch, capsys):
                         tuple(1.01 * c for c in core_special._PSI_ASYMPTOTIC))
     code = selftest.run(quick=True)
     assert code == 1
-    failing = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+    lines = capsys.readouterr().out.splitlines()
+    failing = [ln for ln in lines if "FAIL" in ln]
     assert any("psi-vs-oracle" in ln for ln in failing)
+    # a failing suite lists its first five failing cases, then the next suite follows
+    at = lines.index("psi-vs-oracle: FAIL 0/8")
+    assert [ln.split("(")[0] for ln in lines[at + 1:at + 7]] == (
+        ["  failing case: psi-vs-oracle"] * 5 + ["psi_p-vs-oracle: FAIL 0/8"])
+    assert lines[-1] == "selftest: FAIL"
+
+
+def test_selftest_quick_prints_each_suites_tally(capsys):
+    from gammagen import selftest
+    assert selftest.run(quick=True, seed=0) == 0  # seed 0 is admitted
+    sizes = {"gamma-vs-oracle": 5, "psi-vs-oracle": 8, "psi_p-vs-oracle": 8,
+             "psi_q-vs-oracle": 8, "psi_k-vs-oracle": 8, "gamma_p-vs-oracle": 8,
+             "gamma_q-vs-oracle": 8, "gamma_k-vs-quadrature": 5,
+             "functional-equations": 36, "reduction-p": 4, "reduction-q": 4,
+             "reduction-k": 4}
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{name}: PASS {n}/{n}" for name, n in sizes.items()), "selftest: PASS"]
 
 
 def test_parse_grid_spec_colon():
@@ -508,18 +591,21 @@ def test_parse_grid_spec_colon():
     assert len(grid) == 19
     assert grid[0] == pytest.approx(0.05)
     assert grid[-1] == pytest.approx(0.95)
+    assert parse_grid_spec("0.5:0.5:1") == (0.5,)  # stop == start: one point
 
 
 def test_parse_grid_spec_list():
     assert parse_grid_spec("0.1,0.2,0.7") == (0.1, 0.2, 0.7)
 
 
-# 0:1:1e-6 is 1,000,001 points, one more than a grid may hold; the last
-# four once raised a bare ValueError that did not name the spec
+# 0:1:1e-6 is 1,000,001 points, one more than a grid may hold; "", ",", "1,"
+# and "a:1:0.1" once raised a bare ValueError that did not name the spec, and
+# the non-finite lists once passed (nan compares False in the order check)
 @pytest.mark.parametrize("bad", ["1:0:0.1", "0.1:1:-0.5", "0.5,0.5", "0.7,0.2",
-                                 "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf",
+                                 "0:1:0", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf",
                                  "0:1:1e-6", "-1e308:1e308:1e-300",
-                                 "", ",", "1,", "a:1:0.1"])
+                                 "", ",", "1,", "a:1:0.1",
+                                 "nan", "nan,0.5", "0.5,nan", "0.5,inf", "-inf,0.5"])
 def test_parse_grid_spec_rejects(bad):
     with pytest.raises(DomainError):
         parse_grid_spec(bad)

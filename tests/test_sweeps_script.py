@@ -158,3 +158,27 @@ def test_mutation_sites_are_fixed_and_each_mutant_changes_one_node():
         assert len(mutant) == len(original)
         assert sum(a != b for a, b in zip(original, mutant)) == 1, site
     assert module.main(["no_such_module"]) == 2
+
+
+def test_contract_fuzz_tallies_every_draw_by_class(capsys):
+    # the shape of the report, not its verdicts: until the verdict layer
+    # gives one on every admissible input, admissible draws may exit 1 or 2
+    assert _load_script("contract_fuzz").main(["--seed", "2", "--count", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed 2, 50 draws"
+    assert lines[1].split() == ["command", "family", "draw", "exit", "stderr", "or",
+                                "verdict", "count", "example"]
+    assert lines[-1] == "raised or traceback: 0; JSON needing Infinity or NaN: 0"
+    rows = [(line[:8].strip(), line[8:15].strip(), line[15:26].strip(),
+             line[26:33].strip(), line[33:53].strip(), int(line[53:59]), line[61:])
+            for line in lines[2:-1]]
+    assert sum(row[5] for row in rows) == 50
+    assert len(set(row[:5] for row in rows)) == len(rows) > 5
+    for command, family, kind, code, prefix, _, example in rows:
+        assert example.startswith(f"gammagen {command} --family {family} ")
+        assert kind in ({"admissible", "grid"}
+                        | ({"a<b", "k<1"} if family == "k" else {"alpha<1"}))
+        assert (code, prefix) in {("0", "PASS"), ("1", "FAIL"), ("2", "domain error"),
+                                  ("2", "out of double range")}
+        # a broken hypothesis never gives a verdict
+        assert kind == "admissible" or code == "2"
