@@ -19,32 +19,22 @@ import math
 import os
 import sys
 
+import gammagen
+
 from .core_special import (
     DEFAULT_TOL,
     DomainError,
     EvalResult,
     ToleranceNotMet,
     _require_positive,
-    gamma,
-    psi_series,
-)
-from .gen_gamma import (
-    gamma_k,
-    gamma_p,
-    gamma_q,
-    psi_k,
-    psi_p,
-    psi_q,
 )
 from .inequality_engine import (
+    FAMILIES,
     GenParams,
     check_sandwich,
     family_callables,
-    omega,
-    phi,
     scan_monotone,
     scan_passes,
-    theta,
 )
 
 EXIT_OK = 0
@@ -134,9 +124,9 @@ def _cmd_eval(args) -> int:
 
     _require_positive("tol", args.tol)
     # Each evaluator names its arguments t, p, q, k, gp or tol, so it gets
-    # the flags its signature asks for.  It is looked up in this module when
-    # called, so a wrapper installed here (a profiler's, say) sees the call.
-    func = globals()["psi_series" if args.fn == "psi" else args.fn]
+    # the flags its signature asks for.  It is looked up on the package when
+    # called, so a wrapper installed there (a profiler's, say) sees the call.
+    func = getattr(gammagen, "psi_series" if args.fn == "psi" else args.fn)
     kwargs = {}
     for name in inspect.signature(func).parameters:
         if name == "gp":
@@ -240,7 +230,7 @@ def _add_gen_param_flags(sub):
 
 def _add_sweep_flags(sub):
     _add_gen_param_flags(sub)
-    sub.add_argument("--family", choices=("p", "q", "k"), required=True)
+    sub.add_argument("--family", choices=tuple(FAMILIES), required=True)
     sub.add_argument("--grid", required=True,
                      help="start:stop:step or comma-separated values")
     sub.add_argument("--out", default=None, help="report file (default stdout)")

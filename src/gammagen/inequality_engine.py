@@ -218,7 +218,7 @@ def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
     """The family's description and its parameter, checked by its hypotheses."""
     fam = FAMILIES.get(family)
     if fam is None:
-        raise DomainError(f"family must be one of p, q, k (got {family!r})")
+        raise DomainError(f"family must be one of {', '.join(FAMILIES)} (got {family!r})")
     return fam, fam.hypotheses(a, b, param)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import gammagen
 from gammagen import (GenParams, gamma, gamma_k, gamma_p, gamma_q, omega, phi, psi_k,
                       psi_p, psi_q, psi_series, theta)
 from gammagen.cli import CSV_COLUMNS, EVAL_FUNCTIONS, main, parse_grid_spec
@@ -187,6 +189,28 @@ def test_eval_prints_the_library_value(fn, capsys):
         assert len(lines) == 1
 
 
+@pytest.mark.parametrize("fn", EVAL_FUNCTIONS)
+def test_eval_calls_the_evaluator_installed_on_the_package(fn, monkeypatch, capsys):
+    # eval looks its evaluator up on the package when called, so a wrapper
+    # installed there (a profiler's, say) sees the call; functools.wraps
+    # carries the signature eval reads its flags from
+    flags, _ = EVAL_CASES[fn]
+    assert main(["eval", fn, *flags]) == 0
+    plain = capsys.readouterr().out
+    name = "psi_series" if fn == "psi" else fn
+    original, calls = getattr(gammagen, name), []
+
+    @functools.wraps(original)
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gammagen, name, counting)
+    assert main(["eval", fn, *flags]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == plain
+
+
 def test_unknown_function_rejected():
     r = run_cli("eval", "zeta", "--t", "1")
     assert r.returncode == 2
@@ -293,6 +317,22 @@ def test_json_report_keys_are_the_readmes(tmp_path, capsys, command, family):
     else:
         assert list(obj) == ["config", "grid", "values", "min_forward_diff",
                              "derivative_min"]
+
+
+@pytest.mark.parametrize("family", ["p", "k"])
+def test_verify_alpha_defaults_to_one(tmp_path, capsys, family):
+    # alpha = 1 is the p-family's hypothesis boundary, so every p row is
+    # noted; the k lemma holds down to s = 0, so no k row is
+    out = tmp_path / "r.json"
+    assert main(["verify", "--family", family, *FAMILY_FLAGS[family], "--grid", "0.25,0.5",
+                 "--format", "json", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["config"]["alpha"] == 1.0
+    notes = [row["note"] for row in obj["rows"]]
+    if family == "p":
+        assert all(note.endswith("on the hypothesis boundary") for note in notes)
+    else:
+        assert notes == ["", ""]
 
 
 def _cell(text):

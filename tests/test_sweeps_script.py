@@ -168,10 +168,10 @@ def test_contract_fuzz_tallies_every_draw_by_class(capsys):
     assert lines[0] == "seed 2, 50 draws"
     assert lines[1].split() == ["command", "family", "draw", "exit", "stderr", "or",
                                 "verdict", "count", "example"]
-    assert lines[-1] == "raised or traceback: 0; JSON needing Infinity or NaN: 0"
+    end = lines.index("raised or traceback: 0; JSON needing Infinity or NaN: 0")
     rows = [(line[:8].strip(), line[8:15].strip(), line[15:26].strip(),
              line[26:33].strip(), line[33:53].strip(), int(line[53:59]), line[61:])
-            for line in lines[2:-1]]
+            for line in lines[2:end]]
     assert sum(row[5] for row in rows) == 50
     assert len(set(row[:5] for row in rows)) == len(rows) > 5
     for command, family, kind, code, prefix, _, example in rows:
@@ -181,4 +181,25 @@ def test_contract_fuzz_tallies_every_draw_by_class(capsys):
         assert (code, prefix) in {("0", "PASS"), ("1", "FAIL"), ("2", "domain error"),
                                   ("2", "out of double range")}
         # a broken hypothesis never gives a verdict
+        assert kind == "admissible" or code == "2"
+
+    # eval: a value, a named rejection or an unmet tolerance, never a traceback
+    assert lines[end + 1] == "eval, 50 draws"
+    assert lines[end + 2].split() == ["function", "draw", "exit", "stderr", "or", "value",
+                                      "count", "example"]
+    assert lines[-1] == "eval raised or traceback: 0"
+    rows = [(line[:9].strip(), line[9:20].strip(), line[20:27].strip(),
+             line[27:47].strip(), int(line[47:53]), line[55:])
+            for line in lines[end + 3:-1]]
+    assert sum(row[4] for row in rows) == 50
+    assert len(set(row[:4] for row in rows)) == len(rows) > 5
+    for fn, kind, code, prefix, _, example in rows:
+        assert example.startswith(f"gammagen eval {fn} ")
+        assert kind in {"admissible", "t", "tol", "missing", "p", "q", "k"}
+        if kind in ("p", "q", "k"):
+            assert f" --{kind}=" in example
+        # argparse itself rejects a --p that is not an integer
+        assert (code, prefix) in {("0", "value"), ("2", "domain error"),
+                                  ("2", "out of double range"), ("3", "tolerance not met")
+                                  } or (kind, code, prefix) == ("p", "2", "usage")
         assert kind == "admissible" or code == "2"
