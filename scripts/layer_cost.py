@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the layers built on the series of psi, psi_p, psi_q and psi_k: the
-fast-path evaluators with the engine's lemma layer on top of them, the CLI,
-and the oracle.
+fast-path evaluators with the engine's lemma layer on top of them, the
+engine's sweeps, the CLI, and the oracle.
 
 The workloads are the benchmark's (benchmark/bench_workloads.py, imported
 and only read): its verify and scan grids, the centres of its
@@ -9,7 +9,7 @@ and only read): its verify and scan grids, the centres of its
 ``paper_battery`` workload draws a, b, alpha, beta and p, q or k from
 (PAPER, the one table the benchmark holds only inside its draws).  Each
 time is the median of the table's REPEATS passes, after one untimed pass.
-Three tables, in order:
+Four tables, in order:
 
 1. Evaluators: psi_series, psi_p, log_gamma_p, psi_q, log_gamma_q, psi_k
    and log_gamma_k, and lemma_expr_p/_q/_k(a, b, s, x) at a = 2, b = 1,
@@ -19,10 +19,13 @@ Three tables, in order:
    parameter's band, as a lemma batch does; sweep, the same when the
    band's centre runs over the grid's s, as verify does; terms, the
    median terms_used of the sweep, "-" for a bare float.
-2. CLI: build_parser(), parse_args and a whole in-process cli.main call,
+2. Sweeps: check_sandwich over the verify grid and
+   scan_monotone(*family_callables(...)) over the scan grid, for each
+   family at its PAPER centres, in microseconds per grid point.
+3. CLI: build_parser(), parse_args and a whole in-process cli.main call,
    in milliseconds, for verify and scan in CSV and JSON for each family.
    Reports go to a temporary file.
-3. Oracle: each routine at the centre of each oracle_crossval slot, then
+4. Oracle: each routine at the centre of each oracle_crossval slot, then
    at EXTREMES: a tiny t, which the functional equation lifts by 32
    integer factors of about 1,050 bits; t/k = 1500, which widens the
    trapezoid's working precision, and t/k = 1e325, where u, the strip
@@ -86,7 +89,7 @@ EXTREMES = {
     "gamma_q_hp": [(2.5, 0.999), (2.5, 0.9999), (2.5, 1 - 1e-6)],
     "gamma_k_quad": [(300.0, 0.2), (1e5, 1e-320)],
 }
-REPEATS = {"evaluator": 201, "cli": 101, "oracle": 5}
+REPEATS = {"evaluator": 201, "sweep": 101, "cli": 101, "oracle": 5}
 
 
 def _centre(low, high):
@@ -134,6 +137,21 @@ def evaluator_table() -> None:
         shown = "-" if terms[0] is None else f"{statistics.median(terms):g}"
         print(f"{name:<12} {_us_per_call(fn, one_shot):>9.2f} "
               f"{_us_per_call(fn, sweep):>9.2f} {shown:>6}")
+
+
+def _scan(family, gp, x, grid):
+    return gammagen.scan_monotone(*gammagen.family_callables(family, gp, x), grid)
+
+
+def sweep_table() -> None:
+    print(f"{'sweep':<8} {'family':<6} {'points':>6} {'us/point':>9}")
+    for sweep, spec, run in (("sandwich", bw.PAPER_VERIFY_GRID, gammagen.check_sandwich),
+                             ("scan", bw.PAPER_SCAN_GRID, _scan)):
+        grid = cli.parse_grid_spec(spec)
+        for family, (params, band) in PAPER.items():
+            args = (family, gammagen.GenParams(*params), _centre(*band), grid)
+            us = 1e6 * _median_s(lambda: run(*args), REPEATS["sweep"]) / len(grid)
+            print(f"{sweep:<8} {family:<6} {len(grid):>6} {us:>9.2f}")
 
 
 def cli_table() -> None:
@@ -198,6 +216,8 @@ def oracle_table() -> None:
 
 def main() -> int:
     evaluator_table()
+    print()
+    sweep_table()
     print()
     cli_table()
     print()

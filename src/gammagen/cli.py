@@ -26,6 +26,7 @@ from .core_special import (
     DomainError,
     EvalResult,
     ToleranceNotMet,
+    _converged_value,
     _require_positive,
 )
 from .inequality_engine import (
@@ -140,10 +141,7 @@ def _cmd_eval(args) -> int:
     if isinstance(result, EvalResult):
         print(repr(result.value))
         print(f"err_bound {result.err_bound!r} terms_used {result.terms_used}")
-        if not result.converged:
-            print(f"tolerance not met: term cap reached short of tol={args.tol!r} "
-                  f"(err_bound {result.err_bound!r})", file=sys.stderr)
-            return EXIT_TOL
+        _converged_value(result, args.fn, args.tol)  # ToleranceNotMet: exit 3
     else:
         print(repr(result))
     return EXIT_OK
@@ -218,12 +216,20 @@ def _cmd_selftest(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def number(text: str):
+    """An int where the text is one, else a float, which ``_check_p`` rejects."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _add_gen_param_flags(sub):
     sub.add_argument("--a", type=float, default=1.0)
     sub.add_argument("--b", type=float, default=1.0)
     sub.add_argument("--alpha", type=float, default=1.0)
     sub.add_argument("--beta", type=float, default=1.0)
-    sub.add_argument("--p", type=int, default=None)
+    sub.add_argument("--p", type=number, default=None)
     sub.add_argument("--q", type=float, default=None)
     sub.add_argument("--k", type=float, default=None)
 

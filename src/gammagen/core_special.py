@@ -52,11 +52,11 @@ class DomainError(ValueError):
 
 
 class ToleranceNotMet(RuntimeError):
-    """A series evaluation stopped at the term cap before reaching its tolerance.
+    """No series length within the term cap meets a series evaluation's tolerance.
 
     Evaluators themselves report this condition non-fatally through
-    ``EvalResult.converged``; this exception is raised only where a verdict
-    would otherwise silently depend on an unconverged value.
+    ``EvalResult.converged``; this exception is raised where a verdict would
+    otherwise silently depend on an unconverged value, and by ``eval``.
     """
 
 
@@ -85,6 +85,14 @@ class EvalResult(collections.namedtuple("EvalResult", "value err_bound terms_use
     @classmethod
     def _make(cls, iterable):  # _replace builds through here; keep the check
         return cls(*iterable)
+
+
+def _converged_value(result: EvalResult, what: str, tol: float = DEFAULT_TOL) -> float:
+    """result.value, or ToleranceNotMet in words true of a stop at the cap and short of it."""
+    if not result.converged:
+        raise ToleranceNotMet(f"{what}: no series length within the {_MAX_TERMS:,}-term cap "
+                              f"meets tol={tol!r} (err_bound {result.err_bound!r})")
+    return result.value
 
 
 def _require_positive(name: str, value) -> None:
@@ -165,8 +173,11 @@ _PSI_TOL_K_SHORT = 2 * _PSI_OMITTED / _ASYMPTOTIC_FROM ** 16
 def _psi_tail(r: float) -> float:
     """T(x) at r = 1/x: T(x) = sum_k B_2k / (2k x^(2k)), so that
     psi(x) = ln x - 1/(2x) - T(x) + R, where for real x > 0 the remainder R
-    is bounded by the first omitted term, _PSI_OMITTED / x^16."""
-    return r * _odd_power_series(_PSI_ASYMPTOTIC, r)
+    is bounded by the first omitted term, _PSI_OMITTED / x^16.  Written out,
+    this is ``_odd_power_series``' Horner pass, whose first step 0 z + c7 is exact."""
+    c1, c2, c3, c4, c5, c6, c7 = _PSI_ASYMPTOTIC
+    z = r * r
+    return r * (((((((c7 * z + c6) * z + c5) * z + c4) * z + c3) * z + c2) * z + c1) * r)
 
 
 def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
@@ -208,8 +219,10 @@ def _psi_scaled(t: float, k: float, tol: float) -> EvalResult:
     bound = _PSI_OMITTED * r**15 / y
     value = (math.log(y) / k - (0.5 / y + _psi_tail(r) / k)
              - math.fsum([1.0 / (t + j * k) for j in range(n)]))
-    what = "psi(t) at t = {0}" if k == 1 else "(ln k + psi(t/k))/k at t = {0}, k = {1}"
-    return EvalResult(_require_finite(value, what, t, k), bound, n, bound <= tol)
+    if not math.isfinite(value):
+        what = "psi(t) at t = {0}" if k == 1 else "(ln k + psi(t/k))/k at t = {0}, k = {1}"
+        _require_finite(value, what, t, k)
+    return EvalResult(value, bound, n, bound <= tol)
 
 
 def psi_series(t: float, tol: float = DEFAULT_TOL) -> EvalResult:

@@ -28,7 +28,8 @@ closure's integrals are -ln(1 - e^(-ca))/c and a difference of two
 dilogarithms, whose zeta(2)/c parts cancel analytically.  Its Bernoulli
 corrections are Horner passes in w = 1/(e^(ca) - 1) over polynomials with
 their weights B_2k/(2k)! multiplied in at import, and its err_bound is
-the last retained correction.
+the last retained correction.  Each function walks its block size up, a
+term at a time from ``_q_start``'s estimate, until that bound meets tol.
 
 ln Gamma_q keeps the one per-parameter cache of the fast path.  Half of
 its work at block size n does not depend on t: the numerators
@@ -238,7 +239,7 @@ def _negative_polylogs(count):
 
 
 _A = _negative_polylogs(2 * _Q_CORRECTIONS)
-# ln lead per order for _q_block: lead = |B_K2| (K2-1-order)!/K2!, K2 = 2 _Q_CORRECTIONS
+# ln lead per order for _q_start: lead = |B_K2| (K2-1-order)!/K2!, K2 = 2 _Q_CORRECTIONS
 _Q_LOG_LEAD = tuple(math.log(abs(BERNOULLI[_Q_CORRECTIONS - 1])
                              / (2 * _Q_CORRECTIONS * (2 * _Q_CORRECTIONS - 1) ** order))
                     for order in (0, 1))
@@ -259,13 +260,14 @@ def _em_corrections(w: float, c: float, order: int) -> tuple[float, float]:
     sum and the magnitude of the last, which bounds |R| when +-F is completely monotone."""
     total = 0.0
     scale = -c
+    c2 = c * c
     for coeffs in _WEIGHTED[order]:
         poly = 0.0
         for coeff in coeffs:
             poly = (poly + coeff) * w
         last = scale * poly
         total -= last
-        scale *= c * c
+        scale *= c2
     return total, abs(last)
 
 
@@ -279,16 +281,14 @@ def _bose(z: float) -> float:
 _MIN_NORMAL = 2.0 ** -1022
 
 
-def _q_block(order: int, x0: float, c: float, tol: float, closure):
-    """Direct block n, capped at _MAX_TERMS, whose Euler-Maclaurin closure
-    of f (order 0) or g (order 1) meets tol; returns (n, closure(n)).
-
-    closure(n) returns a tuple (tail, err_bound, ...).  The search starts
-    at the smaller of two sizes, both computed in log space, and walks up
-    from there: where lead/(x0 + n)^power, the size of the last correction
-    as c -> 0, falls to tol (power = K2 - order and
-    lead = |B_K2| (K2-1-order)!/K2!, with K2 = 2 _Q_CORRECTIONS), and
-    where e^(-c(x0 + n)) does.  Once
+def _q_start(order: int, x0: float, c: float, tol: float) -> int:
+    """Block size n <= _MAX_TERMS from which psi_q (f, order 0) and
+    log_gamma_q (g, order 1) walk up, a term at a time, to the first n, or
+    the cap, whose Euler-Maclaurin bound meets tol.  The start is the
+    smaller of two sizes, both computed in log space: where
+    lead/(x0 + n)^power, the size of the last correction as c -> 0, falls
+    to tol (power = K2 - order and lead = |B_K2| (K2-1-order)!/K2!, with
+    K2 = 2 _Q_CORRECTIONS), and where e^(-c(x0 + n)) does.  Once
     e^(-c(x0 + n)) is small the correction falls like the summands, as that
     factor times about 2e-8 c^10, so at the second size it is below tol
     when c < 5.8 (q > 0.003); at smaller q each further term shrinks it by
@@ -300,12 +300,7 @@ def _q_block(order: int, x0: float, c: float, tol: float, closure):
     log_tol = math.log(tol)
     estimate = min(math.exp((_Q_LOG_LEAD[order] - log_tol) / (2 * _Q_CORRECTIONS - order)),
                    -log_tol / c) - x0
-    n = max(1, math.ceil(min(estimate, _MAX_TERMS)))
-    parts = closure(n)
-    while parts[1] > tol and n < _MAX_TERMS:
-        n += 1
-        parts = closure(n)
-    return n, parts
+    return max(1, math.ceil(min(estimate, _MAX_TERMS)))
 
 
 _LN2 = math.log(2.0)
@@ -400,9 +395,10 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     values, is followed by the Euler-Maclaurin closure of the rest
     (see ``_log_gamma_q_integral`` for its integral).  err_bound is the last
     retained Bernoulli correction, which bounds the remainder because each
-    summand is, up to sign, completely monotone in n.  n is the block size
-    ``_q_block`` finds; if its _MAX_TERMS cap stops it, ``converged`` is
-    False.  Raises OverflowError when the value exceeds the double range.
+    summand is, up to sign, completely monotone in n.  n is the first block
+    size, walked up one term at a time from ``_q_start``'s estimate, whose
+    bound meets tol; if the walk stops at the _MAX_TERMS cap, ``converged``
+    is False.  Raises OverflowError when the value exceeds the double range.
 
     The half of each block that does not depend on t, the numerators
     q^(j+1) - 1, the g(x+1) corrections and one dilogarithm, comes from
@@ -416,14 +412,15 @@ def log_gamma_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     ln_q = math.log(q)
     c = -ln_q
 
-    def closure(n):
-        # corrections of h(x) = g(x+t) - g(x+1) at x = n; the two last
-        # corrections share their sign, so |last| of h is |b_t - b_1|
+    # corrections of h(x) = g(x+t) - g(x+1) at x = n; the two last
+    # corrections share their sign, so |last| of h is |b_t - b_1|
+    n, bound = _q_start(1, min(t, 1.0), c, tol) - 1, math.inf
+    while bound > tol and n < _MAX_TERMS:
+        n += 1
         corr_t, b_t = _em_corrections(_bose(c * (n + t)), c, 1)
-        fixed = _log_gamma_q_fixed(c, n)
-        return corr_t - fixed[0], abs(b_t - fixed[1]), fixed
-
-    n, (corr, bound, (_, _, numerators, dilog_1)) = _q_block(1, min(t, 1.0), c, tol, closure)
+        corr_1, b_1, numerators, dilog_1 = _log_gamma_q_fixed(c, n)
+        bound = abs(b_t - b_1)
+    corr = corr_t - corr_1
     # h(j) = ln((1 - q^(j+1))/(1 - q^(j+t))); h(0) .. h(n-1) in any order,
     # as fsum rounds their exact sum once, and h(n) at half weight
     log, expm1 = math.log, math.expm1
@@ -457,22 +454,23 @@ def psi_q(t: float, q: float, tol: float = DEFAULT_TOL) -> EvalResult:
     with integral -ln(1 - e^(-ca))/c at a = t+n, whose logarithm is combined
     with -ln(1-q) into one log1p.  err_bound is c times the last retained
     Bernoulli correction, which bounds the remainder because f is completely
-    monotone.  n is the block size ``_q_block`` finds; if its _MAX_TERMS
-    cap stops it, ``converged`` is False.  Raises OverflowError when the
+    monotone.  n is the first block size, walked up one term at a time from
+    ``_q_start``'s estimate, whose bound meets tol; if the walk stops at the
+    _MAX_TERMS cap, ``converged`` is False.  Raises OverflowError when the
     value exceeds the double range, as 1/t does at a subnormal t.
     """
     _require_positive("t", t)
     _check_q(q)
     c = -math.log(q)
 
-    def closure(n):
+    n, bound = _q_start(0, t, c, tol) - 1, math.inf
+    while bound > tol and n < _MAX_TERMS:
+        n += 1
         w = _bose(c * (t + n))
-        corr, bound = _em_corrections(w, c, 0)
-        return 0.5 * w + corr, c * bound
-
-    n, (tail, bound) = _q_block(0, t, c, tol, closure)
+        corr, last = _em_corrections(w, c, 0)
+        bound = c * last
     first = c * _bose(c * t) if c * t >= _MIN_NORMAL else 1.0 / t
-    rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + tail
+    rest = math.fsum(_bose(c * (t + j)) for j in range(1, n)) + (0.5 * w + corr)
     # -ln(1-q) + c int_a^inf f = ln((1 - e^(-ca))/(1-q)) at a = t+n, written
     # as log1p(-q expm1(-c(a-1))/(1-q)): no cancellation at any q
     value = math.log1p(-q * math.expm1(-c * (t + n - 1.0)) / (1.0 - q)) - c * rest - first

@@ -6,7 +6,8 @@ it whose log-derivative factors through that expression (hence the
 function is increasing), and a two-sided bound obtained by evaluating the
 auxiliary function at t = 0 and t = 1.  One ``Family`` record per
 deformation describes what differs between them; the lemma, the auxiliary
-function and the sandwich check are written once on top of it.  This
+function and the sandwich check are written once on top of it, and a sweep
+forms the lemma's s-free head a gamma_E + c once, in ``_resolve``.  This
 module exposes all three layers as checkable predicates that produce
 quantitative margins.
 
@@ -35,10 +36,10 @@ from collections.abc import Callable, Iterable
 from . import core_special
 from .core_special import (
     DomainError,
-    ToleranceNotMet,
     _ASYMPTOTIC_FROM,
     _check_p,
     _check_q,
+    _converged_value,
     _require_finite,
     _require_positive,
     log_gamma,
@@ -137,13 +138,6 @@ class MonotoneScan(collections.namedtuple(
 # The family description, and the lemma and auxiliary function written once
 # ---------------------------------------------------------------------------
 
-def _converged_value(result, what: str) -> float:
-    if not result.converged:
-        raise ToleranceNotMet(
-            f"{what}: term cap reached short of tol (err_bound {result.err_bound:.3g})")
-    return result.value
-
-
 def _psi(s: float) -> float:
     return _converged_value(psi_series(s), "psi")
 
@@ -155,6 +149,14 @@ def _psi_pair_p(s: float, p: int) -> tuple[float, float]:
     if p < _ASYMPTOTIC_FROM:
         return _psi(s), psi_ps
     return psi_ps + _psi_p_gap(s, p), psi_ps
+
+
+def _log_gamma_q(s: float, q: float) -> float:
+    return _converged_value(log_gamma_q(s, q), "log_gamma_q")
+
+
+def _psi_pair_q(s: float, q: float) -> tuple[float, float]:
+    return _psi(s), _converged_value(psi_q(s, q), "psi_q")
 
 
 def _k_hypotheses(a: float, b: float, k: float) -> float:
@@ -186,7 +188,7 @@ class Family(collections.namedtuple(
         hypotheses   (a, b, x) -> x, or DomainError off the theorem's domain
         log_gamma    (s, x) -> ln Gamma_X(s)
         psi_pair     (s, x) -> (psi(s), psi_X(s))
-        lemma_const  (b, x) -> c
+        lemma_const  (b, x) -> c; ``_resolve`` forms the head a gamma_E + c
         s_power      aux(t) carries the factor s^(a-b)
         s_floor      the lemma holds for s > s_floor
         strict       the sandwich bounds are strict
@@ -202,8 +204,8 @@ FAMILIES = {fam.name: fam for fam in (
            lemma_const=lambda b, p: b * math.log(p),
            s_power=False, s_floor=1.0, strict=True),
     Family("q", lambda a, b, q: _check_q(q),
-           log_gamma=lambda s, q: _converged_value(log_gamma_q(s, q), "log_gamma_q"),
-           psi_pair=lambda s, q: (_psi(s), _converged_value(psi_q(s, q), "psi_q")),
+           log_gamma=_log_gamma_q,
+           psi_pair=_psi_pair_q,
            lemma_const=lambda b, q: -b * math.log1p(-q),
            s_power=False, s_floor=1.0, strict=True),
     Family("k", _k_hypotheses,
@@ -214,18 +216,23 @@ FAMILIES = {fam.name: fam for fam in (
 )}
 
 
-def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float]:
-    """The family's description and its parameter, checked by its hypotheses."""
+def _with_head(fam: Family, a: float, b: float, x) -> tuple[Family, float, float]:
+    """(fam, x, a gamma_E + c): the lemma's head does not depend on s."""
+    return fam, x, a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
+
+
+def _resolve(family: str, a: float, b: float, param) -> tuple[Family, float, float]:
+    """The family's record, its parameter checked by its hypotheses, and the lemma's head."""
     fam = FAMILIES.get(family)
     if fam is None:
         raise DomainError(f"family must be one of {', '.join(FAMILIES)} (got {family!r})")
-    return fam, fam.hypotheses(a, b, param)
+    return _with_head(fam, a, b, fam.hypotheses(a, b, param))
 
 
-# The generic code below takes a resolved (family, parameter) pair first.
+# The generic code below takes a resolved (family, parameter, head) triple first.
 
-def _lemma(fam: Family, x, a: float, b: float, s: float) -> float:
-    value = a * core_special.EULER_GAMMA + fam.lemma_const(b, x)
+def _lemma(fam: Family, x, head: float, a: float, b: float, s: float) -> float:
+    value = head
     if fam.s_power:
         value += (a - b) / s
     psi_s, psi_x = fam.psi_pair(s, x)
@@ -234,11 +241,11 @@ def _lemma(fam: Family, x, a: float, b: float, s: float) -> float:
                            fam.name, a, b, s, x)
 
 
-def _lemma_on_domain(fam: Family, x, a: float, b: float, s: float) -> float:
+def _lemma_on_domain(fam: Family, x, head: float, a: float, b: float, s: float) -> float:
     if not s > fam.s_floor:
         raise DomainError(f"t must be > {fam.s_floor:g} for the "
                           f"{fam.name}-family positivity (got {s})")
-    return _lemma(fam, x, a, b, s)
+    return _lemma(fam, x, head, a, b, s)
 
 
 def _lemma_checked(family: str, a: float, b: float, s: float, x) -> float:
@@ -247,19 +254,19 @@ def _lemma_checked(family: str, a: float, b: float, s: float, x) -> float:
     return _lemma_on_domain(*_resolve(family, a, b, x), a, b, s)
 
 
-def _log_parts(fam: Family, x, t: float, gp: GenParams) -> tuple[float, float]:
+def _log_parts(fam: Family, x, head: float, t: float, gp: GenParams) -> tuple[float, float]:
     """ln aux(t) as (ell(t), ln Gamma(s)^a / Gamma_X(s)^b)."""
     if not t >= 0:
         raise DomainError(f"t must be >= 0 (got {t})")
     s = gp.alpha + gp.beta * t
-    ell = gp.beta * t * (gp.a * core_special.EULER_GAMMA + fam.lemma_const(gp.b, x))
+    ell = gp.beta * t * head
     if fam.s_power:
         ell += (gp.a - gp.b) * math.log(s)
     return ell, gp.a * log_gamma(s) - gp.b * fam.log_gamma(s, x)
 
 
-def _log_aux(fam: Family, x, t: float, gp: GenParams) -> float:
-    ell, log_ratio = _log_parts(fam, x, t, gp)
+def _log_aux(fam: Family, x, head: float, t: float, gp: GenParams) -> float:
+    ell, log_ratio = _log_parts(fam, x, head, t, gp)
     return _require_finite(ell + log_ratio, "ln aux_{0}(t) at t = {1}", fam.name, t)
 
 
@@ -267,8 +274,8 @@ def _log_aux(fam: Family, x, t: float, gp: GenParams) -> float:
 # Positivity of the lemma expression on the hypothesis domain is what makes
 # the auxiliary functions increasing.
 
-def _log_deriv(fam: Family, x, t: float, gp: GenParams) -> float:
-    return gp.beta * _lemma_on_domain(fam, x, gp.a, gp.b, gp.alpha + gp.beta * t)
+def _log_deriv(fam: Family, x, head: float, t: float, gp: GenParams) -> float:
+    return gp.beta * _lemma_on_domain(fam, x, head, gp.a, gp.b, gp.alpha + gp.beta * t)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +284,7 @@ def _log_deriv(fam: Family, x, t: float, gp: GenParams) -> float:
 
 def lemma_expr_p_unchecked(a: float, b: float, t: float, p: int) -> float:
     """a*gamma_E + b ln p + a psi(t) - b psi_p(t), with no hypothesis checks."""
-    return _lemma(FAMILIES["p"], p, a, b, t)
+    return _lemma(*_with_head(FAMILIES["p"], a, b, p), a, b, t)
 
 
 def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
@@ -291,7 +298,7 @@ def lemma_expr_p(a: float, b: float, t: float, p: int) -> float:
 
 def lemma_expr_q_unchecked(a: float, b: float, t: float, q: float) -> float:
     """a*gamma_E - b ln(1-q) + a psi(t) - b psi_q(t), no hypothesis checks."""
-    return _lemma(FAMILIES["q"], q, a, b, t)
+    return _lemma(*_with_head(FAMILIES["q"], a, b, q), a, b, t)
 
 
 def lemma_expr_q(a: float, b: float, t: float, q: float) -> float:
@@ -301,7 +308,7 @@ def lemma_expr_q(a: float, b: float, t: float, q: float) -> float:
 
 def lemma_expr_k_unchecked(a: float, b: float, t: float, k: float) -> float:
     """The k-family combined expression, with no hypothesis checks."""
-    return _lemma(FAMILIES["k"], k, a, b, t)
+    return _lemma(*_with_head(FAMILIES["k"], a, b, k), a, b, t)
 
 
 def lemma_expr_k(a: float, b: float, t: float, k: float) -> float:
@@ -420,14 +427,14 @@ def check_sandwich(family: str, gp: GenParams, param,
     ``param`` is the family's parameter, the integer p or the real q or k.
     Returns one report per grid point, in grid order.
     """
-    fam, x = _resolve(family, gp.a, gp.b, param)
+    fam, x, head = _resolve(family, gp.a, gp.b, param)
     note = _check_alpha_floor(gp, fam.s_floor)
     grid = _unit_grid(grid)
-    log_at0 = _log_aux(fam, x, 0.0, gp)
-    log_at1 = _log_aux(fam, x, 1.0, gp)
+    log_at0 = _log_aux(fam, x, head, 0.0, gp)
+    log_at1 = _log_aux(fam, x, head, 1.0, gp)
     out = []
     for t in grid:
-        ell, log_middle = _log_parts(fam, x, t, gp)
+        ell, log_middle = _log_parts(fam, x, head, t, gp)
         logs = (log_at0 - ell, log_middle, log_at1 - ell)
         if not all(map(math.isfinite, logs)):
             raise OverflowError(f"ln of the {family}-sandwich at t = {t} exceeds the double range")
@@ -497,6 +504,6 @@ def family_callables(family: str, gp: GenParams, param):
     the auxiliary function and its log-derivative.  ``param`` is the
     family's parameter, the integer p or the real q or k.
     """
-    fam, x = _resolve(family, gp.a, gp.b, param)
-    return (lambda t: math.exp(_log_aux(fam, x, t, gp)),
-            lambda t: _log_deriv(fam, x, t, gp))
+    fam, x, head = _resolve(family, gp.a, gp.b, param)
+    return (lambda t: math.exp(_log_aux(fam, x, head, t, gp)),
+            lambda t: _log_deriv(fam, x, head, t, gp))

@@ -134,6 +134,39 @@ def test_eval_tolerance_not_met_exit_code():
     assert r.stdout.splitlines()[1].endswith("terms_used 10000")
 
 
+@pytest.mark.parametrize("argv, terms", [
+    (["psi", "--t", "1", "--tol", "1e-100"], 9),
+    (["psi_k", "--t", "1", "--k", "0.01", "--tol", "1e-100"], 0),
+    (["psi_q", "--t", "2.5", "--q", "0.999999", "--tol", "1e-300"], 10_000),
+], ids=["psi", "psi_k", "psi_q"])
+def test_eval_tolerance_not_met_text_is_true_for_every_stop(capsys, argv, terms):
+    # psi and psi_k stop short of the cap, at the shortest shift to x >= 10,
+    # psi_q at the cap: the one message must not claim a cap was reached
+    assert main(["eval", *argv]) == 3
+    out, err = capsys.readouterr()
+    bound_line = out.splitlines()[1]
+    assert bound_line.endswith(f" terms_used {terms}")
+    assert err == (f"tolerance not met: {argv[0]}: no series length within the 10,000-term "
+                   f"cap meets tol={argv[-1]} (err_bound {bound_line.split()[1]})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "gamma_p", "--t", "1", "--p", "2.5"],
+    ["verify", "--family", "p", "--p", "2.5", "--alpha", "1.5", "--grid", "0.5"],
+], ids=["eval", "verify"])
+def test_non_integer_p_names_the_rule(capsys, argv):
+    # --p parses any number; the p-family's own check names the integer rule
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "domain error: p must be an integer >= 1 (got 2.5)\n")
+
+
+def test_integer_p_reaches_the_report_as_an_int(capsys):
+    assert main(["verify", "--family", "p", "--p", "5", "--alpha", "1.5", "--grid", "0.5",
+                 "--format", "json"]) == 0
+    report = capsys.readouterr().out  # the JSON report, then the verdict line
+    assert type(json.loads(report[:report.rindex("}") + 1])["config"]["p"]) is int
+
+
 def test_eval_gamma_p_beyond_double_range():
     r = run_cli("eval", "gamma_p", "--t", "2.5", "--p", "1" + "0" * 400)
     assert r.returncode == 0, r.stderr

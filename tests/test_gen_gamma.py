@@ -180,8 +180,8 @@ def test_q_family_tiny_tol_at_q_half_sums_a_short_block():
     (2.5, 0.5, 1e-12, 8, 9), (2.5, 0.5, 1e-16, 22, 27), (0.3, 0.999, 1e-12, 10, 10),
     (2.5, 1.0 - 1e-12, 1e-16, 22, 27), (40.0, 0.9, 1e-20, 22, 77),
     (2.5, 0.5, 7.957218127125474e-17, 23, 28)])
-def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
-    # The block size follows from _q_block's start estimate and walk alone.
+def test_q_start_and_walk_sizes_frozen(t, q, tol, psi_terms, log_terms):
+    # The block size follows from _q_start's estimate and the walk up from it alone.
     # At q = 0.5, tol = 1e-16 the start overshoots the shortest block, so a
     # smaller lead or a larger power would shorten it.  At tol = 7.957e-17
     # log_gamma_q's start, the small-c size less x0 = min(t, 1), lies 1e-7
@@ -191,9 +191,9 @@ def test_q_block_sizes_frozen(t, q, tol, psi_terms, log_terms):
 
 
 @pytest.mark.parametrize("fn, t, q", [(log_gamma_q, 10.0, 0.5), (psi_q, 2.5, 0.5)])
-def test_q_block_stops_at_a_bound_equal_to_tol(fn, t, q):
+def test_q_walk_stops_at_a_bound_equal_to_tol(fn, t, q):
     # A bound equal to tol meets it, as converged means err_bound <= tol:
-    # asked for the bound it reached, the block stops at the same size.
+    # asked for the bound it reached, the walk stops at the same size.
     r = fn(t, q)
     assert fn(t, q, r.err_bound) == r
 

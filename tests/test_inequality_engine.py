@@ -7,8 +7,9 @@ from mpmath import mp, mpf
 
 from _hp_bounds import k_bounds, p_bounds, q_bounds
 from gammagen import gen_gamma, inequality_engine
-from gammagen.core_special import EULER_GAMMA, DomainError, psi_series
-from gammagen.gen_gamma import psi_k, psi_p, psi_q
+from gammagen.core_special import (EULER_GAMMA, DomainError, EvalResult, ToleranceNotMet,
+                                   log_gamma, psi_series)
+from gammagen.gen_gamma import log_gamma_k, log_gamma_p, log_gamma_q, psi_k, psi_p, psi_q
 from gammagen.inequality_engine import (
     FAMILIES,
     GenParams,
@@ -180,6 +181,14 @@ def test_lemma_p_is_the_composition_to_rounding(p):
         s = 1.0 + 10 ** rng.uniform(-4, 1.7)
         want, scale = _composed_lemma("p", a, b, s, p)
         assert abs(lemma_expr_p(a, b, s, p) - want) <= 4 * u * scale, (a, b, s)
+
+
+def test_engine_says_of_an_unconverged_value_what_eval_says():
+    r = EvalResult(0.5, 3e-9, 10_000, False)
+    with pytest.raises(ToleranceNotMet) as exc:
+        inequality_engine._converged_value(r, "psi_q")
+    assert str(exc.value) == ("psi_q: no series length within the 10,000-term cap "
+                              "meets tol=1e-12 (err_bound 3e-09)")
 
 
 def test_lemma_p_sums_psi_once_and_checks_p_first(monkeypatch):
@@ -566,6 +575,55 @@ def test_scan_rejects_inadmissible_point():
     fn, ld = family_callables("q", gp, 0.5)
     with pytest.raises(DomainError):
         scan_monotone(fn, ld, [0.1, 0.2, 0.3])
+
+
+def _ell_and_log_middle(family, gp, x, t):
+    """ln aux(t) as ell(t) = beta t (a gamma_E + c) [+ (a - b) ln s] and
+    ln Gamma(s)^a / Gamma_X(s)^b, formed from the public evaluators in the
+    engine's order."""
+    s = gp.alpha + gp.beta * t
+    if family == "p":
+        const, log_gamma_x = gp.b * math.log(x), log_gamma_p(s, x)
+    elif family == "q":
+        const, log_gamma_x = -gp.b * math.log1p(-x), log_gamma_q(s, x).value
+    else:
+        const, log_gamma_x = gp.b / x * (math.log(x) - EULER_GAMMA), log_gamma_k(s, x)
+    ell = gp.beta * t * (gp.a * EULER_GAMMA + const)
+    if family == "k":
+        ell += (gp.a - gp.b) * math.log(s)
+    return ell, gp.a * log_gamma(s) - gp.b * log_gamma_x
+
+
+@pytest.mark.parametrize("family, log_aux, log_deriv", [
+    ("p", log_omega, log_deriv_omega), ("q", log_phi, log_deriv_phi),
+    ("k", log_theta, log_deriv_theta)])
+def test_sweeps_are_the_per_point_values_bit_for_bit(family, log_aux, log_deriv):
+    # check_sandwich and family_callables form the lemma's head a gamma_E + c
+    # once per sweep; every point must be what the per-point functions give
+    rng = random.Random(33)
+    for _ in range(60):
+        a = rng.uniform(0.2, 5.0)
+        # b < a, so the k family's (a - b) ln s term is not zero
+        gp = GenParams(a, rng.uniform(0.1, a if family == "k" else 5.0),
+                       rng.uniform(1.0, 4.0), rng.uniform(0.1, 2.0))
+        x = {"p": rng.choice([1, 5, 9, 10, 11, 250, 10**6]),
+             "q": rng.choice([rng.uniform(0.01, 0.99), 1.0 - 10 ** rng.uniform(-6, -1)]),
+             "k": 10 ** rng.uniform(0, 2)}[family]
+        grid = sorted(rng.uniform(0.01, 0.99) for _ in range(5))
+        log_at0, log_at1 = log_aux(0.0, gp, x), log_aux(1.0, gp, x)
+        rows = check_sandwich(family, gp, x, grid)
+        assert len(rows) == len(grid)
+        for t, row in zip(grid, rows):
+            ell, log_middle = _ell_and_log_middle(family, gp, x, t)
+            assert ell + log_middle == log_aux(t, gp, x), (gp, x, t)
+            want = _verdict(t, log_at0 - ell, log_middle, log_at1 - ell, family != "k",
+                            row.note)
+            assert row == want, (gp, x, t)
+        grid = [0.1 + 0.7 * i for i in range(5)]
+        values = tuple(math.exp(log_aux(t, gp, x)) for t in grid)
+        assert scan_monotone(*family_callables(family, gp, x), grid) == MonotoneScan(
+            tuple(grid), values, min(v2 - v1 for v1, v2 in zip(values, values[1:])),
+            min(log_deriv(t, gp, x) for t in grid)), (gp, x)
 
 
 # ---------------------------------------------------------------------------

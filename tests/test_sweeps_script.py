@@ -82,7 +82,7 @@ def test_layer_cost_times_every_layer(capsys):
     module = _load_script("layer_cost")
     module.REPEATS = dict.fromkeys(module.REPEATS, 1)
     assert module.main() == 0
-    evaluators, commands, routines = (
+    evaluators, sweeps, commands, routines = (
         table.splitlines() for table in capsys.readouterr().out.split("\n\n"))
 
     assert evaluators[0].split() == ["evaluator", "one-shot", "sweep", "terms", "(us/call)"]
@@ -95,6 +95,14 @@ def test_layer_cost_times_every_layer(capsys):
         # the EvalResult evaluators report a median term count, the rest "-"
         assert (terms == "-") == (name in ("psi_p", "log_gamma_p", "log_gamma_k", *lemmas))
         assert terms == "-" or 1 <= float(terms) <= 77
+
+    # the sweeps per grid point: 19 verify points, 100 scan points
+    assert sweeps[0].split() == ["sweep", "family", "points", "us/point"]
+    rows = [line.split() for line in sweeps[1:]]
+    assert [row[:3] for row in rows] == [
+        [sweep, family, points] for sweep, points in (("sandwich", "19"), ("scan", "100"))
+        for family in ("p", "q", "k")]
+    assert all(float(row[3]) > 0 for row in rows)
 
     assert commands[0].split() == ["command", "family", "format", "build_parser",
                                    "parse_args", "main", "(ms)"]
@@ -198,8 +206,6 @@ def test_contract_fuzz_tallies_every_draw_by_class(capsys):
         assert kind in {"admissible", "t", "tol", "missing", "p", "q", "k"}
         if kind in ("p", "q", "k"):
             assert f" --{kind}=" in example
-        # argparse itself rejects a --p that is not an integer
         assert (code, prefix) in {("0", "value"), ("2", "domain error"),
-                                  ("2", "out of double range"), ("3", "tolerance not met")
-                                  } or (kind, code, prefix) == ("p", "2", "usage")
+                                  ("2", "out of double range"), ("3", "tolerance not met")}
         assert kind == "admissible" or code == "2"
