@@ -26,7 +26,7 @@ Four tables, in order:
    in milliseconds, for verify and scan in CSV and JSON for each family.
    Reports go to a temporary file.
 4. Oracle: each routine at the centre of each oracle_crossval slot, then
-   at EXTREMES: a tiny t, which the functional equation lifts by 32
+   at EXTREMES: a tiny t, which the functional equation lifts by 64
    integer factors of about 1,050 bits; t/k = 1500, which widens the
    trapezoid's working precision, and t/k = 1e325, where u, the strip
    angle and the step leave the double range; psi at t = 1e100, whose

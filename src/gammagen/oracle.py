@@ -94,7 +94,7 @@ _ERR_PREC = 53
 _NEAR, _UP = round_nearest, round_ceiling
 _DPS_MARGIN = 10
 _LOG10_2 = math.log10(2)
-_LIFT_TO = 32
+_LIFT_TO = 64
 # 1 - 2^-32: where q^t exceeds it, the q oracles keep fewer than
 # _SERIES_PREC bits of 1 - q^t in fixed point
 _ONE_LESS_GUARD = from_man_exp((1 << _GUARD_BITS) - 1, -_GUARD_BITS)
@@ -795,7 +795,12 @@ def _trapezoid_sizing(t_num, k_num, w):
     whatever theta and u: a shorter step only shrinks it.  The longest such
     step is longest where theta / (lam + Y) is largest, so theta is the best
     of theta_0 2^(-i/4), i < 12, theta_0 = min(1.55, sqrt(2 lam/u)), which
-    is the best for small theta, where Y is about u theta^2 / 2.
+    is the best for small theta, where Y is about u theta^2 / 2.  Y is
+    convex and increasing in theta, so theta >= c (lam + Y) holds on an
+    interval for every c and the ratio rises to a single maximum and then
+    falls: the candidates are tried in order, and the first that does not
+    raise the ratio ends the search, with the previous one chosen and its
+    Y kept for the step.
 
     u, theta^2 and kh' 2^W leave the double range (u reaches about 4e631),
     so all is done in doubles from ln u and in integers:
@@ -822,10 +827,16 @@ def _trapezoid_sizing(t_num, k_num, w):
         return math.exp(2 * math.log(theta) + log_u) * g
 
     theta0 = min(1.55, math.sqrt(2 * _QUAD_LAM) * math.exp(-log_u / 2))
-    theta = max((theta0 * 2 ** (-i / 4) for i in range(12)),
-                key=lambda a: a / (_QUAD_LAM + exponent(a)))
+    best = 0.0
+    for i in range(12):
+        a = theta0 * 2 ** (-i / 4)
+        y_a = exponent(a)
+        ratio = a / (_QUAD_LAM + y_a)
+        if ratio <= best:
+            break
+        theta, y, best = a, y_a, ratio
     n_theta, d_theta = theta.as_integer_ratio()
-    n_c, d_c = (math.tau / (_QUAD_LAM + _STEP_ROUND_UP * exponent(theta))).as_integer_ratio()
+    n_c, d_c = (math.tau / (_QUAD_LAM + _STEP_ROUND_UP * y)).as_integer_ratio()
     big_kh = (n_theta * n_c << w) // (d_theta * d_c)
     bound = _FLOAT_ROUND_UP * 2 / math.expm1(_QUAD_LAM)
     return theta, big_kh, bound, (1 << w) // (8 * _INV_TAIL)
@@ -840,8 +851,8 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     grows, so a few multiplications save nodes.  The doubles t and k are
     exactly m/d and m_k/d_k, so t + ik = (m d_k + i m_k d)/(d d_k) and the
     lift is a product of integers, which ``_product`` forms within L units
-    of 2^-W relative for L lifts (a tiny t takes 32 factors of up to 1,075
-    bits); dividing by it errs by less than L + 1.  The lifted t and u are
+    of 2^-W relative for L lifts (a tiny t takes 64 factors, of up to 1,080
+    bits at k = 1); dividing by it errs by less than L + 1.  The lifted t and u are
     each rounded once, when they become mpfs.  With x = e^s and s = (ln t)/k + sigma,
     which puts the integrand's peak at sigma = 0,
 
@@ -872,10 +883,10 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
       units of e^(kh') 2^W, as kh' <= 2 pi 1.55 / lam < 0.166.  A step
       multiplies X's error by b and adds at most 2 X 2^-W + 1 units, so at
       node j it is at most j max(1, b^j) (2u' + 1) units, which grows on
-      the + side, where b > 1; as u' >= 32, that is below
+      the + side, where b > 1; as u' >= 64, that is below
       j (3 max(X, U) 2^-W);
     - U: the exact u is within a unit of u', which moves E by at most
-      |E|/u' units and the node by at most |E| e^E/u' < 1/(32 e) unit;
+      |E|/u' units and the node by at most |E| e^E/u' < 1/(64 e) unit;
     - the node G = _fixed_exp(W)(E) adds less than 1 + 2^-19 units, below
       2, besides g times the units by which E errs.
 
@@ -892,9 +903,9 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     proves twice its exact tail below T/8 (relative, as the sum is at
     least 1).  So the argument holds for the rounded nodes, and the
     widening moves no stop in practice: at the stop g is about
-    1e-26 or more, still at least 2^47 units at W = 135, where r is below
-    2^13, and the two grow together with t/k, so the test moves by a
-    relative 2^-34 or less.
+    1e-26 or more, still at least 2^51 units at W = 135, where r is below
+    2^14, and the two grow together with t/k, so the test moves by a
+    relative 2^-37 or less.
 
     libmp takes only what carries the value, at the working precision P
     (W = P + _GUARD_BITS): u and ln t, and exp(u (ln t - 1)) times one

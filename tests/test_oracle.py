@@ -191,7 +191,7 @@ def test_certified_digits_floor():
 QUAD_DIGITS_CAP = oracle._QUAD_DPS - oracle._DPS_MARGIN
 
 
-# a tiny t is lifted by 32 exact factors of up to 1,075 bits; 60 widens the precision
+# a tiny t is lifted by 64 exact factors of up to 1,080 bits; 60 widens the precision
 @pytest.mark.parametrize("t", [0.05, 0.2, 2.3, 16.05, 27.26, 60.0, 1e-6, 1e-300, 5e-324]
                          + [0.5 + 1.25 * i for i in range(48)])
 def test_gamma_hp_meets_its_certified_digits(t):
@@ -202,10 +202,12 @@ def test_gamma_hp_meets_its_certified_digits(t):
         assert abs(hp.value - ref) <= mpf(10) ** -hp.certified_digits * max(abs(ref), 1)
 
 
-# the last three widen the working precision by the digits of t/k
+# the last eight widen the working precision by the digits of t/k, and the
+# last five straddle the lift's target t/k = 64: one lift against none
 QUAD_CASES = ([(t, k) for t in (0.05, 0.5, 1.0, 2.5, 7.0, 15.0, 25.0, 40.0)
                for k in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)]
-              + [(60.0, 0.2), (300.0, 0.2), (500.0, 1.0)])
+              + [(60.0, 0.2), (300.0, 0.2), (500.0, 1.0)]
+              + [(63.99, 1.0), (64.0, 1.0), (64.01, 1.0), (319.95, 5.0), (320.05, 5.0)])
 # t/k from 1e-600 to 1e325: the working precision, and with it the width of
 # the nodes' integer exponential, grows to about 1,200 bits
 EXTREME_T = [1e-300, 1e-50, 1e-6, 0.3, 2.5, 40.0, 1e3, 1e5]
@@ -251,11 +253,17 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
     assert stop * 8 * oracle._INV_TAIL <= 1 << w < (stop + 1) * 8 * oracle._INV_TAIL
     with mp.workdps(60 + max(0, int(math.log10(t_num) - math.log10(k_num)))):
         u = mpf(t_num) / k_num
+        lam = mp.log(4 * mpf(oracle._INV_TAIL))
         sec_u = mp.cos(mpf(theta)) ** -u
-        kh = 2 * mp.pi * theta / (mp.log(4 * mpf(oracle._INV_TAIL)) + mp.log(sec_u))
+        kh = 2 * mp.pi * theta / (lam + mp.log(sec_u))
         step = mp.ldexp(big_kh, -w)
         assert step <= kh
         assert bound >= 2 * sec_u / mp.expm1(2 * mp.pi * theta / step)
+        # the search stops early, yet at the best of all twelve candidates
+        log_u = math.log(t_num) - math.log(k_num)
+        theta0 = min(1.55, math.sqrt(2 * oracle._QUAD_LAM) * math.exp(-log_u / 2))
+        assert theta == max((theta0 * 2 ** (-i / 4) for i in range(12)),
+                            key=lambda a: a / (lam - u * mp.log(mp.cos(a))))
 
 
 def test_bernoulli_table_is_exact():
@@ -605,40 +613,42 @@ def test_gamma_p_hp_meets_its_certified_digits(t, p):
 
 
 @pytest.mark.parametrize("t, k, nodes", [
-    (2.5, 1.0, 53), (3.89, 6.43, 53), (60.0, 0.2, 40), (500.0, 1.0, 39),
-    # seeded: t and k log-uniform on [1e-3, 100] (random.Random(11)); twelve
-    # of them take one node more, or two, if the stop test's cheap prefilter
+    (2.5, 1.0, 45), (3.89, 6.43, 45), (60.0, 0.2, 40), (500.0, 1.0, 39),
+    # t/k about the lift's target 64: one lift, then none
+    (63.99, 1.0, 45), (64.0, 1.0, 45), (64.01, 1.0, 45),
+    # seeded: t and k log-uniform on [1e-3, 100] (random.Random(11)); ten
+    # of them take one node more if the stop test's cheap prefilter
     # 2 g^2 < stop (g' - g) is weakened to 3 g^2
-    (0.006130141166780987, 0.0011885123112626154, 53),
+    (0.006130141166780987, 0.0011885123112626154, 45),
     (0.3654298257724839, 0.0011942308915418596, 39),
     (2.932192055318021, 0.0016195773029195216, 38),
     (1.1372553825308238, 0.0019621247779545363, 39),
     (0.43843612515446306, 0.0019849772143683353, 40),
     (4.103663775380607, 0.002252984860503314, 38),
     (3.7226720359828596, 0.007861294114117404, 39),
-    (0.008933904670119569, 0.01620746410092771, 53),
+    (0.008933904670119569, 0.01620746410092771, 45),
     (3.5028550504347895, 0.018379628287085288, 40),
-    (0.19348593834147976, 0.02459316923363179, 53),
-    (0.0029554068878188872, 0.032885641126313515, 53),
+    (0.19348593834147976, 0.02459316923363179, 45),
+    (0.0029554068878188872, 0.032885641126313515, 45),
     (19.35207558394161, 0.0329587371358514, 39),
     (10.357314193932876, 0.033405864260141215, 39),
     (6.701093621216009, 0.10683844026748092, 45),
     (81.31722115530982, 0.1829728663666282, 39),
-    (0.0014138812856340868, 0.20877202615815788, 53),
+    (0.0014138812856340868, 0.20877202615815788, 45),
     (41.78812836643108, 0.21293661724720717, 40),
-    (12.179850871181971, 0.24972133163059768, 47),
-    (0.008381113446153093, 0.36269635846450754, 53),
-    (0.18276699339767863, 0.6293060839510294, 53),
-    (0.3461037981776937, 0.864816852935323, 53),
-    (1.8604271454612413, 1.1962267858712075, 53),
-    (0.39411283058619523, 1.590224863996411, 53),
-    (0.31540295727399115, 2.052332201913323, 53),
-    (15.888311559352683, 3.4597770020309255, 53),
-    (1.4106315762883328, 9.223258114170537, 53),
-    (0.00284022461834556, 11.174360336813242, 53),
-    (0.1594614038910384, 16.298049878843692, 53),
-    (81.46425758867683, 66.64827380347388, 53),
-    (97.33768257725352, 95.16082714047853, 53),
+    (12.179850871181971, 0.24972133163059768, 45),
+    (0.008381113446153093, 0.36269635846450754, 45),
+    (0.18276699339767863, 0.6293060839510294, 45),
+    (0.3461037981776937, 0.864816852935323, 45),
+    (1.8604271454612413, 1.1962267858712075, 45),
+    (0.39411283058619523, 1.590224863996411, 45),
+    (0.31540295727399115, 2.052332201913323, 45),
+    (15.888311559352683, 3.4597770020309255, 45),
+    (1.4106315762883328, 9.223258114170537, 45),
+    (0.00284022461834556, 11.174360336813242, 45),
+    (0.1594614038910384, 16.298049878843692, 45),
+    (81.46425758867683, 66.64827380347388, 45),
+    (97.33768257725352, 95.16082714047853, 45),
 ])
 def test_trapezoid_node_counts_frozen(t, k, nodes):
     # the node count follows from the step and the stop test alone
