@@ -49,9 +49,8 @@ import math
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, fone, from_float, from_int, from_man_exp, from_rational,
                           from_str, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_factorial,
-                          mpf_gt, mpf_le, mpf_ln2, mpf_log, mpf_mul, mpf_pow_int, mpf_rdiv_int,
-                          mpf_shift, mpf_sub, round_ceiling, round_floor, round_nearest,
-                          to_fixed)
+                          mpf_le, mpf_ln2, mpf_log, mpf_mul, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sub, round_ceiling, round_floor, round_nearest, to_fixed)
 
 from .core_special import _check_p, _check_q, _require_positive
 
@@ -80,7 +79,8 @@ _INV_TAIL = 10**25
 # The series and products are truncated at _TRUNCATION and the rounding of
 # the integer loops has the remaining 1e-31, so both together stay within
 # T and certify as many digits as the truncation alone would.
-_TRUNCATION = "0.999999e-25"
+_TRUNCATION = 0.999999e-25
+_LOG_TRUNCATION = math.log(_TRUNCATION)
 _GUARD_BITS = 32
 # The series' working precision P and fixed-point bits W
 _SERIES_PREC = dps_to_prec(_SERIES_DPS)
@@ -95,9 +95,6 @@ _NEAR, _UP = round_nearest, round_ceiling
 _DPS_MARGIN = 10
 _LOG10_2 = math.log10(2)
 _LIFT_TO = 64
-# 1 - 2^-32: where q^t exceeds it, the q oracles keep fewer than
-# _SERIES_PREC bits of 1 - q^t in fixed point
-_ONE_LESS_GUARD = from_man_exp((1 << _GUARD_BITS) - 1, -_GUARD_BITS)
 # The q oracles evaluate their bounds and stop constants in double
 # precision: a few dozen operations on positive terms, each within 2^-53
 # relative, besides 1 - z for z < z* (``_q_split``), which is above 2^-24
@@ -107,6 +104,8 @@ _FLOAT_ROUND_UP = 1 + 2.0**-20
 # lam = ln(4/T): the trapezoid's step makes its aliasing bound at most
 # 2/(e^lam - 1), about T/2
 _QUAD_LAM = math.log(4 * _INV_TAIL)
+# That bound, rounded up
+_ALIASING_BOUND = _FLOAT_ROUND_UP * 2 / math.expm1(_QUAD_LAM)
 # The trapezoid's sizing rounds its double exponent u (-ln cos theta), within
 # 2^-38 relative, up by this factor, so the step stays short of the one the
 # bound allows while moving it by no more than about 2^-32 relative.
@@ -275,7 +274,7 @@ def _q_split(a, q):
     count only where err/scale lies that close to a power of ten.
     """
     lam = -math.log(q)
-    n = max(0, math.floor(math.sqrt(-math.log(float(_TRUNCATION)) / lam) - a) + 1)
+    n = max(0, math.floor(math.sqrt(-_LOG_TRUNCATION / lam) - a) + 1)
     return n, _SERIES_W + int((n + 1) / (1 - q)).bit_length()
 
 
@@ -294,18 +293,16 @@ _PSI_2K = 2 * len(_BERNOULLI)
 # The closure's least N + x (at 1/(N+x)^2 <= 1/64 its Horner sums err by
 # less than 2 units)
 _PSI_MIN_A = 8
-_LOG_TRUNCATION = math.log(float(_TRUNCATION))
 # psi_k's head target never falls below 2^-(W+4), a sixteenth of a unit of
 # the rounding its result carries anyway
 _LOG_HEAD_FLOOR = -(_SERIES_W + 4) * math.log(2)
 # floor(B_2j / (2j) 2^W) for j = K down to 1, at W = _SERIES_W
 _BERNOULLI_FIXED = tuple((b_num << _SERIES_W) // (2 * j * b_den)
                          for j, (b_num, b_den) in reversed(tuple(enumerate(_BERNOULLI, 1))))
-# As raw mpfs: EULER_GAMMA_HP at _SERIES_PREC bits, the double T =
-# _TRUNCATION the series are sized with, T/10 rounded up, and psi_k's head
-# floor 2^-(W+4)
+# As raw mpfs: EULER_GAMMA_HP at _SERIES_PREC bits, T = _TRUNCATION, T/10
+# rounded up, and psi_k's head floor 2^-(W+4)
 _EULER_MPF = from_str(EULER_GAMMA_HP, _SERIES_PREC, _NEAR)
-_TRUNCATION_MPF = from_float(float(_TRUNCATION))
+_TRUNCATION_MPF = from_float(_TRUNCATION)
 _TRUNCATION_TENTH = mpf_div(_TRUNCATION_MPF, from_int(10), _ERR_PREC, _UP)
 _HEAD_FLOOR_MPF = from_man_exp(1, -_SERIES_W - 4)
 
@@ -450,8 +447,10 @@ def psi_q_hp(t, q) -> HPValue:
     1/(1-x)^2 <= 1 + 2x/(1-x)^2 and 2x/(1-x)^2 falls along n and
     integrates to 2y / (lam (1-y)), y = x_0, the head errs by less than
     N + 6/(1-y)^2 + 2 D (N + 2y / (lam (1-y))) units.  Where
-    1 - q^t < 2^-32, fixed point would keep fewer than _SERIES_PREC bits of
-    1 - x_0 (none once q^t rounds to 1): the n = 0 term is then
+    1 - q^t < 2^-_GUARD_BITS, fixed point would keep fewer than _SERIES_PREC
+    bits of 1 - x_0 (none once q^t rounds to 1).  The test is the double
+    -expm1(t ln q) < 2^-32: either branch is sound on both sides, so its
+    rounding only moves which is taken.  The n = 0 term is then
     e^(tL) / (1 - e^(tL)), the denominator by ``_one_minus_exp``, which
     the exponent's error moves by at most 2^-W relative; with the three
     roundings it is within 8 units of 2^-W relative, and y above is
@@ -484,7 +483,6 @@ def psi_q_hp(t, q) -> HPValue:
     """
     _require_positive("t", t)
     _check_q(q)
-    trunc = float(_TRUNCATION)
     n, w = _q_split(t, q)
     t_, q_ = from_float(t), from_float(q)
     log_q = mpf_log(q_, w, _NEAR)
@@ -492,7 +490,7 @@ def psi_q_hp(t, q) -> HPValue:
     y = mpf_exp(x_t, w, _NEAR)
     z = mpf_exp(mpf_mul(mpf_add(t_, from_int(n), w, _NEAR), log_q, w, _NEAR), w, _NEAR)
     s, head = 0, fzero
-    if mpf_gt(y, _ONE_LESS_GUARD):  # 1 - q^t < 2^-32
+    if -math.expm1(t * math.log(q)) < 2.0**-_GUARD_BITS:  # 1 - q^t < 2^-32
         head = mpf_div(y, _one_minus_exp(x_t, w), w, _NEAR)
         y, s = mpf_mul(y, q_, w, _NEAR), to_fixed(head, w)
     drift = _q_drift(n)
@@ -503,7 +501,7 @@ def psi_q_hp(t, q) -> HPValue:
         x = x * big_q >> w
     big_z = z_m = to_fixed(z, w)
     z = (big_z + 3) / one  # at least z
-    k = int(_FLOAT_ROUND_UP * lam / trunc * (one / (one - big_z - 3))) + 1
+    k = int(_FLOAT_ROUND_UP * lam / _TRUNCATION * (one / (one - big_z - 3))) + 1
     q_m = big_q
     for m in itertools.count(1):
         s += (z_m << w) // (one - q_m)
@@ -521,7 +519,7 @@ def psi_q_hp(t, q) -> HPValue:
         + 4 * (-math.log1p(-z) / lam**2 + 2 * z / (lam * (1 - z)) + z / (1 - z) ** 2))
     rounding = mpf_mul(mpf_abs(log_q), _err_sum(from_float(units), mpf_shift(head, 3)),
                        _ERR_PREC, _UP)
-    err = _err_sum(from_float(trunc), mpf_shift(rounding, -w), _assembly(prec, log_1mq, log_s))
+    err = _err_sum(_TRUNCATION_MPF, mpf_shift(rounding, -w), _assembly(prec, log_1mq, log_s))
     return _hp(v, err, _SERIES_DPS, n + m)
 
 
@@ -630,11 +628,11 @@ def gamma_q_hp(t, q) -> HPValue:
     of the numerator and e_b of the denominator are at most twice these
     sums, and the quotient's at most 2 (e_a + e_b), while both sums are
     below 1/4, which holds whenever the bound is under 1/2.  Where
-    1 - q^t < 2^-32, fixed point would keep fewer than _SERIES_PREC bits of
-    it (none once q^t rounds to 1): the product is then taken at s = t+1,
-    with y = q^(t+1), and Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the
-    last factor formed by ``_one_minus_exp`` of t L within 8 units of 2^-W
-    relative, as in ``psi_q_hp``.  Otherwise s = t.
+    1 - q^t < 2^-32, by the test of ``psi_q_hp`` and for its reason, the
+    product is taken at s = t+1, with y = q^(t+1), and
+    Gamma_q(t) = Gamma_q(t+1) (1-q) / (1 - q^t), the last factor formed by
+    ``_one_minus_exp`` of t L within 8 units of 2^-W relative, as in
+    ``psi_q_hp``.  Otherwise s = t.
 
     Tail: Z_a and Z_b are the floors of z_a, one libmp integer power at W
     bits, and of z_b = e^((s+N) L), formed as z is in ``psi_q_hp``, and
@@ -669,7 +667,6 @@ def gamma_q_hp(t, q) -> HPValue:
     """
     _require_positive("t", t)
     _check_q(q)
-    trunc = float(_TRUNCATION)
     lift = -math.expm1(t * math.log(q)) < 2.0**-_GUARD_BITS  # take the product at t+1
     n, w = _q_split(1 if lift else min(1, t), q)
     t_, q_ = from_float(t), from_float(q)
@@ -690,7 +687,7 @@ def gamma_q_hp(t, q) -> HPValue:
     big_a, big_b = to_fixed(z_a, w), to_fixed(z_b, w)
     big_z = max(big_a, big_b)
     z = (big_z + 3) / one  # at least max(z_a, z_b)
-    k = int(_FLOAT_ROUND_UP / trunc * (one / (one - big_z - 3))) + 1
+    k = int(_FLOAT_ROUND_UP / _TRUNCATION * (one / (one - big_z - 3))) + 1
     pow_a, pow_b, q_m, log_tail = big_a, big_b, big_q, 0
     for m in itertools.count(1):
         log_tail += ((pow_b - pow_a) << w) // (m * (one - q_m))
@@ -711,7 +708,7 @@ def gamma_q_hp(t, q) -> HPValue:
     amp = sum(3 / gap + drift * (n - math.log(gap) / lam) for gap in gaps)
     b_sum = math.pi**2 / 6 * z / lam**2 - 2 * math.log1p(-z) / lam + z / (1 - z)
     head = math.ldexp(4 * (2 * n + amp + (2 if first else 0)), -w)
-    tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * b_sum, -w) + trunc
+    tail = math.ldexp(m + 16 * ((1 + math.log(m)) / lam + m) + 4 * b_sum, -w) + _TRUNCATION
     rel = _FLOAT_ROUND_UP * (head + (1 + head) * tail * (1 + tail))
     err = _err_sum(mpf_mul(mpf_abs(v), from_float(rel), _ERR_PREC, _UP), _assembly(prec, v))
     return _hp(v, err, _SERIES_DPS, n + m)
@@ -785,22 +782,24 @@ def gamma_k_quad(t, k) -> HPValue:
 
 
 def _trapezoid_sizing(t_num, k_num, w):
-    """The strip angle theta = kd, the step K = kh' 2^W, the aliasing bound
-    and the stop constant floor(2^W T/8) of ``_gamma_k_trapezoid`` at
-    u = t_num/k_num >= _LIFT_TO and W = w.
+    """The strip angle theta = kd and the step K = kh' 2^W of
+    ``_gamma_k_trapezoid`` at u = t_num/k_num >= _LIFT_TO and W = w.
 
     With Y = u (-ln cos theta), a step kh' <= 2 pi theta / X, X >= lam + Y,
     makes the aliasing bound 2 cos(theta)^(-u) / (e^(2 pi theta/kh') - 1) at
     most 2 e^Y / (e^(lam+Y) - 1) = 2 / (e^lam - e^-Y) < 2 / (e^lam - 1),
-    whatever theta and u: a shorter step only shrinks it.  The longest such
-    step is longest where theta / (lam + Y) is largest, so theta is the best
-    of theta_0 2^(-i/4), i < 12, theta_0 = min(1.55, sqrt(2 lam/u)), which
-    is the best for small theta, where Y is about u theta^2 / 2.  Y is
-    convex and increasing in theta, so theta >= c (lam + Y) holds on an
-    interval for every c and the ratio rises to a single maximum and then
-    falls: the candidates are tried in order, and the first that does not
-    raise the ratio ends the search, with the previous one chosen and its
-    Y kept for the step.
+    whatever theta and u (``_ALIASING_BOUND``): a shorter step only shrinks
+    it.  The longest such step is longest where theta / (lam + Y) is
+    largest, so theta is the best of theta_0 2^(-i/4), i = 0, 1, ...,
+    theta_0 = sqrt(2 lam/u), which is the best for small theta, where Y is
+    about u theta^2 / 2; as u >= 64, theta_0 < 1.36 < pi/2.  Y is convex
+    and increasing in theta, so theta >= c (lam + Y) holds on an interval
+    for every c and the ratio rises to a single maximum and then falls, and
+    as Y > u theta^2 / 2 the maximum lies below theta_0.  The candidates
+    are tried in order, and the first that does not raise the ratio ends
+    the search, with the previous one chosen and its Y kept for the step.
+    The search ends, as the ratio falls to 0 with theta: it stops by the
+    fourth candidate on every sizing seen.
 
     u, theta^2 and kh' 2^W leave the double range (u reaches about 4e631),
     so all is done in doubles from ln u and in integers:
@@ -815,9 +814,6 @@ def _trapezoid_sizing(t_num, k_num, w):
       (phi >= 1.3 and g >= 1/2) and math.tau is below 2 pi;
     - K = floor(theta (2 pi / X) 2^W) is formed exactly from the integer
       ratios of the two doubles, so kh' = K 2^-W is at most 2 pi theta / X.
-
-    The bound is 2 / (e^lam - 1) rounded up by _FLOAT_ROUND_UP, and the
-    stop constant is exact.
     """
     log_u = math.log(t_num) - math.log(k_num)
 
@@ -826,9 +822,9 @@ def _trapezoid_sizing(t_num, k_num, w):
         g = 0.5 if theta < 2.0**-26 else -math.log1p(-2 * math.sin(theta / 2) ** 2) / theta**2
         return math.exp(2 * math.log(theta) + log_u) * g
 
-    theta0 = min(1.55, math.sqrt(2 * _QUAD_LAM) * math.exp(-log_u / 2))
+    theta0 = math.sqrt(2 * _QUAD_LAM) * math.exp(-log_u / 2)
     best = 0.0
-    for i in range(12):
+    for i in itertools.count():
         a = theta0 * 2 ** (-i / 4)
         y_a = exponent(a)
         ratio = a / (_QUAD_LAM + y_a)
@@ -837,9 +833,7 @@ def _trapezoid_sizing(t_num, k_num, w):
         theta, y, best = a, y_a, ratio
     n_theta, d_theta = theta.as_integer_ratio()
     n_c, d_c = (math.tau / (_QUAD_LAM + _STEP_ROUND_UP * y)).as_integer_ratio()
-    big_kh = (n_theta * n_c << w) // (d_theta * d_c)
-    bound = _FLOAT_ROUND_UP * 2 / math.expm1(_QUAD_LAM)
-    return theta, big_kh, bound, (1 << w) // (8 * _INV_TAIL)
+    return theta, (n_theta * n_c << w) // (d_theta * d_c)
 
 
 def _gamma_k_trapezoid(t, k) -> HPValue:
@@ -880,7 +874,8 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
       node, B within 2 units of b 2^W, b = e^(+-kh'): B = _fixed_exp(W)(-K)
       is within 1 + 2^-19 units of e^(-kh') 2^W, and 2^(2W) / B, rounded
       to the nearest integer, within 1/2 + e^(2kh') (1 + 2^-18) < 1.9
-      units of e^(kh') 2^W, as kh' <= 2 pi 1.55 / lam < 0.166.  A step
+      units of e^(kh') 2^W, as kh' <= 2 pi theta_0 / lam, which is at most
+      2 pi sqrt(2 / (64 lam)) < 0.145 as u >= _LIFT_TO.  A step
       multiplies X's error by b and adds at most 2 X 2^-W + 1 units, so at
       node j it is at most j max(1, b^j) (2u' + 1) units, which grows on
       the + side, where b > 1; as u' >= 64, that is below
@@ -927,17 +922,21 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     e = (d * d_k).bit_length() - 1
     lifts = max(0, -((t_num - _LIFT_TO * k_num) // k_num))
     # the exponents are of size u = t/k and needed to _QUAD_DPS digits
-    # after the point, so the working precision adds the digits of t/k
+    # after the point, so the working precision adds the digits of t/k.  It
+    # counts them before the lift, so a lifted call (u in [64, 65) after it)
+    # works at 30 or 31 digits; the assembly bound takes the lifted u and
+    # exponent, so it charges what that precision leaves after the point
     prec = dps_to_prec(_QUAD_DPS + max(0, int(math.log10(t) - math.log10(k))))
     w = prec + _GUARD_BITS
     lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
     t_num += lifts * k_num
-    _, big_kh, err, stop = _trapezoid_sizing(t_num, k_num, w)
+    _, big_kh = _trapezoid_sizing(t_num, k_num, w)
     one, big_u = 1 << w, (t_num << w) // k_num
     da = big_u * big_kh >> w
     exp = _fixed_exp(w)
     b_minus = exp(-big_kh)  # e^(-kh') 2^W, and e^(+kh') 2^W rounded to nearest
     total, nodes, units = one, 1, 0
+    stop = one // (8 * _INV_TAIL)  # floor(2^W T/8)
     for sign, b in ((1, ((1 << 2 * w) + b_minus // 2) // b_minus), (-1, b_minus)):
         a, x, g_prev = 0, big_u, one
         for j in range(1, _QUAD_MAX_NODES + 1):
@@ -964,7 +963,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     ratio = from_rational(big_kh * total * d_k, m_k * lift, prec, _NEAR)
     v = mpf_mul(mpf_exp(power, prec, _NEAR), mpf_shift(ratio, e * lifts - lift_exp - 2 * w),
                 prec, _NEAR)
-    rel = _err_sum(from_float(err), from_man_exp(units + lifts + 1, -w),
+    rel = _err_sum(from_float(_ALIASING_BOUND), from_man_exp(units + lifts + 1, -w),
                    _assembly(prec, power, u, u, fone))
     return _hp(v, mpf_mul(v, rel, _ERR_PREC, _UP), _QUAD_DPS, nodes)
 

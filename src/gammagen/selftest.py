@@ -37,10 +37,8 @@ def _oracle_suites(rng, n_series: int, n_quad: int) -> list:
     t_k = lambda: (rng.uniform(0.05, 20.0), rng.uniform(0.5, 10.0))
 
     suite("gamma-vs-oracle", n_quad, t_any, gamma, oracle.gamma_hp, 1e-10)
-    suite("psi-vs-oracle", n_series, t_any, psi,
-          lambda t: oracle.psi_hp(t), 1e-10)
-    suite("psi_p-vs-oracle", n_series, t_p, lambda t, p: psi_p(t, p),
-          oracle.psi_p_hp, 1e-10)
+    suite("psi-vs-oracle", n_series, t_any, psi, oracle.psi_hp, 1e-10)
+    suite("psi_p-vs-oracle", n_series, t_p, psi_p, oracle.psi_p_hp, 1e-10)
     suite("psi_q-vs-oracle", n_series, t_q,
           lambda t, q: psi_q(t, q).value, oracle.psi_q_hp, 1e-10)
     suite("psi_k-vs-oracle", n_series, t_k,

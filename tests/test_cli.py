@@ -612,6 +612,20 @@ def test_error_message_names_its_kind(capsys, argv, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "p", "--alpha", "1.5", "--p", "5", "--grid", "0:1"],
+     "grid spec must be start:stop:step (got '0:1')"),
+    (["scan", "--family", "q", "--q", "0.5", "--grid", "0.1:2:0.1:3"],
+     "grid spec must be start:stop:step (got '0.1:2:0.1:3')"),
+    *([[command, "--family", family, "--alpha", "1.5", "--grid", "0.5"],
+       f"--{family} is required for family {family}"]
+      for command in ("verify", "scan") for family in ("p", "q", "k")),
+])
+def test_sweep_rejection_is_one_domain_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"domain error: {message}\n")
+
+
 def test_scan_inadmissible_point_exit_2():
     r = run_cli("scan", "--family", "q", "--alpha", "0.5", "--q", "0.5",
                 "--grid", "0.1:1:0.1")

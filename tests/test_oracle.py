@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -248,7 +249,8 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
 
     monkeypatch.setattr(oracle, "_trapezoid_sizing", spy)
     oracle.gamma_k_quad(t, k)
-    [(t_num, k_num, w, (theta, big_kh, bound, stop))] = calls
+    [(t_num, k_num, w, (theta, big_kh))] = calls
+    bound, stop = oracle._ALIASING_BOUND, (1 << w) // (8 * oracle._INV_TAIL)
     assert 0 < theta < math.pi / 2 and big_kh > 0
     assert stop * 8 * oracle._INV_TAIL <= 1 << w < (stop + 1) * 8 * oracle._INV_TAIL
     with mp.workdps(60 + max(0, int(math.log10(t_num) - math.log10(k_num)))):
@@ -264,6 +266,17 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
         theta0 = min(1.55, math.sqrt(2 * oracle._QUAD_LAM) * math.exp(-log_u / 2))
         assert theta == max((theta0 * 2 ** (-i / 4) for i in range(12)),
                             key=lambda a: a / (lam - u * mp.log(mp.cos(a))))
+    # and it tries at most four candidates: the sizing takes one exp for
+    # theta_0 and one for each candidate's Y
+    exps = []
+
+    def exp(x):
+        exps.append(x)
+        return math.exp(x)
+
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    assert sizing(t_num, k_num, w) == (theta, big_kh)
+    assert len(exps) - 1 <= 4
 
 
 def test_bernoulli_table_is_exact():
