@@ -32,6 +32,7 @@ from .core_special import (
 from .inequality_engine import (
     FAMILIES,
     GenParams,
+    _require_on_domain,
     check_sandwich,
     family_callables,
     scan_monotone,
@@ -191,7 +192,10 @@ def _cmd_scan(args) -> int:
     # the engine admits t = 0, where the sandwich evaluates aux; a scan does not
     if any(t <= 0.0 for t in grid):
         raise DomainError("monotone grids must lie strictly in (0, inf)")
-    scan = scan_monotone(*family_callables(args.family, gp, param), grid)
+    callables = family_callables(args.family, gp, param)
+    # the grid rises and beta > 0: name a broken hypothesis at the least s, before any value
+    _require_on_domain(FAMILIES[args.family], gp.alpha + gp.beta * grid[0])
+    scan = scan_monotone(*callables, grid)
     if args.format == "csv":
         content = _csv(("t", "value"), ([repr(float(t)), repr(float(v))]
                                         for t, v in zip(scan.grid, scan.values)))

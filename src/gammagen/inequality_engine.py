@@ -241,10 +241,15 @@ def _lemma(fam: Family, x, head: float, a: float, b: float, s: float) -> float:
                            fam.name, a, b, s, x)
 
 
-def _lemma_on_domain(fam: Family, x, head: float, a: float, b: float, s: float) -> float:
+def _require_on_domain(fam: Family, s: float) -> None:
+    """DomainError unless s lies on the lemma's domain, s > fam.s_floor."""
     if not s > fam.s_floor:
         raise DomainError(f"t must be > {fam.s_floor:g} for the "
                           f"{fam.name}-family positivity (got {s})")
+
+
+def _lemma_on_domain(fam: Family, x, head: float, a: float, b: float, s: float) -> float:
+    _require_on_domain(fam, s)
     return _lemma(fam, x, head, a, b, s)
 
 

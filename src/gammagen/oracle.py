@@ -139,9 +139,12 @@ def _digits_from_error(value, err, dps) -> int:
     d0 exactly when r <= 10^-d0, that is when the integer man 10^d0 is at
     most s 2^(f-e), one side shifted by the bit counts' difference.  Only
     3 <= d0 <= cap + 1 needs the test: below, either d gives 1, and above,
-    the cap; g > 0 gives 1 and g < -4 cap - 8 the cap at once.  All of it
-    is integer work, however far the exponents lie outside the double
-    range.
+    the cap.  g is an integer that can lie far outside the double range
+    (about -2^1048 for the tiny Gamma_k(1e-6) at k = 1e-320), and d0 is a
+    double product that raises OverflowError once |g| passes 2^1024.  So
+    the two early returns are not shortcuts: g > 0, which gives 1, and
+    g < -4 cap - 8, which gives the cap, keep that product in range, and
+    the rest is integer work, however far the exponents lie outside it.
     """
     cap = dps - _DPS_MARGIN
     sign, man, e, bc = err
@@ -782,8 +785,10 @@ def gamma_k_quad(t, k) -> HPValue:
 
 
 def _trapezoid_sizing(t_num, k_num, w):
-    """The strip angle theta = kd and the step K = kh' 2^W of
-    ``_gamma_k_trapezoid`` at u = t_num/k_num >= _LIFT_TO and W = w.
+    """The step K = kh' 2^W, an integer, of ``_gamma_k_trapezoid`` at
+    u = t_num/k_num >= _LIFT_TO and W = w.  The strip angle theta = kd
+    that sizes it stays here: the bound below holds whatever theta, so the
+    caller needs the step alone.
 
     With Y = u (-ln cos theta), a step kh' <= 2 pi theta / X, X >= lam + Y,
     makes the aliasing bound 2 cos(theta)^(-u) / (e^(2 pi theta/kh') - 1) at
@@ -833,7 +838,7 @@ def _trapezoid_sizing(t_num, k_num, w):
         theta, y, best = a, y_a, ratio
     n_theta, d_theta = theta.as_integer_ratio()
     n_c, d_c = (math.tau / (_QUAD_LAM + _STEP_ROUND_UP * y)).as_integer_ratio()
-    return theta, (n_theta * n_c << w) // (d_theta * d_c)
+    return (n_theta * n_c << w) // (d_theta * d_c)
 
 
 def _gamma_k_trapezoid(t, k) -> HPValue:
@@ -858,9 +863,10 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     integral times cos(kd)^(-u).  So the trapezoid rule with step h errs by
     at most 2 cos(kd)^(-u) / (e^(2 pi d/h) - 1), relative (Trefethen and
     Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-    56 (2014), Thm 5.1).  ``_trapezoid_sizing`` chooses d and the step
-    kh' = K 2^-W, K an integer, in doubles rounded outward and in integers,
-    so that the bound for the step taken is at most about T/2, T = 1e-25.
+    56 (2014), Thm 5.1).  ``_trapezoid_sizing`` chooses d, in doubles
+    rounded outward and in integers, and hands over only the step
+    kh' = K 2^-W, K an integer, for which the bound at that d is at most
+    about T/2, T = 1e-25.
 
     The nodes walk out from the peak in W = P + _GUARD_BITS bits of fixed
     point, P the working precision below, a unit being 2^-W, with one
@@ -930,7 +936,7 @@ def _gamma_k_trapezoid(t, k) -> HPValue:
     w = prec + _GUARD_BITS
     lift, lift_exp = _product(range(t_num, t_num + lifts * k_num, k_num), w)
     t_num += lifts * k_num
-    _, big_kh = _trapezoid_sizing(t_num, k_num, w)
+    big_kh = _trapezoid_sizing(t_num, k_num, w)
     one, big_u = 1 << w, (t_num << w) // k_num
     da = big_u * big_kh >> w
     exp = _fixed_exp(w)

@@ -620,6 +620,12 @@ def test_error_message_names_its_kind(capsys, argv, message):
     *([[command, "--family", family, "--alpha", "1.5", "--grid", "0.5"],
        f"--{family} is required for family {family}"]
       for command in ("verify", "scan") for family in ("p", "q", "k")),
+    # aux at t = 300 is beyond the double range: the rule is named at the
+    # grid's first point, before any value is formed
+    *([["scan", "--family", family, "--a", "2", "--b", "1", "--alpha", "0.5",
+        f"--{family}", param, "--grid", "0.1,300"],
+       f"t must be > 1 for the {family}-family positivity (got 0.6)"]
+      for family, param in (("p", "5"), ("q", "0.5"))),
 ])
 def test_sweep_rejection_is_one_domain_error_line(capsys, argv, message):
     assert main(argv) == 2

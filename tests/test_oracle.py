@@ -238,8 +238,10 @@ SIZING_CASES = ([(t, k) for t in EXTREME_T for k in EXTREME_K] + [WIDEST_T_K]
 
 @pytest.mark.parametrize("t, k", SIZING_CASES)
 def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
-    # The sizing runs in doubles and integers; recompute, at 60 digits after
-    # the point of u, the aliasing bound for the theta and the step it chose.
+    # The sizing hands over the step alone.  Take the best of the twelve
+    # candidate angles at 60 digits after the point of u: the step must be
+    # sound at that angle, no shorter than the outward rounding leaves it
+    # (so the search found that angle), and covered by the aliasing bound.
     calls = []
     sizing = oracle._trapezoid_sizing
 
@@ -249,23 +251,19 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
 
     monkeypatch.setattr(oracle, "_trapezoid_sizing", spy)
     oracle.gamma_k_quad(t, k)
-    [(t_num, k_num, w, (theta, big_kh))] = calls
-    bound, stop = oracle._ALIASING_BOUND, (1 << w) // (8 * oracle._INV_TAIL)
-    assert 0 < theta < math.pi / 2 and big_kh > 0
-    assert stop * 8 * oracle._INV_TAIL <= 1 << w < (stop + 1) * 8 * oracle._INV_TAIL
+    [(t_num, k_num, w, big_kh)] = calls
+    assert type(big_kh) is int and big_kh > 0
     with mp.workdps(60 + max(0, int(math.log10(t_num) - math.log10(k_num)))):
         u = mpf(t_num) / k_num
         lam = mp.log(4 * mpf(oracle._INV_TAIL))
-        sec_u = mp.cos(mpf(theta)) ** -u
+        theta0 = mp.sqrt(2 * lam / u)
+        theta = max((theta0 * mpf(2) ** (mpf(-i) / 4) for i in range(12)),
+                    key=lambda a: a / (lam - u * mp.log(mp.cos(a))))
+        sec_u = mp.cos(theta) ** -u
         kh = 2 * mp.pi * theta / (lam + mp.log(sec_u))
         step = mp.ldexp(big_kh, -w)
-        assert step <= kh
-        assert bound >= 2 * sec_u / mp.expm1(2 * mp.pi * theta / step)
-        # the search stops early, yet at the best of all twelve candidates
-        log_u = math.log(t_num) - math.log(k_num)
-        theta0 = min(1.55, math.sqrt(2 * oracle._QUAD_LAM) * math.exp(-log_u / 2))
-        assert theta == max((theta0 * 2 ** (-i / 4) for i in range(12)),
-                            key=lambda a: a / (lam - u * mp.log(mp.cos(a))))
+        assert kh * (1 - mpf(2) ** -30) <= step <= kh
+        assert oracle._ALIASING_BOUND >= 2 * sec_u / mp.expm1(2 * mp.pi * theta / step)
     # and it tries at most four candidates: the sizing takes one exp for
     # theta_0 and one for each candidate's Y
     exps = []
@@ -275,7 +273,7 @@ def test_trapezoid_sizing_is_sound(monkeypatch, t, k):
         return math.exp(x)
 
     monkeypatch.setattr(oracle, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
-    assert sizing(t_num, k_num, w) == (theta, big_kh)
+    assert sizing(t_num, k_num, w) == big_kh
     assert len(exps) - 1 <= 4
 
 
